@@ -17,8 +17,6 @@ and the observed log-log decay rate.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,13 +40,6 @@ from .strangfix import SFParams, SFReport, gamma_ip, gamma_sm, verify_sfc
 RATIO_TOL = 1e-9
 NODE_TOL = 1e-6
 _TINY = 1e-13
-
-
-def _worker_count() -> int:
-    env = os.environ.get("ANISO_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -222,6 +213,7 @@ class BoundReport:
     def verdict(self) -> bool:
         return all(
             r.ratio <= 1.0 + RATIO_TOL and r.node_residual <= NODE_TOL
+            and r.sf_passed
             for r in self.rows
         )
 
@@ -288,17 +280,14 @@ def convergence_study(spec: ExperimentSpec) -> BoundReport:
     """Run the dilation family ``M_j = 2^j M_0`` and validate the combined
     bound ``C_rho ||M_j||^{-rho} ||f | A^mu_q||`` at every scale.
 
-    Scales run concurrently (capped by ``ANISO_THREADS``); rows are
-    assembled in increasing ``j``.  The decay rate is a least-squares
+    Rows are in increasing ``j``.  The decay rate is a least-squares
     log-log fit over ``j >= 1``, reported but not part of the verdict
     (the bound is one-sided).
     """
     s = spec.order()
     rho = min(s, spec.mu - spec.alpha)
     report = BoundReport(spec=spec, rho=rho)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(lambda j: _study_row(spec, rho, j), spec.scales))
-    report.rows = sorted(rows, key=lambda r: r.j)
+    report.rows = [_study_row(spec, rho, j) for j in sorted(spec.scales)]
 
     pts = [(math.log(r.norm2), math.log(r.error))
            for r in report.rows if r.j >= 1 and r.error > _TINY]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -22,8 +21,6 @@ from .errors import TailTooLarge
 from .intlat import PatternMatrix
 from .ptransform import FourierSeries, gset_freqs
 from .spectral import inv_t_apply
-
-_SINC_SERIES_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,21 +81,10 @@ class PeriodizationWindow:
             raise ValueError("radius must be >= 1")
 
 
-def _sinc(t: float) -> float:
-    """``sin(t) / t`` with a series expansion near zero for accuracy."""
-    if abs(t) < _SINC_SERIES_CUTOFF:
-        t2 = t * t
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return math.sin(t) / t
-
-
 def boxspline_hat(xi, spec: BoxSplineSpec) -> float:
     """Fourier transform value: product of sinc powers over the directions."""
-    xi = np.asarray(xi, dtype=float)
-    out = 1.0
-    for direction, pj in zip(spec.directions(), spec.p):
-        out *= _sinc(0.5 * float(direction @ xi)) ** pj
-    return out
+    y = np.asarray(xi, dtype=float).reshape(1, -1) / (2.0 * np.pi)
+    return float(_hat_on_lattice(y, spec)[0])
 
 
 def _hat_on_lattice(y: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
@@ -120,8 +106,9 @@ def periodized_coeff(k, spec: BoxSplineSpec, pm: PatternMatrix) -> float:
 
 
 def _int_box(d: int, radius: int) -> np.ndarray:
-    r = range(-radius, radius + 1)
-    return np.array(list(product(r, repeat=d)), dtype=np.int64)
+    """Every ``z`` with ``||z||_inf <= radius``, in lexicographic order."""
+    side = 2 * radius + 1
+    return np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - radius
 
 
 def _alias_bound(z: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:

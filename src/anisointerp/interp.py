@@ -147,12 +147,7 @@ def fundamental_interpolant(
             f"folded kernel coefficient vanishes on classes {report.flagged}"
         )
     labels = freq_class_indices(phi.freqs, pm) if len(phi) else np.zeros(0, np.int64)
-    degenerate = np.zeros(pm.m, dtype=bool)
-    from .ptransform import gset_index
-
-    gidx = gset_index(pm)
-    for h in report.flagged:
-        degenerate[gidx[h]] = True
+    degenerate = np.abs(folded) <= report.eps  # the classes report.flagged lists
 
     a_hat = np.zeros(pm.m, dtype=np.complex128)
     good = ~degenerate

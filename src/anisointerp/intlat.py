@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NotAMember, SingularMatrix
+from .errors import AnisoError, NotAMember, SingularMatrix
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -146,11 +146,10 @@ def validate_matrix(raw) -> PatternMatrix:
                 adj_rows[j][i] = cof
         adj = tuple(tuple(r) for r in adj_rows)
     pm = PatternMatrix(d, tuple(tuple(r) for r in rows), det, adj)
-    # integer identity M * adj = det * I
     for i in range(d):
         col = _mat_vec(pm.mat, tuple(adj[j][i] for j in range(d)))
-        for j in range(d):
-            assert col[j] == (det if i == j else 0)
+        if any(col[j] != (det if i == j else 0) for j in range(d)):
+            raise AnisoError(f"adjugate of {rows} violates M adj = det I")
     return pm
 
 
@@ -184,7 +183,8 @@ def enumerate_generating_set(pm: PatternMatrix, transposed: bool = False) -> lis
         if _is_canonical(_mat_vec(p.adj, k), p.det)
     ]
     out.sort()
-    assert len(out) == pm.m
+    if len(out) != pm.m:
+        raise AnisoError(f"generating set has {len(out)} elements, not |det M| = {pm.m}")
     return out
 
 
@@ -214,7 +214,8 @@ def _reduce(k: IntVec, p: PatternMatrix) -> IntVec:
     z = [_round_half_open(s * ti, m) for ti in t]
     mz = [sum(p.mat[i][j] * z[j] for j in range(p.d)) for i in range(p.d)]
     h = tuple(k[i] - mz[i] for i in range(p.d))
-    assert _is_canonical(_mat_vec(p.adj, h), p.det)
+    if not _is_canonical(_mat_vec(p.adj, h), p.det):
+        raise AnisoError(f"reduction of {k} gave the non-canonical {h}")
     return h
 
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NotAMember
 from .intlat import (
     IntVec,
     PatternMatrix,
@@ -48,10 +49,13 @@ class FourierSeries:
         if len(freqs) != len(coeffs):
             raise ValueError("freqs and coeffs length mismatch")
         if dedup and len(freqs):
-            freqs, inv = np.unique(freqs, axis=0, return_inverse=True)
-            summed = np.zeros(len(freqs), dtype=np.complex128)
-            np.add.at(summed, inv.ravel(), coeffs)
-            coeffs = summed
+            # stable, so repeated rows are summed in their original order
+            order = np.lexsort(freqs.T[::-1])
+            freqs, coeffs = freqs[order], coeffs[order]
+            first = np.ones(len(freqs), dtype=bool)
+            first[1:] = (freqs[1:] != freqs[:-1]).any(axis=1)
+            starts = np.flatnonzero(first)
+            freqs, coeffs = freqs[starts], np.add.reduceat(coeffs, starts)
         self.freqs = freqs
         self.coeffs = coeffs
         self.window = window
@@ -158,9 +162,20 @@ def gset_freqs(pm: PatternMatrix) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def gset_index(pm: PatternMatrix) -> dict[IntVec, int]:
-    """Position of each canonical frequency in the canonical order."""
-    return {tuple(int(x) for x in h): i for i, h in enumerate(gset_freqs(pm))}
+def _gset_keys(pm: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixed-radix packing of the generating set: ``(lo, strides, keys)``.
+
+    ``keys = (gset_freqs(pm) - lo) @ strides`` over the set's bounding box.
+    The last coordinate varies fastest, so the lexicographic order of
+    :func:`gset_freqs` makes ``keys`` ascending.  The box lies inside the
+    one :func:`enumerate_generating_set` walks, so the keys fit in int64.
+    """
+    h = gset_freqs(pm)
+    lo = h.min(axis=0)
+    span = h.max(axis=0) - lo + 1
+    strides = np.ones(pm.d, dtype=np.int64)
+    strides[:-1] = np.cumprod(span[:0:-1])[::-1]
+    return lo, strides, (h - lo) @ strides
 
 
 def _phase_matrix(pm: PatternMatrix) -> np.ndarray:
@@ -207,14 +222,22 @@ def discrete_coeffs(s: SampleVector) -> CoeffVector:
 
 
 def freq_class_indices(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """For each stored frequency, the canonical-order index of its class."""
+    """For each stored frequency, the canonical-order index of its class.
+
+    Raises
+    ------
+    NotAMember
+        If a reduced frequency is not in the canonical generating set.
+    """
     reduced = reduce_freq_many(freqs, pm)
-    idx = gset_index(pm)
-    return np.fromiter(
-        (idx[tuple(int(x) for x in h)] for h in reduced),
-        dtype=np.int64,
-        count=len(reduced),
-    )
+    lo, strides, keys = _gset_keys(pm)
+    pos = np.searchsorted(keys, (reduced - lo) @ strides)
+    pos = np.minimum(pos, pm.m - 1)
+    miss = (gset_freqs(pm)[pos] != reduced).any(axis=1)
+    if miss.any():
+        h = tuple(int(x) for x in reduced[np.argmax(miss)])
+        raise NotAMember(f"reduced frequency {h} is not in the generating set")
+    return pos
 
 
 def alias_fold(f: FourierSeries, pm: PatternMatrix) -> CoeffVector:

@@ -144,9 +144,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
 
     hmask = np.arange(pm.m) != origin
     rhs_inner = kappa_fac * ynorm**s
-    b: dict[IntVec, float] = {}
     b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
-    b[(0,) * pm.d] = b0
 
     # outer condition (z != 0)
     out = ~at0
@@ -160,16 +158,19 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     rhs_outer = kappa_fac * sd.norm2 ** (-params.alpha) * ynorm**s
     keep = ~zero_class
     ratios = np.abs(pm.m * c_o[keep]) / rhs_outer[lab_o[keep]]
-    enc = {}
-    for z_row, r in zip(zs_o[keep], ratios):
-        key = tuple(int(x) for x in z_row)
-        if r > enc.get(key, 0.0):
-            enc[key] = float(r)
-    b.update(enc)
+    # b_z over the box ||z||_inf <= zmax, which holds every selected shift,
+    # so z + zmax indexes it exactly; kept where positive, and always at z = 0
+    box = (2 * zmax + 1,) * pm.d
+    best = np.zeros(math.prod(box))
+    np.maximum.at(best, np.ravel_multi_index((zs_o[keep] + zmax).T, box), ratios)
+    center = np.ravel_multi_index((zmax,) * pm.d, box)
+    best[center] = b0
+    hit = np.union1d(np.flatnonzero(best > 0.0), center)
+    zkeys = np.stack(np.unravel_index(hit, box), axis=1) - zmax
+    bvals = best[hit]
+    b = dict(zip(map(tuple, zkeys.tolist()), bvals.tolist()))
 
     # truncated gamma_SF and its shell-convergence diagnostic
-    zkeys = np.array(sorted(b), dtype=np.int64)
-    bvals = np.array([b[tuple(int(x) for x in z)] for z in zkeys])
     sig = weights_many(zkeys, params.alpha, pm)
     weighted = sig * bvals
     gamma_sf = lq_norm(weighted, params.q)

@@ -213,6 +213,21 @@ def test_convergence_study_box_spline(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_verdict_requires_strang_fix_pass():
+    """An overclaimed order can leave every ratio <= 1, but gamma_SF is then
+    no valid constant, so the study must not pass."""
+    spec = ExperimentSpec(
+        base_matrix=M21, scales=(2,),
+        test_function=fixed_function(decay_profile(2, 9.0, 16)),
+        alpha=0.0, mu=10.0, q=2.0, kernel=B222, s=8.0, radius=16, tail_eps=1e-4,
+    )
+    rep = convergence_study(spec)
+    assert all(r.ratio <= RATIO_TOL for r in rep.rows)
+    assert all(r.node_residual <= 1e-6 for r in rep.rows)
+    assert not all(r.sf_passed for r in rep.rows)
+    assert not rep.verdict
+
+
 def report_is_deterministic(rep, path):
     import tempfile
 

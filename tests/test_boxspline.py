@@ -1,6 +1,7 @@
 """Box-spline transforms and their periodization."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -140,3 +141,11 @@ def test_full_family_has_degenerate_class():
         fundamental_interpolant(phi, E2)
     ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
     assert (-1, -1) in ifun.incorrect_modes
+
+
+@pytest.mark.parametrize("d,r", [(1, 0), (1, 3), (2, 2), (3, 2)])
+def test_int_box_matches_product(d, r):
+    from anisointerp.boxspline import _int_box
+
+    expect = [list(z) for z in product(range(-r, r + 1), repeat=d)]
+    assert _int_box(d, r).tolist() == expect

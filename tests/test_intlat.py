@@ -19,6 +19,7 @@ from anisointerp import (
     reduce_freq_many,
     validate_matrix,
 )
+from anisointerp import ptransform
 
 FIG1 = [[8, 3], [0, 8]]
 
@@ -189,3 +190,31 @@ def test_generating_sets_are_complete_residue_systems(mat):
     gs = enumerate_generating_set(pm, transposed=True)
     reduced = {tuple(int(x) for x in h) for h in reduce_freq_many(gs, pm)}
     assert len(reduced) == pm.m
+
+
+@settings(max_examples=40, deadline=None)
+@given(regular_matrices(), st.data())
+def test_class_indices_match_generating_set_positions(mat, data):
+    """Labels are positions of ``reduce_freq(k)`` in the canonical order, on
+    both the int64 and the big-integer branch of ``reduce_freq_many``."""
+    pm = validate_matrix(mat)
+    gs = enumerate_generating_set(pm, transposed=True)
+
+    def rows(lo, hi):
+        coord = st.integers(min_value=lo, max_value=hi)
+        return data.draw(st.lists(st.lists(coord, min_size=pm.d, max_size=pm.d),
+                                  min_size=1, max_size=20))
+
+    small = rows(-60, 60)
+    huge = small + rows(2**61, 2**62)
+    for ks in (small, huge):
+        expect = [gs.index(reduce_freq(tuple(k), pm)) for k in ks]
+        got = ptransform.freq_class_indices(np.array(ks, dtype=np.int64), pm)
+        assert got.tolist() == expect
+
+
+def test_class_indices_reject_noncanonical_reduction(monkeypatch):
+    pm = validate_matrix(FIG1)
+    monkeypatch.setattr(ptransform, "reduce_freq_many", lambda ks, pm: ks + 100)
+    with pytest.raises(NotAMember):
+        ptransform.freq_class_indices(np.zeros((1, 2), dtype=np.int64), pm)

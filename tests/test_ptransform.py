@@ -140,3 +140,20 @@ def test_window_metadata():
     assert g.window == math.inf
     s = f + f  # merged supports have unknown coverage
     assert s.window is None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dedup_matches_dict_sum_oracle(d):
+    rng = np.random.default_rng(d)
+    n = 300
+    freqs = rng.integers(-3, 4, size=(n, d))
+    coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    f = FourierSeries(freqs, coeffs, dedup=True)
+    expect: dict = {}
+    for k, c in zip(freqs.tolist(), coeffs):
+        expect[tuple(k)] = expect.get(tuple(k), 0.0) + c
+    keys = sorted(expect)
+    assert [tuple(k) for k in f.freqs.tolist()] == keys
+    # summation order may differ: the standard n * eps * sum|c| error bound
+    tol = n * np.finfo(np.float64).eps * np.abs(coeffs).sum()
+    assert np.abs(f.coeffs - np.array([expect[k] for k in keys])).max() <= tol

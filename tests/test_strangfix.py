@@ -16,6 +16,8 @@ from anisointerp import (
     fundamental_interpolant,
     gamma_ip,
     gamma_sm,
+    gset_freqs,
+    inv_t_apply,
     periodize,
     sf_order,
     spectral_data,
@@ -104,6 +106,29 @@ def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
     assert rep.gamma_sf == pytest.approx(
         float(np.sqrt(((sig * bv) ** 2).sum())), rel=1e-12
     )
+
+
+def test_b_matches_dict_loop_oracle(box_ifun):
+    """The per-shift constants equal a plain per-mode maximum over a dict."""
+    from anisointerp.strangfix import _mode_shifts
+
+    params, zmax = SFParams(s=4.0, alpha=1.0, q=2.0), 12
+    rep = verify_sfc(box_ifun, params, zmax=zmax)
+    sd = spectral_data(FIG1)
+    hs = gset_freqs(FIG1)
+    ynorm = np.linalg.norm(inv_t_apply(hs, FIG1), axis=1)
+    rhs = sd.kappa ** -params.s * sd.norm2 ** -params.alpha * ynorm ** params.s
+    origin = int(np.flatnonzero(~hs.any(axis=1))[0])
+    labels, zs = _mode_shifts(box_ifun.series, FIG1)
+    expect = {(0, 0): rep.b[(0, 0)]}
+    for lab, z, c in zip(labels, zs, box_ifun.series.coeffs):
+        key = tuple(int(x) for x in z)
+        if not any(key) or max(map(abs, key)) > zmax or lab == origin:
+            continue
+        r = abs(FIG1.m * c) / rhs[lab]
+        if r > expect.get(key, 0.0):
+            expect[key] = float(r)
+    assert rep.b == expect
 
 
 def test_gamma_ip_dirichlet_is_one():
