@@ -35,7 +35,7 @@ from .interp import (
 from .intlat import PatternMatrix, validate_matrix
 from .ptransform import FourierSeries, SampleVector
 from .spectral import is_expanding, spectral_data
-from .strangfix import SFParams, SFReport, gamma_ip, gamma_sm, verify_sfc
+from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
 
 RATIO_TOL = 1e-9
 NODE_TOL = 1e-6
@@ -240,7 +240,7 @@ def _study_kernel(spec: ExperimentSpec, pm: PatternMatrix) -> FundamentalInterpo
     return fundamental_interpolant(dirichlet_kernel(pm), pm)
 
 
-def _study_row(spec: ExperimentSpec, rho: float, j: int) -> ScaleRow:
+def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     mat = [[(2**j) * e for e in row] for row in spec.base_matrix.mat]
     pm = validate_matrix(mat)
     sd = spectral_data(pm)
@@ -256,11 +256,7 @@ def _study_row(spec: ExperimentSpec, rho: float, j: int) -> ScaleRow:
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=zmax)
     gip = gamma_ip(ifun, spec.alpha, spec.q, zmax)
     gsm = gamma_sm(spec.mu, spec.alpha, spec.q, pm.d)
-    if rho == s:
-        c_rho_val = rep.gamma_sf + 2.0 ** (spec.mu - spec.alpha) + gip * gsm
-    else:
-        c_rho_val = ((1.0 + pm.d) ** (s + spec.alpha - spec.mu) * rep.gamma_sf
-                     + 2.0 ** (spec.mu - spec.alpha) + gip * gsm)
+    rho, c_rho_val = c_rho(rep.gamma_sf, gip, gsm, s, spec.mu, spec.alpha, pm.d)
     fmu = a_norm(f, spec.mu, WeightSpec(spec.alpha, pm, spec.q))
     bound = c_rho_val * sd.norm2 ** (-rho) * fmu
     return ScaleRow(
@@ -287,7 +283,7 @@ def convergence_study(spec: ExperimentSpec) -> BoundReport:
     s = spec.order()
     rho = min(s, spec.mu - spec.alpha)
     report = BoundReport(spec=spec, rho=rho)
-    report.rows = [_study_row(spec, rho, j) for j in sorted(spec.scales)]
+    report.rows = [_study_row(spec, j) for j in sorted(spec.scales)]
 
     pts = [(math.log(r.norm2), math.log(r.error))
            for r in report.rows if r.j >= 1 and r.error > _TINY]

@@ -17,17 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonExistent, NotInSpace
-from .intlat import IntVec, PatternMatrix, freq_phase_residues, reduce_freq_many
+from .intlat import (IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
+                     reduce_freq_many)
 from .ptransform import (
     CoeffVector,
     FourierSeries,
     SampleVector,
     alias_fold,
+    dft_inverse,
     discrete_coeffs,
     freq_class_indices,
     gset_freqs,
-    pattern_generators,
-    phase_matrix,
 )
 
 EXISTENCE_EPS_REL = 1e-12
@@ -62,8 +62,7 @@ def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
     folded coefficients; this is exact for any finite series and avoids
     per-mode phase evaluation.
     """
-    folded = alias_fold(f, pm)
-    return phase_matrix(pm).conj().T @ folded.values
+    return pm.m * dft_inverse(alias_fold(f, pm)).values
 
 
 @dataclass
@@ -89,11 +88,7 @@ def check_existence(phi: FourierSeries, pm: PatternMatrix,
     folded = alias_fold(phi, pm)
     mags = np.abs(folded.values)
     eps = eps_rel * float(mags.max(initial=0.0))
-    flagged = [
-        tuple(int(x) for x in h)
-        for h, mag in zip(gset_freqs(pm), mags)
-        if mag <= eps
-    ]
+    flagged = [tuple(h) for h in gset_freqs(pm)[mags <= eps].tolist()]
     return ExistenceReport(folded=folded, flagged=flagged, eps=eps)
 
 
@@ -146,14 +141,13 @@ def fundamental_interpolant(
         raise NonExistent(
             f"folded kernel coefficient vanishes on classes {report.flagged}"
         )
-    labels = freq_class_indices(phi.freqs, pm) if len(phi) else np.zeros(0, np.int64)
-    degenerate = np.abs(folded) <= report.eps  # the classes report.flagged lists
+    labels = freq_class_indices(phi.freqs, pm)
+    good = np.abs(folded) > report.eps  # all but the classes report.flagged lists
 
     a_hat = np.zeros(pm.m, dtype=np.complex128)
-    good = ~degenerate
     a_hat[good] = 1.0 / (pm.m * folded[good])
 
-    keep = good[labels] if len(phi) else np.zeros(0, dtype=bool)
+    keep = good[labels]
     freqs = phi.freqs[keep]
     coeffs = phi.coeffs[keep] * a_hat[labels[keep]]
     if report.flagged:
@@ -182,34 +176,30 @@ def membership_coeffs(xi: FourierSeries, phi: FourierSeries, pm: PatternMatrix,
         With the first inconsistent index pair, if no consistent coefficient
         vector exists.
     """
-    union = {tuple(int(x) for x in k) for k in xi.freqs}
-    union.update(tuple(int(x) for x in k) for k in phi.freqs)
-    keys = sorted(union)
-    if not keys:
-        return CoeffVector(np.zeros(pm.m), pm)
-    karr = np.array(keys, dtype=np.int64)
-    labels = freq_class_indices(karr, pm)
-    mags = [float(np.abs(s.coeffs).max(initial=0.0)) for s in (xi, phi)]
-    scale = max(mags) or 1.0
-    a_hat: np.ndarray = np.zeros(pm.m, dtype=np.complex128)
-    seen = np.zeros(pm.m, dtype=bool)
-    witness: dict[int, IntVec] = {}
-    for k, lab in zip(keys, labels):
-        cx = xi.get(k)
-        cp = phi.get(k)
-        if abs(cp) <= tol * scale:
-            if abs(cx) > tol * scale:
-                raise NotInSpace(f"mode {k} not proportional to the kernel")
-            continue
-        ratio = cx / cp
-        if not seen[lab]:
-            a_hat[lab] = ratio
-            seen[lab] = True
-            witness[int(lab)] = k
-        elif abs(ratio - a_hat[lab]) > tol * (1.0 + abs(a_hat[lab])):
-            raise NotInSpace(
-                f"inconsistent ratio within class: modes {witness[int(lab)]} and {k}"
-            )
+    freqs = np.vstack([f.freqs.reshape(-1, pm.d) for f in (xi, phi)])
+    keys, inv = np.unique(freqs, axis=0, return_inverse=True)
+    cx, cp = np.zeros((2, len(keys)), dtype=np.complex128)
+    np.add.at(cx, inv.ravel()[:len(xi)], xi.coeffs)
+    np.add.at(cp, inv.ravel()[len(xi):], phi.coeffs)
+    # each series is tested against its own largest coefficient, so scaling
+    # either one does not change which of its modes count as zero
+    zero_x, zero_p = (np.abs(c) <= tol * (np.abs(c).max(initial=0.0) or 1.0)
+                      for c in (cx, cp))
+    stray = zero_p & ~zero_x
+    if stray.any():
+        raise NotInSpace(f"mode {tuple(keys[np.argmax(stray)].tolist())} "
+                         "not proportional to the kernel")
+    idx = np.flatnonzero(~zero_p)
+    labels = freq_class_indices(keys[idx], pm)
+    ratio = cx[idx] / cp[idx]
+    first = np.full(pm.m, len(idx))  # the first nonzero kernel mode per class
+    np.minimum.at(first, labels, np.arange(len(idx)))
+    a_hat = np.append(ratio, 0.0)[first]  # 0 on classes without one
+    bad = np.abs(ratio - a_hat[labels]) > tol * (1.0 + np.abs(a_hat[labels]))
+    if bad.any():
+        i = np.argmax(bad)
+        witness, k = (tuple(keys[idx[j]].tolist()) for j in (first[labels[i]], i))
+        raise NotInSpace(f"inconsistent ratio within class: modes {witness} and {k}")
     return CoeffVector(a_hat, pm)
 
 
@@ -223,8 +213,6 @@ def interpolation_operator(samples: SampleVector,
     pm = ifun.pm
     ch = discrete_coeffs(samples).values
     f = ifun.series
-    if len(f) == 0:
-        return f
     labels = freq_class_indices(f.freqs, pm)
     coeffs = pm.m * ch[labels] * f.coeffs
     return FourierSeries(f.freqs, coeffs, window=f.window)
@@ -251,8 +239,5 @@ def cardinal_residual(ifun: FundamentalInterpolant) -> float:
     pm = ifun.pm
     vals = evaluate_at_nodes(ifun.series, pm)
     target = np.zeros(pm.m, dtype=np.complex128)
-    origin = next(
-        i for i, g in enumerate(pattern_generators(pm)) if not g.any()
-    )
-    target[origin] = 1.0
+    target[canonical_classes(pm, False)[2][0]] = 1.0  # label 0 is the origin
     return float(np.abs(vals - target).max())

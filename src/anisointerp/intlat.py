@@ -2,10 +2,13 @@
 
 A regular integer matrix ``M`` partitions ``Z^d`` into ``m = |det M|``
 congruence classes mod ``M``, and likewise the rational lattice
-``M^{-1} Z^d`` into ``m`` classes mod ``Z^d``.  This module enumerates the
-canonical representatives inside the half-open cube ``[-1/2, 1/2)^d``,
-reduces arbitrary integers to their representative, and implements the
-induced group addition.  Everything here is exact: membership in the
+``M^{-1} Z^d`` into ``m`` classes mod ``Z^d``.  One exact diagonal form
+``U M V = diag(eps)`` labels both: a pattern generator ``g`` by the digits
+``U g mod eps``, a frequency ``h`` by ``V^T h mod eps``, and the phase is
+``h^T M^{-1} g = sum_i (V^T h)_i (U g)_i / eps_i (mod 1)``.  This module
+enumerates the canonical representatives inside the half-open cube
+``[-1/2, 1/2)^d``, labels and reduces arbitrary integers, and implements
+the induced group addition.  Everything here is exact: membership in the
 half-open parallelotope is decided by integer comparisons on the adjugate,
 never by floating point.
 
@@ -18,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
@@ -111,9 +115,58 @@ class PatternMatrix:
         t = _mat_vec(self.adj, k)
         return tuple(Fraction(ti, self.det) for ti in t)
 
+    @cached_property
+    def diagonal_form(self) -> tuple[IntVec, IntMat, IntMat]:
+        """``(eps, U, V)``: ``eps > 0`` and unimodular ``U``, ``V`` with
+        ``U M V = diag(eps)``, checked exactly.
+
+        Raises ``AnisoError`` if the check fails, or if ``d * max(eps)^2`` or
+        ``d * m`` reaches ``2^63``: below that, reducing map and input mod
+        ``eps_i`` keeps every class digit and phase term exact in int64.
+        """
+        eps, u, v = _diagonalize(self.mat)
+        umv = [_mat_vec(tuple(zip(*v)), _mat_vec(tuple(zip(*self.mat)), row)) for row in u]
+        diag = [[e * (i == j) for j in range(self.d)] for i, e in enumerate(eps)]
+        # with prod(eps) = m, det U * det V = +-1, so both are unimodular
+        if min(eps) < 1 or prod(eps) != self.m or umv != diag:
+            raise AnisoError(f"{(eps, u, v)} is not a diagonal form of {self.mat}")
+        if self.d * max(max(eps) ** 2, self.m) >= 2**63:
+            raise AnisoError(f"diagonal form {eps} of {self.mat} is too large "
+                             "for exact int64 class labels")
+        return eps, u, v
+
 
 def _mat_vec(rows: IntMat, v: IntVec) -> list[int]:
     return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
+
+
+def _diagonalize(mat: IntMat) -> tuple[IntVec, IntMat, IntMat]:
+    """``(eps, U, V)`` with ``U M V = diag(eps)``, by row and column
+    elimination around the smallest nonzero pivot, in Python ints.  The
+    ``eps_i`` need not divide each other: any diagonal form will do."""
+    d = len(mat)
+    a = [list(row) for row in mat]
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    v = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(d):
+        # remainders are smaller than the pivot, so this ends; once row and
+        # column k are clear, a[k][k] != 0 because M is regular
+        while any(a[i][k] or a[k][i] for i in range(k + 1, d)):
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(k, d)
+                          for j in range(k, d) if a[i][j])
+            a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
+            for r in a + v:
+                r[k], r[j] = r[j], r[k]
+            for i in range(k + 1, d):
+                q = a[i][k] // a[k][k]
+                a[i], u[i] = ([x - q * y for x, y in zip(r[i], r[k])] for r in (a, u))
+            for j in range(k + 1, d):
+                q = a[k][j] // a[k][k]
+                for r in a + v:
+                    r[j] -= q * r[k]
+        if a[k][k] < 0:
+            a[k], u[k] = [-x for x in a[k]], [-x for x in u[k]]
+    return tuple(a[k][k] for k in range(d)), tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
 def validate_matrix(raw) -> PatternMatrix:
@@ -167,6 +220,44 @@ def is_canonical_freq(k: IntVec, pm: PatternMatrix) -> bool:
     return _is_canonical(_mat_vec(p.adj, k), p.det)
 
 
+def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
+    """Class labels in ``range(m)`` of the rows of an ``(n, d)`` integer
+    array: the digits ``U g mod eps`` (``V^T h mod eps`` for frequencies,
+    with ``transposed``) as one mixed-radix number, last digit fastest."""
+    eps, u, v = pm.diagonal_form
+    x = np.asarray(x, dtype=np.int64).reshape(-1, pm.d)
+    digits = [(x % e) @ np.array([c % e for c in row], dtype=np.int64) % e
+              for row, e in zip(tuple(zip(*v)) if transposed else u, eps)]
+    return np.ravel_multi_index(digits, eps)
+
+
+@lru_cache(maxsize=16)
+def canonical_classes(pm: PatternMatrix,
+                      transposed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(rows, labels, positions)``: the canonical set of
+    :func:`enumerate_generating_set` in lexicographic order, the class label
+    of each row, and the row of each label.  Raises ``AnisoError`` if a
+    reduced representative leaves the half-open cube or its class."""
+    eps, u, v = pm.diagonal_form
+    # the map to digits, U or V^T, is unimodular: its inverse is det * adj
+    inv = validate_matrix(tuple(zip(*v)) if transposed else u)
+    grid = np.indices(eps).reshape(pm.d, -1).T  # row l: the digits of label l
+    q = pm if transposed else pm.transposed()  # reduction mod q^T
+    rows = reduce_freq_many(grid @ (inv.det * inv.adj_np).T, q)
+    t = q.sign * (rows @ q.adj_np)  # row i: adj(q^T) rows[i]
+    if not ((-pm.m <= 2 * t) & (2 * t < pm.m)).all():
+        raise AnisoError(f"class representatives of {pm.mat} left [-1/2, 1/2)^d")
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    labels = class_labels(rows, pm, transposed)
+    if not np.array_equal(labels, order):  # also catches an int64 overflow above
+        raise AnisoError(f"class representatives of {pm.mat} left their classes")
+    positions = np.argsort(labels)
+    for arr in (rows, labels, positions):
+        arr.flags.writeable = False
+    return rows, labels, positions
+
+
 def enumerate_generating_set(pm: PatternMatrix, transposed: bool = False) -> list[IntVec]:
     """All ``m`` integer vectors ``k`` with ``M^{-1}k`` in ``[-1/2,1/2)^d``.
 
@@ -174,18 +265,7 @@ def enumerate_generating_set(pm: PatternMatrix, transposed: bool = False) -> lis
     lexicographically; this ordering is the contract every other module
     relies on.
     """
-    p = pm.transposed() if transposed else pm
-    # integer bounding box of the parallelotope M [-1/2, 1/2)^d
-    bounds = [sum(abs(x) for x in row) for row in p.mat]
-    ranges = [range(-(b // 2) - 1, b // 2 + 2) for b in bounds]
-    out = [
-        k for k in product(*ranges)
-        if _is_canonical(_mat_vec(p.adj, k), p.det)
-    ]
-    out.sort()
-    if len(out) != pm.m:
-        raise AnisoError(f"generating set has {len(out)} elements, not |det M| = {pm.m}")
-    return out
+    return [tuple(k) for k in canonical_classes(pm, bool(transposed))[0].tolist()]
 
 
 def enumerate_pattern(pm: PatternMatrix) -> list[IntVec]:
@@ -266,19 +346,13 @@ def freq_phase_residues(ks: np.ndarray, gs: np.ndarray, pm: PatternMatrix) -> np
 
     ``ks`` is ``(n, d)``, ``gs`` is ``(p, d)``; the result is ``(n, p)``.
     The phase ``e^{-2 pi i k^T y}`` is then ``exp(-2 pi i r / m)``, computed
-    from an exact rational reduced mod 1 so large indices lose no accuracy.
+    from the exact ``sum_i (V^T k)_i (U g)_i / eps_i`` reduced mod 1, so
+    large indices lose no accuracy.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    gs = np.asarray(gs, dtype=np.int64)
-    adjg = gs @ pm.adj_np.T  # row j: adj(M) @ g_j
-    max_t = int(np.abs(adjg).max(initial=0))
-    max_k = int(np.abs(ks).max(initial=0))
-    if (max_t + 1) * (max_k + 1) * pm.d >= _INT64_SAFE:
-        res = np.empty((len(ks), len(gs)), dtype=np.int64)
-        for i, k in enumerate(ks):
-            for j in range(len(gs)):
-                num = int(pm.sign) * int(sum(int(k[c]) * int(adjg[j][c]) for c in range(pm.d)))
-                res[i, j] = num % pm.m
-        return res
-    num = pm.sign * (ks @ adjg.T)
-    return num % pm.m
+    eps = pm.diagonal_form[0]
+    a = np.unravel_index(class_labels(ks, pm, transposed=True), eps)
+    b = np.unravel_index(class_labels(gs, pm), eps)
+    res = np.zeros((len(a[0]), len(b[0])), dtype=np.int64)
+    for ai, bi, e in zip(a, b, eps):
+        res += np.multiply.outer(ai, bi) % e * (pm.m // e)
+    return res % pm.m

@@ -1,33 +1,27 @@
 """Pattern discrete Fourier transform and the aliasing (folding) operator.
 
-The transform is the dense unitary map built from the characters
-``e^{-2 pi i h^T y}`` over the canonical generating set and pattern.  No
-fast (sub-quadratic) variant is provided; desk-scale cardinalities keep
-the dense ``O(m^2)`` evaluation comfortable.  Phases are computed from the
-exact rational ``h^T M^{-1} g`` reduced mod 1 before any trigonometric
-call, so large frequency indices suffer no phase drift.
+The transform maps values on the canonical pattern to coefficients on the
+canonical generating set through the characters ``e^{-2 pi i h^T y}``.  By
+the diagonal form of :mod:`anisointerp.intlat` it is a ``d``-dimensional
+FFT of shape ``eps``, ``O(m log m)``, between values placed by class label.
+The dense Fourier matrix uses the exact rational phase reduced mod 1, so
+large frequency indices suffer no phase drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAMember
 from .intlat import (
     IntVec,
     PatternMatrix,
-    enumerate_generating_set,
-    enumerate_pattern,
+    canonical_classes,
+    class_labels,
     freq_phase_residues,
-    reduce_freq,
-    reduce_freq_many,
 )
-
-_CACHE_MAX_M = 512
 
 
 class FourierSeries:
@@ -149,70 +143,38 @@ class CoeffVector:
             raise ValueError("coefficient vector length must equal pattern cardinality")
 
 
-@lru_cache(maxsize=None)
 def pattern_generators(pm: PatternMatrix) -> np.ndarray:
     """Canonically ordered generators of the pattern, as an ``(m, d)`` array."""
-    return np.array(enumerate_pattern(pm), dtype=np.int64)
+    return canonical_classes(pm, False)[0]
 
 
-@lru_cache(maxsize=None)
 def gset_freqs(pm: PatternMatrix) -> np.ndarray:
     """Canonically ordered generating set of ``M^T``, as an ``(m, d)`` array."""
-    return np.array(enumerate_generating_set(pm, transposed=True), dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _gset_keys(pm: PatternMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mixed-radix packing of the generating set: ``(lo, strides, keys)``.
-
-    ``keys = (gset_freqs(pm) - lo) @ strides`` over the set's bounding box.
-    The last coordinate varies fastest, so the lexicographic order of
-    :func:`gset_freqs` makes ``keys`` ascending.  The box lies inside the
-    one :func:`enumerate_generating_set` walks, so the keys fit in int64.
-    """
-    h = gset_freqs(pm)
-    lo = h.min(axis=0)
-    span = h.max(axis=0) - lo + 1
-    strides = np.ones(pm.d, dtype=np.int64)
-    strides[:-1] = np.cumprod(span[:0:-1])[::-1]
-    return lo, strides, (h - lo) @ strides
-
-
-def _phase_matrix(pm: PatternMatrix) -> np.ndarray:
-    """``(m, m)`` matrix of ``e^{-2 pi i h^T y}`` in canonical order."""
-    res = freq_phase_residues(gset_freqs(pm), pattern_generators(pm), pm)
-    return np.exp(-2j * np.pi * res / pm.m)
-
-
-_phase_matrix_cached = lru_cache(maxsize=8)(_phase_matrix)
-
-
-def phase_matrix(pm: PatternMatrix) -> np.ndarray:
-    if pm.m <= _CACHE_MAX_M:
-        return _phase_matrix_cached(pm)
-    return _phase_matrix(pm)
+    return canonical_classes(pm, True)[0]
 
 
 def fourier_matrix(pm: PatternMatrix) -> np.ndarray:
     """The unitary Fourier matrix ``F(M)`` in canonical row/column order."""
-    return phase_matrix(pm) / np.sqrt(pm.m)
+    res = freq_phase_residues(gset_freqs(pm), pattern_generators(pm), pm)
+    return np.exp(-2j * np.pi * res / pm.m) / np.sqrt(pm.m)
 
 
-def character_sum(k: IntVec, pm: PatternMatrix) -> int:
-    """Sum of ``e^{-2 pi i k^T y}`` over the pattern: ``m`` if
-    ``k = 0 mod M^T``, else ``0`` (decided exactly)."""
-    h = reduce_freq(k, pm)
-    return pm.m if all(x == 0 for x in h) else 0
+def _grid_fft(values: np.ndarray, pm: PatternMatrix, forward: bool) -> np.ndarray:
+    """Scatter canonical-order values to the ``eps`` grid by class label,
+    run the FFT, and gather the result in the other side's canonical order."""
+    src, dst = canonical_classes(pm, not forward)[2], canonical_classes(pm, forward)[1]
+    fft = np.fft.fftn if forward else np.fft.ifftn
+    return fft(values[src].reshape(pm.diagonal_form[0])).ravel()[dst]
 
 
 def dft_forward(s: SampleVector) -> CoeffVector:
     """``a_hat_h = sum_y a_y e^{-2 pi i h^T y}`` (``sqrt(m) F(M) a``)."""
-    return CoeffVector(phase_matrix(s.pm) @ s.values, s.pm)
+    return CoeffVector(_grid_fft(s.values, s.pm, forward=True), s.pm)
 
 
 def dft_inverse(c: CoeffVector) -> SampleVector:
     """Exact inverse of :func:`dft_forward`."""
-    return SampleVector(phase_matrix(c.pm).conj().T @ c.values / c.pm.m, c.pm)
+    return SampleVector(_grid_fft(c.values, c.pm, forward=False), c.pm)
 
 
 def discrete_coeffs(s: SampleVector) -> CoeffVector:
@@ -222,22 +184,8 @@ def discrete_coeffs(s: SampleVector) -> CoeffVector:
 
 
 def freq_class_indices(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """For each stored frequency, the canonical-order index of its class.
-
-    Raises
-    ------
-    NotAMember
-        If a reduced frequency is not in the canonical generating set.
-    """
-    reduced = reduce_freq_many(freqs, pm)
-    lo, strides, keys = _gset_keys(pm)
-    pos = np.searchsorted(keys, (reduced - lo) @ strides)
-    pos = np.minimum(pos, pm.m - 1)
-    miss = (gset_freqs(pm)[pos] != reduced).any(axis=1)
-    if miss.any():
-        h = tuple(int(x) for x in reduced[np.argmax(miss)])
-        raise NotAMember(f"reduced frequency {h} is not in the generating set")
-    return pos
+    """For each stored frequency, the canonical-order index of its class."""
+    return canonical_classes(pm, True)[2][class_labels(freqs, pm, transposed=True)]
 
 
 def alias_fold(f: FourierSeries, pm: PatternMatrix) -> CoeffVector:
@@ -247,9 +195,7 @@ def alias_fold(f: FourierSeries, pm: PatternMatrix) -> CoeffVector:
     stored coefficients whose index reduces to ``h``.
     """
     out = np.zeros(pm.m, dtype=np.complex128)
-    if len(f):
-        labels = freq_class_indices(f.freqs, pm)
-        np.add.at(out, labels, f.coeffs)
+    np.add.at(out, freq_class_indices(f.freqs, pm), f.coeffs)
     return CoeffVector(out, pm)
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    BoxSplineSpec,
     FourierSeries,
     NonExistent,
     NotInSpace,
+    PeriodizationWindow,
     SampleVector,
     alias_fold,
     cardinal_residual,
@@ -22,6 +24,7 @@ from anisointerp import (
     interpolation_operator,
     membership_coeffs,
     pattern_generators,
+    periodize,
     translate,
     validate_matrix,
 )
@@ -177,3 +180,13 @@ def test_membership_coeffs_rejects_outsiders():
     phi2 = phi + FourierSeries(np.array([[2, 0]]), np.array([1.0 + 0j]))
     with pytest.raises(NotInSpace):
         membership_coeffs(xi, phi2, pm)
+
+
+def test_membership_coeffs_accepts_scaled_kernel():
+    """Each series' zero test is relative to its own largest coefficient, so
+    a kernel coefficient near the threshold stays zero after scaling."""
+    phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
+                    PeriodizationWindow(radius=16, tail_eps=1e-4))
+    for c in (0.5, 1.0, 2.0):
+        a = membership_coeffs(phi.scaled(c), phi, FIG1)
+        assert np.allclose(a.values, c, rtol=1e-12, atol=0)

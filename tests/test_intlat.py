@@ -1,5 +1,6 @@
 """Exact pattern / generating-set arithmetic against brute-force oracles."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anisointerp import (
+    AnisoError,
     NotAMember,
     SingularMatrix,
     enumerate_generating_set,
@@ -19,7 +21,7 @@ from anisointerp import (
     reduce_freq_many,
     validate_matrix,
 )
-from anisointerp import ptransform
+from anisointerp import intlat, ptransform
 
 FIG1 = [[8, 3], [0, 8]]
 
@@ -195,8 +197,8 @@ def test_generating_sets_are_complete_residue_systems(mat):
 @settings(max_examples=40, deadline=None)
 @given(regular_matrices(), st.data())
 def test_class_indices_match_generating_set_positions(mat, data):
-    """Labels are positions of ``reduce_freq(k)`` in the canonical order, on
-    both the int64 and the big-integer branch of ``reduce_freq_many``."""
+    """Labels are positions of ``reduce_freq(k)`` in the canonical order,
+    for small indices and for indices up to ``2^62``."""
     pm = validate_matrix(mat)
     gs = enumerate_generating_set(pm, transposed=True)
 
@@ -213,8 +215,103 @@ def test_class_indices_match_generating_set_positions(mat, data):
         assert got.tolist() == expect
 
 
-def test_class_indices_reject_noncanonical_reduction(monkeypatch):
-    pm = validate_matrix(FIG1)
-    monkeypatch.setattr(ptransform, "reduce_freq_many", lambda ks, pm: ks + 100)
-    with pytest.raises(NotAMember):
+def walk_generating_set(pm, transposed):
+    """Bounding-box walk over ``M [-1/2, 1/2)^d`` (``M^T`` with
+    ``transposed``), testing each integer point with the exact adjugate."""
+    p = pm.transposed() if transposed else pm
+    bounds = [sum(abs(x) for x in row) for row in p.mat]
+    ranges = [range(-(b // 2) - 1, b // 2 + 2) for b in bounds]
+    return sorted(k for k in product(*ranges)
+                  if intlat._is_canonical(intlat._mat_vec(p.adj, k), p.det))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_matrices())
+def test_enumeration_matches_bounding_box_walk(mat):
+    pm = validate_matrix(mat)
+    for transposed in (False, True):
+        assert enumerate_generating_set(pm, transposed) == walk_generating_set(pm, transposed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_matrices())
+def test_diagonal_form_and_class_labels(mat):
+    pm = validate_matrix(mat)
+    eps, u, v = pm.diagonal_form
+    umv = np.array(u, dtype=object) @ np.array(mat, dtype=object) @ np.array(v, dtype=object)
+    assert umv.tolist() == np.diag(eps).tolist()
+    assert abs(_oracle_det(u)) == abs(_oracle_det(v)) == 1
+    assert math.prod(eps) == pm.m
+    for transposed in (False, True):
+        rows = np.array(enumerate_generating_set(pm, transposed), dtype=np.int64)
+        labels = intlat.class_labels(rows, pm, transposed)
+        assert sorted(labels.tolist()) == list(range(pm.m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(regular_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_dft_matches_dense_matrix_of_exact_phases(mat, seed):
+    """The FFT path against ``e^{-2 pi i h^T M^{-1} g}`` with the phase
+    reduced mod 1 in exact fractions."""
+    pm = validate_matrix(mat)
+    hs = ptransform.gset_freqs(pm).tolist()
+    ys = [pm.inv_apply(tuple(g)) for g in ptransform.pattern_generators(pm).tolist()]
+    phase = [[float(sum(hc * yc for hc, yc in zip(h, y)) % 1) for y in ys] for h in hs]
+    dense = np.exp(-2j * np.pi * np.array(phase))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(pm.m) + 1j * rng.standard_normal(pm.m)
+    fwd = ptransform.dft_forward(ptransform.SampleVector(a, pm)).values
+    assert np.abs(fwd - dense @ a).max() < 1e-12 * pm.m
+    back = ptransform.dft_inverse(ptransform.CoeffVector(a, pm)).values
+    assert np.abs(back - dense.conj().T @ a / pm.m).max() < 1e-12
+
+
+def _wrong_eps(eps, u, v):
+    return eps[:-1] + (eps[-1] + 1,), u, v
+
+
+def _not_unimodular(eps, u, v):
+    # U M V = diag(eps) still holds, but det U = 2
+    return (2 * eps[0],) + eps[1:], (tuple(2 * x for x in u[0]),) + u[1:], v
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_eps, _not_unimodular])
+def test_corrupted_diagonal_form_raises(monkeypatch, corrupt):
+    real = intlat._diagonalize
+    monkeypatch.setattr(intlat, "_diagonalize", lambda mat: corrupt(*real(mat)))
+    with pytest.raises(AnisoError):
+        validate_matrix(FIG1).diagonal_form
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ks, pm: ks + 100,  # leaves the half-open cube
+    lambda ks, pm: np.zeros_like(ks),  # canonical, but in the wrong class
+])
+def test_corrupted_reduction_in_enumeration_raises(monkeypatch, corrupt):
+    intlat.canonical_classes.cache_clear()
+    monkeypatch.setattr(intlat, "reduce_freq_many", corrupt)
+    with pytest.raises(AnisoError):
+        enumerate_generating_set(validate_matrix(FIG1), transposed=True)
+
+
+def test_labels_past_int64_condition_raise():
+    pm = validate_matrix([[2**31, 1], [0, 3]])  # d * max(eps)^2 >= 2^63
+    with pytest.raises(AnisoError):
         ptransform.freq_class_indices(np.zeros((1, 2), dtype=np.int64), pm)
+    with pytest.raises(AnisoError):
+        intlat.freq_phase_residues(np.zeros((1, 2)), np.zeros((1, 2)), pm)
+    # the rest of the exact arithmetic works for any determinant
+    assert is_canonical_freq(reduce_freq((2**40, -7), pm), pm)
+
+
+def test_phase_residues_exact_for_any_int64_input():
+    pm = validate_matrix([[2**31 - 1, 5], [3, 1]])
+    assert pm.d * max(pm.diagonal_form[0]) ** 2 < 2**63
+    rng = np.random.default_rng(5)
+    ks = rng.integers(-(2**63), 2**63 - 1, size=(6, 2), dtype=np.int64)
+    gs = rng.integers(-(2**63), 2**63 - 1, size=(4, 2), dtype=np.int64)
+    got = intlat.freq_phase_residues(ks, gs, pm)
+    for i, k in enumerate(ks.tolist()):
+        for j, g in enumerate(gs.tolist()):
+            t = intlat._mat_vec(pm.adj, g)  # det * M^{-1} g
+            assert got[i, j] == pm.sign * sum(a * b for a, b in zip(k, t)) % pm.m
