@@ -23,17 +23,17 @@ from typing import Callable
 import numpy as np
 
 from .boxspline import BoxSplineSpec, PeriodizationWindow, periodize, sf_order
-from .fspaces import WeightSpec, a_norm
+from .fspaces import WeightSpec, a_norm, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
+    canonical_mask,
     dirichlet_kernel,
     evaluate_at_nodes,
-    fourier_partial_sum,
     fundamental_interpolant,
     interpolation_operator,
 )
 from .intlat import PatternMatrix, validate_matrix
-from .ptransform import FourierSeries, SampleVector
+from .ptransform import FourierSeries, SampleVector, merge_rows
 from .spectral import is_expanding, spectral_data
 from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
 
@@ -68,27 +68,31 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
                  alpha: float, q: float) -> ErrorBreakdown:
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
 
-    All four norms are exact finite sums over the stored supports; the
+    ``L_M f`` and ``L_M S_M f`` are applied to node samples and share the
+    interpolant's support, where their difference is normed directly;
+    ``f - S_M f`` is ``f`` on its non-canonical modes.  ``f - L_M f`` and
+    ``S_M f - L_M S_M f`` are the two columns of one merge of the supports
+    of ``f`` and the interpolant.  Every norm is an exact finite sum; the
     interpolant must cover the congruence classes of ``f``'s support
     (guaranteed when it stores every class, as the built-in kernels do).
     """
     pm = ifun.pm
     ws = WeightSpec(alpha, pm, q)
-    smf = fourier_partial_sum(f, pm)
-    hi = f + smf.scaled(-1.0)
+    freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
+    canon = canonical_mask(freqs, pm)
     lmf = _interpolate(f, ifun)
-    lm_smf = _interpolate(smf, ifun)
-    total = a_norm(f + lmf.scaled(-1.0), alpha, ws)
-    trig = a_norm(smf + lm_smf.scaled(-1.0), alpha, ws)
-    partial = a_norm(hi, alpha, ws)
-    aliasing = a_norm(lmf + lm_smf.scaled(-1.0), alpha, ws)
-    node_residual = float(
-        np.abs(evaluate_at_nodes(lmf, pm) - evaluate_at_nodes(f, pm)).max(initial=0.0)
-    )
-    scale = float(np.abs(f.coeffs).max(initial=0.0))
-    return ErrorBreakdown(total=total, trig=trig, partial=partial,
-                          aliasing=aliasing, node_residual=node_residual,
-                          scale=scale)
+    lc, lsc = lmf.coeffs, _interpolate(FourierSeries(freqs[canon], fc[canon]), ifun).coeffs
+    on_f = np.stack([fc, np.where(canon, fc, 0)], axis=1)
+    cols = np.vstack([on_f, -np.stack([lc, lsc], axis=1)])  # f - L f, S f - L S f
+    rows, diffs = merge_rows(np.vstack([freqs, lmf.freqs]), cols)
+    weighted = weights_many(rows, ws.beta, pm)[:, None] * np.abs(diffs)
+    total, trig = (lq_norm(col, ws.q) for col in weighted.T)
+    aliasing = lq_norm(weights_many(lmf.freqs, ws.beta, pm) * np.abs(lc - lsc), ws.q)
+    partial = a_norm(FourierSeries(freqs[~canon], fc[~canon]), alpha, ws)
+    residual = np.abs(evaluate_at_nodes(lmf, pm) - evaluate_at_nodes(f, pm))
+    return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
+                          node_residual=float(residual.max(initial=0.0)),
+                          scale=float(np.abs(fc).max(initial=0.0)))
 
 
 def _safe_ratio(num: float, den: float, scale: float) -> float:
@@ -106,8 +110,7 @@ def check_trig_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
     a passing Strang-Fix verification of the interpolant.
     """
     pm = ifun.pm
-    smf = fourier_partial_sum(f, pm)
-    if len(smf) != len(f):
+    if not canonical_mask(f.freqs, pm).all():
         raise ValueError("f is not a trigonometric polynomial in T_M")
     p = report.params
     err = interp_error(f, ifun, p.alpha, p.q)
@@ -125,8 +128,8 @@ def check_partial_sum_theorem(f: FourierSeries, pm: PatternMatrix,
     if mu < alpha:
         raise ValueError("mu must be >= alpha")
     ws = WeightSpec(alpha, pm, q)
-    smf = fourier_partial_sum(f, pm)
-    num = a_norm(f + smf.scaled(-1.0), alpha, ws)
+    hi = ~canonical_mask(f.freqs, pm)
+    num = a_norm(FourierSeries(f.freqs[hi], f.coeffs[hi]), alpha, ws)
     sd = spectral_data(pm)
     rhs = (2.0 / sd.norm2) ** (mu - alpha) * a_norm(f, mu, ws)
     return _safe_ratio(num, rhs, float(np.abs(f.coeffs).max(initial=0.0)))
@@ -240,7 +243,7 @@ def _study_kernel(spec: ExperimentSpec, pm: PatternMatrix) -> FundamentalInterpo
     return fundamental_interpolant(dirichlet_kernel(pm), pm)
 
 
-def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
+def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
     mat = [[(2**j) * e for e in row] for row in spec.base_matrix.mat]
     pm = validate_matrix(mat)
     sd = spectral_data(pm)
@@ -255,7 +258,6 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     zmax = spec.radius if zmax is None or math.isinf(zmax) else int(zmax)
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=zmax)
     gip = gamma_ip(ifun, spec.alpha, spec.q, zmax)
-    gsm = gamma_sm(spec.mu, spec.alpha, spec.q, pm.d)
     rho, c_rho_val = c_rho(rep.gamma_sf, gip, gsm, s, spec.mu, spec.alpha, pm.d)
     fmu = a_norm(f, spec.mu, WeightSpec(spec.alpha, pm, spec.q))
     bound = c_rho_val * sd.norm2 ** (-rho) * fmu
@@ -283,7 +285,8 @@ def convergence_study(spec: ExperimentSpec) -> BoundReport:
     s = spec.order()
     rho = min(s, spec.mu - spec.alpha)
     report = BoundReport(spec=spec, rho=rho)
-    report.rows = [_study_row(spec, j) for j in sorted(spec.scales)]
+    gsm = gamma_sm(spec.mu, spec.alpha, spec.q, spec.base_matrix.d)
+    report.rows = [_study_row(spec, j, gsm) for j in sorted(spec.scales)]
 
     pts = [(math.log(r.norm2), math.log(r.error))
            for r in report.rows if r.j >= 1 and r.error > _TINY]

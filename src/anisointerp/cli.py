@@ -181,7 +181,6 @@ def _cmd_interpolate(args) -> int:
 def _cmd_sfcheck(args) -> int:
     pm = read_matrix(args.matrix)
     kernel = parse_kernel(args.kernel)
-    ifun = _build_interpolant(pm, kernel, args.radius, args.tail_eps)
     if args.order is not None:
         order = args.order
     elif isinstance(kernel, BoxSplineSpec):
@@ -190,6 +189,7 @@ def _cmd_sfcheck(args) -> int:
         raise ValueError("--order is required for the Dirichlet kernel")
     zmax = args.radius if kernel != "dirichlet" else args.zmax
     params = SFParams(s=order, alpha=args.alpha, q=args.q, mode=args.mode)
+    ifun = _build_interpolant(pm, kernel, args.radius, args.tail_eps)
     report = verify_sfc(ifun, params, zmax=zmax)
     payload = report.to_json_dict()
     payload["gamma_ip"] = gamma_ip(ifun, args.alpha, args.q, zmax)

@@ -218,12 +218,16 @@ def interpolation_operator(samples: SampleVector,
     return FourierSeries(f.freqs, coeffs, window=f.window)
 
 
+def canonical_mask(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
+    """Which rows of an ``(n, d)`` index array lie in the canonical
+    generating set of ``M^T`` (the fixed points of the reduction)."""
+    freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, pm.d)
+    return np.all(reduce_freq_many(freqs, pm) == freqs, axis=1)
+
+
 def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
     """Restriction of the support to the canonical generating set of ``M^T``."""
-    if len(f) == 0:
-        return f
-    reduced = reduce_freq_many(f.freqs, pm)
-    keep = np.all(reduced == f.freqs, axis=1)
+    keep = canonical_mask(f.freqs, pm)
     return FourierSeries(f.freqs[keep], f.coeffs[keep], window=math.inf)
 
 

@@ -42,14 +42,8 @@ class FourierSeries:
         coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
         if len(freqs) != len(coeffs):
             raise ValueError("freqs and coeffs length mismatch")
-        if dedup and len(freqs):
-            # stable, so repeated rows are summed in their original order
-            order = np.lexsort(freqs.T[::-1])
-            freqs, coeffs = freqs[order], coeffs[order]
-            first = np.ones(len(freqs), dtype=bool)
-            first[1:] = (freqs[1:] != freqs[:-1]).any(axis=1)
-            starts = np.flatnonzero(first)
-            freqs, coeffs = freqs[starts], np.add.reduceat(coeffs, starts)
+        if dedup:
+            freqs, coeffs = merge_rows(freqs, coeffs)
         self.freqs = freqs
         self.coeffs = coeffs
         self.window = window
@@ -115,6 +109,19 @@ class FourierSeries:
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + other.scaled(-1.0)
+
+
+def merge_rows(freqs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows of ``freqs`` in lexicographic order, with the ``(n,)`` or
+    ``(n, c)`` coefficients of repeated rows summed in their original order."""
+    if len(freqs) == 0:
+        return freqs, coeffs
+    order = np.lexsort(freqs.T[::-1])
+    freqs, coeffs = freqs[order], coeffs[order]
+    first = np.ones(len(freqs), dtype=bool)
+    first[1:] = (freqs[1:] != freqs[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return freqs[starts], np.add.reduceat(coeffs, starts)
 
 
 @dataclass

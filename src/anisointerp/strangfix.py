@@ -29,8 +29,8 @@ import numpy as np
 from .errors import DivergentSeries, InsufficientSupport
 from .fspaces import lq_norm, weights_many
 from .interp import FundamentalInterpolant
-from .intlat import IntVec, PatternMatrix
-from .ptransform import FourierSeries, freq_class_indices, gset_freqs
+from .intlat import IntVec
+from .ptransform import freq_class_indices, gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
 H0_TOL = 1e-10
@@ -50,8 +50,8 @@ class SFParams:
     mode: str = "strict"
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("order must be > 0")
+        if not (self.s > 0 and self.alpha >= 0 and self.q >= 1):
+            raise ValueError("need order s > 0, alpha >= 0 and q >= 1 (q may be inf)")
         if self.mode not in ("strict", "relaxed"):
             raise ValueError("mode must be 'strict' or 'relaxed'")
 
@@ -88,13 +88,25 @@ class SFReport:
         }
 
 
-def _mode_shifts(series: FourierSeries, pm: PatternMatrix):
-    """Class labels and exact aliasing shifts ``z`` for every stored mode."""
+def _shell_view(ifun: FundamentalInterpolant, zmax: int):
+    """Class labels, exact aliasing shifts ``z`` (``k = h + M^T z``) and
+    coefficients of the interpolant's modes with ``||z||_inf <= zmax``,
+    and the mask of ``z = 0``.  Raises ``InsufficientSupport`` unless the
+    series window certifies coverage of those shells.
+    """
+    if zmax < 0:
+        raise ValueError(f"zmax must be >= 0, got {zmax}")
+    pm, series = ifun.pm, ifun.series
+    win = series.window
+    if win is None or win < zmax:
+        raise InsufficientSupport(
+            f"series window {win} does not cover requested shells {zmax}"
+        )
     labels = freq_class_indices(series.freqs, pm)
-    h = gset_freqs(pm)[labels]
-    v = series.freqs - h
-    z = (pm.sign * (v @ pm.adj_np)) // pm.m
-    return labels, z
+    zs = (pm.sign * ((series.freqs - gset_freqs(pm)[labels]) @ pm.adj_np)) // pm.m
+    zinf = np.abs(zs).max(axis=1)
+    sel = zinf <= zmax
+    return labels[sel], zs[sel], series.coeffs[sel], zinf[sel] == 0
 
 
 def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
@@ -102,19 +114,11 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
                tail_frac: float = TAIL_FRAC) -> SFReport:
     """Verify the Strang-Fix conditions on the shells ``||z||_inf <= zmax``.
 
-    Raises
-    ------
-    InsufficientSupport
-        If the interpolant's series does not certify coverage of the
-        requested shells (``series.window`` too small or unknown).
+    Raises ``InsufficientSupport`` when the interpolant's window does not
+    cover those shells, and ``ValueError`` for a negative ``zmax``.
     """
     pm = ifun.pm
-    series = ifun.series
-    win = series.window
-    if win is None or win < zmax:
-        raise InsufficientSupport(
-            f"series window {win} does not cover requested shells {zmax}"
-        )
+    labels, zs, coeffs, at0 = _shell_view(ifun, zmax)
     sd = spectral_data(pm)
     s = params.s
     kappa_fac = sd.kappa ** (-s) if params.mode == "strict" else 1.0
@@ -123,17 +127,10 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     ynorm = np.linalg.norm(inv_t_apply(hs, pm), axis=1)
     origin = int(np.flatnonzero(~hs.any(axis=1))[0])
 
-    labels, zs = _mode_shifts(series, pm)
-    zinf = np.abs(zs).max(axis=1) if len(series) else np.zeros(0, np.int64)
-    sel = zinf <= zmax
-    labels, zs = labels[sel], zs[sel]
-    coeffs = series.coeffs[sel]
-
     failures: list[str] = []
     witness = None
 
     # inner condition (z = 0); missing modes count as coefficient 0
-    at0 = np.abs(zs).max(axis=1) == 0 if len(zs) else np.zeros(0, bool)
     inner_vals = np.full(pm.m, 1.0 + 0.0j, dtype=np.complex128)
     inner_vals[labels[at0]] = 1.0 - pm.m * coeffs[at0]
     inner = np.abs(inner_vals)
@@ -185,7 +182,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     if not tail_ok:
         failures.append("no geometric tail: last shell dominates gamma_SF")
         j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
-        witness = witness or (None, tuple(int(x) for x in zkeys[last][np.argmax(weighted[last])]))
+        witness = witness or (None, tuple(int(x) for x in zkeys[j]))
 
     # decay-order fit of the inner condition; needs genuine dynamic range
     # in ||M^{-T} h|| to say anything about asymptotic decay, so it is
@@ -227,18 +224,8 @@ def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float,
     :func:`verify_sfc`).
     """
     pm = ifun.pm
-    series = ifun.series
-    win = series.window
-    if win is None or win < zmax:
-        raise InsufficientSupport(
-            f"series window {win} does not cover requested shells {zmax}"
-        )
+    labels, zs, coeffs, at0 = _shell_view(ifun, zmax)
     sd = spectral_data(pm)
-    labels, zs = _mode_shifts(series, pm)
-    zinf = np.abs(zs).max(axis=1)
-    sel = zinf <= zmax
-    labels, zs, coeffs = labels[sel], zs[sel], series.coeffs[sel]
-    at0 = np.abs(zs).max(axis=1) == 0
 
     inner = np.zeros(pm.m)
     inner[labels[at0]] = np.abs(coeffs[at0])

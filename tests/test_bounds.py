@@ -7,21 +7,27 @@ import pytest
 
 from anisointerp import (
     BoxSplineSpec,
+    ErrorBreakdown,
     ExperimentSpec,
     FourierSeries,
     PeriodizationWindow,
+    SampleVector,
     SFParams,
     WeightSpec,
+    a_norm,
     check_aliasing_theorem,
     check_partial_sum_theorem,
     check_trig_theorem,
     convergence_study,
     decay_profile,
     dirichlet_kernel,
+    evaluate_at_nodes,
     fixed_function,
+    fourier_partial_sum,
     fundamental_interpolant,
     gset_freqs,
     interp_error,
+    interpolation_operator,
     periodize,
     report_to_csv,
     report_to_svg,
@@ -81,6 +87,79 @@ def test_triangle_decomposition(box_e2):
     f = f + random_trig_poly(E2, rng).scaled(0.1)
     err = interp_error(f, box_e2, 1.0, 2.0)
     assert err.total <= err.trig + err.partial + err.aliasing + 1e-10
+
+
+def interp_error_by_series_arithmetic(f, ifun, alpha, q):
+    """Oracle: every difference of the breakdown as a series built with
+    ``FourierSeries.__add__``, then normed on its own merged support."""
+    pm = ifun.pm
+    ws = WeightSpec(alpha, pm, q)
+
+    def interpolate(g):
+        values = evaluate_at_nodes(g, pm)
+        return interpolation_operator(SampleVector(values, pm), ifun)
+
+    smf = fourier_partial_sum(f, pm)
+    lmf, lm_smf = interpolate(f), interpolate(smf)
+    residual = np.abs(evaluate_at_nodes(lmf, pm) - evaluate_at_nodes(f, pm))
+    return ErrorBreakdown(
+        total=a_norm(f + lmf.scaled(-1.0), alpha, ws),
+        trig=a_norm(smf + lm_smf.scaled(-1.0), alpha, ws),
+        partial=a_norm(f + smf.scaled(-1.0), alpha, ws),
+        aliasing=a_norm(lmf + lm_smf.scaled(-1.0), alpha, ws),
+        node_residual=float(residual.max(initial=0.0)),
+        scale=float(np.abs(f.coeffs).max(initial=0.0)),
+    )
+
+
+def _oracle_kernel(name):
+    if name == "dirichlet":
+        pm = validate_matrix([[3, 1], [-1, 2]])
+        return fundamental_interpolant(dirichlet_kernel(pm), pm)
+    if name == "box":
+        phi = periodize(B222, M21, PeriodizationWindow(radius=6, tail_eps=None))
+        return fundamental_interpolant(phi, M21)
+    full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
+    phi = periodize(full, E2, PeriodizationWindow(radius=6, tail_eps=None))
+    ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
+    assert ifun.incorrect_modes == [(-1, -1)]
+    return ifun
+
+
+def _oracle_function(pm, rng):
+    """Decaying modes past the kernel's shell range, sparse far modes, and
+    a trig polynomial on the canonical set; duplicate rows are summed."""
+    far = rng.integers(-40, 41, size=(25, 2))
+    freqs = np.vstack([decay_profile(2, 4.0, 14).freqs, far, gset_freqs(pm)])
+    coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    return FourierSeries(freqs, coeffs, dedup=True)
+
+
+@pytest.mark.parametrize("alpha,q", [(0.0, 2.0), (1.5, 2.0), (0.5, math.inf), (0.0, 1.0)])
+@pytest.mark.parametrize("kernel", ["dirichlet", "box", "full"])
+def test_interp_error_matches_series_arithmetic(kernel, alpha, q):
+    ifun = _oracle_kernel(kernel)
+    f = _oracle_function(ifun.pm, np.random.default_rng(11))
+    assert 0 < len(fourier_partial_sum(f, ifun.pm)) < len(f)
+    got = interp_error(f, ifun, alpha, q)
+    expect = interp_error_by_series_arithmetic(f, ifun, alpha, q)
+    for name in ("total", "trig", "partial", "aliasing", "node_residual", "scale"):
+        want = getattr(expect, name)
+        assert getattr(got, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+    assert got.partial > 0.0 and got.aliasing > 0.0
+
+
+@pytest.mark.parametrize("alpha,q", [(0.0, 2.0), (1.5, 2.0), (0.5, math.inf), (0.0, 1.0)])
+def test_partial_sum_theorem_matches_series_arithmetic(alpha, q):
+    mu = 6.0
+    for pm in (E2, M21, validate_matrix([[3, 1], [-1, 2]])):
+        f = _oracle_function(pm, np.random.default_rng(13))
+        ws = WeightSpec(alpha, pm, q)
+        num = a_norm(f + fourier_partial_sum(f, pm).scaled(-1.0), alpha, ws)
+        rhs = (2.0 / spectral_data(pm).norm2) ** (mu - alpha) * a_norm(f, mu, ws)
+        assert num > 0.0
+        assert check_partial_sum_theorem(f, pm, alpha, mu, q) == pytest.approx(
+            num / rhs, rel=1e-12, abs=0.0)
 
 
 def test_trig_theorem_box_spline(box_e2):

@@ -1,10 +1,15 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anisointerp
 from anisointerp.cli import node_fractions, parse_kernel, read_matrix, run
 from anisointerp import BoxSplineSpec, validate_matrix
 
@@ -104,6 +109,27 @@ def test_sfcheck_pass_and_fail(fig1, capsys):
     code = run(["sfcheck", fig1, "--kernel", "2; 2,2,2", "--order", "8",
                 "--radius", "16", "--tail-eps", "1e-3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel", "2;2,2,2", "--q", "nan"],
+    ["--kernel", "2;2,2,2", "--q", "0"],
+    ["--kernel", "2;2,2,2", "--alpha", "-1"],
+    ["--kernel", "2;2,2,2", "--order", "nan"],
+    ["--order", "3", "--zmax", "-1"],  # the shell range of the Dirichlet kernel
+])
+def test_sfcheck_rejects_invalid_parameters(fig1, flags):
+    """Bad flags end in exit 1 and one stderr line, never a traceback."""
+    src = str(Path(anisointerp.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from anisointerp.cli import main; main()",
+         "sfcheck", fig1, *flags],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_sfcheck_dirichlet_trivial(fig1, capsys):

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anisointerp import (
@@ -24,6 +24,9 @@ from anisointerp import (
 from anisointerp import intlat, ptransform
 
 FIG1 = [[8, 3], [0, 8]]
+# rank-1 lattices, eps = (1, ..., 1, m): a Fibonacci lattice and a 3-D cyclic one
+FIBONACCI = [[1, 0], [55, 89]]
+CYCLIC_3D = [[4, 1, 0], [0, 4, 1], [1, 0, 4]]
 
 
 def _oracle_det(mat):
@@ -72,6 +75,7 @@ def oracle_generating_set(mat):
     [[2, 0], [0, 2]], [[2, 1], [0, 2]], FIG1,
     [[1, 2], [3, 4]], [[0, 1], [-1, 0]], [[5, -3], [2, 4]],
     [[2, 0, 0], [0, 3, 0], [0, 0, 4]], [[1, 1, 0], [0, 1, 1], [1, 0, 3]],
+    FIBONACCI, CYCLIC_3D,
 ])
 def test_generating_set_matches_oracle(mat):
     pm = validate_matrix(mat)
@@ -227,6 +231,8 @@ def walk_generating_set(pm, transposed):
 
 @settings(max_examples=60, deadline=None)
 @given(regular_matrices())
+@example(FIBONACCI)
+@example(CYCLIC_3D)
 def test_enumeration_matches_bounding_box_walk(mat):
     pm = validate_matrix(mat)
     for transposed in (False, True):
@@ -235,6 +241,8 @@ def test_enumeration_matches_bounding_box_walk(mat):
 
 @settings(max_examples=60, deadline=None)
 @given(regular_matrices())
+@example(FIBONACCI)
+@example(CYCLIC_3D)
 def test_diagonal_form_and_class_labels(mat):
     pm = validate_matrix(mat)
     eps, u, v = pm.diagonal_form
@@ -250,6 +258,8 @@ def test_diagonal_form_and_class_labels(mat):
 
 @settings(max_examples=25, deadline=None)
 @given(regular_matrices(), st.integers(min_value=0, max_value=2**32 - 1))
+@example(FIBONACCI, 0)
+@example(CYCLIC_3D, 1)
 def test_dft_matches_dense_matrix_of_exact_phases(mat, seed):
     """The FFT path against ``e^{-2 pi i h^T M^{-1} g}`` with the phase
     reduced mod 1 in exact fractions."""

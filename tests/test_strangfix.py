@@ -19,6 +19,7 @@ from anisointerp import (
     gset_freqs,
     inv_t_apply,
     periodize,
+    reduce_freq,
     sf_order,
     spectral_data,
     validate_matrix,
@@ -40,6 +41,11 @@ def test_sfparams_validation():
         SFParams(s=0.0)
     with pytest.raises(ValueError):
         SFParams(s=2.0, mode="loose")
+    for bad in ({"s": math.nan}, {"s": 2.0, "q": math.nan}, {"s": 2.0, "q": 0.5},
+                {"s": 2.0, "alpha": -1.0}, {"s": 2.0, "alpha": math.nan}):
+        with pytest.raises(ValueError):
+            SFParams(**bad)
+    assert SFParams(s=2.0, alpha=math.inf, q=math.inf).q == math.inf
 
 
 def test_dirichlet_passes_any_order_with_zero_gamma():
@@ -94,6 +100,10 @@ def test_relaxed_mode_scales_b_by_kappa(box_ifun):
 def test_insufficient_support_raised(box_ifun):
     with pytest.raises(InsufficientSupport):
         verify_sfc(box_ifun, SFParams(s=4.0), zmax=17)  # window is 16
+    for check in (lambda: verify_sfc(box_ifun, SFParams(s=4.0), zmax=-1),
+                  lambda: gamma_ip(box_ifun, 0.0, 2.0, -1)):
+        with pytest.raises(ValueError, match="zmax"):
+            check()
 
 
 def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
@@ -109,21 +119,25 @@ def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
 
 
 def test_b_matches_dict_loop_oracle(box_ifun):
-    """The per-shift constants equal a plain per-mode maximum over a dict."""
-    from anisointerp.strangfix import _mode_shifts
-
+    """The per-shift constants equal a plain per-mode maximum over a dict,
+    with each mode's class from ``reduce_freq`` and its shift
+    ``z = M^{-T} (k - h)`` in exact fractions."""
     params, zmax = SFParams(s=4.0, alpha=1.0, q=2.0), 12
     rep = verify_sfc(box_ifun, params, zmax=zmax)
     sd = spectral_data(FIG1)
     hs = gset_freqs(FIG1)
     ynorm = np.linalg.norm(inv_t_apply(hs, FIG1), axis=1)
     rhs = sd.kappa ** -params.s * sd.norm2 ** -params.alpha * ynorm ** params.s
-    origin = int(np.flatnonzero(~hs.any(axis=1))[0])
-    labels, zs = _mode_shifts(box_ifun.series, FIG1)
+    position = {h: i for i, h in enumerate(map(tuple, hs.tolist()))}
+    mt = FIG1.transposed()
     expect = {(0, 0): rep.b[(0, 0)]}
-    for lab, z, c in zip(labels, zs, box_ifun.series.coeffs):
+    for k, c in zip(box_ifun.series.freqs.tolist(), box_ifun.series.coeffs):
+        h = reduce_freq(k, FIG1)
+        z = mt.inv_apply(tuple(a - b for a, b in zip(k, h)))
+        assert all(x.denominator == 1 for x in z)
         key = tuple(int(x) for x in z)
-        if not any(key) or max(map(abs, key)) > zmax or lab == origin:
+        lab = position[h]
+        if not any(key) or max(map(abs, key)) > zmax or not any(h):
             continue
         r = abs(FIG1.m * c) / rhs[lab]
         if r > expect.get(key, 0.0):
