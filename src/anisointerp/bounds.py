@@ -33,7 +33,7 @@ from .interp import (
     interpolation_operator,
 )
 from .intlat import PatternMatrix, validate_matrix
-from .ptransform import FourierSeries, SampleVector, merge_rows
+from .ptransform import FourierSeries, SampleVector, dft_inverse, fold_classes, merge_rows
 from .spectral import is_expanding, spectral_data
 from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
 
@@ -59,11 +59,6 @@ class ErrorBreakdown:
     scale: float
 
 
-def _interpolate(f: FourierSeries, ifun: FundamentalInterpolant) -> FourierSeries:
-    values = evaluate_at_nodes(f, ifun.pm)
-    return interpolation_operator(SampleVector(values, ifun.pm), ifun)
-
-
 def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
                  alpha: float, q: float) -> ErrorBreakdown:
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
@@ -80,16 +75,17 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     ws = WeightSpec(alpha, pm, q)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
     canon = canonical_mask(freqs, pm)
-    lmf = _interpolate(f, ifun)
-    lc, lsc = lmf.coeffs, _interpolate(FourierSeries(freqs[canon], fc[canon]), ifun).coeffs
+    fvals = evaluate_at_nodes(f, pm)
+    lc, lsc = (interpolation_operator(SampleVector(v, pm), ifun).coeffs for v in
+               (fvals, evaluate_at_nodes(FourierSeries(freqs[canon], fc[canon]), pm)))
     on_f = np.stack([fc, np.where(canon, fc, 0)], axis=1)
     cols = np.vstack([on_f, -np.stack([lc, lsc], axis=1)])  # f - L f, S f - L S f
-    rows, diffs = merge_rows(np.vstack([freqs, lmf.freqs]), cols)
+    rows, diffs = merge_rows(np.vstack([freqs, ifun.series.freqs]), cols)
     weighted = weights_many(rows, ws.beta, pm)[:, None] * np.abs(diffs)
     total, trig = (lq_norm(col, ws.q) for col in weighted.T)
-    aliasing = lq_norm(weights_many(lmf.freqs, ws.beta, pm) * np.abs(lc - lsc), ws.q)
+    aliasing = lq_norm(weights_many(ifun.series.freqs, ws.beta, pm) * np.abs(lc - lsc), ws.q)
     partial = a_norm(FourierSeries(freqs[~canon], fc[~canon]), alpha, ws)
-    residual = np.abs(evaluate_at_nodes(lmf, pm) - evaluate_at_nodes(f, pm))
+    residual = np.abs(pm.m * dft_inverse(fold_classes(ifun.labels, lc, pm)).values - fvals)
     return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
                           node_residual=float(residual.max(initial=0.0)),
                           scale=float(np.abs(fc).max(initial=0.0)))

@@ -29,7 +29,7 @@ class WeightSpec:
     q: float
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not (self.beta >= 0):
             raise ValueError("beta must be >= 0")
         if not (self.q >= 1):
             raise ValueError("q must be >= 1 or inf")

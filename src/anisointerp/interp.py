@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NonExistent, NotInSpace
+from .errors import AnisoError, NonExistent, NotInSpace
 from .intlat import (IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
                      reduce_freq_many)
 from .ptransform import (
@@ -26,6 +27,7 @@ from .ptransform import (
     alias_fold,
     dft_inverse,
     discrete_coeffs,
+    fold_classes,
     freq_class_indices,
     gset_freqs,
 )
@@ -85,14 +87,17 @@ def check_existence(phi: FourierSeries, pm: PatternMatrix,
     The threshold is relative: ``eps_rel`` times the largest folded
     magnitude, since an exact "nonzero" test is meaningless in floats.
     """
-    folded = alias_fold(phi, pm)
+    return _flag_vanishing(alias_fold(phi, pm), eps_rel)
+
+
+def _flag_vanishing(folded: CoeffVector, eps_rel: float) -> ExistenceReport:
     mags = np.abs(folded.values)
     eps = eps_rel * float(mags.max(initial=0.0))
-    flagged = [tuple(h) for h in gset_freqs(pm)[mags <= eps].tolist()]
+    flagged = [tuple(h) for h in gset_freqs(folded.pm)[mags <= eps].tolist()]
     return ExistenceReport(folded=folded, flagged=flagged, eps=eps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FundamentalInterpolant:
     """The cardinal function of a translate space, in coefficient form.
 
@@ -105,6 +110,10 @@ class FundamentalInterpolant:
     a_hat : CoeffVector
         Translate coefficients in the frequency domain,
         ``1 / (m * folded_h)``; zero on degenerate classes.
+    labels : np.ndarray
+        Read-only canonical position of the class ``h`` of each mode ``k``
+        of ``series``, as :func:`freq_class_indices` gives it; the aliasing
+        shift ``z`` with ``k = h + M^T z`` is the property ``shifts``.
     incorrect_modes : list of tuple
         Canonical classes where the folded kernel coefficient vanished and
         the fallback ``c_h = 1/m`` was applied.
@@ -113,7 +122,24 @@ class FundamentalInterpolant:
     series: FourierSeries
     pm: PatternMatrix
     a_hat: CoeffVector
+    labels: np.ndarray
     incorrect_modes: list[IntVec] = field(default_factory=list)
+
+    @cached_property
+    def shifts(self) -> np.ndarray:
+        """Read-only exact ``(n, d)`` shifts ``z`` of the modes, computed on
+        first use; ``AnisoError`` unless ``d (max|k| + max|h|) max|adj M| <
+        2^63``, which keeps ``(k - h) adj M`` exact in int64."""
+        pm, freqs, hs = self.pm, self.series.freqs, gset_freqs(self.pm)
+        kmax = max(int(freqs.max(initial=0)), -int(freqs.min(initial=0)))
+        amax = max(abs(a) for row in pm.adj for a in row)
+        if pm.d * (kmax + int(np.abs(hs).max())) * amax >= 2**63:
+            k = freqs[np.argmax(np.abs(freqs.astype(float)).max(axis=1))]
+            raise AnisoError(f"mode {tuple(k.tolist())} is too large for exact "
+                             "int64 aliasing shifts")
+        zs = pm.sign * ((freqs - hs[self.labels]) @ pm.adj_np) // pm.m
+        zs.flags.writeable = False
+        return zs
 
 
 def fundamental_interpolant(
@@ -135,30 +161,29 @@ def fundamental_interpolant(
     NonExistent
         If a folded class vanishes and ``allow_incorrect`` is not set.
     """
-    report = check_existence(phi, pm, eps_rel=eps_rel)
+    labels = freq_class_indices(phi.freqs, pm)
+    report = _flag_vanishing(fold_classes(labels, phi.coeffs, pm), eps_rel)
     folded = report.folded.values
     if report.flagged and not allow_incorrect:
         raise NonExistent(
             f"folded kernel coefficient vanishes on classes {report.flagged}"
         )
-    labels = freq_class_indices(phi.freqs, pm)
-    good = np.abs(folded) > report.eps  # all but the classes report.flagged lists
+    flag = np.abs(folded) <= report.eps  # the classes report.flagged lists
 
     a_hat = np.zeros(pm.m, dtype=np.complex128)
-    a_hat[good] = 1.0 / (pm.m * folded[good])
+    a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
 
-    keep = good[labels]
-    freqs = phi.freqs[keep]
-    coeffs = phi.coeffs[keep] * a_hat[labels[keep]]
-    if report.flagged:
-        extra = np.array(report.flagged, dtype=np.int64)
-        freqs = np.vstack([freqs, extra]) if len(freqs) else extra
-        coeffs = np.concatenate([coeffs, np.full(len(extra), 1.0 / pm.m)])
-    series = FourierSeries(freqs, coeffs, window=phi.window)
+    keep, extra = ~flag[labels], np.flatnonzero(flag)
+    freqs = np.vstack([phi.freqs.reshape(-1, pm.d)[keep], gset_freqs(pm)[extra]])
+    coeffs = np.concatenate([phi.coeffs[keep] * a_hat[labels[keep]],
+                             np.full(len(extra), 1.0 / pm.m)])
+    labels = np.concatenate([labels[keep], extra])
+    labels.flags.writeable = False
     return FundamentalInterpolant(
-        series=series,
+        series=FourierSeries(freqs, coeffs, window=phi.window),
         pm=pm,
         a_hat=CoeffVector(a_hat, pm),
+        labels=labels,
         incorrect_modes=list(report.flagged),
     )
 
@@ -210,11 +235,9 @@ def interpolation_operator(samples: SampleVector,
     ``c_k = m * folded_sample_coeff(class of k) * c_k(interpolant)`` over
     the stored support of the interpolant.
     """
-    pm = ifun.pm
     ch = discrete_coeffs(samples).values
     f = ifun.series
-    labels = freq_class_indices(f.freqs, pm)
-    coeffs = pm.m * ch[labels] * f.coeffs
+    coeffs = ifun.pm.m * ch[ifun.labels] * f.coeffs
     return FourierSeries(f.freqs, coeffs, window=f.window)
 
 
@@ -241,7 +264,7 @@ def dirichlet_kernel(pm: PatternMatrix) -> FourierSeries:
 def cardinal_residual(ifun: FundamentalInterpolant) -> float:
     """Max deviation of the interpolant from the cardinal values at nodes."""
     pm = ifun.pm
-    vals = evaluate_at_nodes(ifun.series, pm)
+    vals = pm.m * dft_inverse(fold_classes(ifun.labels, ifun.series.coeffs, pm)).values
     target = np.zeros(pm.m, dtype=np.complex128)
     target[canonical_classes(pm, False)[2][0]] = 1.0  # label 0 is the origin
     return float(np.abs(vals - target).max())

@@ -201,8 +201,13 @@ def alias_fold(f: FourierSeries, pm: PatternMatrix) -> CoeffVector:
     For each canonical ``h`` the result is the exact finite sum of all
     stored coefficients whose index reduces to ``h``.
     """
+    return fold_classes(freq_class_indices(f.freqs, pm), f.coeffs, pm)
+
+
+def fold_classes(positions: np.ndarray, coeffs: np.ndarray, pm: PatternMatrix) -> CoeffVector:
+    """Sum ``coeffs`` at the class positions :func:`freq_class_indices` gives."""
     out = np.zeros(pm.m, dtype=np.complex128)
-    np.add.at(out, freq_class_indices(f.freqs, pm), f.coeffs)
+    np.add.at(out, positions, coeffs)
     return CoeffVector(out, pm)
 
 

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentSeries, InsufficientSupport
-from .fspaces import lq_norm, weights_many
+from .fspaces import WeightSpec, lq_norm, weights_many
 from .interp import FundamentalInterpolant
 from .intlat import IntVec
-from .ptransform import freq_class_indices, gset_freqs
+from .ptransform import fold_classes, gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
 H0_TOL = 1e-10
@@ -96,17 +96,14 @@ def _shell_view(ifun: FundamentalInterpolant, zmax: int):
     """
     if zmax < 0:
         raise ValueError(f"zmax must be >= 0, got {zmax}")
-    pm, series = ifun.pm, ifun.series
-    win = series.window
+    win = ifun.series.window
     if win is None or win < zmax:
         raise InsufficientSupport(
             f"series window {win} does not cover requested shells {zmax}"
         )
-    labels = freq_class_indices(series.freqs, pm)
-    zs = (pm.sign * ((series.freqs - gset_freqs(pm)[labels]) @ pm.adj_np)) // pm.m
-    zinf = np.abs(zs).max(axis=1)
+    zinf = np.abs(ifun.shifts).max(axis=1)
     sel = zinf <= zmax
-    return labels[sel], zs[sel], series.coeffs[sel], zinf[sel] == 0
+    return ifun.labels[sel], ifun.shifts[sel], ifun.series.coeffs[sel], zinf[sel] == 0
 
 
 def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
@@ -131,9 +128,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     witness = None
 
     # inner condition (z = 0); missing modes count as coefficient 0
-    inner_vals = np.full(pm.m, 1.0 + 0.0j, dtype=np.complex128)
-    inner_vals[labels[at0]] = 1.0 - pm.m * coeffs[at0]
-    inner = np.abs(inner_vals)
+    inner = np.abs(1.0 - pm.m * fold_classes(labels[at0], coeffs[at0], pm).values)
     if inner[origin] > H0_TOL:
         failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
         witness = witness or (tuple(int(x) for x in hs[origin]),
@@ -221,14 +216,15 @@ def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float,
     of inner and weighted outer interpolant coefficients.
 
     Truncated at ``||z||_inf <= zmax`` (coverage checked like
-    :func:`verify_sfc`).
+    :func:`verify_sfc`).  Raises ``ValueError`` unless ``alpha >= 0`` and
+    ``q >= 1`` (``q`` may be inf).
     """
     pm = ifun.pm
+    WeightSpec(alpha, pm, q)
     labels, zs, coeffs, at0 = _shell_view(ifun, zmax)
     sd = spectral_data(pm)
 
-    inner = np.zeros(pm.m)
-    inner[labels[at0]] = np.abs(coeffs[at0])
+    inner = np.abs(fold_classes(labels[at0], coeffs[at0], pm).values)
     sig = weights_many(zs[~at0], alpha, pm)
     outer_terms = sig * np.abs(coeffs[~at0])
     if math.isinf(q):

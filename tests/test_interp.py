@@ -1,5 +1,6 @@
 """Fundamental interpolants, the interpolation operator, and fallbacks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from anisointerp import (
     NotInSpace,
     PeriodizationWindow,
     SampleVector,
+    SFParams,
     alias_fold,
     cardinal_residual,
     check_existence,
@@ -20,14 +22,19 @@ from anisointerp import (
     evaluate_at_nodes,
     fourier_partial_sum,
     fundamental_interpolant,
+    gamma_ip,
     gset_freqs,
+    interp_error,
     interpolation_operator,
     membership_coeffs,
     pattern_generators,
     periodize,
+    reduce_freq,
     translate,
     validate_matrix,
+    verify_sfc,
 )
+from anisointerp import ptransform
 from anisointerp.intlat import pattern_point
 
 E2 = validate_matrix([[2, 0], [0, 2]])
@@ -190,3 +197,67 @@ def test_membership_coeffs_accepts_scaled_kernel():
     for c in (0.5, 1.0, 2.0):
         a = membership_coeffs(phi.scaled(c), phi, FIG1)
         assert np.allclose(a.values, c, rtol=1e-12, atol=0)
+
+
+def _labelled_interpolants():
+    """Dirichlet, B(2,2,2) and a ``family="full"`` kernel whose class
+    (-1, -1) is flagged and kept as one canonical mode."""
+    yield fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
+                    PeriodizationWindow(radius=4, tail_eps=None))
+    yield fundamental_interpolant(box, FIG1)
+    full = periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2,
+                     PeriodizationWindow(radius=6, tail_eps=None))
+    ifun = fundamental_interpolant(full, E2, allow_incorrect=True)
+    assert ifun.incorrect_modes == [(-1, -1)]
+    yield ifun
+
+
+def test_stored_labels_and_shifts_match_exact_reduction():
+    """Each mode's stored class is the position of ``reduce_freq(k)`` and
+    its stored shift is the exact ``M^{-T} (k - h)``; both are read-only."""
+    for ifun in _labelled_interpolants():
+        pm = ifun.pm
+        position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
+        mt = pm.transposed()
+        freqs = ifun.series.freqs.tolist()
+        assert len(ifun.labels) == len(ifun.shifts) == len(freqs)
+        for k, lab, z in zip(freqs, ifun.labels.tolist(), ifun.shifts.tolist()):
+            h = reduce_freq(k, pm)
+            assert lab == position[h]
+            assert tuple(z) == mt.inv_apply(tuple(a - b for a, b in zip(k, h)))
+        for arr in (ifun.labels, ifun.shifts):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ifun.labels = ifun.labels.copy()
+
+
+def test_interpolant_support_labelled_once(monkeypatch):
+    """Building the interpolant labels its kernel once; applying it,
+    verifying it and measuring errors with it never label its support."""
+    phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
+                    PeriodizationWindow(radius=4, tail_eps=None))
+    calls = []
+    real = ptransform.class_labels
+
+    def counting(x, pm, transposed=False):
+        calls.append(np.asarray(x).copy())
+        return real(x, pm, transposed)
+
+    monkeypatch.setattr(ptransform, "class_labels", counting)
+    ifun = fundamental_interpolant(phi, FIG1)
+    assert len(calls) == 1 and np.array_equal(calls[0], phi.freqs)
+    calls.clear()
+    rng = np.random.default_rng(5)
+    samples = SampleVector(rng.standard_normal(FIG1.m), FIG1)
+    f = FourierSeries(rng.integers(-20, 21, size=(40, 2)),
+                      rng.standard_normal(40) + 0j, dedup=True)
+    interpolation_operator(samples, ifun)
+    verify_sfc(ifun, SFParams(s=4.0), zmax=4)
+    gamma_ip(ifun, 1.0, 2.0, 4)
+    cardinal_residual(ifun)
+    interp_error(f, ifun, 1.0, 2.0)
+    support = ifun.series.freqs
+    assert not any(len(x) == len(support) or np.array_equal(x, support) for x in calls)
+    assert sum(map(len, calls)) <= 2 * len(f)  # f and its partial sum, once each

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    AnisoError,
     BoxSplineSpec,
     DivergentSeries,
+    FourierSeries,
     InsufficientSupport,
     PeriodizationWindow,
     SFParams,
     c_rho,
+    cardinal_residual,
     dirichlet_kernel,
     fundamental_interpolant,
     gamma_ip,
@@ -46,6 +49,38 @@ def test_sfparams_validation():
         with pytest.raises(ValueError):
             SFParams(**bad)
     assert SFParams(s=2.0, alpha=math.inf, q=math.inf).q == math.inf
+
+
+@pytest.mark.parametrize("alpha,q", [(0.0, 0.0), (0.0, math.nan), (0.0, 0.5),
+                                     (-1.0, 2.0), (math.nan, 2.0)])
+def test_gamma_ip_rejects_invalid_alpha_and_q(alpha, q):
+    pm = validate_matrix([[2, 1], [0, 2]])
+    ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+    with pytest.raises(ValueError):
+        gamma_ip(ifun, alpha, q, 4)
+
+
+def test_shifts_past_int64_raise():
+    """A mode whose ``(k - h) adj M`` could wrap in int64 is refused, not
+    counted at a wrapped shift ``z = 0`` in the inner condition; one just
+    inside ``d (max|k| + max|h|) max|adj M| < 2^63`` gets its exact shift."""
+    pm = validate_matrix([[2, 1], [0, 2]])  # d = 2, max|adj M| = 2, max|h| = 1
+    phi = dirichlet_kernel(pm)
+
+    def with_mode(k):
+        return fundamental_interpolant(FourierSeries(
+            np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5), window=math.inf), pm)
+
+    ifun = with_mode((2**63 - 1, 2**62 - 1))
+    assert cardinal_residual(ifun) < 1e-12  # building and applying it still work
+    for check in (lambda: verify_sfc(ifun, SFParams(s=2.0), zmax=4),
+                  lambda: gamma_ip(ifun, 0.0, 2.0, 4)):
+        with pytest.raises(AnisoError, match="too large"):
+            check()
+    k = (2**61 - 2, -(2**61 - 2))
+    z = with_mode(k).shifts[-1].tolist()
+    h = reduce_freq(k, pm)
+    assert tuple(z) == pm.transposed().inv_apply(tuple(a - b for a, b in zip(k, h)))
 
 
 def test_dirichlet_passes_any_order_with_zero_gamma():
