@@ -232,11 +232,14 @@ def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
     return FourierSeries(ks, coeffs.astype(np.complex128), window=math.inf)
 
 
-def _study_kernel(spec: ExperimentSpec, pm: PatternMatrix) -> FundamentalInterpolant:
-    if isinstance(spec.kernel, BoxSplineSpec):
-        win = PeriodizationWindow(radius=spec.radius, tail_eps=spec.tail_eps)
-        return fundamental_interpolant(periodize(spec.kernel, pm, win), pm)
-    return fundamental_interpolant(dirichlet_kernel(pm), pm)
+def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: int,
+                      tail_eps: float | None, allow_incorrect: bool = False
+                      ) -> FundamentalInterpolant:
+    """Fundamental interpolant of a box spline periodized with ``radius`` and
+    ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf)."""
+    phi = (periodize(kernel, pm, PeriodizationWindow(radius=radius, tail_eps=tail_eps))
+           if isinstance(kernel, BoxSplineSpec) else dirichlet_kernel(pm))
+    return fundamental_interpolant(phi, pm, allow_incorrect=allow_incorrect)
 
 
 def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
@@ -246,14 +249,12 @@ def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
     if not is_expanding(sd):
         raise ValueError(f"scale matrix at j={j} is not expanding")
     s = spec.order()
-    ifun = _study_kernel(spec, pm)
+    ifun = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
     f = spec.test_function(pm)
     err = interp_error(f, ifun, spec.alpha, spec.q)
-
-    zmax = ifun.series.window
-    zmax = spec.radius if zmax is None or math.isinf(zmax) else int(zmax)
-    rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=zmax)
-    gip = gamma_ip(ifun, spec.alpha, spec.q, zmax)
+    # the interpolant's window, spec.radius or inf, covers the shells up to spec.radius
+    rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=spec.radius)
+    gip = gamma_ip(ifun, spec.alpha, spec.q, spec.radius)
     rho, c_rho_val = c_rho(rep.gamma_sf, gip, gsm, s, spec.mu, spec.alpha, pm.d)
     fmu = a_norm(f, spec.mu, WeightSpec(spec.alpha, pm, spec.q))
     bound = c_rho_val * sd.norm2 ** (-rho) * fmu

@@ -26,9 +26,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxspline import BoxSplineSpec, PeriodizationWindow, periodize, sf_order
+from .boxspline import BoxSplineSpec, sf_order
 from .bounds import (
     ExperimentSpec,
+    build_interpolant,
     convergence_study,
     decay_profile,
     fixed_function,
@@ -36,9 +37,10 @@ from .bounds import (
     report_to_svg,
 )
 from .errors import AnisoError
-from .interp import dirichlet_kernel, fundamental_interpolant, interpolation_operator
+from .interp import interpolation_operator
 from .intlat import PatternMatrix, validate_matrix
 from .ptransform import (
+    FourierSeries,
     SampleVector,
     dft_forward,
     dft_inverse,
@@ -88,11 +90,7 @@ def parse_kernel(text: str):
 
 def node_fractions(pm: PatternMatrix) -> list[tuple[Fraction, ...]]:
     """Pattern nodes ``M^{-1} g`` as exact fractions, canonical order."""
-    out = []
-    for g in pattern_generators(pm):
-        num = pm.sign * (pm.adj_np @ g)
-        out.append(tuple(Fraction(int(n), pm.m) for n in num))
-    return out
+    return [pm.inv_apply(g) for g in pattern_generators(pm).tolist()]
 
 
 def read_samples(path, pm: PatternMatrix) -> SampleVector:
@@ -124,14 +122,6 @@ def read_samples(path, pm: PatternMatrix) -> SampleVector:
     return SampleVector(values, pm)
 
 
-def _build_interpolant(pm, kernel, radius, tail_eps, allow_incorrect=False):
-    if kernel == "dirichlet":
-        return fundamental_interpolant(dirichlet_kernel(pm), pm)
-    win = PeriodizationWindow(radius=radius, tail_eps=tail_eps)
-    phi = periodize(kernel, pm, win)
-    return fundamental_interpolant(phi, pm, allow_incorrect=allow_incorrect)
-
-
 def _cmd_pattern(args) -> int:
     pm = read_matrix(args.matrix)
     print(",".join(f"y{i + 1}" for i in range(pm.d)))
@@ -155,8 +145,6 @@ def _cmd_dft(args) -> int:
     back = dft_inverse(fhat)
     resid = float(np.abs(back.values - samples.values).max())
     if args.out:
-        from .ptransform import FourierSeries
-
         series = FourierSeries(gset_freqs(pm).copy(), fhat.values,
                                window=math.inf)
         with open(args.out, "w") as fh:
@@ -169,8 +157,8 @@ def _cmd_interpolate(args) -> int:
     pm = read_matrix(args.matrix)
     samples = read_samples(args.samples, pm)
     kernel = parse_kernel(args.kernel)
-    ifun = _build_interpolant(pm, kernel, args.radius, args.tail_eps,
-                              allow_incorrect=args.allow_incorrect)
+    ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps,
+                             allow_incorrect=args.allow_incorrect)
     series = interpolation_operator(samples, ifun).prune()
     with open(args.out, "w") as fh:
         fh.write(series_to_csv(series))
@@ -189,7 +177,7 @@ def _cmd_sfcheck(args) -> int:
         raise ValueError("--order is required for the Dirichlet kernel")
     zmax = args.radius if kernel != "dirichlet" else args.zmax
     params = SFParams(s=order, alpha=args.alpha, q=args.q, mode=args.mode)
-    ifun = _build_interpolant(pm, kernel, args.radius, args.tail_eps)
+    ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps)
     report = verify_sfc(ifun, params, zmax=zmax)
     payload = report.to_json_dict()
     payload["gamma_ip"] = gamma_ip(ifun, args.alpha, args.q, zmax)
@@ -294,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--radius", type=int, default=16)
     p.add_argument("--zmax", type=int, default=8,
-                   help="shell range for the Dirichlet kernel")
+                   help="shell range for the Dirichlet kernel; box-spline "
+                        "kernels use --radius instead")
     p.add_argument("--tail-eps", dest="tail_eps", type=float, default=1e-4)
     p.set_defaults(func=_cmd_sfcheck)
 
@@ -314,10 +303,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except AnisoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (AnisoError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,12 +86,16 @@ def check_existence(phi: FourierSeries, pm: PatternMatrix,
 
     The threshold is relative: ``eps_rel`` times the largest folded
     magnitude, since an exact "nonzero" test is meaningless in floats.
+    Raises ``AnisoError`` if a folded coefficient is not finite.
     """
     return _flag_vanishing(alias_fold(phi, pm), eps_rel)
 
 
 def _flag_vanishing(folded: CoeffVector, eps_rel: float) -> ExistenceReport:
     mags = np.abs(folded.values)
+    if not np.isfinite(mags).all():
+        h = tuple(gset_freqs(folded.pm)[np.argmin(np.isfinite(mags))].tolist())
+        raise AnisoError(f"folded kernel coefficient of class {h} is not finite")
     eps = eps_rel * float(mags.max(initial=0.0))
     flagged = [tuple(h) for h in gset_freqs(folded.pm)[mags <= eps].tolist()]
     return ExistenceReport(folded=folded, flagged=flagged, eps=eps)
@@ -160,6 +164,8 @@ def fundamental_interpolant(
     ------
     NonExistent
         If a folded class vanishes and ``allow_incorrect`` is not set.
+    AnisoError
+        If a folded class coefficient is not finite.
     """
     labels = freq_class_indices(phi.freqs, pm)
     report = _flag_vanishing(fold_classes(labels, phi.coeffs, pm), eps_rel)

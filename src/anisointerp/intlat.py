@@ -10,7 +10,8 @@ enumerates the canonical representatives inside the half-open cube
 ``[-1/2, 1/2)^d``, labels and reduces arbitrary integers, and implements
 the induced group addition.  Everything here is exact: membership in the
 half-open parallelotope is decided by integer comparisons on the adjugate,
-never by floating point.
+never by floating point.  One exact reduction serves every function here:
+int64 or Python ints, chosen from the input size, so no input is refused.
 
 Frequency indices and generating-set elements are plain ``tuple[int, ...]``;
 pattern points are stored through their integer generator ``g`` with
@@ -30,11 +31,6 @@ from .errors import AnisoError, NotAMember, SingularMatrix
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
-
-# int64 fast paths stay exact below this magnitude; larger inputs take the
-# arbitrary-precision route.
-_INT64_SAFE = 2**62
-
 
 def _det_bareiss(rows: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -206,18 +202,10 @@ def validate_matrix(raw) -> PatternMatrix:
     return pm
 
 
-def _is_canonical(t: list[int], det: int) -> bool:
-    """Whether adj*k = t corresponds to M^{-1}k in [-1/2, 1/2)^d, exactly."""
-    s = 1 if det > 0 else -1
-    m = abs(det)
-    return all(-m <= 2 * s * ti < m for ti in t)
-
-
 def is_canonical_freq(k: IntVec, pm: PatternMatrix) -> bool:
     """Exact test for ``k`` being in the canonical generating set
     ``G_S(M^T)``, i.e. the fixed points of :func:`reduce_freq`."""
-    p = pm.transposed()
-    return _is_canonical(_mat_vec(p.adj, k), p.det)
+    return reduce_freq(k, pm) == tuple(int(x) for x in k)
 
 
 def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
@@ -242,11 +230,8 @@ def canonical_classes(pm: PatternMatrix,
     # the map to digits, U or V^T, is unimodular: its inverse is det * adj
     inv = validate_matrix(tuple(zip(*v)) if transposed else u)
     grid = np.indices(eps).reshape(pm.d, -1).T  # row l: the digits of label l
-    q = pm if transposed else pm.transposed()  # reduction mod q^T
-    rows = reduce_freq_many(grid @ (inv.det * inv.adj_np).T, q)
-    t = q.sign * (rows @ q.adj_np)  # row i: adj(q^T) rows[i]
-    if not ((-pm.m <= 2 * t) & (2 * t < pm.m)).all():
-        raise AnisoError(f"class representatives of {pm.mat} left [-1/2, 1/2)^d")
+    p = pm.transposed() if transposed else pm
+    rows = np.asarray(_reduce_rows(grid @ (inv.det * inv.adj_np).T, p), dtype=np.int64)
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     labels = class_labels(rows, pm, transposed)
@@ -282,46 +267,44 @@ def pattern_point(g: IntVec, pm: PatternMatrix) -> tuple[Fraction, ...]:
     return pm.inv_apply(g)
 
 
-def _round_half_open(num: int, den: int) -> int:
-    """The integer z with num/den - z in [-1/2, 1/2); den > 0."""
-    return (2 * num + den) // (2 * den)
+def _reduce_rows(ks: np.ndarray, p: PatternMatrix) -> np.ndarray:
+    """``h = k - p z`` for each row ``k`` of an ``(n, d)`` integer array, with
+    ``z`` rounding ``p^{-1} k`` so that ``p^{-1} h`` lies in ``[-1/2, 1/2)^d``.
+
+    Exact: int64 while ``d^2 (max|k| + 1) max|adj p| max|p| < 2^61`` bounds
+    every intermediate, Python ints (``dtype=object``) otherwise.  Raises
+    ``AnisoError`` if a result leaves the half-open cube."""
+    kmax = max(int(ks.max(initial=0)), -int(ks.min(initial=0)))
+    amax, bmax = (max(abs(x) for row in a for x in row) for a in (p.adj, p.mat))
+    dtype = np.int64 if p.d**2 * (kmax + 1) * amax * bmax < 2**61 else object
+    ks = ks.astype(dtype, copy=False)
+    adj, mat = (np.array(a, dtype=dtype) for a in (p.adj, p.mat))
+    z = (2 * p.sign * (ks @ adj.T) + p.m) // (2 * p.m)
+    hs = ks - z @ mat.T
+    lim = p.d * bmax  # |h| <= lim in the cube; within it, t below cannot wrap
+    t = 2 * p.sign * (hs @ adj.T)  # row i: 2 m p^{-1} h_i
+    bad = ~((-lim <= hs) & (hs <= lim) & (-p.m <= t) & (t < p.m)).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AnisoError(f"reduction of {tuple(ks[i].tolist())} mod {p.mat} gave "
+                         f"the non-canonical {tuple(hs[i].tolist())}")
+    return hs
 
 
-def _reduce(k: IntVec, p: PatternMatrix) -> IntVec:
-    """Reduce k mod p.mat into the canonical set of p."""
-    t = _mat_vec(p.adj, k)
-    s, m = p.sign, p.m
-    z = [_round_half_open(s * ti, m) for ti in t]
-    mz = [sum(p.mat[i][j] * z[j] for j in range(p.d)) for i in range(p.d)]
-    h = tuple(k[i] - mz[i] for i in range(p.d))
-    if not _is_canonical(_mat_vec(p.adj, h), p.det):
-        raise AnisoError(f"reduction of {k} gave the non-canonical {h}")
-    return h
+def _object_rows(*ks: IntVec) -> np.ndarray:
+    return np.array([[int(x) for x in k] for k in ks], dtype=object)
 
 
 def reduce_freq(k: IntVec, pm: PatternMatrix) -> IntVec:
     """Unique ``h`` in the canonical generating set of ``M^T`` with
-    ``k = h + M^T z``."""
-    return _reduce(tuple(int(x) for x in k), pm.transposed())
+    ``k = h + M^T z``; exact for integers of any size."""
+    return tuple(int(x) for x in _reduce_rows(_object_rows(k), pm.transposed())[0])
 
 
 def reduce_freq_many(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """Vectorized :func:`reduce_freq` for an ``(n, d)`` integer array.
-
-    Uses int64 arithmetic; falls back to exact big-integer reduction when
-    intermediate products could overflow.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    adj_t = pm.adj_np.T  # adj(M^T)
-    max_adj = int(np.abs(adj_t).max(initial=1))
-    max_k = int(np.abs(ks).max(initial=0))
-    if (max_adj * max_k + 1) * pm.d >= _INT64_SAFE // 4:
-        return np.array([reduce_freq(tuple(int(x) for x in row), pm) for row in ks],
-                        dtype=np.int64)
-    t = ks @ adj_t.T  # row i: adj(M^T) @ k_i
-    n = pm.sign * t
-    z = (2 * n + pm.m) // (2 * pm.m)
-    return ks - z @ pm.mat_np  # (M^T z)_i = sum_j M_ji z_j = (z @ M)_i
+    """:func:`reduce_freq` for the rows of an ``(n, d)`` int64 array."""
+    return np.asarray(_reduce_rows(np.asarray(ks, dtype=np.int64), pm.transposed()),
+                      dtype=np.int64)
 
 
 def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:
@@ -335,10 +318,11 @@ def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:
     NotAMember
         If ``a`` or ``b`` is not a canonical generator.
     """
-    for g in (a, b):
-        if not _is_canonical(_mat_vec(pm.adj, g), pm.det):
+    rows = _reduce_rows(_object_rows(a, b, [x + y for x, y in zip(a, b)]), pm)
+    for g, h in zip((a, b), rows.tolist()):
+        if [int(x) for x in g] != h:
             raise NotAMember(f"{g} is not a canonical generator of the pattern")
-    return _reduce(tuple(a[i] + b[i] for i in range(pm.d)), pm)
+    return tuple(rows[2].tolist())
 
 
 def freq_phase_residues(ks: np.ndarray, gs: np.ndarray, pm: PatternMatrix) -> np.ndarray:

@@ -52,21 +52,8 @@ class FourierSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_dict(cls, d: dict[IntVec, complex], window=None) -> "FourierSeries":
-        if not d:
-            return cls(np.zeros((0, 1), dtype=np.int64), np.zeros(0), window=window)
-        keys = sorted(d)
-        return cls(np.array(keys, dtype=np.int64),
-                   np.array([d[k] for k in keys], dtype=np.complex128),
-                   window=window)
-
-    @classmethod
     def zero(cls, dim: int) -> "FourierSeries":
         return cls(np.zeros((0, dim), dtype=np.int64), np.zeros(0), window=math.inf)
-
-    @classmethod
-    def single(cls, k: IntVec, c: complex = 1.0) -> "FourierSeries":
-        return cls(np.array([k], dtype=np.int64), np.array([c]), window=math.inf)
 
     # -- basic protocol -------------------------------------------------------
 
@@ -230,14 +217,8 @@ def series_to_csv(f: FourierSeries) -> str:
 
 def series_from_csv(text: str) -> FourierSeries:
     """Parse the ``k1,...,kd,re,im`` format produced by :func:`series_to_csv`."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    header, *rows = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
     d = len(header) - 2
-    coeffs: dict[IntVec, complex] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        k = tuple(int(x) for x in parts[:d])
-        coeffs[k] = coeffs.get(k, 0.0) + float(parts[d]) + 1j * float(parts[d + 1])
-    if not coeffs:
-        return FourierSeries.zero(d)
-    return FourierSeries.from_dict(coeffs)
+    freqs = np.array([[int(x) for x in r[:d]] for r in rows], dtype=np.int64).reshape(-1, d)
+    return FourierSeries(freqs, [complex(float(r[d]), float(r[d + 1])) for r in rows],
+                         dedup=True)

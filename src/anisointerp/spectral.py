@@ -79,6 +79,7 @@ def is_expanding(sd: SpectralData) -> bool:
 
 
 def inv_t_apply(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """``M^{-T} k`` for an ``(n, d)`` integer array, via adjugate over det."""
-    ks = np.asarray(ks, dtype=np.int64)
-    return (ks @ pm.adj_np) / float(pm.det)
+    """``M^{-T} k`` for an ``(n, d)`` integer array, via adjugate over det, in
+    floats (which cannot wrap around; exact while ``d |k| max|adj M| < 2^53``)."""
+    ks = np.asarray(ks, dtype=np.int64).astype(float)
+    return ks @ np.array(pm.adj, dtype=float) / pm.det

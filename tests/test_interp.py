@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    AnisoError,
     BoxSplineSpec,
     FourierSeries,
     NonExistent,
@@ -152,6 +153,19 @@ def test_check_existence_flags_degenerate_class():
     rep = check_existence(phi, E2)
     assert not rep.ok
     assert rep.flagged == [(-1, -1)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_kernel_coefficient_raises(bad):
+    phi = dirichlet_kernel(M21)
+    coeffs = phi.coeffs.copy()
+    coeffs[1] = bad
+    phi = FourierSeries(phi.freqs, coeffs, window=math.inf)
+    with pytest.raises(AnisoError, match="not finite"):
+        check_existence(phi, M21)
+    for allow_incorrect in (False, True):
+        with pytest.raises(AnisoError, match="not finite"):
+            fundamental_interpolant(phi, M21, allow_incorrect=allow_incorrect)
 
 
 def test_incorrect_interpolation_fallback():

@@ -40,14 +40,11 @@ def _oracle_det(mat):
     return total
 
 
-def oracle_generating_set(mat):
-    """Independent G_S(M^T) enumeration with Fractions: k is canonical iff
-    every component of M^{-T} k lies in [-1/2, 1/2)."""
+def _oracle_inv_t(mat):
+    """Exact ``M^{-T}`` via cofactors: ``(M^{-T})_{ij} = C_{ij} / det``."""
     d = len(mat)
     det = _oracle_det(mat)
-    m = abs(det)
-    # exact inverse-transpose via cofactors: (M^{-T})_{ij} = C_{ij} / det
-    inv_t = [
+    return [
         [
             Fraction(
                 (-1) ** (i + j) * _oracle_det(
@@ -60,6 +57,27 @@ def oracle_generating_set(mat):
         ]
         for i in range(d)
     ]
+
+
+def oracle_reduce(k, mat):
+    """``k`` mod ``M^T`` into ``G_S(M^T)`` in exact fractions: ``h = k - M^T z``
+    with ``z`` the componentwise floor of ``M^{-T} k + 1/2``."""
+    d = len(mat)
+    z = [math.floor(sum(a * x for a, x in zip(row, k)) + Fraction(1, 2))
+         for row in _oracle_inv_t(mat)]
+    return tuple(k[i] - sum(mat[j][i] * z[j] for j in range(d)) for i in range(d))
+
+
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def oracle_generating_set(mat):
+    """Independent G_S(M^T) enumeration with Fractions: k is canonical iff
+    every component of M^{-T} k lies in [-1/2, 1/2)."""
+    d = len(mat)
+    m = abs(_oracle_det(mat))
+    inv_t = _oracle_inv_t(mat)
     bound = max(sum(abs(e) for e in row) for row in mat) + 1
     out = []
     for k in product(range(-bound, bound + 1), repeat=d):
@@ -169,6 +187,23 @@ def test_pattern_add_rejects_nonmembers():
         pattern_add((1, 0), (5, 7), pm)
 
 
+def test_reduce_many_at_int64_min():
+    """``|-2^63|`` does not fit in int64, so the size guard must not take it
+    from ``np.abs``, which leaves it negative."""
+    pm = validate_matrix(FIG1)
+    assert reduce_freq((-(2**63), 5), pm) == (0, -3) == oracle_reduce((-(2**63), 5), FIG1)
+    assert reduce_freq_many([[-(2**63), 5]], pm).tolist() == [[0, -3]]
+
+
+def test_reduction_checks_the_half_open_cube():
+    # a wrong adjugate rounds to the wrong shift; the cube check catches it
+    bad = intlat.PatternMatrix(2, ((8, 3), (0, 8)), 64, ((1, 0), (0, 1)))
+    with pytest.raises(AnisoError):
+        reduce_freq((40, 0), bad)
+    with pytest.raises(AnisoError):
+        reduce_freq_many(np.array([[40, 0]]), bad)
+
+
 @st.composite
 def regular_matrices(draw, max_d=3):
     d = draw(st.integers(min_value=1, max_value=max_d))
@@ -219,14 +254,51 @@ def test_class_indices_match_generating_set_positions(mat, data):
         assert got.tolist() == expect
 
 
+INT64_EDGES = [2**63 - 1, -(2**63 - 1), -(2**63)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_matrices(), st.data())
+def test_reduction_matches_fraction_oracle(mat, data):
+    """``reduce_freq_many`` on int64 rows up to the int64 edges, and
+    ``reduce_freq`` and ``pattern_add`` on Python ints past int64, against
+    the exact fraction reduction."""
+    d = len(mat)
+
+    def rows(coord, n):
+        return data.draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+
+    int64 = (st.integers(-60, 60) | st.integers(-(2**63), 2**63 - 1)
+             | st.sampled_from(INT64_EDGES))
+    ks = rows(int64, 8)
+    pm = validate_matrix(mat)
+    assert reduce_freq_many(np.array(ks, dtype=np.int64), pm).tolist() == [
+        list(oracle_reduce(k, mat)) for k in ks]
+
+    huge = rows(st.integers(-(2**100), 2**100), 3)
+    big = [[x * 2**62 for x in row] for row in mat]  # generators past int64
+    pm_big = validate_matrix(big)
+    for k in huge:
+        assert reduce_freq(k, pm) == oracle_reduce(k, mat)
+        assert reduce_freq(k, pm_big) == oracle_reduce(k, big)
+    a, b, c = (oracle_reduce(k, _transpose(big)) for k in huge)  # canonical mod M
+    assert pattern_add(a, b, pm_big) == oracle_reduce(
+        [x + y for x, y in zip(a, b)], _transpose(big))
+    with pytest.raises(NotAMember):  # c plus a column of M: same class, not c
+        pattern_add(a, [x + row[0] for x, row in zip(c, big)], pm_big)
+
+
 def walk_generating_set(pm, transposed):
     """Bounding-box walk over ``M [-1/2, 1/2)^d`` (``M^T`` with
-    ``transposed``), testing each integer point with the exact adjugate."""
+    ``transposed``), testing each integer point ``k`` by ``M^{-1} k`` in
+    exact fractions."""
     p = pm.transposed() if transposed else pm
     bounds = [sum(abs(x) for x in row) for row in p.mat]
     ranges = [range(-(b // 2) - 1, b // 2 + 2) for b in bounds]
+    half = Fraction(1, 2)
     return sorted(k for k in product(*ranges)
-                  if intlat._is_canonical(intlat._mat_vec(p.adj, k), p.det))
+                  if all(-half <= y < half for y in p.inv_apply(k)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,7 +371,7 @@ def test_corrupted_diagonal_form_raises(monkeypatch, corrupt):
 ])
 def test_corrupted_reduction_in_enumeration_raises(monkeypatch, corrupt):
     intlat.canonical_classes.cache_clear()
-    monkeypatch.setattr(intlat, "reduce_freq_many", corrupt)
+    monkeypatch.setattr(intlat, "_reduce_rows", corrupt)
     with pytest.raises(AnisoError):
         enumerate_generating_set(validate_matrix(FIG1), transposed=True)
 

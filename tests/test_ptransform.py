@@ -125,6 +125,14 @@ def test_series_csv_roundtrip_and_determinism():
         assert g.get(k) == pytest.approx(c, abs=1e-15)
 
 
+def test_series_from_csv_sums_repeated_rows():
+    g = series_from_csv("k1,k2,re,im\n1,0,1,0\n0,1,5,0\n1,0,2,-1\n")
+    assert g.freqs.tolist() == [[0, 1], [1, 0]]
+    assert g.coeffs.tolist() == [5, 3 - 1j]
+    empty = series_from_csv("k1,k2,re,im\n")
+    assert len(empty) == 0 and empty.dim == 2
+
+
 def test_gset_ordering_is_lexicographic():
     pm = validate_matrix(FIG1)
     hs = [tuple(int(x) for x in h) for h in gset_freqs(pm)]

@@ -74,3 +74,15 @@ def test_inv_t_apply_exact_cases():
     # M^{-T} = [[1/8, 0], [-3/64, 1/8]]
     y2 = inv_t_apply(np.array([[8, 0]]), pm2)
     assert np.allclose(y2, [[1.0, -3.0 / 8.0]])
+
+
+def test_inv_t_apply_does_not_wrap_around():
+    """Against ``M^{-T} k`` in exact fractions where ``k adj M`` is past
+    int64, and bit-identical to the integer product where that is exact."""
+    pm = validate_matrix(FIG1)
+    ks = np.array([[2**61, 0], [-(2**61), 2**61 - 1], [2**63 - 1, -(2**63)]])
+    exact = [[float(y) for y in pm.transposed().inv_apply(k)] for k in ks.tolist()]
+    assert np.allclose(inv_t_apply(ks, pm), exact, rtol=1e-15, atol=0)
+    assert inv_t_apply(ks[:1], pm).tolist() == [[2.0**61 / 8, -3 * 2.0**61 / 64]]
+    small = np.random.default_rng(2).integers(-(2**40), 2**40, size=(200, 2))
+    assert np.array_equal(inv_t_apply(small, pm), (small @ pm.adj_np) / float(pm.det))
