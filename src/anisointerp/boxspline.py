@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -111,11 +111,31 @@ def _int_box(d: int, radius: int) -> np.ndarray:
     return np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - radius
 
 
+def _int_shell(d: int, r: int) -> np.ndarray:
+    """Every ``z`` with ``||z||_inf = r``, ``(2r+1)^d - (2r-1)^d`` rows.
+
+    Block ``i`` holds the points whose first coordinate of magnitude ``r``
+    is ``z_i``, so the blocks are disjoint and only the shell is stored.
+    """
+    if r == 0:
+        return np.zeros((1, d), dtype=np.int64)
+    blocks = []
+    for i in range(d):
+        shape = (2 * r - 1,) * i + (2,) + (2 * r + 1,) * (d - 1 - i)
+        z = np.indices(shape, dtype=np.int64).reshape(d, -1).T
+        z[:, :i] -= r - 1
+        z[:, i] = 2 * r * z[:, i] - r
+        z[:, i + 1:] -= r
+        blocks.append(z)
+    return np.concatenate(blocks)
+
+
 def _alias_bound(z: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
     """Upper bound on ``sup_y |hat(2 pi (y + z))|`` over the unit half-cube.
 
     Per direction ``v``: ``|sinc(pi (y + z)^T v)| <= 1 / (pi (|z^T v| - w))``
-    with ``w = sum|v| / 2`` whenever ``|z^T v| > w``, else 1.
+    with ``w = sum|v| / 2`` whenever ``|z^T v| > w``, else 1.  For integer
+    ``z`` each factor is at most 1, since then ``|z^T v| - w >= 1/2``.
     """
     out = np.ones(len(z))
     for direction, pj in zip(spec.directions(), spec.p):
@@ -128,39 +148,52 @@ def _alias_bound(z: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
     return out
 
 
+def _basis_margin(spec: BoxSplineSpec) -> float:
+    """``eps = min 1 / ||B^{-1}||_inf`` over the bases ``B`` (as rows) drawn
+    from the directions: if ``||z||_inf = r``, the directions with
+    ``|z^T v| < eps r`` contain no basis, so they lie in one hyperplane."""
+    dirs = spec.directions().astype(float)
+    bases = dirs[np.array(list(combinations(range(len(dirs)), spec.d)))]
+    bases = bases[np.abs(np.linalg.det(bases)) > 0.5]
+    return 1.0 / float(np.abs(np.linalg.inv(bases)).sum(axis=2).max())
+
+
 def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
-                       extra: int | None = None) -> float:
-    """Bound on the per-class magnitude sum of the dropped coefficients.
+                       tail_eps: float | None = None) -> float:
+    """Certified upper bound on the per-class magnitude sum of the
+    coefficients dropped outside ``||z||_inf <= radius``.
 
-    Sums the analytic product bound over the shells just outside the
-    window and extrapolates the remaining power-law tail from the last two
-    shell sums.  Infinite when the fitted decay does not converge.
+    Sums the per-point bound :func:`_alias_bound` exactly over the shells
+    ``||z||_inf = radius + 1, ..., R``, one shell at a time, and bounds the
+    shells past ``R`` by an integral: with ``o = sf_order(spec)``, ``eps``
+    from :func:`_basis_margin` and ``w = max ||v||_1 / 2``, on a shell
+    ``r > R`` the sinc factors below ``1 / (pi (eps r - w))`` have total
+    multiplicity at least ``o``, so once ``pi (eps R - w) >= 1`` the rest is at
+    most ``2d (2R+1)^{d-1} R (pi (eps R - w))^{-o} / (o - d)``.  Infinite
+    when ``o <= d``, where that comparison does not converge.
+
+    With ``tail_eps`` the sum stops as soon as it decides ``<= tail_eps``:
+    at the first ``R`` whose bound is within it, or once the partial sum
+    alone exceeds it.  Otherwise it stops at ``R = radius + 512`` (``d = 2``)
+    or ``radius + 64``.  The value returned is the bound at that ``R``.
     """
-    return _tail_sum(spec, radius, extra) / pm.m
-
-
-@lru_cache(maxsize=64)
-def _tail_sum(spec: BoxSplineSpec, radius: int, extra: int | None) -> float:
-    if extra is None:
-        extra = 512 if spec.d == 2 else 64
-    r_far = radius + extra
-    zs = _int_box(spec.d, r_far)
-    rad = np.abs(zs).max(axis=1)
-    sel = rad > radius
-    zs, rad = zs[sel], rad[sel]
-    vals = _alias_bound(zs, spec)
-    shell_sums = np.bincount(rad, weights=vals, minlength=r_far + 1)
-    total = float(shell_sums.sum())
-    s_far = float(shell_sums[r_far])
-    s_mid = float(shell_sums[(radius + r_far) // 2])
-    if s_far <= 0.0:
-        remainder = 0.0
-    else:
-        beta = math.log(s_mid / s_far) / math.log(r_far / ((radius + r_far) / 2))
-        if beta <= 1.0:
-            return math.inf
-        remainder = s_far * r_far / (beta - 1.0)
-    return total + remainder
+    d, order = spec.d, sf_order(spec)
+    if order <= d:
+        return math.inf
+    eps = _basis_margin(spec)
+    w = float(np.abs(spec.directions()).sum(axis=1).max()) / 2.0
+    cap = radius + (512 if d == 2 else 64)
+    partial, r = 0.0, radius
+    while True:
+        x = math.pi * (eps * r - w)
+        rest = math.inf
+        if x >= 1.0:
+            rest = 2 * d * (2 * r + 1) ** (d - 1) * r * x ** (-order) / (order - d)
+        bound = partial + rest / pm.m
+        if r == cap or (tail_eps is not None and (bound <= tail_eps or partial > tail_eps)):
+            return bound
+        r += 1
+        partial += float(_alias_bound(_int_shell(d, r), spec).sum()) / pm.m
 
 
 def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
@@ -179,7 +212,7 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
     if spec.d != pm.d:
         raise ValueError("spline dimension and matrix dimension differ")
     if win.tail_eps is not None:
-        tail = periodization_tail(spec, pm, win.radius)
+        tail = periodization_tail(spec, pm, win.radius, win.tail_eps)
         if not tail <= win.tail_eps:
             raise TailTooLarge(
                 f"tail bound {tail:.3e} exceeds requested {win.tail_eps:.3e}"
@@ -193,10 +226,22 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
 
 
 def sf_order(spec: BoxSplineSpec) -> int:
-    """Reproduction order of the bivariate 3-directional spline:
-    the minimum pairwise sum of the three multiplicities."""
-    if spec.d != 2 or spec.family != "simplex":
-        raise ValueError("order formula applies to the bivariate "
-                         "3-directional spline")
-    p1, p2, p3 = spec.p
-    return min(p1 + p2, p1 + p3, p2 + p3)
+    """Strang-Fix (approximation) order of the box spline in any dimension.
+
+    The total multiplicity minus the largest total multiplicity of the
+    directions in one hyperplane (de Boor, Hollig, Riemenschneider, *Box
+    Splines*, 1993); it is enough to check the hyperplanes spanned by
+    ``d - 1`` directions.  For the bivariate 3-directional spline this is
+    the minimum pairwise sum ``min(p_i + p_j)``.
+    """
+    dirs, p = spec.directions().astype(float), np.array(spec.p)
+    n, d = dirs.shape
+    most = 0
+    for sub in combinations(range(n), d - 1):
+        # det[sub; v] = 0 exactly when v lies in the span of sub
+        stack = np.concatenate([np.broadcast_to(dirs[list(sub)], (n, d - 1, d)),
+                                dirs[:, None, :]], axis=1)
+        inside = np.abs(np.linalg.det(stack)) < 0.5
+        if not inside.all():  # sub spans a hyperplane
+            most = max(most, int(p[inside].sum()))
+    return int(p.sum()) - most

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AnisoError, NonExistent, NotInSpace
 from .intlat import (IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
-                     reduce_freq_many)
+                     freq_shifts, reduce_freq_many)
 from .ptransform import (
     CoeffVector,
     FourierSeries,
@@ -132,16 +132,9 @@ class FundamentalInterpolant:
     @cached_property
     def shifts(self) -> np.ndarray:
         """Read-only exact ``(n, d)`` shifts ``z`` of the modes, computed on
-        first use; ``AnisoError`` unless ``d (max|k| + max|h|) max|adj M| <
-        2^63``, which keeps ``(k - h) adj M`` exact in int64."""
-        pm, freqs, hs = self.pm, self.series.freqs, gset_freqs(self.pm)
-        kmax = max(int(freqs.max(initial=0)), -int(freqs.min(initial=0)))
-        amax = max(abs(a) for row in pm.adj for a in row)
-        if pm.d * (kmax + int(np.abs(hs).max())) * amax >= 2**63:
-            k = freqs[np.argmax(np.abs(freqs.astype(float)).max(axis=1))]
-            raise AnisoError(f"mode {tuple(k.tolist())} is too large for exact "
-                             "int64 aliasing shifts")
-        zs = pm.sign * ((freqs - hs[self.labels]) @ pm.adj_np) // pm.m
+        first use by :func:`freq_shifts`; ``AnisoError`` if a shift does not
+        fit in int64."""
+        zs = freq_shifts(self.series.freqs, self.pm)
         zs.flags.writeable = False
         return zs
 

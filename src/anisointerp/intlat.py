@@ -267,9 +267,10 @@ def pattern_point(g: IntVec, pm: PatternMatrix) -> tuple[Fraction, ...]:
     return pm.inv_apply(g)
 
 
-def _reduce_rows(ks: np.ndarray, p: PatternMatrix) -> np.ndarray:
-    """``h = k - p z`` for each row ``k`` of an ``(n, d)`` integer array, with
-    ``z`` rounding ``p^{-1} k`` so that ``p^{-1} h`` lies in ``[-1/2, 1/2)^d``.
+def _shift_rows(ks: np.ndarray, p: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, h)`` with ``h = k - p z`` for each row ``k`` of an ``(n, d)``
+    integer array, ``z`` rounding ``p^{-1} k`` so that ``p^{-1} h`` lies in
+    ``[-1/2, 1/2)^d``.
 
     Exact: int64 while ``d^2 (max|k| + 1) max|adj p| max|p| < 2^61`` bounds
     every intermediate, Python ints (``dtype=object``) otherwise.  Raises
@@ -288,7 +289,12 @@ def _reduce_rows(ks: np.ndarray, p: PatternMatrix) -> np.ndarray:
         i = int(np.argmax(bad))
         raise AnisoError(f"reduction of {tuple(ks[i].tolist())} mod {p.mat} gave "
                          f"the non-canonical {tuple(hs[i].tolist())}")
-    return hs
+    return z, hs
+
+
+def _reduce_rows(ks: np.ndarray, p: PatternMatrix) -> np.ndarray:
+    """The reduced rows ``h`` of :func:`_shift_rows`."""
+    return _shift_rows(ks, p)[1]
 
 
 def _object_rows(*ks: IntVec) -> np.ndarray:
@@ -305,6 +311,18 @@ def reduce_freq_many(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
     """:func:`reduce_freq` for the rows of an ``(n, d)`` int64 array."""
     return np.asarray(_reduce_rows(np.asarray(ks, dtype=np.int64), pm.transposed()),
                       dtype=np.int64)
+
+
+def freq_shifts(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
+    """Exact aliasing shifts ``z`` with ``k = reduce_freq(k) + M^T z`` for the
+    rows of an ``(n, d)`` int64 array.  Raises ``AnisoError`` if a shift does
+    not fit in int64."""
+    z = _shift_rows(np.asarray(ks, dtype=np.int64), pm.transposed())[0]
+    if z.dtype == object and np.abs(z).max(initial=0) >= 2**63:
+        i = int(np.argmax(np.abs(z).max(axis=1)))
+        raise AnisoError(f"aliasing shift of mode {tuple(ks[i].tolist())} "
+                         "does not fit in int64")
+    return np.asarray(z, dtype=np.int64)
 
 
 def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:

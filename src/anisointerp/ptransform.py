@@ -84,10 +84,6 @@ class FourierSeries:
         return FourierSeries(self.freqs, self.coeffs * c, window=self.window)
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        if len(self) == 0:
-            return FourierSeries(other.freqs, other.coeffs)
-        if len(other) == 0:
-            return FourierSeries(self.freqs, self.coeffs)
         return FourierSeries(
             np.vstack([self.freqs, other.freqs]),
             np.concatenate([self.coeffs, other.coeffs]),

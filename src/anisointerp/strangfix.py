@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxspline import _int_shell
 from .errors import DivergentSeries, InsufficientSupport
 from .fspaces import WeightSpec, lq_norm, weights_many
 from .interp import FundamentalInterpolant
@@ -36,6 +37,7 @@ from .spectral import inv_t_apply, spectral_data
 H0_TOL = 1e-10
 TAIL_FRAC = 1e-6
 ORDER_SLACK = 0.75
+SM_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -239,39 +241,50 @@ def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float,
 
 def gamma_sm(mu: float, alpha: float, q: float, d: int,
              zmax: int = 200) -> float:
-    """Smoothness constant of the aliasing theorem.
+    """Smoothness constant of the aliasing theorem, as a certified upper bound.
 
     ``(1+d)^{alpha/2} 2^{mu}`` times the conjugate-``l_p`` norm of
-    ``||2|z| - 1||^{-mu}`` over nonzero shifts (sup for ``q = 1``), with a
-    power-law extrapolation of the truncated series.  The ``2^{mu}`` factor
+    ``||2|z| - 1||^{-mu}`` over nonzero shifts (the maximum, reached on
+    the shell ``||z||_inf = 1``, for ``q = 1``).  The ``2^{mu}`` factor
     comes from extracting ``(||M||^2 / 4)^{-p mu / 2}`` out of the shift
     sum ``sum_z sigma_{-p mu}(h + M^T z)``.
+
+    The series is summed exactly one shell ``||z||_inf = r`` at a time up
+    to some ``R``; since ``||2|z| - 1|| >= 2r - 1`` on a shell of at most
+    ``2d (2r+1)^{d-1}`` points, the shells past ``R`` add at most
+    ``d ((2R+1)/(2R-1))^{d-1} (2R-1)^{d - p mu} / (p mu - d)``.  The sum
+    stops once that remainder is below ``1e-13`` of the partial sum, or at
+    ``R = zmax``, and the remainder is included.
 
     Raises
     ------
     DivergentSeries
         If ``mu <= d (1 - 1/q)``.
+    ValueError
+        If ``zmax < 1``.
     """
+    if zmax < 1:
+        raise ValueError(f"zmax must be >= 1, got {zmax}")
     qinv = 0.0 if math.isinf(q) else 1.0 / q
     if mu <= d * (1.0 - qinv) + 1e-12:
         raise DivergentSeries(f"mu = {mu} must exceed d(1 - 1/q) = {d * (1 - qinv)}")
     pref = (1.0 + d) ** (alpha / 2.0) * 2.0**mu
-    from .boxspline import _int_box
-
-    zs = _int_box(d, zmax)
-    zs = zs[np.abs(zs).max(axis=1) > 0]
-    norms = np.linalg.norm(2.0 * np.abs(zs) - 1.0, axis=1)
     if q == 1:
-        return pref * float((norms ** (-mu)).max())
+        return pref * float(_shell_norms(d, 1).min() ** (-mu))
     p = 1.0 if math.isinf(q) else q / (q - 1.0)
-    vals = norms ** (-p * mu)
-    shell = np.abs(zs).max(axis=1)
-    total = float(vals.sum())
-    s_far = float(vals[shell == zmax].sum())
-    s_mid = float(vals[shell == zmax // 2].sum())
-    beta = math.log(s_mid / s_far) / math.log(zmax / (zmax // 2))
-    remainder = s_far * zmax / (beta - 1.0) if beta > 1.0 else math.inf
-    return pref * float((total + remainder) ** (1.0 / p))
+    e = p * mu
+    total = 0.0
+    for r in range(1, zmax + 1):
+        total += float((_shell_norms(d, r) ** (-e)).sum())
+        rest = d * ((2 * r + 1) / (2 * r - 1)) ** (d - 1) * (2 * r - 1) ** (d - e) / (e - d)
+        if rest <= SM_REL_TOL * total:
+            break
+    return pref * float((total + rest) ** (1.0 / p))
+
+
+def _shell_norms(d: int, r: int) -> np.ndarray:
+    """``||2|z| - 1||_2`` over the shell ``||z||_inf = r``."""
+    return np.linalg.norm(2.0 * np.abs(_int_shell(d, r)) - 1.0, axis=1)
 
 
 def c_rho(gamma_sf: float, gamma_ip_val: float, gamma_sm_val: float,

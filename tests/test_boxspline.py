@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisointerp import (
     BoxSplineSpec,
@@ -21,6 +23,8 @@ from anisointerp import (
     sf_order,
     validate_matrix,
 )
+from anisointerp import boxspline
+from anisointerp.boxspline import _alias_bound, _int_box, _int_shell
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
@@ -88,22 +92,60 @@ def test_periodize_support_and_window():
 
 
 def test_periodization_tail_frozen_values():
-    # frozen from this implementation's analytic shell bound (power-law
-    # extrapolated); per congruence class, m = 64
-    assert periodization_tail(B222, FIG1, 16) == pytest.approx(
-        2.0444428673e-07, rel=1e-4
-    )
-    assert periodization_tail(B222, FIG1, 32) == pytest.approx(
-        2.4740585686e-08, rel=1e-4
-    )
+    # frozen from the certified shell sum run to its cap (radius + 512) with
+    # the integral remainder there; per congruence class, m = 64
+    t = {r: periodization_tail(B222, FIG1, r) for r in (8, 16, 32, 64)}
+    assert t[16] == pytest.approx(2.418617544890297e-07, rel=1e-9)
+    assert t[32] == pytest.approx(5.997279629257784e-08, rel=1e-9)
+    # at least the brute-force sum of the per-point bound over a larger box
+    z = _int_box(2, 128)
+    rad = np.abs(z).max(axis=1)
+    for r in (16, 32):
+        assert t[r] >= _alias_bound(z[rad > r], B222).sum() / FIG1.m
     # monotone decreasing in the radius
-    t = [periodization_tail(B222, FIG1, r) for r in (8, 16, 32, 64)]
-    assert all(b < a for a, b in zip(t, t[1:]))
+    assert t[8] > t[16] > t[32] > t[64]
 
 
 def test_periodize_rejects_large_tail():
     with pytest.raises(TailTooLarge):
-        periodize(B111, E2, PeriodizationWindow(radius=4, tail_eps=1e-12))
+        periodize(B222, E2, PeriodizationWindow(radius=4, tail_eps=1e-12))
+
+
+def test_tail_infinite_when_order_at_most_d():
+    """B(1,1,1) has order 2 = d: the shell remainder does not converge, so
+    no tail_eps is met."""
+    for tail_eps in (None, 1.0, 1e300):
+        assert periodization_tail(B111, E2, 8, tail_eps) == math.inf
+    d3 = validate_matrix(np.diag([2, 2, 2]))
+    assert periodization_tail(BoxSplineSpec(3, (1,) * 6), d3, 2) == math.inf
+    with pytest.raises(TailTooLarge):
+        periodize(B111, E2, PeriodizationWindow(radius=16, tail_eps=1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), full=st.booleans(), radius=st.integers(2, 6),
+       data=st.data())
+def test_tail_bounds_brute_force_sum(d, full, radius, data):
+    """With a budget any finite bound meets, the sum stops at the first
+    shell ``R_far`` where the remainder applies; the bound must cover the
+    brute-force sum up to ``2 R_far`` and not grow with the radius."""
+    family = "full" if full else "simplex"
+    ndir = d * d if full else d * (d + 1) // 2
+    spec = BoxSplineSpec(d, tuple(data.draw(st.lists(st.integers(1, 3), min_size=ndir,
+                                                     max_size=ndir))), family)
+    pm = validate_matrix(np.diag([2] * d))
+    seen = [radius]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boxspline, "_int_shell",
+                   lambda dd, r: seen.append(r) or _int_shell(dd, r))
+        tail = periodization_tail(spec, pm, radius, 1e300)
+        assert periodization_tail(spec, pm, radius + 1, 1e300) <= tail
+    if sf_order(spec) <= d:
+        assert tail == math.inf
+        return
+    z = _int_box(d, 2 * max(seen))
+    brute = _alias_bound(z[np.abs(z).max(axis=1) > radius], spec).sum() / pm.m
+    assert tail >= brute
 
 
 def test_spatial_positivity_on_grid():
@@ -124,10 +166,10 @@ def test_sf_order_values():
     assert sf_order(B222) == 4
     assert sf_order(BoxSplineSpec(2, (1, 2, 3))) == 3
     assert sf_order(BoxSplineSpec(2, (3, 1, 1))) == 2
-    with pytest.raises(ValueError):
-        sf_order(BoxSplineSpec(3, (1,) * 6))
-    with pytest.raises(ValueError):
-        sf_order(BoxSplineSpec(2, (1, 1, 1, 1), family="full"))
+    # total multiplicity minus the most in one hyperplane, in any d
+    assert sf_order(BoxSplineSpec(3, (2,) * 6)) == 6
+    assert sf_order(BoxSplineSpec(2, (1, 1, 1, 1), family="full")) == 3
+    assert sf_order(BoxSplineSpec(1, (3,))) == 3
 
 
 def test_full_family_has_degenerate_class():
@@ -145,7 +187,14 @@ def test_full_family_has_degenerate_class():
 
 @pytest.mark.parametrize("d,r", [(1, 0), (1, 3), (2, 2), (3, 2)])
 def test_int_box_matches_product(d, r):
-    from anisointerp.boxspline import _int_box
-
     expect = [list(z) for z in product(range(-r, r + 1), repeat=d)]
     assert _int_box(d, r).tolist() == expect
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_int_shells_partition_the_box(d):
+    shells = [_int_shell(d, r) for r in range(4)]
+    for r, z in enumerate(shells):
+        assert (np.abs(z).max(axis=1) == r).all()
+    rows = np.concatenate(shells).tolist()
+    assert sorted(rows) == _int_box(d, 3).tolist()  # each point exactly once

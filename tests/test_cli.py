@@ -111,6 +111,18 @@ def test_sfcheck_pass_and_fail(fig1, capsys):
     assert code == 2
 
 
+def test_sfcheck_3d_end_to_end(tmp_path, capsys):
+    """The 3-D check with perfbench's sfcheck-3d arguments (SFCHECK_ARGS)."""
+    mat = tmp_path / "M3.txt"
+    mat.write_text("3\n8 2 1\n0 8 2\n1 0 8\n")
+    code = run(["sfcheck", str(mat), "--kernel", "3; 2,2,2,2,2,2", "--order", "4",
+                "--radius", "4", "--tail-eps", "1e-4"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["pass"] is True
+    assert payload["gamma_sf"] == pytest.approx(127.95508500261175, abs=1e-6)
+
+
 @pytest.mark.parametrize("flags", [
     ["--kernel", "2;2,2,2", "--q", "nan"],
     ["--kernel", "2;2,2,2", "--q", "0"],

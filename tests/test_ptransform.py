@@ -112,6 +112,13 @@ def test_series_dedup_and_arithmetic():
     assert h.get((0, 1)) == pytest.approx(2.5)
 
 
+def test_series_add_merges_an_empty_side():
+    f = FourierSeries(np.array([[1, 0], [1, 0]]), np.array([1.0, 2.0], dtype=complex))
+    for s in (f + FourierSeries.zero(2), FourierSeries.zero(2) + f):
+        assert s.freqs.tolist() == [[1, 0]]
+        assert s.coeffs.tolist() == [3.0]
+
+
 def test_series_csv_roundtrip_and_determinism():
     rng = np.random.default_rng(3)
     freqs = rng.integers(-9, 10, size=(40, 3))

@@ -1,6 +1,7 @@
 """Strang-Fix verification and the theorem constants."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from anisointerp import (
     validate_matrix,
     verify_sfc,
 )
+from anisointerp.boxspline import _int_box
 
 FIG1 = validate_matrix([[8, 3], [0, 8]])
 B222 = BoxSplineSpec(2, (2, 2, 2))
@@ -61,26 +63,33 @@ def test_gamma_ip_rejects_invalid_alpha_and_q(alpha, q):
 
 
 def test_shifts_past_int64_raise():
-    """A mode whose ``(k - h) adj M`` could wrap in int64 is refused, not
-    counted at a wrapped shift ``z = 0`` in the inner condition; one just
-    inside ``d (max|k| + max|h|) max|adj M| < 2^63`` gets its exact shift."""
-    pm = validate_matrix([[2, 1], [0, 2]])  # d = 2, max|adj M| = 2, max|h| = 1
-    phi = dirichlet_kernel(pm)
-
-    def with_mode(k):
+    """Shifts come from the exact reduction, so a mode past the int64 range
+    of ``(k - h) adj M`` still gets its exact shift; only a shift that does
+    not itself fit in int64 is refused."""
+    def with_mode(k, pm):
+        phi = dirichlet_kernel(pm)
         return fundamental_interpolant(FourierSeries(
             np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5), window=math.inf), pm)
 
-    ifun = with_mode((2**63 - 1, 2**62 - 1))
-    assert cardinal_residual(ifun) < 1e-12  # building and applying it still work
+    pm = validate_matrix([[2, 1], [0, 2]])
+    assert reduce_freq((2**63 - 1, 2**62 - 1), pm) == (-1, -1)
+    for k in ((2**63 - 1, 2**62 - 1), (2**61 - 2, -(2**61 - 2))):
+        ifun = with_mode(k, pm)
+        h = reduce_freq(k, pm)
+        assert tuple(ifun.shifts[-1].tolist()) == pm.transposed().inv_apply(
+            tuple(a - b for a, b in zip(k, h)))
+        # the far mode lies outside the checked shells; both checks run
+        rep = verify_sfc(ifun, SFParams(s=2.0), zmax=4)
+        assert math.isfinite(rep.gamma_sf) and max(max(map(abs, z)) for z in rep.b) <= 4
+        assert gamma_ip(ifun, 0.0, 2.0, 4) == pytest.approx(1.0, rel=1e-12)
+        assert cardinal_residual(ifun) < 1e-12
+
+    # on M = [[2, 100], [0, 2]] the shift of (2^60, 0) is (2^59, -25 2^60)
+    ifun = with_mode((2**60, 0), validate_matrix([[2, 100], [0, 2]]))
     for check in (lambda: verify_sfc(ifun, SFParams(s=2.0), zmax=4),
                   lambda: gamma_ip(ifun, 0.0, 2.0, 4)):
-        with pytest.raises(AnisoError, match="too large"):
+        with pytest.raises(AnisoError, match="does not fit in int64"):
             check()
-    k = (2**61 - 2, -(2**61 - 2))
-    z = with_mode(k).shifts[-1].tolist()
-    h = reduce_freq(k, pm)
-    assert tuple(z) == pm.transposed().inv_apply(tuple(a - b for a, b in zip(k, h)))
 
 
 def test_dirichlet_passes_any_order_with_zero_gamma():
@@ -219,6 +228,20 @@ def test_gamma_sm_series_value_q2():
     assert gamma_sm(6.0, 0.0, 2.0, 2) == pytest.approx(expect, rel=1e-9)
 
 
+def test_gamma_sm_3d_is_fast_and_bounds_direct_sum():
+    # d = 3, mu = 6, q = 2: the direct sum of ||2|z|-1||^{-12} over
+    # ||z||_inf <= 20 is a lower bound, and the shells past 20 add < 1e-13
+    start = time.perf_counter()
+    value = gamma_sm(6.0, 0.0, 2.0, 3)
+    assert time.perf_counter() - start < 0.1
+    z = _int_box(3, 20)
+    z = z[np.abs(z).max(axis=1) > 0]
+    direct = 2.0**6.0 * float((np.linalg.norm(2.0 * np.abs(z) - 1.0, axis=1)
+                               ** -12.0).sum()) ** 0.5
+    assert value >= direct
+    assert value == pytest.approx(direct, rel=1e-12)
+
+
 def test_gamma_sm_divergence_guard():
     with pytest.raises(DivergentSeries):
         gamma_sm(0.5, 0.0, 2.0, 2)  # mu <= d(1 - 1/q) = 1
@@ -227,6 +250,8 @@ def test_gamma_sm_divergence_guard():
     # boundary is excluded
     with pytest.raises(DivergentSeries):
         gamma_sm(1.0, 0.0, 2.0, 2)
+    with pytest.raises(ValueError):
+        gamma_sm(6.0, 0.0, 2.0, 2, zmax=0)
 
 
 def test_c_rho_arithmetic():
