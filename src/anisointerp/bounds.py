@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .boxspline import BoxSplineSpec, PeriodizationWindow, periodize, sf_order
+from .errors import AnisoError
 from .fspaces import WeightSpec, a_norm, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
@@ -33,7 +34,7 @@ from .interp import (
     interpolation_operator,
 )
 from .intlat import PatternMatrix, validate_matrix
-from .ptransform import FourierSeries, SampleVector, dft_inverse, fold_classes, merge_rows
+from .ptransform import FourierSeries, SampleVector, dft_inverse, fold_classes
 from .spectral import is_expanding, spectral_data
 from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
 
@@ -59,17 +60,54 @@ class ErrorBreakdown:
     scale: float
 
 
+def _find_rows(rows: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``rows`` that occur in ``ref`` (unique rows), as the pair
+    ``(hit, at)`` with ``rows[hit] == ref[at]`` and ``hit`` increasing.
+
+    Exact for any int64 entries, and ``rows`` is neither sorted nor copied.
+    Axis by axis, an entry is replaced by its rank among ``ref``'s entries
+    on that axis, and the key of the axes so far by the rank of that prefix
+    among ``ref``'s prefixes, so every key stays below ``len(ref)**2``; a
+    row drops out at the first axis or prefix that ``ref`` lacks.
+    """
+    n, d = ref.shape
+    if n == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    if n * n >= 2**63:
+        raise AnisoError(f"{n} rows are too many for exact int64 row keys")
+    hit, key, ref_key = np.arange(len(rows)), 0, 0
+    for a in range(d):
+        vals = np.unique(ref[:, a])
+        col = rows[:, a] if a == 0 else rows[hit, a]
+        pos = np.minimum(np.searchsorted(vals, col), len(vals) - 1)
+        keep = vals[pos] == col
+        hit, key = hit[keep], (key * len(vals) + pos)[keep]
+        ref_key = ref_key * len(vals) + np.searchsorted(vals, ref[:, a])
+        prefixes = np.unique(ref_key)
+        pos = np.minimum(np.searchsorted(prefixes, key), len(prefixes) - 1)
+        keep = prefixes[pos] == key
+        hit, key, ref_key = hit[keep], pos[keep], np.searchsorted(prefixes, ref_key)
+    if len(prefixes) < n:
+        raise ValueError("the series has repeated frequency rows")
+    return hit, np.argsort(ref_key)[key]
+
+
 def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
                  alpha: float, q: float) -> ErrorBreakdown:
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
 
-    ``L_M f`` and ``L_M S_M f`` are applied to node samples and share the
-    interpolant's support, where their difference is normed directly;
-    ``f - S_M f`` is ``f`` on its non-canonical modes.  ``f - L_M f`` and
-    ``S_M f - L_M S_M f`` are the two columns of one merge of the supports
-    of ``f`` and the interpolant.  Every norm is an exact finite sum; the
-    interpolant must cover the congruence classes of ``f``'s support
-    (guaranteed when it stores every class, as the built-in kernels do).
+    ``L_M f`` and ``L_M S_M f`` are applied to node samples and live on the
+    interpolant's support; ``f - S_M f`` is ``f`` on its non-canonical
+    modes.  No union of supports is formed: :func:`_find_rows` finds each of
+    ``f``'s modes in the interpolant's support by exact per-axis ranks, so
+    ``f - L_M f`` and ``S_M f - L_M S_M f`` are the support's rows, less
+    ``f``'s coefficient where it has one, together with ``f``'s modes off
+    the support.  One weight pass over the support serves the total, trig
+    and aliasing norms, one over ``f``'s modes the rest.  Both supports must
+    have unique rows, as :class:`FourierSeries` stores them (``ValueError``
+    if ``f``'s repeat).  Every norm is an exact finite sum; the interpolant
+    must cover the congruence classes of ``f``'s support (guaranteed when it
+    stores every class, as the built-in kernels do).
     """
     pm = ifun.pm
     ws = WeightSpec(alpha, pm, q)
@@ -78,13 +116,19 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     fvals = evaluate_at_nodes(f, pm)
     lc, lsc = (interpolation_operator(SampleVector(v, pm), ifun).coeffs for v in
                (fvals, evaluate_at_nodes(FourierSeries(freqs[canon], fc[canon]), pm)))
-    on_f = np.stack([fc, np.where(canon, fc, 0)], axis=1)
-    cols = np.vstack([on_f, -np.stack([lc, lsc], axis=1)])  # f - L f, S f - L S f
-    rows, diffs = merge_rows(np.vstack([freqs, ifun.series.freqs]), cols)
-    weighted = weights_many(rows, ws.beta, pm)[:, None] * np.abs(diffs)
-    total, trig = (lq_norm(col, ws.q) for col in weighted.T)
-    aliasing = lq_norm(weights_many(ifun.series.freqs, ws.beta, pm) * np.abs(lc - lsc), ws.q)
-    partial = a_norm(FourierSeries(freqs[~canon], fc[~canon]), alpha, ws)
+    hit, at = _find_rows(ifun.series.freqs, freqs)
+    off = np.ones(len(fc), dtype=bool)
+    off[at] = False
+    w, wf = (weights_many(ks, ws.beta, pm) for ks in (ifun.series.freqs, freqs))
+
+    def error_norm(c, lg):  # ||g - L g||, g with coefficients c on f's modes
+        diff = -lg
+        diff[hit] += c[at]
+        return lq_norm(np.concatenate([w * np.abs(diff), wf[off] * np.abs(c[off])]), ws.q)
+
+    total, trig = error_norm(fc, lc), error_norm(np.where(canon, fc, 0), lsc)
+    aliasing = lq_norm(w * np.abs(lc - lsc), ws.q)
+    partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), ws.q)
     residual = np.abs(pm.m * dft_inverse(fold_classes(ifun.labels, lc, pm)).values - fvals)
     return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
                           node_residual=float(residual.max(initial=0.0)),

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TailTooLarge
+from .errors import AnisoError, TailTooLarge
 from .intlat import PatternMatrix
 from .ptransform import FourierSeries, gset_freqs
 from .spectral import inv_t_apply
@@ -208,16 +208,23 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
     ------
     TailTooLarge
         If the computed tail bound exceeds ``win.tail_eps``.
+    AnisoError
+        If a mode could leave int64: ``max|h| + d radius max|M| >= 2^63``.
     """
     if spec.d != pm.d:
         raise ValueError("spline dimension and matrix dimension differ")
+    h = gset_freqs(pm)
+    reach = (max(int(h.max()), -int(h.min()))
+             + pm.d * win.radius * max(abs(x) for row in pm.mat for x in row))
+    if reach >= 2**63:
+        raise AnisoError(f"modes h + M^T z of {pm.mat} up to radius {win.radius} "
+                         f"reach {reach}, past int64")
     if win.tail_eps is not None:
         tail = periodization_tail(spec, pm, win.radius, win.tail_eps)
         if not tail <= win.tail_eps:
             raise TailTooLarge(
                 f"tail bound {tail:.3e} exceeds requested {win.tail_eps:.3e}"
             )
-    h = gset_freqs(pm)
     z = _int_box(pm.d, win.radius)
     ks = (h[:, None, :] + (z @ pm.mat_np)[None, :, :]).reshape(-1, pm.d)
     y = inv_t_apply(ks, pm)

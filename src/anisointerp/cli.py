@@ -175,7 +175,10 @@ def _cmd_sfcheck(args) -> int:
         order = float(sf_order(kernel))
     else:
         raise ValueError("--order is required for the Dirichlet kernel")
-    zmax = args.radius if kernel != "dirichlet" else args.zmax
+    if kernel != "dirichlet" and args.zmax is not None:
+        raise ValueError("--zmax is for the Dirichlet kernel; "
+                         "a box-spline kernel's shell range is --radius")
+    zmax = args.radius if kernel != "dirichlet" else (8 if args.zmax is None else args.zmax)
     params = SFParams(s=order, alpha=args.alpha, q=args.q, mode=args.mode)
     ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps)
     report = verify_sfc(ifun, params, zmax=zmax)
@@ -281,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
     p.add_argument("--radius", type=int, default=16)
-    p.add_argument("--zmax", type=int, default=8,
-                   help="shell range for the Dirichlet kernel; box-spline "
-                        "kernels use --radius instead")
+    p.add_argument("--zmax", type=int, default=None,
+                   help="shell range for the Dirichlet kernel (default 8); "
+                        "box-spline kernels use --radius and reject it")
     p.add_argument("--tail-eps", dest="tail_eps", type=float, default=1e-4)
     p.set_defaults(func=_cmd_sfcheck)
 

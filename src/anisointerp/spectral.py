@@ -46,7 +46,7 @@ class SpectralData:
     eig_mags: tuple[float, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def spectral_data(pm: PatternMatrix) -> SpectralData:
     """Compute :class:`SpectralData` for a validated pattern matrix.
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anisointerp import (
     BoxSplineSpec,
@@ -36,6 +38,7 @@ from anisointerp import (
     verify_sfc,
     weight,
 )
+from anisointerp import bounds, ptransform
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 M21 = validate_matrix([[2, 1], [0, 2]])
@@ -160,6 +163,119 @@ def test_partial_sum_theorem_matches_series_arithmetic(alpha, q):
         assert num > 0.0
         assert check_partial_sum_theorem(f, pm, alpha, mu, q) == pytest.approx(
             num / rhs, rel=1e-12, abs=0.0)
+
+
+ORACLE_NORMS = [(0.0, 2.0), (1.5, 2.0), (0.5, math.inf), (0.0, 1.0)]
+
+
+def assert_matches_oracle(f, ifun, alpha, q):
+    got = interp_error(f, ifun, alpha, q)
+    expect = interp_error_by_series_arithmetic(f, ifun, alpha, q)
+    for name in ("total", "trig", "partial", "aliasing", "node_residual", "scale"):
+        want = getattr(expect, name)
+        assert getattr(got, name) == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+def _off_support(ifun, freqs):
+    support = {tuple(k) for k in ifun.series.freqs.tolist()}
+    return np.array([k for k in freqs.tolist() if tuple(k) not in support],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def _edge_function(case, ifun, rng):
+    """``wrap``: modes at +-2^40 plus modes on the support; ``disjoint``:
+    no mode on the support; ``empty``; ``outside``: one mode ``h + M^T z``
+    with ``||z||_inf = 9``, past the radius-6 shells of the oracle kernels."""
+    pm = ifun.pm
+    if case == "empty":
+        return FourierSeries.zero(2)
+    if case == "outside":
+        k = gset_freqs(pm)[-1] + np.array([9, -4]) @ pm.mat_np
+        assert len(_off_support(ifun, k[None])) == 1
+        return FourierSeries(k[None], np.array([0.5 - 2j]), window=math.inf)
+    if case == "wrap":
+        big = 2**40
+        freqs = np.vstack([[[big, -big], [-big, big], [big, 3], [-5, -big]],
+                           ifun.series.freqs[::7][:40], gset_freqs(pm)])
+        # a key packed over f's bounding box would need more than 63 bits
+        assert math.prod(int(c) + 1 for c in np.ptp(freqs, axis=0)) >= 2**63
+    else:
+        freqs = _off_support(ifun, rng.integers(-60, 61, size=(60, 2)))
+    coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    return FourierSeries(freqs, coeffs, dedup=True)
+
+
+@pytest.mark.parametrize("case", ["wrap", "disjoint", "empty", "outside"])
+@pytest.mark.parametrize("kernel", ["dirichlet", "box", "full"])
+def test_interp_error_edge_cases_match_series_arithmetic(kernel, case):
+    ifun = _oracle_kernel(kernel)
+    f = _edge_function(case, ifun, np.random.default_rng(17))
+    for alpha, q in ORACLE_NORMS:
+        assert_matches_oracle(f, ifun, alpha, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), box=st.booleans(), data=st.data())
+def test_interp_error_matches_series_arithmetic_property(d, box, data):
+    """Random regular matrices and random sparse ``f``: some modes on the
+    interpolant's support, some off it, some near the int64 range."""
+    mat = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                             min_size=d, max_size=d))
+    det = round(np.linalg.det(np.array(mat, dtype=float)))
+    assume(det != 0 and abs(det) <= 12)
+    pm = validate_matrix(mat)
+    if box:
+        spec = BoxSplineSpec(d, (2,) * (d * (d + 1) // 2))
+        phi = periodize(spec, pm, PeriodizationWindow(radius=2, tail_eps=None))
+        ifun = fundamental_interpolant(phi, pm, allow_incorrect=True)
+    else:
+        ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+    support = ifun.series.freqs
+    picked = data.draw(st.lists(st.integers(0, len(support) - 1), max_size=8))
+    entry = st.one_of(st.integers(-20, 20), st.sampled_from([-2**40, 2**40, 2**62]))
+    drawn = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=8))
+    freqs = np.vstack([support[picked].reshape(-1, d),
+                       np.array(drawn, dtype=np.int64).reshape(-1, d)])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
+    f = FourierSeries(freqs, coeffs, dedup=True)
+    alpha, q = data.draw(st.sampled_from(ORACLE_NORMS))
+    assert_matches_oracle(f, ifun, alpha, q)
+
+
+def test_interp_error_rejects_repeated_rows():
+    ifun = _oracle_kernel("dirichlet")
+    f = FourierSeries(np.array([[1, 0], [1, 0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="repeated"):
+        interp_error(f, ifun, 0.0, 2.0)
+
+
+def test_interp_error_never_merges_the_support(monkeypatch):
+    """The study's j=3 interpolant (m=256, 278 784 modes) with every merge,
+    and every lexsort or vstack as long as its support, made to raise."""
+    pm = validate_matrix([[16, 8], [0, 16]])
+    ifun = bounds.build_interpolant(B222, pm, 16, 1e-4)
+    f = decay_profile(2, 9.0, 16)
+    n = len(ifun.series)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("merge_rows called")
+
+    def guard(fn, length):
+        def wrapped(arrays, *args, **kwargs):
+            if length(arrays) >= n:
+                raise AssertionError(f"{fn.__name__} over the support")
+            return fn(arrays, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ptransform, "merge_rows", refuse)
+    monkeypatch.setattr(bounds, "merge_rows", refuse, raising=False)
+    monkeypatch.setattr(np, "lexsort", guard(np.lexsort, lambda k: np.shape(k)[-1]))
+    monkeypatch.setattr(np, "vstack", guard(np.vstack, lambda a: sum(map(len, a))))
+    err = interp_error(f, ifun, 0.0, 2.0)
+    # the study's error at j=3 (anisointerp converge on the benchmark config)
+    assert err.total == pytest.approx(1.8818036851855097e-07, rel=1e-12)
+    assert err.node_residual < 1e-12
 
 
 def test_trig_theorem_box_spline(box_e2):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisointerp import (
+    AnisoError,
     BoxSplineSpec,
     NonExistent,
     PeriodizationWindow,
@@ -104,6 +105,20 @@ def test_periodization_tail_frozen_values():
         assert t[r] >= _alias_bound(z[rad > r], B222).sum() / FIG1.m
     # monotone decreasing in the radius
     assert t[8] > t[16] > t[32] > t[64]
+
+
+def test_periodize_refuses_modes_past_int64():
+    """``h + M^T z`` past int64 raises before the product instead of
+    wrapping; just inside the guard every mode is exact."""
+    with pytest.raises(AnisoError, match="int64"):
+        periodize(B222, validate_matrix([[1, 2**60], [0, 1]]),
+                  PeriodizationWindow(radius=16, tail_eps=None))
+    pm = validate_matrix([[1, 2**61], [0, 1]])  # m = 1, h = 0
+    with pytest.raises(AnisoError, match="int64"):  # 2 * 2 * 2^61 = 2^63
+        periodize(B222, pm, PeriodizationWindow(radius=2, tail_eps=None))
+    phi = periodize(B222, pm, PeriodizationWindow(radius=1, tail_eps=None))
+    exact = {(z1, z1 * 2**61 + z2) for z1, z2 in product((-1, 0, 1), repeat=2)}
+    assert {tuple(k) for k in phi.freqs.tolist()} == exact
 
 
 def test_periodize_rejects_large_tail():

@@ -144,6 +144,23 @@ def test_sfcheck_rejects_invalid_parameters(fig1, flags):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("zmax", ["-1", "8", "40"])
+def test_sfcheck_rejects_zmax_for_box_spline(fig1, zmax):
+    """A box-spline kernel's shell range is --radius; an explicit --zmax
+    exits 1 with one stderr line naming --radius, whatever its value."""
+    src = str(Path(anisointerp.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from anisointerp.cli import main; main()",
+         "sfcheck", fig1, "--kernel", "2;2,2,2", "--tail-eps", "1e-3", "--zmax", zmax],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "--radius" in proc.stderr
+
+
 def test_sfcheck_dirichlet_trivial(fig1, capsys):
     code = run(["sfcheck", fig1, "--kernel", "dirichlet", "--order", "3"])
     payload = json.loads(capsys.readouterr().out)

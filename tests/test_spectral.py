@@ -86,3 +86,13 @@ def test_inv_t_apply_does_not_wrap_around():
     assert inv_t_apply(ks[:1], pm).tolist() == [[2.0**61 / 8, -3 * 2.0**61 / 64]]
     small = np.random.default_rng(2).integers(-(2**40), 2**40, size=(200, 2))
     assert np.array_equal(inv_t_apply(small, pm), (small @ pm.adj_np) / float(pm.det))
+
+
+def test_spectral_data_cache_is_bounded():
+    assert spectral_data.cache_info().maxsize == 16
+    for n in range(2, 40):
+        spectral_data(validate_matrix([[n, 1], [0, n]]))
+    assert spectral_data.cache_info().currsize <= 16
+    # an evicted matrix is recomputed to the same values
+    assert spectral_data(validate_matrix([[2, 1], [0, 2]])).norm2 == pytest.approx(
+        power_iteration_norm(np.array([[2.0, 1.0], [0.0, 2.0]])), rel=1e-10)
