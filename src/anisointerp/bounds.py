@@ -298,8 +298,7 @@ def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
     err = interp_error(f, ifun, spec.alpha, spec.q)
     # the interpolant's window, spec.radius or inf, covers the shells up to spec.radius
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=spec.radius)
-    gip = gamma_ip(ifun, spec.alpha, spec.q, spec.radius)
-    rho, c_rho_val = c_rho(rep.gamma_sf, gip, gsm, s, spec.mu, spec.alpha, pm.d)
+    rho, c_rho_val = c_rho(rep.gamma_sf, rep.gamma_ip, gsm, s, spec.mu, spec.alpha, pm.d)
     fmu = a_norm(f, spec.mu, WeightSpec(spec.alpha, pm, spec.q))
     bound = c_rho_val * sd.norm2 ** (-rho) * fmu
     return ScaleRow(

@@ -48,7 +48,7 @@ from .ptransform import (
     pattern_generators,
     series_to_csv,
 )
-from .strangfix import SFParams, gamma_ip, verify_sfc
+from .strangfix import SFParams, verify_sfc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,7 +183,7 @@ def _cmd_sfcheck(args) -> int:
     ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps)
     report = verify_sfc(ifun, params, zmax=zmax)
     payload = report.to_json_dict()
-    payload["gamma_ip"] = gamma_ip(ifun, args.alpha, args.q, zmax)
+    payload["gamma_ip"] = report.gamma_ip
     print(json.dumps(payload, indent=2))
     if not report.passed:
         for msg in report.failures:

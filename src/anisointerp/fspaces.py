@@ -19,6 +19,8 @@ from .intlat import IntVec, PatternMatrix
 from .ptransform import FourierSeries
 from .spectral import inv_t_apply, is_expanding, spectral_data
 
+SUBMULT_RANGE = 50
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -90,14 +92,14 @@ def check_submultiplicativity(
     pm: PatternMatrix,
     relaxed: bool = False,
     rng: np.random.Generator | None = None,
-    index_range: int = 50,
 ) -> SubmultReport:
     """Randomized audit of the weight splitting inequality.
 
     Checks ``sigma_beta(k + M^T z) <= C sigma_beta(k) sigma_beta(z)`` on
-    random index pairs, with ``C = ||M||_2^beta`` in strict mode (requires
-    an expanding matrix) and ``C = 2^beta ||M||_2^beta`` in relaxed mode
-    (any regular matrix with ``||M||_2 >= 1``).
+    random index pairs in ``[-SUBMULT_RANGE, SUBMULT_RANGE]^d``, with
+    ``C = ||M||_2^beta`` in strict mode (requires an expanding matrix) and
+    ``C = 2^beta ||M||_2^beta`` in relaxed mode (any regular matrix with
+    ``||M||_2 >= 1``).
 
     Raises
     ------
@@ -113,8 +115,8 @@ def check_submultiplicativity(
     if rng is None:
         rng = np.random.default_rng(0)
     factor = sd.norm2**beta * (2.0**beta if relaxed else 1.0)
-    ks = rng.integers(-index_range, index_range + 1, size=(trials, pm.d))
-    zs = rng.integers(-index_range, index_range + 1, size=(trials, pm.d))
+    ks = rng.integers(-SUBMULT_RANGE, SUBMULT_RANGE + 1, size=(trials, pm.d))
+    zs = rng.integers(-SUBMULT_RANGE, SUBMULT_RANGE + 1, size=(trials, pm.d))
     lhs = weights_many(ks + zs @ pm.mat_np, beta, pm)
     rhs = factor * weights_many(ks, beta, pm) * weights_many(zs, beta, pm)
     ratio = lhs / rhs

@@ -80,23 +80,22 @@ class ExistenceReport:
         return not self.flagged
 
 
-def check_existence(phi: FourierSeries, pm: PatternMatrix,
-                    eps_rel: float = EXISTENCE_EPS_REL) -> ExistenceReport:
+def check_existence(phi: FourierSeries, pm: PatternMatrix) -> ExistenceReport:
     """Flag every congruence class whose folded coefficient (nearly) vanishes.
 
-    The threshold is relative: ``eps_rel`` times the largest folded
+    The threshold is relative: ``EXISTENCE_EPS_REL`` times the largest folded
     magnitude, since an exact "nonzero" test is meaningless in floats.
     Raises ``AnisoError`` if a folded coefficient is not finite.
     """
-    return _flag_vanishing(alias_fold(phi, pm), eps_rel)
+    return _flag_vanishing(alias_fold(phi, pm))
 
 
-def _flag_vanishing(folded: CoeffVector, eps_rel: float) -> ExistenceReport:
+def _flag_vanishing(folded: CoeffVector) -> ExistenceReport:
     mags = np.abs(folded.values)
     if not np.isfinite(mags).all():
         h = tuple(gset_freqs(folded.pm)[np.argmin(np.isfinite(mags))].tolist())
         raise AnisoError(f"folded kernel coefficient of class {h} is not finite")
-    eps = eps_rel * float(mags.max(initial=0.0))
+    eps = EXISTENCE_EPS_REL * float(mags.max(initial=0.0))
     flagged = [tuple(h) for h in gset_freqs(folded.pm)[mags <= eps].tolist()]
     return ExistenceReport(folded=folded, flagged=flagged, eps=eps)
 
@@ -143,7 +142,6 @@ def fundamental_interpolant(
     phi: FourierSeries,
     pm: PatternMatrix,
     allow_incorrect: bool = False,
-    eps_rel: float = EXISTENCE_EPS_REL,
 ) -> FundamentalInterpolant:
     """Build the fundamental interpolant of the translate space of ``phi``.
 
@@ -161,7 +159,7 @@ def fundamental_interpolant(
         If a folded class coefficient is not finite.
     """
     labels = freq_class_indices(phi.freqs, pm)
-    report = _flag_vanishing(fold_classes(labels, phi.coeffs, pm), eps_rel)
+    report = _flag_vanishing(fold_classes(labels, phi.coeffs, pm))
     folded = report.folded.values
     if report.flagged and not allow_incorrect:
         raise NonExistent(

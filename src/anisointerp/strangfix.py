@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxspline import _int_shell
-from .errors import DivergentSeries, InsufficientSupport
+from .boxspline import _int_box, _int_shell
+from .errors import AnisoError, DivergentSeries, InsufficientSupport
 from .fspaces import WeightSpec, lq_norm, weights_many
 from .interp import FundamentalInterpolant
-from .intlat import IntVec
+from .intlat import IntVec, PatternMatrix
 from .ptransform import fold_classes, gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
@@ -38,6 +38,7 @@ H0_TOL = 1e-10
 TAIL_FRAC = 1e-6
 ORDER_SLACK = 0.75
 SM_REL_TOL = 1e-13
+SM_MAX_SHELL = 200
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class SFReport:
 
     ``b`` maps each tested aliasing shift ``z`` to the tightest admissible
     constant; ``gamma_sf`` is the (truncated) weighted ``l_q`` norm of that
-    sequence.  ``fitted_order`` is the measured decay exponent of the inner
+    sequence, and ``gamma_ip`` is :func:`gamma_ip` on the same shells.
+    ``fitted_order`` is the measured decay exponent of the inner
     condition, ``None`` when the interpolant reproduces exactly.
     """
 
@@ -72,6 +74,7 @@ class SFReport:
     zmax: int
     b: dict[IntVec, float]
     gamma_sf: float
+    gamma_ip: float
     passed: bool
     witness: tuple[IntVec, IntVec] | None = None
     fitted_order: float | None = None
@@ -90,12 +93,12 @@ class SFReport:
         }
 
 
-def _shell_view(ifun: FundamentalInterpolant, zmax: int):
-    """Class labels, exact aliasing shifts ``z`` (``k = h + M^T z``) and
-    coefficients of the interpolant's modes with ``||z||_inf <= zmax``,
-    and the mask of ``z = 0``.  Raises ``InsufficientSupport`` unless the
-    series window certifies coverage of those shells.
-    """
+def _shell_view(ifun: FundamentalInterpolant, zmax: int, alpha: float):
+    """The coefficients ``c_{h + M^T z}`` on the shells ``||z||_inf <= zmax``:
+    the folded ``z = 0`` coefficient of each class, the box ``||z||_inf <= r``
+    of the largest shell ``r`` the modes reach with ``sigma_alpha`` on it,
+    and each ``z != 0`` mode's class position, box index and coefficient;
+    raises as :func:`gamma_ip` documents."""
     if zmax < 0:
         raise ValueError(f"zmax must be >= 0, got {zmax}")
     win = ifun.series.window
@@ -103,21 +106,40 @@ def _shell_view(ifun: FundamentalInterpolant, zmax: int):
         raise InsufficientSupport(
             f"series window {win} does not cover requested shells {zmax}"
         )
-    zinf = np.abs(ifun.shifts).max(axis=1)
-    sel = zinf <= zmax
-    return ifun.labels[sel], ifun.shifts[sel], ifun.series.coeffs[sel], zinf[sel] == 0
-
-
-def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
-               order_slack: float = ORDER_SLACK,
-               tail_frac: float = TAIL_FRAC) -> SFReport:
-    """Verify the Strang-Fix conditions on the shells ``||z||_inf <= zmax``.
-
-    Raises ``InsufficientSupport`` when the interpolant's window does not
-    cover those shells, and ``ValueError`` for a negative ``zmax``.
-    """
     pm = ifun.pm
-    labels, zs, coeffs, at0 = _shell_view(ifun, zmax)
+    zinf = np.abs(ifun.shifts).max(axis=1)
+    at0, out = zinf == 0, (zinf > 0) & (zinf <= zmax)
+    c0 = fold_classes(ifun.labels[at0], ifun.series.coeffs[at0], pm).values
+    r = int(zinf[out].max(initial=0))
+    box = _int_box(pm.d, r)
+    with np.errstate(over="ignore"):
+        sig = weights_many(box, alpha, pm)
+        if not np.isfinite(np.float64(spectral_data(pm).norm2) ** alpha * sig.max()):
+            raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
+    zidx = np.ravel_multi_index((ifun.shifts[out] + r).T, (2 * r + 1,) * pm.d)
+    return c0, box, sig, ifun.labels[out], zidx, ifun.series.coeffs[out]
+
+
+def _gamma_ip(view, alpha: float, q: float, pm: PatternMatrix) -> float:
+    """``m`` times the worst per-class ``l_q`` norm of a :func:`_shell_view`'s
+    ``|c_h|`` and ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``."""
+    c0, _, sig, labels, zidx, coeffs = view
+    outer = spectral_data(pm).norm2**alpha * (sig[zidx] * np.abs(coeffs))
+    if math.isinf(q):
+        per_h = np.abs(c0)
+        np.maximum.at(per_h, labels, outer)
+        return pm.m * float(per_h.max())
+    per_h = np.abs(c0) ** q
+    np.add.at(per_h, labels, outer**q)
+    return pm.m * float(per_h.max() ** (1.0 / q))
+
+
+def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFReport:
+    """Verify the Strang-Fix conditions, and compute ``gamma_IP``, on the
+    shells ``||z||_inf <= zmax``; raises as :func:`gamma_ip` does."""
+    pm = ifun.pm
+    view = _shell_view(ifun, zmax, params.alpha)
+    c0, box, sig_box, lab_o, zidx, c_o = view
     sd = spectral_data(pm)
     s = params.s
     kappa_fac = sd.kappa ** (-s) if params.mode == "strict" else 1.0
@@ -130,7 +152,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     witness = None
 
     # inner condition (z = 0); missing modes count as coefficient 0
-    inner = np.abs(1.0 - pm.m * fold_classes(labels[at0], coeffs[at0], pm).values)
+    inner = np.abs(1.0 - pm.m * c0)
     if inner[origin] > H0_TOL:
         failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
         witness = witness or (tuple(int(x) for x in hs[origin]),
@@ -141,41 +163,36 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
 
     # outer condition (z != 0)
-    out = ~at0
-    lab_o, zs_o, c_o = labels[out], zs[out], coeffs[out]
     zero_class = lab_o == origin
     bad = np.abs(pm.m * c_o[zero_class]) > H0_TOL
     if bad.any():
         j = np.flatnonzero(zero_class)[np.flatnonzero(bad)[0]]
         failures.append("nonzero coefficient on the zero class at z != 0")
-        witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs_o[j]))
+        witness = witness or ((0,) * pm.d, tuple(int(x) for x in box[zidx[j]]))
     rhs_outer = kappa_fac * sd.norm2 ** (-params.alpha) * ynorm**s
     keep = ~zero_class
     ratios = np.abs(pm.m * c_o[keep]) / rhs_outer[lab_o[keep]]
-    # b_z over the box ||z||_inf <= zmax, which holds every selected shift,
-    # so z + zmax indexes it exactly; kept where positive, and always at z = 0
-    box = (2 * zmax + 1,) * pm.d
-    best = np.zeros(math.prod(box))
-    np.maximum.at(best, np.ravel_multi_index((zs_o[keep] + zmax).T, box), ratios)
-    center = np.ravel_multi_index((zmax,) * pm.d, box)
+    # b_z on the box, kept where positive, and always at its center z = 0
+    best = np.zeros(len(box))
+    np.maximum.at(best, zidx[keep], ratios)
+    center = len(box) // 2
     best[center] = b0
-    hit = np.union1d(np.flatnonzero(best > 0.0), center)
-    zkeys = np.stack(np.unravel_index(hit, box), axis=1) - zmax
-    bvals = best[hit]
+    hit = (best > 0.0) | (np.arange(len(box)) == center)
+    zkeys, bvals = box[hit], best[hit]
     b = dict(zip(map(tuple, zkeys.tolist()), bvals.tolist()))
 
     # truncated gamma_SF and its shell-convergence diagnostic
-    sig = weights_many(zkeys, params.alpha, pm)
-    weighted = sig * bvals
+    weighted = sig_box[hit] * bvals
     gamma_sf = lq_norm(weighted, params.q)
-    shell = np.abs(zkeys).max(axis=1)
-    last = shell == zmax
+    if not math.isfinite(gamma_sf):
+        raise AnisoError(f"alpha = {params.alpha} with q = {params.q} overflows gamma_SF")
+    last = np.abs(zkeys).max(axis=1) == zmax
     tail_ok = True
     if gamma_sf > 0.0 and zmax >= 1:
         if math.isinf(params.q):
-            tail_ok = weighted[last].max(initial=0.0) <= math.sqrt(tail_frac) * gamma_sf
+            tail_ok = weighted[last].max(initial=0.0) <= math.sqrt(TAIL_FRAC) * gamma_sf
         else:
-            tail_ok = float((weighted[last] ** params.q).sum()) <= tail_frac * gamma_sf**params.q
+            tail_ok = float((weighted[last] ** params.q).sum()) <= TAIL_FRAC * gamma_sf**params.q
     if not tail_ok:
         failures.append("no geometric tail: last shell dominates gamma_SF")
         j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
@@ -193,7 +210,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
     if enough_range:
         slope, _ = np.polyfit(np.log(yv[usable]), np.log(tvals[usable]), 1)
         fitted_order = float(slope)
-        if fitted_order < s - order_slack:
+        if fitted_order < s - ORDER_SLACK:
             failures.append(
                 f"claimed order {s} exceeds fitted decay {fitted_order:.2f}"
             )
@@ -205,6 +222,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int,
         zmax=zmax,
         b=b,
         gamma_sf=gamma_sf,
+        gamma_ip=_gamma_ip(view, params.alpha, params.q, pm),
         passed=not failures,
         witness=witness,
         fitted_order=fitted_order,
@@ -217,30 +235,17 @@ def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float,
     """Aliasing-theorem constant: ``m`` times the worst per-class aggregate
     of inner and weighted outer interpolant coefficients.
 
-    Truncated at ``||z||_inf <= zmax`` (coverage checked like
-    :func:`verify_sfc`).  Raises ``ValueError`` unless ``alpha >= 0`` and
-    ``q >= 1`` (``q`` may be inf).
+    Truncated at ``||z||_inf <= zmax``; ``verify_sfc`` reports the same
+    value as ``SFReport.gamma_ip``.  Raises ``ValueError`` for a negative
+    ``zmax`` or unless ``alpha >= 0`` and ``q >= 1`` (``q`` may be inf),
+    ``InsufficientSupport`` when the window does not cover the shells, and
+    ``AnisoError`` when ``||M||^alpha sigma_alpha`` overflows on them.
     """
-    pm = ifun.pm
-    WeightSpec(alpha, pm, q)
-    labels, zs, coeffs, at0 = _shell_view(ifun, zmax)
-    sd = spectral_data(pm)
-
-    inner = np.abs(fold_classes(labels[at0], coeffs[at0], pm).values)
-    sig = weights_many(zs[~at0], alpha, pm)
-    outer_terms = sig * np.abs(coeffs[~at0])
-    if math.isinf(q):
-        per_h = inner.copy()
-        scale = sd.norm2**alpha
-        np.maximum.at(per_h, labels[~at0], scale * outer_terms)
-        return pm.m * float(per_h.max())
-    per_h = inner**q
-    np.add.at(per_h, labels[~at0], sd.norm2 ** (alpha * q) * outer_terms**q)
-    return pm.m * float(per_h.max() ** (1.0 / q))
+    WeightSpec(alpha, ifun.pm, q)
+    return _gamma_ip(_shell_view(ifun, zmax, alpha), alpha, q, ifun.pm)
 
 
-def gamma_sm(mu: float, alpha: float, q: float, d: int,
-             zmax: int = 200) -> float:
+def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:
     """Smoothness constant of the aliasing theorem, as a certified upper bound.
 
     ``(1+d)^{alpha/2} 2^{mu}`` times the conjugate-``l_p`` norm of
@@ -254,17 +259,13 @@ def gamma_sm(mu: float, alpha: float, q: float, d: int,
     ``2d (2r+1)^{d-1}`` points, the shells past ``R`` add at most
     ``d ((2R+1)/(2R-1))^{d-1} (2R-1)^{d - p mu} / (p mu - d)``.  The sum
     stops once that remainder is below ``1e-13`` of the partial sum, or at
-    ``R = zmax``, and the remainder is included.
+    ``R = 200``, and the remainder is included.
 
     Raises
     ------
     DivergentSeries
         If ``mu <= d (1 - 1/q)``.
-    ValueError
-        If ``zmax < 1``.
     """
-    if zmax < 1:
-        raise ValueError(f"zmax must be >= 1, got {zmax}")
     qinv = 0.0 if math.isinf(q) else 1.0 / q
     if mu <= d * (1.0 - qinv) + 1e-12:
         raise DivergentSeries(f"mu = {mu} must exceed d(1 - 1/q) = {d * (1 - qinv)}")
@@ -274,7 +275,7 @@ def gamma_sm(mu: float, alpha: float, q: float, d: int,
     p = 1.0 if math.isinf(q) else q / (q - 1.0)
     e = p * mu
     total = 0.0
-    for r in range(1, zmax + 1):
+    for r in range(1, SM_MAX_SHELL + 1):
         total += float((_shell_norms(d, r) ** (-e)).sum())
         rest = d * ((2 * r + 1) / (2 * r - 1)) ** (d - 1) * (2 * r - 1) ** (d - e) / (e - d)
         if rest <= SM_REL_TOL * total:

@@ -129,6 +129,8 @@ def test_sfcheck_3d_end_to_end(tmp_path, capsys):
     ["--kernel", "2;2,2,2", "--alpha", "-1"],
     ["--kernel", "2;2,2,2", "--order", "nan"],
     ["--order", "3", "--zmax", "-1"],  # the shell range of the Dirichlet kernel
+    ["--kernel", "2;2,2,2", "--alpha", "inf", "--q", "inf", "--tail-eps", "1e-3"],
+    ["--kernel", "2;2,2,2", "--alpha", "400", "--tail-eps", "1e-3"],
 ])
 def test_sfcheck_rejects_invalid_parameters(fig1, flags):
     """Bad flags end in exit 1 and one stderr line, never a traceback."""
@@ -159,6 +161,27 @@ def test_sfcheck_rejects_zmax_for_box_spline(fig1, zmax):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "--radius" in proc.stderr
+
+
+def test_sfcheck_large_zmax_allocates_by_reached_shells(fig1):
+    """The Dirichlet kernel's modes all sit at z = 0, so ``--zmax 20000``
+    runs in 2 GiB of address space and prints what ``--zmax 8`` prints."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+    src = str(Path(anisointerp.__file__).parents[1])
+
+    def sfcheck(zmax):
+        return subprocess.run(
+            [sys.executable, "-c", "from anisointerp.cli import main; main()",
+             "sfcheck", fig1, "--order", "3", "--zmax", zmax],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    big, small = sfcheck("20000"), sfcheck("8")
+    assert big.returncode == small.returncode == 0, big.stderr
+    assert big.stdout == small.stdout
 
 
 def test_sfcheck_dirichlet_trivial(fig1, capsys):

@@ -1,5 +1,6 @@
 """Strang-Fix verification and the theorem constants."""
 
+import json
 import math
 import time
 
@@ -189,6 +190,121 @@ def test_b_matches_dict_loop_oracle(box_ifun):
     assert rep.b == expect
 
 
+def _table_oracle(ifun, params, zmax, modes):
+    """``b_z`` (z != 0) and ``gamma_IP`` as plain per-mode loops over
+    ``modes``, a list of (class position, exact shift, coefficient)."""
+    pm = ifun.pm
+    sd = spectral_data(pm)
+    hs = gset_freqs(pm)
+    ynorm = np.linalg.norm(inv_t_apply(hs, pm), axis=1)
+    rhs = sd.kappa ** -params.s * sd.norm2 ** -params.alpha * ynorm ** params.s
+    mt = pm.transposed()
+    b, inner, outer = {}, [0j] * pm.m, [[] for _ in range(pm.m)]
+    for lab, z, c in modes:
+        if max(map(abs, z)) > zmax:
+            continue
+        if not any(z):
+            inner[lab] += c
+            continue
+        if any(hs[lab]):
+            r = abs(pm.m * c) / rhs[lab]
+            if r > b.get(z, 0.0):
+                b[z] = float(r)
+        y2 = sum(float(x) ** 2 for x in mt.inv_apply(z))
+        sigma = (1.0 + sd.norm2**2 * y2) ** (params.alpha / 2.0)
+        outer[lab].append(sd.norm2**params.alpha * sigma * abs(c))
+    q = params.q
+    if math.isinf(q):
+        per_h = [max([abs(c0)] + t) for c0, t in zip(inner, outer)]
+    else:
+        per_h = [(abs(c0) ** q + sum(t**q for t in ts)) ** (1.0 / q)
+                 for c0, ts in zip(inner, outer)]
+    return b, pm.m * max(per_h)
+
+
+def test_shell_table_matches_dict_loop_oracle():
+    """``b`` and ``gamma_IP`` of ``verify_sfc``, and ``gamma_ip``, equal
+    per-mode loops over each mode's class from ``reduce_freq`` and its
+    shift ``z = M^{-T} (k - h)`` in exact fractions, for shell ranges at
+    and below the window."""
+    from test_interp import _labelled_interpolants
+
+    pm3 = validate_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+    phi3 = periodize(BoxSplineSpec(3, (1,) * 6), pm3,
+                     PeriodizationWindow(radius=2, tail_eps=None))
+    for ifun in [*_labelled_interpolants(),
+                 fundamental_interpolant(phi3, pm3, allow_incorrect=True)]:
+        pm = ifun.pm
+        position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
+        mt = pm.transposed()
+        modes = []
+        for k, c in zip(ifun.series.freqs.tolist(), ifun.series.coeffs):
+            h = reduce_freq(k, pm)
+            z = mt.inv_apply(tuple(a - b for a, b in zip(k, h)))
+            assert all(x.denominator == 1 for x in z)
+            modes.append((position[h], tuple(int(x) for x in z), complex(c)))
+        win = ifun.series.window
+        for zmax in ((win, win - 1) if math.isfinite(win) else (3, 0)):
+            for alpha in (0.0, 1.5):
+                for q in (1.0, 2.0, math.inf):
+                    params = SFParams(s=2.0, alpha=alpha, q=q)
+                    rep = verify_sfc(ifun, params, zmax=zmax)
+                    expect_b, expect_ip = _table_oracle(ifun, params, zmax, modes)
+                    expect_b[(0,) * pm.d] = rep.b[(0,) * pm.d]
+                    assert rep.b == expect_b
+                    assert rep.gamma_ip == gamma_ip(ifun, alpha, q, zmax)
+                    assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
+
+
+def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, capsys, box_ifun):
+    """The study and ``sfcheck`` never call ``gamma_ip``; one ``verify_sfc``
+    builds one shell view and weights at most ``(2 zmax + 1)^d`` rows."""
+    import anisointerp
+    from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
+                             fixed_function, strangfix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma_ip called")
+
+    for mod in (anisointerp, bounds, cli, strangfix):
+        monkeypatch.setattr(mod, "gamma_ip", refuse, raising=False)
+    spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]), scales=(0, 1),
+                          test_function=fixed_function(decay_profile(2, 9.0, 8)),
+                          alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
+    assert convergence_study(spec).verdict
+    mat = tmp_path / "M.txt"
+    mat.write_text("2\n8 3\n0 8\n")
+    assert cli.run(["sfcheck", str(mat), "--kernel", "2; 2,2,2", "--radius", "8",
+                    "--tail-eps", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma_ip"] > 0.0
+
+    views, rows = [], []
+    view, weights = strangfix._shell_view, strangfix.weights_many
+    monkeypatch.setattr(strangfix, "_shell_view",
+                        lambda *args: views.append(args) or view(*args))
+    monkeypatch.setattr(strangfix, "weights_many",
+                        lambda ks, *args: rows.append(len(ks)) or weights(ks, *args))
+    zmax = 12
+    verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0), zmax=zmax)
+    assert len(views) == 1
+    assert sum(rows) <= (2 * zmax + 1) ** 2
+
+
+def test_huge_alpha_raises():
+    """An alpha that overflows ||M||^alpha sigma_alpha on the checked
+    shells is refused by name, not turned into an infinite constant."""
+    ifun = fundamental_interpolant(
+        periodize(B222, FIG1, PeriodizationWindow(radius=8, tail_eps=1e-3)), FIG1)
+    for alpha in (math.inf, 400.0):
+        for check in (lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=math.inf), 8),
+                      lambda: gamma_ip(ifun, alpha, 2.0, 8)):
+            with pytest.raises(AnisoError, match="alpha"):
+                check()
+    # the weights fit, but the l_4 sum of the weighted b_z does not
+    with np.errstate(over="ignore"), pytest.raises(AnisoError, match="overflows gamma_SF"):
+        verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0), 8)
+
+
 def test_gamma_ip_dirichlet_is_one():
     ifun = fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
     for q in (1.0, 2.0, math.inf):
@@ -250,8 +366,6 @@ def test_gamma_sm_divergence_guard():
     # boundary is excluded
     with pytest.raises(DivergentSeries):
         gamma_sm(1.0, 0.0, 2.0, 2)
-    with pytest.raises(ValueError):
-        gamma_sm(6.0, 0.0, 2.0, 2, zmax=0)
 
 
 def test_c_rho_arithmetic():
