@@ -14,19 +14,18 @@ from anisointerp import (
     SampleVector,
     dft_forward,
     dft_inverse,
-    enumerate_pattern,
     fourier_matrix,
     gset_freqs,
+    pattern_generators,
     validate_matrix,
 )
-from anisointerp.intlat import pattern_point
 
 M = validate_matrix([[8, 3], [0, 8]])
 print(f"det M = {M.det}, so the pattern has m = {M.m} points")
 
 # the first few pattern points, as exact rationals
-for g in enumerate_pattern(M)[:5]:
-    print(f"  generator {g} -> node {pattern_point(g, M)}")
+for g in map(tuple, pattern_generators(M)[:5].tolist()):
+    print(f"  generator {g} -> node {M.inv_apply(g)}")
 
 # the canonical frequency set of M^T, lexicographically ordered
 hs = gset_freqs(M)

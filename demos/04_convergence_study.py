@@ -14,7 +14,6 @@ from anisointerp import (
     ExperimentSpec,
     convergence_study,
     decay_profile,
-    fixed_function,
     report_to_csv,
     report_to_svg,
     validate_matrix,
@@ -23,7 +22,7 @@ from anisointerp import (
 spec = ExperimentSpec(
     base_matrix=validate_matrix([[2, 1], [0, 2]]),
     scales=(0, 1, 2, 3),
-    test_function=fixed_function(decay_profile(2, 9.0, 16)),
+    test_function=decay_profile(2, 9.0, 16),
     alpha=0.0,
     mu=6.0,
     q=2.0,

@@ -15,7 +15,6 @@ from .bounds import (
     check_trig_theorem,
     convergence_study,
     decay_profile,
-    fixed_function,
     interp_error,
     report_to_csv,
     report_to_svg,
@@ -23,10 +22,8 @@ from .bounds import (
 from .boxspline import (
     BoxSplineSpec,
     PeriodizationWindow,
-    boxspline_hat,
     periodization_tail,
     periodize,
-    periodized_coeff,
     sf_order,
 )
 from .errors import (
@@ -47,14 +44,11 @@ from .fspaces import (
     a_norm,
     check_submultiplicativity,
     lq_norm,
-    weight,
     weights_many,
 )
 from .interp import (
-    ExistenceReport,
     FundamentalInterpolant,
     cardinal_residual,
-    check_existence,
     dirichlet_kernel,
     evaluate,
     evaluate_at_nodes,
@@ -66,9 +60,6 @@ from .interp import (
 )
 from .intlat import (
     PatternMatrix,
-    enumerate_generating_set,
-    enumerate_pattern,
-    is_canonical_freq,
     pattern_add,
     reduce_freq,
     reduce_freq_many,

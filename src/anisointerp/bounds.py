@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -196,14 +195,13 @@ class ExperimentSpec:
     """Configuration of a dilation convergence study.
 
     ``kernel`` is a :class:`BoxSplineSpec` or the string ``"dirichlet"``;
-    ``test_function`` maps the per-scale pattern matrix to a finite
-    series (a fixed series is wrapped by :func:`fixed_function`).
+    ``test_function`` is the finite series interpolated at every scale.
     ``s`` defaults to the box-spline reproduction order.
     """
 
     base_matrix: PatternMatrix
     scales: tuple[int, ...]
-    test_function: Callable[[PatternMatrix], FourierSeries]
+    test_function: FourierSeries
     alpha: float
     mu: float
     q: float
@@ -213,6 +211,10 @@ class ExperimentSpec:
     tail_eps: float | None = 1e-5
 
     def __post_init__(self):
+        if not self.scales:
+            raise ValueError("need at least one scale")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.mu)):
+            raise ValueError("alpha and mu must be finite")
         if not (self.mu >= self.alpha >= 0):
             raise ValueError("need mu >= alpha >= 0")
         qinv = 0.0 if math.isinf(self.q) else 1.0 / self.q
@@ -261,16 +263,13 @@ class BoundReport:
         )
 
 
-def fixed_function(f: FourierSeries) -> Callable[[PatternMatrix], FourierSeries]:
-    """Wrap a fixed series as a scale-independent test-function generator."""
-    return lambda pm: f
-
-
 def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
     """Truncated series with real coefficients ``(1 + ||k||_2)^(-decay)``
-    on the box ``||k||_inf <= kmax``."""
+    on the box ``||k||_inf <= kmax``; ``decay`` must be finite."""
     from .boxspline import _int_box
 
+    if not math.isfinite(decay):
+        raise ValueError("decay must be finite")
     ks = _int_box(d, kmax)
     coeffs = (1.0 + np.linalg.norm(ks, axis=1)) ** (-decay)
     return FourierSeries(ks, coeffs.astype(np.complex128), window=math.inf)
@@ -294,7 +293,7 @@ def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
         raise ValueError(f"scale matrix at j={j} is not expanding")
     s = spec.order()
     ifun = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
-    f = spec.test_function(pm)
+    f = spec.test_function
     err = interp_error(f, ifun, spec.alpha, spec.q)
     # the interpolant's window, spec.radius or inf, covers the shells up to spec.radius
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=spec.radius)

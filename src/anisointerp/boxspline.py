@@ -81,14 +81,9 @@ class PeriodizationWindow:
             raise ValueError("radius must be >= 1")
 
 
-def boxspline_hat(xi, spec: BoxSplineSpec) -> float:
-    """Fourier transform value: product of sinc powers over the directions."""
-    y = np.asarray(xi, dtype=float).reshape(1, -1) / (2.0 * np.pi)
-    return float(_hat_on_lattice(y, spec)[0])
-
-
 def _hat_on_lattice(y: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
-    """Vectorized transform at ``xi = 2 pi y`` for an ``(n, d)`` float array.
+    """Fourier transform, a product of sinc powers over the directions, at
+    ``xi = 2 pi y`` for each row of an ``(n, d)`` float array.
 
     ``sinc(pi u) = np.sinc(u)`` with numpy's normalized convention.
     """
@@ -96,13 +91,6 @@ def _hat_on_lattice(y: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
     for direction, pj in zip(spec.directions(), spec.p):
         out *= np.sinc(y @ direction.astype(float)) ** pj
     return out
-
-
-def periodized_coeff(k, spec: BoxSplineSpec, pm: PatternMatrix) -> float:
-    """Fourier coefficient of the periodized spline:
-    ``(1/m) * hat(2 pi M^{-T} k)``."""
-    y = inv_t_apply(np.array([k], dtype=np.int64), pm)
-    return float(_hat_on_lattice(y, spec)[0]) / pm.m
 
 
 def _int_box(d: int, radius: int) -> np.ndarray:

@@ -19,6 +19,7 @@ Exit codes: 0 success / verification passed, 2 failed verification,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -32,7 +33,6 @@ from .bounds import (
     build_interpolant,
     convergence_study,
     decay_profile,
-    fixed_function,
     report_to_csv,
     report_to_svg,
 )
@@ -116,6 +116,8 @@ def read_samples(path, pm: PatternMatrix) -> SampleVector:
             raise ValueError(f"duplicate sample for node {y}")
         seen[i] = True
         values[i] = complex(float(parts[pm.d]), float(parts[pm.d + 1]))
+        if not cmath.isfinite(values[i]):
+            raise ValueError(f"sample row {line!r}: value is not finite")
     if not seen.all():
         missing = node_fractions(pm)[int(np.flatnonzero(~seen)[0])]
         raise ValueError(f"missing sample for node {missing}")
@@ -208,15 +210,11 @@ def _cmd_converge(args) -> int:
     scales = tuple(int(t) for t in cfg.get("scales", "0,1,2,3")
                    .replace(",", " ").split())
     q = float(cfg.get("q", "2"))
-    fgen = fixed_function(decay_profile(
-        pm.d,
-        float(cfg.get("decay", "9")),
-        int(cfg.get("kmax", "16")),
-    ))
     spec = ExperimentSpec(
         base_matrix=pm,
         scales=scales,
-        test_function=fgen,
+        test_function=decay_profile(pm.d, float(cfg.get("decay", "9")),
+                                    int(cfg.get("kmax", "16"))),
         alpha=float(cfg.get("alpha", "0")),
         mu=float(cfg.get("mu", "6")),
         q=q,

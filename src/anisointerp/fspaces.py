@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotExpanding
-from .intlat import IntVec, PatternMatrix
+from .intlat import PatternMatrix
 from .ptransform import FourierSeries
 from .spectral import inv_t_apply, is_expanding, spectral_data
 
@@ -43,11 +43,6 @@ def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
     y = inv_t_apply(np.asarray(ks, dtype=np.int64), pm)
     r2 = np.einsum("ij,ij->i", y, y)
     return (1.0 + sd.norm2**2 * r2) ** (beta / 2.0)
-
-
-def weight(k: IntVec, ws: WeightSpec) -> float:
-    """The ellipsoidal weight ``sigma_beta`` at a single frequency index."""
-    return float(weights_many(np.array([k], dtype=np.int64), ws.beta, ws.pm)[0])
 
 
 def lq_norm(values: np.ndarray, q: float) -> float:

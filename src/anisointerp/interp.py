@@ -30,6 +30,7 @@ from .ptransform import (
     fold_classes,
     freq_class_indices,
     gset_freqs,
+    merge_rows,
 )
 
 EXISTENCE_EPS_REL = 1e-12
@@ -65,39 +66,6 @@ def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
     per-mode phase evaluation.
     """
     return pm.m * dft_inverse(alias_fold(f, pm)).values
-
-
-@dataclass
-class ExistenceReport:
-    """Folded kernel coefficients and the classes flagged as (near) zero."""
-
-    folded: CoeffVector
-    flagged: list[IntVec]
-    eps: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
-
-
-def check_existence(phi: FourierSeries, pm: PatternMatrix) -> ExistenceReport:
-    """Flag every congruence class whose folded coefficient (nearly) vanishes.
-
-    The threshold is relative: ``EXISTENCE_EPS_REL`` times the largest folded
-    magnitude, since an exact "nonzero" test is meaningless in floats.
-    Raises ``AnisoError`` if a folded coefficient is not finite.
-    """
-    return _flag_vanishing(alias_fold(phi, pm))
-
-
-def _flag_vanishing(folded: CoeffVector) -> ExistenceReport:
-    mags = np.abs(folded.values)
-    if not np.isfinite(mags).all():
-        h = tuple(gset_freqs(folded.pm)[np.argmin(np.isfinite(mags))].tolist())
-        raise AnisoError(f"folded kernel coefficient of class {h} is not finite")
-    eps = EXISTENCE_EPS_REL * float(mags.max(initial=0.0))
-    flagged = [tuple(h) for h in gset_freqs(folded.pm)[mags <= eps].tolist()]
-    return ExistenceReport(folded=folded, flagged=flagged, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -149,23 +117,28 @@ def fundamental_interpolant(
     where the folded coefficient vanishes the interpolant does not exist;
     with ``allow_incorrect`` those classes fall back to the single
     canonical coefficient ``1/m`` (all non-canonical modes of the class are
-    dropped) and are recorded in ``incorrect_modes``.
+    dropped) and are recorded in ``incorrect_modes``.  A folded coefficient
+    vanishes when its magnitude is at most ``EXISTENCE_EPS_REL`` times the
+    largest one, since an exact "nonzero" test is meaningless in floats.
 
     Raises
     ------
     NonExistent
-        If a folded class vanishes and ``allow_incorrect`` is not set.
+        If a folded class vanishes and ``allow_incorrect`` is not set; the
+        message lists the vanishing classes.
     AnisoError
         If a folded class coefficient is not finite.
     """
     labels = freq_class_indices(phi.freqs, pm)
-    report = _flag_vanishing(fold_classes(labels, phi.coeffs, pm))
-    folded = report.folded.values
-    if report.flagged and not allow_incorrect:
-        raise NonExistent(
-            f"folded kernel coefficient vanishes on classes {report.flagged}"
-        )
-    flag = np.abs(folded) <= report.eps  # the classes report.flagged lists
+    folded = fold_classes(labels, phi.coeffs, pm).values
+    mags = np.abs(folded)
+    if not np.isfinite(mags).all():
+        h = tuple(gset_freqs(pm)[np.argmin(np.isfinite(mags))].tolist())
+        raise AnisoError(f"folded kernel coefficient of class {h} is not finite")
+    flag = mags <= EXISTENCE_EPS_REL * float(mags.max(initial=0.0))
+    flagged = [tuple(h) for h in gset_freqs(pm)[flag].tolist()]
+    if flagged and not allow_incorrect:
+        raise NonExistent(f"folded kernel coefficient vanishes on classes {flagged}")
 
     a_hat = np.zeros(pm.m, dtype=np.complex128)
     a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
@@ -181,7 +154,7 @@ def fundamental_interpolant(
         pm=pm,
         a_hat=CoeffVector(a_hat, pm),
         labels=labels,
-        incorrect_modes=list(report.flagged),
+        incorrect_modes=flagged,
     )
 
 
@@ -199,10 +172,10 @@ def membership_coeffs(xi: FourierSeries, phi: FourierSeries, pm: PatternMatrix,
         vector exists.
     """
     freqs = np.vstack([f.freqs.reshape(-1, pm.d) for f in (xi, phi)])
-    keys, inv = np.unique(freqs, axis=0, return_inverse=True)
-    cx, cp = np.zeros((2, len(keys)), dtype=np.complex128)
-    np.add.at(cx, inv.ravel()[:len(xi)], xi.coeffs)
-    np.add.at(cp, inv.ravel()[len(xi):], phi.coeffs)
+    coeffs = np.zeros((len(freqs), 2), dtype=np.complex128)
+    coeffs[:len(xi), 0], coeffs[len(xi):, 1] = xi.coeffs, phi.coeffs
+    keys, merged = merge_rows(freqs, coeffs)
+    cx, cp = merged.T
     # each series is tested against its own largest coefficient, so scaling
     # either one does not change which of its modes count as zero
     zero_x, zero_p = (np.abs(c) <= tol * (np.abs(c).max(initial=0.0) or 1.0)

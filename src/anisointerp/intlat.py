@@ -175,6 +175,8 @@ def validate_matrix(raw) -> PatternMatrix:
     """
     rows = [[int(x) for x in row] for row in raw]
     d = len(rows)
+    if d == 0:
+        raise ValueError("matrix is empty")
     if any(len(r) != d for r in rows):
         raise ValueError("matrix must be square")
     for row, raw_row in zip(rows, raw):
@@ -202,12 +204,6 @@ def validate_matrix(raw) -> PatternMatrix:
     return pm
 
 
-def is_canonical_freq(k: IntVec, pm: PatternMatrix) -> bool:
-    """Exact test for ``k`` being in the canonical generating set
-    ``G_S(M^T)``, i.e. the fixed points of :func:`reduce_freq`."""
-    return reduce_freq(k, pm) == tuple(int(x) for x in k)
-
-
 def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
     """Class labels in ``range(m)`` of the rows of an ``(n, d)`` integer
     array: the digits ``U g mod eps`` (``V^T h mod eps`` for frequencies,
@@ -222,10 +218,11 @@ def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
 @lru_cache(maxsize=16)
 def canonical_classes(pm: PatternMatrix,
                       transposed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(rows, labels, positions)``: the canonical set of
-    :func:`enumerate_generating_set` in lexicographic order, the class label
-    of each row, and the row of each label.  Raises ``AnisoError`` if a
-    reduced representative leaves the half-open cube or its class."""
+    """Read-only ``(rows, labels, positions)``: the ``m`` integer vectors
+    ``k`` with ``M^{-1} k`` (``M^{-T} k`` with ``transposed``) in
+    ``[-1/2, 1/2)^d`` in lexicographic order, the class label of each row,
+    and the row of each label.  Raises ``AnisoError`` if a reduced
+    representative leaves the half-open cube or its class."""
     eps, u, v = pm.diagonal_form
     # the map to digits, U or V^T, is unimodular: its inverse is det * adj
     inv = validate_matrix(tuple(zip(*v)) if transposed else u)
@@ -241,30 +238,6 @@ def canonical_classes(pm: PatternMatrix,
     for arr in (rows, labels, positions):
         arr.flags.writeable = False
     return rows, labels, positions
-
-
-def enumerate_generating_set(pm: PatternMatrix, transposed: bool = False) -> list[IntVec]:
-    """All ``m`` integer vectors ``k`` with ``M^{-1}k`` in ``[-1/2,1/2)^d``.
-
-    With ``transposed`` the test uses ``M^T`` instead.  Output is sorted
-    lexicographically; this ordering is the contract every other module
-    relies on.
-    """
-    return [tuple(k) for k in canonical_classes(pm, bool(transposed))[0].tolist()]
-
-
-def enumerate_pattern(pm: PatternMatrix) -> list[IntVec]:
-    """Generators ``g`` of the canonical pattern points ``y = M^{-1} g``.
-
-    The points themselves are the exact rationals ``adj(M) g / det``; the
-    order is the lexicographic order of the generators.
-    """
-    return enumerate_generating_set(pm, transposed=False)
-
-
-def pattern_point(g: IntVec, pm: PatternMatrix) -> tuple[Fraction, ...]:
-    """The pattern point ``M^{-1} g`` as exact fractions."""
-    return pm.inv_apply(g)
 
 
 def _shift_rows(ks: np.ndarray, p: PatternMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intlat import (
-    IntVec,
-    PatternMatrix,
-    canonical_classes,
-    class_labels,
-    freq_phase_residues,
-)
+from .intlat import PatternMatrix, canonical_classes, class_labels, freq_phase_residues
 
 
 class FourierSeries:
@@ -35,7 +29,7 @@ class FourierSeries:
     inspect it.
     """
 
-    __slots__ = ("freqs", "coeffs", "window", "_index")
+    __slots__ = ("freqs", "coeffs", "window")
 
     def __init__(self, freqs, coeffs, window=None, dedup: bool = False):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
@@ -47,7 +41,6 @@ class FourierSeries:
         self.freqs = freqs
         self.coeffs = coeffs
         self.window = window
-        self._index = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -64,17 +57,6 @@ class FourierSeries:
     def dim(self) -> int:
         return self.freqs.shape[1]
 
-    def as_dict(self) -> dict[IntVec, complex]:
-        if self._index is None:
-            self._index = {
-                tuple(int(x) for x in k): complex(c)
-                for k, c in zip(self.freqs, self.coeffs)
-            }
-        return self._index
-
-    def get(self, k: IntVec) -> complex:
-        return self.as_dict().get(tuple(int(x) for x in k), 0.0 + 0.0j)
-
     def prune(self, tol: float = 0.0) -> "FourierSeries":
         """Drop coefficients with magnitude <= ``tol`` (normalization pass)."""
         keep = np.abs(self.coeffs) > tol
@@ -89,9 +71,6 @@ class FourierSeries:
             np.concatenate([self.coeffs, other.coeffs]),
             dedup=True,
         )
-
-    def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        return self + other.scaled(-1.0)
 
 
 def merge_rows(freqs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

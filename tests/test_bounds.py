@@ -24,7 +24,6 @@ from anisointerp import (
     decay_profile,
     dirichlet_kernel,
     evaluate_at_nodes,
-    fixed_function,
     fourier_partial_sum,
     fundamental_interpolant,
     gset_freqs,
@@ -36,7 +35,7 @@ from anisointerp import (
     spectral_data,
     validate_matrix,
     verify_sfc,
-    weight,
+    weights_many,
 )
 from anisointerp import bounds, ptransform
 
@@ -75,12 +74,12 @@ def test_single_outside_mode_closed_form():
     f = FourierSeries(np.array([k0]), np.array([2.0 + 0j]), window=math.inf)
     alpha, q = 1.0, 2.0
     err = interp_error(f, ifun, alpha, q)
-    ws = WeightSpec(alpha, E2, q)
-    expect = 2.0 * (weight(k0, ws) ** q + weight(h0, ws) ** q) ** (1 / q)
+    wk, wh = weights_many([k0, h0], alpha, E2)
+    expect = 2.0 * (wk**q + wh**q) ** (1 / q)
     assert err.total == pytest.approx(expect, rel=1e-12)
     # component split: partial-sum part carries k0, aliasing part h0
-    assert err.partial == pytest.approx(2.0 * weight(k0, ws), rel=1e-12)
-    assert err.aliasing == pytest.approx(2.0 * weight(h0, ws), rel=1e-12)
+    assert err.partial == pytest.approx(2.0 * wk, rel=1e-12)
+    assert err.aliasing == pytest.approx(2.0 * wh, rel=1e-12)
     assert err.trig < 1e-12
 
 
@@ -308,8 +307,7 @@ def test_partial_sum_single_mode_closed_form():
     f = FourierSeries(np.array([k0]), np.array([1.0 + 0j]), window=math.inf)
     ratio = check_partial_sum_theorem(f, E2, alpha, mu, q)
     sd = spectral_data(E2)
-    ws = WeightSpec(alpha, E2, q)
-    expect = (weight(k0, ws) / weight(k0, WeightSpec(mu, E2, q))
+    expect = (weights_many([k0], alpha, E2)[0] / weights_many([k0], mu, E2)[0]
               * (sd.norm2 / 2.0) ** (mu - alpha))
     assert ratio == pytest.approx(expect, rel=1e-12)
     assert ratio <= RATIO_TOL
@@ -357,13 +355,18 @@ def test_aliasing_theorem_across_scales():
 
 
 def test_experiment_spec_validation():
-    f = fixed_function(decay_profile(2, 8.0, 4))
-    with pytest.raises(ValueError):
-        ExperimentSpec(base_matrix=E2, scales=(0,), test_function=f,
-                       alpha=3.0, mu=2.0, q=2.0)  # mu < alpha
-    with pytest.raises(ValueError):
-        ExperimentSpec(base_matrix=E2, scales=(0,), test_function=f,
-                       alpha=0.0, mu=0.5, q=2.0)  # mu <= d(1-1/q)
+    f = decay_profile(2, 8.0, 4)
+    for scales, alpha, mu in [((0,), 3.0, 2.0),  # mu < alpha
+                              ((0,), 0.0, 0.5),  # mu <= d(1-1/q)
+                              ((), 0.0, 6.0),  # no scale: a vacuous verdict
+                              ((0,), 0.0, math.inf), ((0,), math.inf, math.inf),
+                              ((0,), math.nan, 6.0), ((0,), 0.0, math.nan)]:
+        with pytest.raises(ValueError):
+            ExperimentSpec(base_matrix=E2, scales=scales, test_function=f,
+                           alpha=alpha, mu=mu, q=2.0)
+    for decay in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="decay"):
+            decay_profile(2, decay, 4)
     spec = ExperimentSpec(base_matrix=E2, scales=(0,), test_function=f,
                           alpha=0.0, mu=6.0, q=2.0)
     with pytest.raises(ValueError):
@@ -373,7 +376,7 @@ def test_experiment_spec_validation():
 def test_convergence_study_dirichlet_trig_exact():
     """A trig polynomial of the base scale is in every T_{M_j}: zero error."""
     f = random_trig_poly(E2, np.random.default_rng(7))
-    spec = ExperimentSpec(base_matrix=E2, scales=(0, 1, 2), test_function=fixed_function(f),
+    spec = ExperimentSpec(base_matrix=E2, scales=(0, 1, 2), test_function=f,
                           alpha=0.0, mu=6.0, q=2.0, kernel="dirichlet", s=4.0)
     rep = convergence_study(spec)
     assert rep.verdict
@@ -383,7 +386,7 @@ def test_convergence_study_dirichlet_trig_exact():
 def test_convergence_study_box_spline(tmp_path):
     spec = ExperimentSpec(
         base_matrix=M21, scales=(0, 1, 2, 3),
-        test_function=fixed_function(decay_profile(2, 9.0, 16)),
+        test_function=decay_profile(2, 9.0, 16),
         alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=16, tail_eps=1e-4,
     )
     rep = convergence_study(spec)
@@ -413,7 +416,7 @@ def test_verdict_requires_strang_fix_pass():
     no valid constant, so the study must not pass."""
     spec = ExperimentSpec(
         base_matrix=M21, scales=(2,),
-        test_function=fixed_function(decay_profile(2, 9.0, 16)),
+        test_function=decay_profile(2, 9.0, 16),
         alpha=0.0, mu=10.0, q=2.0, kernel=B222, s=8.0, radius=16, tail_eps=1e-4,
     )
     rep = convergence_study(spec)

@@ -15,17 +15,14 @@ from anisointerp import (
     PeriodizationWindow,
     TailTooLarge,
     alias_fold,
-    boxspline_hat,
-    check_existence,
     fundamental_interpolant,
     periodization_tail,
     periodize,
-    periodized_coeff,
     sf_order,
     validate_matrix,
 )
 from anisointerp import boxspline
-from anisointerp.boxspline import _alias_bound, _int_box, _int_shell
+from anisointerp.boxspline import _alias_bound, _hat_on_lattice, _int_box, _int_shell
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
@@ -51,34 +48,30 @@ def test_spec_validation():
 
 
 def test_hat_closed_form_values():
+    y = np.array([[0.5, 0.0], [0.0, 0.0]])  # xi = 2 pi y = (pi, 0) and 0
     # at xi = (pi, 0): sinc(pi/2)^2 * 1 = (2/pi)^2 for unit multiplicities
-    assert boxspline_hat((math.pi, 0.0), B111) == pytest.approx(
-        (2.0 / math.pi) ** 2, rel=1e-13
-    )
-    assert boxspline_hat((0.0, 0.0), B222) == pytest.approx(1.0)
+    assert _hat_on_lattice(y, B111)[0] == pytest.approx((2.0 / math.pi) ** 2, rel=1e-13)
     # squared multiplicities square the transform
-    assert boxspline_hat((math.pi, 0.0), B222) == pytest.approx(
-        (2.0 / math.pi) ** 4, rel=1e-13
-    )
+    assert _hat_on_lattice(y, B222) == pytest.approx([(2.0 / math.pi) ** 4, 1.0], rel=1e-13)
 
 
 def test_hat_symmetry_and_bound():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        xi = rng.uniform(-8, 8, size=2)
-        v = boxspline_hat(xi, B222)
-        assert v == pytest.approx(boxspline_hat(-xi, B222), rel=1e-12)
-        assert -1e-15 <= v <= 1.0 + 1e-15  # even multiplicities: 0 <= hat <= 1
+    y = np.random.default_rng(6).uniform(-8, 8, size=(50, 2)) / (2.0 * math.pi)
+    v = _hat_on_lattice(y, B222)
+    assert v == pytest.approx(_hat_on_lattice(-y, B222), rel=1e-12)
+    # even multiplicities: 0 <= hat <= 1
+    assert (-1e-15 <= v).all() and (v <= 1.0 + 1e-15).all()
 
 
 def test_periodized_coeff_closed_form():
-    # k = (1, 0) on 2 E_2: (1/4) * hat(pi, 0)
-    assert periodized_coeff((1, 0), B111, E2) == pytest.approx(
-        0.25 * (2.0 / math.pi) ** 2, rel=1e-13
-    )
-    assert periodized_coeff((0, 0), B222, E2) == pytest.approx(0.25)
-    # vanishes on the sublattice M^T z (sinc at an integer)
-    assert abs(periodized_coeff((2, 0), B222, E2)) < 1e-30
+    win = PeriodizationWindow(radius=1, tail_eps=None)
+    # c_k = (1/m) hat(2 pi M^{-T} k); k = (1, 0) on 2 E_2: (1/4) hat(pi, 0), and
+    # the coefficient vanishes on the sublattice M^T z (sinc at an integer)
+    for spec, k, expect in [(B111, (1, 0), 0.25 * (2.0 / math.pi) ** 2),
+                            (B222, (0, 0), 0.25), (B222, (2, 0), 0.0)]:
+        f = periodize(spec, E2, win)
+        c = f.coeffs[(f.freqs == k).all(axis=1)]
+        assert len(c) == 1 and c[0] == pytest.approx(expect, rel=1e-13, abs=1e-30)
 
 
 def test_periodize_support_and_window():
@@ -192,9 +185,7 @@ def test_full_family_has_degenerate_class():
     triggering the incorrect-interpolation fallback."""
     full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
     phi = periodize(full, E2, PeriodizationWindow(radius=12, tail_eps=None))
-    rep = check_existence(phi, E2)
-    assert (-1, -1) in rep.flagged
-    with pytest.raises(NonExistent):
+    with pytest.raises(NonExistent, match=r"\(-1, -1\)"):
         fundamental_interpolant(phi, E2)
     ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
     assert (-1, -1) in ifun.incorrect_modes

@@ -197,7 +197,7 @@ def test_converge_runs_and_writes(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     csv = tmp_path / "out.csv"
     svg = tmp_path / "out.svg"
-    cfg.write_text(
+    text = (
         f"matrix = {mat}\n"
         "kernel = 2; 2,2,2\n"
         "scales = 0,1,2\n"
@@ -205,6 +205,7 @@ def test_converge_runs_and_writes(tmp_path, capsys):
         "radius = 8\ntail_eps = 1e-3\n"
         f"csv = {csv}\nsvg = {svg}\n"
     )
+    cfg.write_text(text)
     assert run(["converge", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "verdict=pass" in out
@@ -212,6 +213,15 @@ def test_converge_runs_and_writes(tmp_path, capsys):
     assert lines[0] == "j,m,norm2,error,bound,ratio"
     assert len(lines) == 4
     assert svg.read_text().startswith("<svg")
+
+    # no scale would pass vacuously; an infinite mu or a NaN decay gives NaNs
+    csv.unlink()
+    for override in ("scales =", "mu = inf", "decay = nan"):
+        cfg.write_text(text + override + "\n")
+        assert run(["converge", str(cfg)]) == 1
+        assert not csv.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: ") for line in err), err
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -221,12 +231,14 @@ def test_usage_error_exit_code_1(capsys):
 
 def test_io_error_exit_code_1(tmp_path, capsys):
     assert run(["pattern", str(tmp_path / "missing.txt")]) == 1
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2\n1 2\n")  # truncated matrix
-    assert run(["pattern", str(bad)]) == 1
-    singular = tmp_path / "sing.txt"
-    singular.write_text("2\n1 2\n2 4\n")
-    assert run(["pattern", str(singular)]) == 1
+    for name, text in [("bad.txt", "2\n1 2\n"),  # truncated matrix
+                       ("sing.txt", "2\n1 2\n2 4\n"),
+                       ("zero.txt", "0\n"), ("negative.txt", "-1\n5\n")]:  # empty matrices
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["pattern", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err), err
 
 
 def test_sample_validation_errors(e2, tmp_path, capsys):
@@ -234,3 +246,14 @@ def test_sample_validation_errors(e2, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("y1,y2,re,im\n1/3,0,1,0\n")  # not a pattern node
     assert run(["dft", e2, str(bad)]) == 1
+    out = tmp_path / "o.csv"
+    for value in ("nan", "inf", "-inf"):
+        for row in (f"0,1/2,{value},0", f"0,1/2,1,{value}"):
+            lines = [",".join(map(str, node)) + ",1,0" for node in node_fractions(pm)]
+            lines[2] = row  # the node (0, -1/2)
+            bad.write_text("\n".join(["y1,y2,re,im"] + lines) + "\n")
+            for argv in (["dft", e2, str(bad), "--out", str(out)],
+                         ["interpolate", e2, str(bad), "--out", str(out)]):
+                assert run(argv) == 1
+                assert not out.exists()
+                assert repr(row) in capsys.readouterr().err

@@ -14,7 +14,6 @@ from anisointerp import (
     lq_norm,
     spectral_data,
     validate_matrix,
-    weight,
     weights_many,
 )
 
@@ -23,14 +22,12 @@ FIG1 = validate_matrix([[8, 3], [0, 8]])
 
 
 def test_weight_hand_values():
-    ws = WeightSpec(2.0, E2, 2.0)
     # sigma_2(e1) = 1 + ||M||^2 ||M^{-T} e1||^2 = 1 + 4 * 1/4 = 2
-    assert weight((1, 0), ws) == pytest.approx(2.0)
-    assert weight((0, 0), ws) == pytest.approx(1.0)
+    assert weights_many([(1, 0), (0, 0)], 2.0, E2) == pytest.approx([2.0, 1.0])
     # sigma_4(1,1) = (1 + 4 * 1/2)^2 = 9
-    assert weight((1, 1), WeightSpec(4.0, E2, 2.0)) == pytest.approx(9.0)
+    assert weights_many([(1, 1)], 4.0, E2) == pytest.approx([9.0])
     # beta = 0 weight is identically one
-    assert weight((7, -5), WeightSpec(0.0, E2, 2.0)) == pytest.approx(1.0)
+    assert weights_many([(7, -5)], 0.0, E2) == pytest.approx([1.0])
 
 
 def test_weight_symmetry_and_monotonicity():

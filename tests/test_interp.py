@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from anisointerp import (
     SFParams,
     alias_fold,
     cardinal_residual,
-    check_existence,
     dirichlet_kernel,
     evaluate,
     evaluate_at_nodes,
@@ -36,11 +36,15 @@ from anisointerp import (
     verify_sfc,
 )
 from anisointerp import ptransform
-from anisointerp.intlat import pattern_point
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 M21 = validate_matrix([[2, 1], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
+
+
+def coeff_at(f, k):
+    """The coefficient of ``f`` at index ``k``; 0 where none is stored."""
+    return complex(f.coeffs[(f.freqs == np.asarray(k)).all(axis=1)].sum())
 
 
 def test_evaluate_single_mode():
@@ -56,9 +60,8 @@ def test_evaluate_at_nodes_matches_direct_evaluation():
                       dedup=True)
     for pm in (E2, M21):
         vals = evaluate_at_nodes(f, pm)
-        for j, g in enumerate(pattern_generators(pm)):
-            y = np.array([float(c) for c in
-                          pattern_point(tuple(int(x) for x in g), pm)])
+        for j, g in enumerate(pattern_generators(pm).tolist()):
+            y = np.array([float(c) for c in pm.inv_apply(g)])
             direct = evaluate(f, 2.0 * np.pi * y)
             assert abs(vals[j] - direct) < 1e-12
 
@@ -69,8 +72,8 @@ def test_translate_is_exact_character_shift():
     g = (1, 0)  # node y = M^{-1} g = (1/2, 0)
     t = translate(f, g, E2)
     # mode (1,0): phase e^{-2 pi i * 1/2} = -1; mode (0,3): phase 1
-    assert t.get((1, 0)) == pytest.approx(-1.0)
-    assert t.get((0, 3)) == pytest.approx(2.0)
+    assert coeff_at(t, (1, 0)) == pytest.approx(-1.0)
+    assert coeff_at(t, (0, 3)) == pytest.approx(2.0)
 
 
 def test_translate_shifts_node_values():
@@ -79,7 +82,7 @@ def test_translate_shifts_node_values():
                       rng.standard_normal(20) + 0j, dedup=True)
     g = (1, 1)
     t = translate(f, g, M21)
-    y = np.array([float(c) for c in pattern_point(g, M21)])
+    y = np.array([float(c) for c in M21.inv_apply(g)])
     x = np.array([0.7, -0.2])
     assert evaluate(t, x) == pytest.approx(
         evaluate(f, x - 2.0 * np.pi * y), abs=1e-12
@@ -92,9 +95,8 @@ def test_dirichlet_interpolant_exact_coefficients():
         hs = gset_freqs(pm)
         assert len(ifun.series) == pm.m
         for h in hs:
-            c = ifun.series.get(tuple(int(x) for x in h))
-            assert abs(c - 1.0 / pm.m) <= 1e-12
-        assert ifun.series.get((10**6, 10**6)) == 0.0
+            assert abs(coeff_at(ifun.series, h) - 1.0 / pm.m) <= 1e-12
+        assert coeff_at(ifun.series, (10**6, 10**6)) == 0.0
         assert cardinal_residual(ifun) < 1e-12
         assert not ifun.incorrect_modes
 
@@ -124,7 +126,7 @@ def test_interpolation_of_trig_polynomial_is_identity():
     samples = SampleVector(evaluate_at_nodes(f, pm), pm)
     lf = interpolation_operator(samples, ifun)
     for h, ch in zip(hs, c):
-        assert lf.get(tuple(int(x) for x in h)) == pytest.approx(ch, abs=1e-12)
+        assert coeff_at(lf, h) == pytest.approx(ch, abs=1e-12)
 
 
 def test_fourier_partial_sum_restricts_support():
@@ -133,7 +135,7 @@ def test_fourier_partial_sum_restricts_support():
     s = fourier_partial_sum(f, E2)
     kept = {tuple(int(x) for x in k) for k in s.freqs}
     assert kept == {(0, 0), (-1, -1)}  # (1,0) and (5,-4) are non-canonical
-    assert s.get((-1, -1)) == pytest.approx(4.0)
+    assert coeff_at(s, (-1, -1)) == pytest.approx(4.0)
 
 
 def degenerate_kernel(pm):
@@ -150,9 +152,10 @@ def degenerate_kernel(pm):
 
 def test_check_existence_flags_degenerate_class():
     phi = degenerate_kernel(E2)
-    rep = check_existence(phi, E2)
-    assert not rep.ok
-    assert rep.flagged == [(-1, -1)]
+    with pytest.raises(NonExistent, match=re.escape("classes [(-1, -1)]")):
+        fundamental_interpolant(phi, E2)
+    ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
+    assert ifun.incorrect_modes == [(-1, -1)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -161,8 +164,6 @@ def test_non_finite_kernel_coefficient_raises(bad):
     coeffs = phi.coeffs.copy()
     coeffs[1] = bad
     phi = FourierSeries(phi.freqs, coeffs, window=math.inf)
-    with pytest.raises(AnisoError, match="not finite"):
-        check_existence(phi, M21)
     for allow_incorrect in (False, True):
         with pytest.raises(AnisoError, match="not finite"):
             fundamental_interpolant(phi, M21, allow_incorrect=allow_incorrect)
@@ -174,7 +175,7 @@ def test_incorrect_interpolation_fallback():
         fundamental_interpolant(phi, E2)
     ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
-    assert ifun.series.get((-1, -1)) == pytest.approx(1.0 / E2.m)
+    assert coeff_at(ifun.series, (-1, -1)) == pytest.approx(1.0 / E2.m)
     # the fallback still yields a cardinal function at the nodes
     assert cardinal_residual(ifun) < 1e-12
     folded = alias_fold(ifun.series, E2).values

@@ -13,10 +13,9 @@ from anisointerp import (
     AnisoError,
     NotAMember,
     SingularMatrix,
-    enumerate_generating_set,
-    enumerate_pattern,
-    is_canonical_freq,
+    gset_freqs,
     pattern_add,
+    pattern_generators,
     reduce_freq,
     reduce_freq_many,
     validate_matrix,
@@ -97,16 +96,14 @@ def oracle_generating_set(mat):
 ])
 def test_generating_set_matches_oracle(mat):
     pm = validate_matrix(mat)
-    got = [tuple(int(x) for x in k)
-           for k in enumerate_generating_set(pm, transposed=True)]
-    assert got == oracle_generating_set(mat)
+    assert list(map(tuple, gset_freqs(pm).tolist())) == oracle_generating_set(mat)
 
 
 def test_fig1_matrix_counts():
     pm = validate_matrix(FIG1)
     assert pm.m == 64
-    assert len(enumerate_pattern(pm)) == 64
-    assert len(enumerate_generating_set(pm, transposed=True)) == 64
+    assert len(pattern_generators(pm)) == 64
+    assert len(gset_freqs(pm)) == 64
 
 
 def test_singular_matrix_rejected():
@@ -114,6 +111,12 @@ def test_singular_matrix_rejected():
         validate_matrix([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrix):
         validate_matrix([[0]])
+
+
+def test_malformed_matrix_rejected():
+    for raw, msg in [([], "empty"), ([[1, 2]], "square"), ([[1.5]], "integers")]:
+        with pytest.raises(ValueError, match=msg):
+            validate_matrix(raw)
 
 
 def test_adjugate_identity():
@@ -142,7 +145,7 @@ def test_reduce_is_idempotent_and_class_preserving():
     diff = ks - red
     z = np.linalg.solve(pm.mat_np.T.astype(float), diff.T.astype(float)).T
     assert np.allclose(z, np.round(z), atol=1e-9)
-    assert all(is_canonical_freq(tuple(int(x) for x in h), pm) for h in red)
+    assert all(reduce_freq(h, pm) == tuple(h) for h in red.tolist())
 
 
 def test_reduce_many_matches_scalar_on_huge_indices():
@@ -157,7 +160,7 @@ def test_reduce_many_matches_scalar_on_huge_indices():
 
 def test_pattern_group_axioms():
     pm = validate_matrix([[2, 1], [0, 2]])
-    gens = [tuple(int(x) for x in g) for g in enumerate_pattern(pm)]
+    gens = list(map(tuple, pattern_generators(pm).tolist()))
     zero = (0,) * pm.d
     assert zero in gens
     table = {}
@@ -219,17 +222,15 @@ def regular_matrices(draw, max_d=3):
 @given(regular_matrices())
 def test_cardinality_law_random(mat):
     pm = validate_matrix(mat)
-    assert len(enumerate_pattern(pm)) == pm.m
-    assert len(enumerate_generating_set(pm, transposed=True)) == pm.m
-    assert len(enumerate_generating_set(pm, transposed=False)) == pm.m
+    assert len(pattern_generators(pm)) == pm.m
+    assert len(gset_freqs(pm)) == pm.m
 
 
 @settings(max_examples=25, deadline=None)
 @given(regular_matrices(max_d=2))
 def test_generating_sets_are_complete_residue_systems(mat):
     pm = validate_matrix(mat)
-    gs = enumerate_generating_set(pm, transposed=True)
-    reduced = {tuple(int(x) for x in h) for h in reduce_freq_many(gs, pm)}
+    reduced = {tuple(h) for h in reduce_freq_many(gset_freqs(pm), pm).tolist()}
     assert len(reduced) == pm.m
 
 
@@ -239,7 +240,7 @@ def test_class_indices_match_generating_set_positions(mat, data):
     """Labels are positions of ``reduce_freq(k)`` in the canonical order,
     for small indices and for indices up to ``2^62``."""
     pm = validate_matrix(mat)
-    gs = enumerate_generating_set(pm, transposed=True)
+    gs = list(map(tuple, gset_freqs(pm).tolist()))
 
     def rows(lo, hi):
         coord = st.integers(min_value=lo, max_value=hi)
@@ -307,8 +308,8 @@ def walk_generating_set(pm, transposed):
 @example(CYCLIC_3D)
 def test_enumeration_matches_bounding_box_walk(mat):
     pm = validate_matrix(mat)
-    for transposed in (False, True):
-        assert enumerate_generating_set(pm, transposed) == walk_generating_set(pm, transposed)
+    for rows, transposed in ((pattern_generators(pm), False), (gset_freqs(pm), True)):
+        assert list(map(tuple, rows.tolist())) == walk_generating_set(pm, transposed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,8 +323,7 @@ def test_diagonal_form_and_class_labels(mat):
     assert umv.tolist() == np.diag(eps).tolist()
     assert abs(_oracle_det(u)) == abs(_oracle_det(v)) == 1
     assert math.prod(eps) == pm.m
-    for transposed in (False, True):
-        rows = np.array(enumerate_generating_set(pm, transposed), dtype=np.int64)
+    for rows, transposed in ((pattern_generators(pm), False), (gset_freqs(pm), True)):
         labels = intlat.class_labels(rows, pm, transposed)
         assert sorted(labels.tolist()) == list(range(pm.m))
 
@@ -373,7 +373,7 @@ def test_corrupted_reduction_in_enumeration_raises(monkeypatch, corrupt):
     intlat.canonical_classes.cache_clear()
     monkeypatch.setattr(intlat, "_reduce_rows", corrupt)
     with pytest.raises(AnisoError):
-        enumerate_generating_set(validate_matrix(FIG1), transposed=True)
+        gset_freqs(validate_matrix(FIG1))
 
 
 def test_labels_past_int64_condition_raise():
@@ -383,7 +383,8 @@ def test_labels_past_int64_condition_raise():
     with pytest.raises(AnisoError):
         intlat.freq_phase_residues(np.zeros((1, 2)), np.zeros((1, 2)), pm)
     # the rest of the exact arithmetic works for any determinant
-    assert is_canonical_freq(reduce_freq((2**40, -7), pm), pm)
+    h = reduce_freq((2**40, -7), pm)
+    assert reduce_freq(h, pm) == h
 
 
 def test_phase_residues_exact_for_any_int64_input():

@@ -261,7 +261,7 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     builds one shell view and weights at most ``(2 zmax + 1)^d`` rows."""
     import anisointerp
     from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
-                             fixed_function, strangfix)
+                             strangfix)
 
     def refuse(*args, **kwargs):
         raise AssertionError("gamma_ip called")
@@ -269,7 +269,7 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     for mod in (anisointerp, bounds, cli, strangfix):
         monkeypatch.setattr(mod, "gamma_ip", refuse, raising=False)
     spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]), scales=(0, 1),
-                          test_function=fixed_function(decay_profile(2, 9.0, 8)),
+                          test_function=decay_profile(2, 9.0, 8),
                           alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
     assert convergence_study(spec).verdict
     mat = tmp_path / "M.txt"
