@@ -22,18 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxspline import BoxSplineSpec, PeriodizationWindow, periodize, sf_order
-from .errors import AnisoError
-from .fspaces import WeightSpec, a_norm, lq_norm, weights_many
+from .fspaces import WeightSpec, a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
     canonical_mask,
     dirichlet_kernel,
-    evaluate_at_nodes,
     fundamental_interpolant,
-    interpolation_operator,
 )
-from .intlat import PatternMatrix, validate_matrix
-from .ptransform import FourierSeries, SampleVector, dft_inverse, fold_classes
+from .intlat import PatternMatrix, freq_shifts, validate_matrix
+from .ptransform import (CoeffVector, FourierSeries, SampleVector, dft_inverse,
+                         discrete_coeffs, fold_classes, freq_class_indices)
 from .spectral import is_expanding, spectral_data
 from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
 
@@ -59,76 +57,57 @@ class ErrorBreakdown:
     scale: float
 
 
-def _find_rows(rows: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``rows`` that occur in ``ref`` (unique rows), as the pair
-    ``(hit, at)`` with ``rows[hit] == ref[at]`` and ``hit`` increasing.
-
-    Exact for any int64 entries, and ``rows`` is neither sorted nor copied.
-    Axis by axis, an entry is replaced by its rank among ``ref``'s entries
-    on that axis, and the key of the axes so far by the rank of that prefix
-    among ``ref``'s prefixes, so every key stays below ``len(ref)**2``; a
-    row drops out at the first axis or prefix that ``ref`` lacks.
-    """
-    n, d = ref.shape
-    if n == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    if n * n >= 2**63:
-        raise AnisoError(f"{n} rows are too many for exact int64 row keys")
-    hit, key, ref_key = np.arange(len(rows)), 0, 0
-    for a in range(d):
-        vals = np.unique(ref[:, a])
-        col = rows[:, a] if a == 0 else rows[hit, a]
-        pos = np.minimum(np.searchsorted(vals, col), len(vals) - 1)
-        keep = vals[pos] == col
-        hit, key = hit[keep], (key * len(vals) + pos)[keep]
-        ref_key = ref_key * len(vals) + np.searchsorted(vals, ref[:, a])
-        prefixes = np.unique(ref_key)
-        pos = np.minimum(np.searchsorted(prefixes, key), len(prefixes) - 1)
-        keep = prefixes[pos] == key
-        hit, key, ref_key = hit[keep], pos[keep], np.searchsorted(prefixes, ref_key)
-    if len(prefixes) < n:
-        raise ValueError("the series has repeated frequency rows")
-    return hit, np.argsort(ref_key)[key]
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an ``(n, d)`` int64 array as one opaque key: equal keys are
+    equal rows, and the keys sort and search exactly."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(f"V{8 * rows.shape[1]}").ravel()
 
 
 def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
                  alpha: float, q: float) -> ErrorBreakdown:
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
 
-    ``L_M f`` and ``L_M S_M f`` are applied to node samples and live on the
-    interpolant's support; ``f - S_M f`` is ``f`` on its non-canonical
-    modes.  No union of supports is formed: :func:`_find_rows` finds each of
-    ``f``'s modes in the interpolant's support by exact per-axis ranks, so
-    ``f - L_M f`` and ``S_M f - L_M S_M f`` are the support's rows, less
-    ``f``'s coefficient where it has one, together with ``f``'s modes off
-    the support.  One weight pass over the support serves the total, trig
-    and aliasing norms, one over ``f``'s modes the rest.  Both supports must
-    have unique rows, as :class:`FourierSeries` stores them (``ValueError``
-    if ``f``'s repeat).  Every norm is an exact finite sum; the interpolant
-    must cover the congruence classes of ``f``'s support (guaranteed when it
-    stores every class, as the built-in kernels do).
+    ``L_M f`` and ``L_M S_M f`` live on the interpolant's grid, and
+    ``f - S_M f`` is ``f`` on its non-canonical modes.  Only ``f``'s modes
+    are labelled and shifted, and ``h + M^T z`` is searched by its exact
+    ``z`` among the sorted grid columns: each difference is the grid, less
+    ``f``'s coefficient where it has one, plus ``f``'s modes off the grid.
+    Every norm is an exact finite sum; ``f`` must have unique rows, as
+    :class:`FourierSeries` stores them (``ValueError`` if not).
     """
-    pm = ifun.pm
+    pm, grid = ifun.pm, ifun.grid
     ws = WeightSpec(alpha, pm, q)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
-    canon = canonical_mask(freqs, pm)
-    fvals = evaluate_at_nodes(f, pm)
-    lc, lsc = (interpolation_operator(SampleVector(v, pm), ifun).coeffs for v in
-               (fvals, evaluate_at_nodes(FourierSeries(freqs[canon], fc[canon]), pm)))
-    hit, at = _find_rows(ifun.series.freqs, freqs)
-    off = np.ones(len(fc), dtype=bool)
-    off[at] = False
-    w, wf = (weights_many(ks, ws.beta, pm) for ks in (ifun.series.freqs, freqs))
+    if len(np.unique(_row_keys(freqs))) < len(freqs):
+        raise ValueError("the series has repeated frequency rows")
+    labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
+    canon = ~(zf != 0).any(axis=1)
+    # a shift past the grid's range, perhaps past int64, is off the grid
+    near = ((zf >= grid.shifts.min(axis=0)) & (zf <= grid.shifts.max(axis=0))).all(axis=1)
+    cols, key = _row_keys(grid.shifts), _row_keys(np.where(near[:, None], zf, 0))
+    order = np.argsort(cols)
+    col = order[np.minimum(np.searchsorted(cols[order], key), len(cols) - 1)]
+    off = ~near | (cols[col] != key)
+    hit = np.flatnonzero(~off)
+    at = (labels[hit], col[hit])
+    fvals, svals = (pm.m * dft_inverse(fold_classes(labels[keep], fc[keep], pm)).values
+                    for keep in (slice(None), canon))
+    lc, lsc = (pm.m * discrete_coeffs(SampleVector(v, pm)).values[:, None] * grid.coeffs
+               for v in (fvals, svals))
+    w, wf = grid_weights(grid, ws.beta), weights_many(freqs, ws.beta, pm)
 
     def error_norm(c, lg):  # ||g - L g||, g with coefficients c on f's modes
-        diff = -lg
-        diff[hit] += c[at]
-        return lq_norm(np.concatenate([w * np.abs(diff), wf[off] * np.abs(c[off])]), ws.q)
+        terms = w * np.abs(lg)
+        terms[at] = w[at] * np.abs(c[hit] - lg[at])
+        return lq_norm(np.concatenate([terms.ravel(), wf[off] * np.abs(c[off])]), ws.q)
 
     total, trig = error_norm(fc, lc), error_norm(np.where(canon, fc, 0), lsc)
     aliasing = lq_norm(w * np.abs(lc - lsc), ws.q)
     partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), ws.q)
-    residual = np.abs(pm.m * dft_inverse(fold_classes(ifun.labels, lc, pm)).values - fvals)
+    # L_M f folded in column order, as folding its flat series adds its modes
+    folded = np.cumsum(lc, axis=1)[:, -1]
+    residual = np.abs(pm.m * dft_inverse(CoeffVector(folded, pm)).values - fvals)
     return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
                           node_residual=float(residual.max(initial=0.0)),
                           scale=float(np.abs(fc).max(initial=0.0)))
@@ -213,6 +192,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.scales:
             raise ValueError("need at least one scale")
+        if len(set(self.scales)) < len(self.scales):
+            raise ValueError(f"scales must be distinct, got {self.scales}")
         if not (math.isfinite(self.alpha) and math.isfinite(self.mu)):
             raise ValueError("alpha and mu must be finite")
         if not (self.mu >= self.alpha >= 0):
@@ -265,11 +246,14 @@ class BoundReport:
 
 def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
     """Truncated series with real coefficients ``(1 + ||k||_2)^(-decay)``
-    on the box ``||k||_inf <= kmax``; ``decay`` must be finite."""
+    on the box ``||k||_inf <= kmax``; ``decay`` must be finite and
+    ``kmax >= 0``."""
     from .boxspline import _int_box
 
     if not math.isfinite(decay):
         raise ValueError("decay must be finite")
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     ks = _int_box(d, kmax)
     coeffs = (1.0 + np.linalg.norm(ks, axis=1)) ** (-decay)
     return FourierSeries(ks, coeffs.astype(np.complex128), window=math.inf)

@@ -6,7 +6,8 @@ the ``d(d+1)/2`` directions ``e_j`` and ``e_i + e_j`` (i < j).  The full
 ``d^2`` family additionally includes ``e_i - e_j``; its periodization has
 vanishing folded coefficients, which exercises the incorrect-interpolation
 fallback.  Everything stays in the Fourier domain: a spline enters the
-pipeline only through its transform values on the dual lattice.
+pipeline only through its transform values on the dual lattice, which
+:func:`periodize` returns as a class x shift :class:`AliasGrid`.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import AnisoError, TailTooLarge
+from .errors import TailTooLarge
 from .intlat import PatternMatrix
-from .ptransform import FourierSeries, gset_freqs
+from .ptransform import AliasGrid, check_reach, gset_freqs
 from .spectral import inv_t_apply
 
 
@@ -79,18 +80,6 @@ class PeriodizationWindow:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-
-
-def _hat_on_lattice(y: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
-    """Fourier transform, a product of sinc powers over the directions, at
-    ``xi = 2 pi y`` for each row of an ``(n, d)`` float array.
-
-    ``sinc(pi u) = np.sinc(u)`` with numpy's normalized convention.
-    """
-    out = np.ones(len(y))
-    for direction, pj in zip(spec.directions(), spec.p):
-        out *= np.sinc(y @ direction.astype(float)) ** pj
-    return out
 
 
 def _int_box(d: int, radius: int) -> np.ndarray:
@@ -185,12 +174,15 @@ def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
 
 
 def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
-              win: PeriodizationWindow) -> FourierSeries:
-    """Coefficients of the periodized spline on all classes up to the window.
+              win: PeriodizationWindow) -> AliasGrid:
+    """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
+    periodized spline, ``y_h = M^{-T} h``, on the grid of every canonical
+    ``h`` and every ``||z||_inf <= radius`` (exact zeros included, so shell
+    coverage stays checkable); the grid ``window`` is the radius.
 
-    The support is exactly every ``k = h + M^T z`` with canonical ``h`` and
-    ``||z||_inf <= radius`` (exact zeros included, so shell coverage stays
-    checkable).  The series ``window`` attribute records the radius.
+    The transform is a product over the directions ``v`` of
+    ``sinc(pi (y_h^T v + z^T v))^{p_v}``, each a table over the integers
+    ``|n| <= ||v||_1 radius`` gathered at ``n = z^T v``.
 
     Raises
     ------
@@ -201,12 +193,7 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
     """
     if spec.d != pm.d:
         raise ValueError("spline dimension and matrix dimension differ")
-    h = gset_freqs(pm)
-    reach = (max(int(h.max()), -int(h.min()))
-             + pm.d * win.radius * max(abs(x) for row in pm.mat for x in row))
-    if reach >= 2**63:
-        raise AnisoError(f"modes h + M^T z of {pm.mat} up to radius {win.radius} "
-                         f"reach {reach}, past int64")
+    check_reach(pm, win.radius)
     if win.tail_eps is not None:
         tail = periodization_tail(spec, pm, win.radius, win.tail_eps)
         if not tail <= win.tail_eps:
@@ -214,10 +201,13 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
                 f"tail bound {tail:.3e} exceeds requested {win.tail_eps:.3e}"
             )
     z = _int_box(pm.d, win.radius)
-    ks = (h[:, None, :] + (z @ pm.mat_np)[None, :, :]).reshape(-1, pm.d)
-    y = inv_t_apply(ks, pm)
-    coeffs = _hat_on_lattice(y, spec) / pm.m
-    return FourierSeries(ks, coeffs.astype(np.complex128), window=win.radius)
+    y = inv_t_apply(gset_freqs(pm), pm)
+    hat = np.ones((pm.m, len(z)))
+    for v, pj in zip(spec.directions(), spec.p):
+        nmax = int(np.abs(v).sum()) * win.radius
+        table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
+        hat *= table[:, z @ v + nmax]
+    return AliasGrid(pm, z, (hat / pm.m).astype(np.complex128), win.radius)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

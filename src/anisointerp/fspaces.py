@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotExpanding
 from .intlat import PatternMatrix
-from .ptransform import FourierSeries
+from .ptransform import AliasGrid, FourierSeries, gset_freqs
 from .spectral import inv_t_apply, is_expanding, spectral_data
 
 SUBMULT_RANGE = 50
@@ -39,20 +39,31 @@ class WeightSpec:
 
 def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
     """Vectorized ellipsoidal weight for an ``(n, d)`` integer index array."""
-    sd = spectral_data(pm)
     y = inv_t_apply(np.asarray(ks, dtype=np.int64), pm)
     r2 = np.einsum("ij,ij->i", y, y)
-    return (1.0 + sd.norm2**2 * r2) ** (beta / 2.0)
+    return (1.0 + spectral_data(pm).norm2**2 * r2) ** (beta / 2.0)
 
 
-def lq_norm(values: np.ndarray, q: float) -> float:
-    """``l_q`` norm of a nonnegative array, with the sup convention for inf."""
+def grid_weights(grid: AliasGrid, beta: float) -> np.ndarray:
+    """:func:`weights_many` at every entry ``h + M^T z`` of a grid, from
+    ``M^{-T} (h + M^T z) = M^{-T} h + z``, as an ``(m, nz)`` array."""
+    y = inv_t_apply(gset_freqs(grid.pm), grid.pm)
+    r2 = sum((y[:, a, None] + grid.shifts[:, a]) ** 2 for a in range(grid.pm.d))
+    return (1.0 + spectral_data(grid.pm).norm2**2 * r2) ** (beta / 2.0)
+
+
+def lq_norm(values: np.ndarray, q: float, axis: int | None = None):
+    """``l_q`` norm of a nonnegative array, with the sup convention for inf;
+    with ``axis``, the array of norms along it.  Each sum is scaled by its
+    largest term before the power, so it overflows only when the norm does."""
     values = np.asarray(values, dtype=float)
-    if len(values) == 0:
+    if values.size == 0:
         return 0.0
-    if math.isinf(q):
-        return float(values.max())
-    return float((values**q).sum() ** (1.0 / q))
+    top = values.max(axis=axis, keepdims=True)
+    if not math.isinf(q):
+        scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
+        top = scale * ((values / scale) ** q).sum(axis=axis, keepdims=True) ** (1.0 / q)
+    return float(top.squeeze()) if axis is None else top.squeeze(axis)
 
 
 def a_norm(f: FourierSeries, alpha: float, ws: WeightSpec) -> float:

@@ -4,34 +4,24 @@ Given a kernel with known Fourier coefficients, the unique element of its
 translate space taking value 1 at the origin node and 0 at all other
 pattern nodes has coefficients ``c_k(kernel) / (m * folded_class(kernel))``
 whenever no folded class coefficient vanishes.  This module constructs
-that cardinal function, applies the induced interpolation operator to node
-samples, and provides the supporting translate / evaluate / partial-sum
-machinery.
+that cardinal function as a class x shift :class:`AliasGrid`, where the fold
+is a row sum and the scaling a row product, applies the induced
+interpolation operator to node samples, and provides the supporting
+translate / evaluate / partial-sum machinery.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import AnisoError, NonExistent, NotInSpace
-from .intlat import (IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
-                     freq_shifts, reduce_freq_many)
-from .ptransform import (
-    CoeffVector,
-    FourierSeries,
-    SampleVector,
-    alias_fold,
-    dft_inverse,
-    discrete_coeffs,
-    fold_classes,
-    freq_class_indices,
-    gset_freqs,
-    merge_rows,
-)
+from .intlat import IntVec, PatternMatrix, canonical_classes, freq_phase_residues, reduce_freq_many
+from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, alias_fold,
+                         dft_inverse, discrete_coeffs, freq_class_indices, gset_freqs,
+                         merge_rows)
 
 EXISTENCE_EPS_REL = 1e-12
 
@@ -74,50 +64,42 @@ class FundamentalInterpolant:
 
     Attributes
     ----------
-    series : FourierSeries
-        Fourier coefficients of the interpolant.
-    pm : PatternMatrix
-        The pattern matrix.
+    grid : AliasGrid
+        Coefficients ``c_{h + M^T z}``; the flat view is the property ``series``.
     a_hat : CoeffVector
         Translate coefficients in the frequency domain,
         ``1 / (m * folded_h)``; zero on degenerate classes.
-    labels : np.ndarray
-        Read-only canonical position of the class ``h`` of each mode ``k``
-        of ``series``, as :func:`freq_class_indices` gives it; the aliasing
-        shift ``z`` with ``k = h + M^T z`` is the property ``shifts``.
     incorrect_modes : list of tuple
         Canonical classes where the folded kernel coefficient vanished and
         the fallback ``c_h = 1/m`` was applied.
     """
 
-    series: FourierSeries
-    pm: PatternMatrix
+    grid: AliasGrid
     a_hat: CoeffVector
-    labels: np.ndarray
     incorrect_modes: list[IntVec] = field(default_factory=list)
 
-    @cached_property
-    def shifts(self) -> np.ndarray:
-        """Read-only exact ``(n, d)`` shifts ``z`` of the modes, computed on
-        first use by :func:`freq_shifts`; ``AnisoError`` if a shift does not
-        fit in int64."""
-        zs = freq_shifts(self.series.freqs, self.pm)
-        zs.flags.writeable = False
-        return zs
+    @property
+    def pm(self) -> PatternMatrix:
+        return self.grid.pm
+
+    @property
+    def series(self) -> FourierSeries:
+        return self.grid.series
 
 
 def fundamental_interpolant(
-    phi: FourierSeries,
+    phi: AliasGrid | FourierSeries,
     pm: PatternMatrix,
     allow_incorrect: bool = False,
 ) -> FundamentalInterpolant:
-    """Build the fundamental interpolant of the translate space of ``phi``.
+    """Build the fundamental interpolant of the translate space of ``phi``,
+    a grid or a series (labelled and shifted by :meth:`AliasGrid.from_series`).
 
     Coefficients are ``c_k(phi) / (m * folded)`` classwise.  On classes
     where the folded coefficient vanishes the interpolant does not exist;
     with ``allow_incorrect`` those classes fall back to the single
     canonical coefficient ``1/m`` (all non-canonical modes of the class are
-    dropped) and are recorded in ``incorrect_modes``.  A folded coefficient
+    zeroed) and are recorded in ``incorrect_modes``.  A folded coefficient
     vanishes when its magnitude is at most ``EXISTENCE_EPS_REL`` times the
     largest one, since an exact "nonzero" test is meaningless in floats.
 
@@ -127,10 +109,13 @@ def fundamental_interpolant(
         If a folded class vanishes and ``allow_incorrect`` is not set; the
         message lists the vanishing classes.
     AnisoError
-        If a folded class coefficient is not finite.
+        If a folded class coefficient is not finite, or a shift of a series
+        does not fit in int64.
     """
-    labels = freq_class_indices(phi.freqs, pm)
-    folded = fold_classes(labels, phi.coeffs, pm).values
+    grid = phi if isinstance(phi, AliasGrid) else AliasGrid.from_series(phi, pm)
+    if grid.pm != pm:
+        raise ValueError("the kernel grid belongs to another pattern matrix")
+    folded = grid.coeffs.sum(axis=1)
     mags = np.abs(folded)
     if not np.isfinite(mags).all():
         h = tuple(gset_freqs(pm)[np.argmin(np.isfinite(mags))].tolist())
@@ -142,18 +127,11 @@ def fundamental_interpolant(
 
     a_hat = np.zeros(pm.m, dtype=np.complex128)
     a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
-
-    keep, extra = ~flag[labels], np.flatnonzero(flag)
-    freqs = np.vstack([phi.freqs.reshape(-1, pm.d)[keep], gset_freqs(pm)[extra]])
-    coeffs = np.concatenate([phi.coeffs[keep] * a_hat[labels[keep]],
-                             np.full(len(extra), 1.0 / pm.m)])
-    labels = np.concatenate([labels[keep], extra])
-    labels.flags.writeable = False
+    coeffs = grid.coeffs * a_hat[:, None]
+    coeffs[np.ix_(flag, ~grid.shifts.any(axis=1))] = 1.0 / pm.m
     return FundamentalInterpolant(
-        series=FourierSeries(freqs, coeffs, window=phi.window),
-        pm=pm,
+        grid=AliasGrid(pm, grid.shifts, coeffs, grid.window),
         a_hat=CoeffVector(a_hat, pm),
-        labels=labels,
         incorrect_modes=flagged,
     )
 
@@ -202,13 +180,13 @@ def interpolation_operator(samples: SampleVector,
                            ifun: FundamentalInterpolant) -> FourierSeries:
     """Series matching the node samples within the interpolant's space.
 
-    ``c_k = m * folded_sample_coeff(class of k) * c_k(interpolant)`` over
-    the stored support of the interpolant.
+    ``c_{h + M^T z} = m * folded_sample_coeff(h) * c_{h + M^T z}(interpolant)``
+    over the stored support of the interpolant, as a flat series.
     """
     ch = discrete_coeffs(samples).values
     f = ifun.series
-    coeffs = ifun.pm.m * ch[ifun.labels] * f.coeffs
-    return FourierSeries(f.freqs, coeffs, window=f.window)
+    coeffs = ifun.pm.m * ch[:, None] * ifun.grid.coeffs
+    return FourierSeries(f.freqs, coeffs.ravel(), window=f.window)
 
 
 def canonical_mask(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
@@ -224,17 +202,17 @@ def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
     return FourierSeries(f.freqs[keep], f.coeffs[keep], window=math.inf)
 
 
-def dirichlet_kernel(pm: PatternMatrix) -> FourierSeries:
-    """Kernel with coefficient 1 on every canonical frequency, 0 elsewhere."""
-    h = gset_freqs(pm)
-    return FourierSeries(h.copy(), np.ones(pm.m, dtype=np.complex128),
-                         window=math.inf)
+def dirichlet_kernel(pm: PatternMatrix) -> AliasGrid:
+    """Kernel with coefficient 1 on every canonical frequency, 0 elsewhere:
+    the grid of the one shift ``z = 0``."""
+    return AliasGrid(pm, np.zeros((1, pm.d), dtype=np.int64),
+                     np.ones((pm.m, 1), dtype=np.complex128), window=math.inf)
 
 
 def cardinal_residual(ifun: FundamentalInterpolant) -> float:
     """Max deviation of the interpolant from the cardinal values at nodes."""
     pm = ifun.pm
-    vals = pm.m * dft_inverse(fold_classes(ifun.labels, ifun.series.coeffs, pm)).values
+    vals = pm.m * dft_inverse(CoeffVector(ifun.grid.coeffs.sum(axis=1), pm)).values
     target = np.zeros(pm.m, dtype=np.complex128)
     target[canonical_classes(pm, False)[2][0]] = 1.0  # label 0 is the origin
     return float(np.abs(vals - target).max())

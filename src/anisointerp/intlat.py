@@ -288,14 +288,12 @@ def reduce_freq_many(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
 
 def freq_shifts(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
     """Exact aliasing shifts ``z`` with ``k = reduce_freq(k) + M^T z`` for the
-    rows of an ``(n, d)`` int64 array.  Raises ``AnisoError`` if a shift does
-    not fit in int64."""
+    rows of an ``(n, d)`` int64 array: int64, or Python ints
+    (``dtype=object``) when some shift does not fit in int64."""
     z = _shift_rows(np.asarray(ks, dtype=np.int64), pm.transposed())[0]
-    if z.dtype == object and np.abs(z).max(initial=0) >= 2**63:
-        i = int(np.argmax(np.abs(z).max(axis=1)))
-        raise AnisoError(f"aliasing shift of mode {tuple(ks[i].tolist())} "
-                         "does not fit in int64")
-    return np.asarray(z, dtype=np.int64)
+    if z.dtype == object and np.abs(z).max(initial=0) < 2**63:
+        z = z.astype(np.int64)
+    return z
 
 
 def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:

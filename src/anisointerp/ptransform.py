@@ -1,4 +1,6 @@
-"""Pattern discrete Fourier transform and the aliasing (folding) operator.
+"""Fourier series, flat or as a class x shift grid, the pattern discrete
+Fourier transform and the aliasing (folding) operator; on the grid
+``c_{h + M^T z}`` folding is a row sum and a shell of shifts a set of columns.
 
 The transform maps values on the canonical pattern to coefficients on the
 canonical generating set through the characters ``e^{-2 pi i h^T y}``.  By
@@ -12,10 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .intlat import PatternMatrix, canonical_classes, class_labels, freq_phase_residues
+from .errors import AnisoError
+from .intlat import (PatternMatrix, canonical_classes, class_labels, freq_phase_residues,
+                     freq_shifts)
+
+GRID_MAX = 2**25  # entries of a grid built from a series (512 MiB)
 
 
 class FourierSeries:
@@ -84,6 +91,61 @@ def merge_rows(freqs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.nd
     first[1:] = (freqs[1:] != freqs[:-1]).any(axis=1)
     starts = np.flatnonzero(first)
     return freqs[starts], np.add.reduceat(coeffs, starts)
+
+
+def check_reach(pm: PatternMatrix, zmax: int) -> None:
+    """``AnisoError`` unless ``max|h| + d zmax max|M| < 2^63`` (int64 modes)."""
+    reach = (int(np.abs(gset_freqs(pm)).max())
+             + pm.d * zmax * max(abs(x) for row in pm.mat for x in row))
+    if reach >= 2**63:
+        raise AnisoError(f"modes h + M^T z of {pm.mat} up to ||z|| = {zmax} "
+                         f"reach {reach}, past int64")
+
+
+@dataclass(frozen=True, eq=False)
+class AliasGrid:
+    """The ``(m, nz)`` grid ``coeffs[h, z] = c_{h + M^T z}`` of a series: rows
+    follow :func:`gset_freqs`, columns the distinct ``(nz, d)`` ``shifts`` in
+    lexicographic order, ``z = 0`` among them; every entry is stored."""
+
+    pm: PatternMatrix
+    shifts: np.ndarray
+    coeffs: np.ndarray
+    window: float | None = None
+
+    def __len__(self) -> int:
+        return self.coeffs.size
+
+    @cached_property
+    def series(self) -> FourierSeries:
+        """The flat view, ``h + M^T z`` ``h``-major; ``AnisoError`` past int64."""
+        check_reach(self.pm, int(np.abs(self.shifts).max()))
+        ks = gset_freqs(self.pm)[:, None, :] + (self.shifts @ self.pm.mat_np)[None]
+        return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel(),
+                             window=self.window)
+
+    @classmethod
+    def from_series(cls, f: FourierSeries, pm: PatternMatrix) -> "AliasGrid":
+        """Label and shift each mode of ``f`` once and add it into its entry;
+        ``AnisoError`` if a shift leaves int64 or the grid passes ``GRID_MAX``."""
+        freqs = f.freqs.reshape(-1, pm.d)
+        labels, z = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
+        if z.dtype == object:
+            k = freqs[np.argmax(np.abs(z).max(axis=1))]
+            raise AnisoError(f"aliasing shift of mode {tuple(k.tolist())} "
+                             "does not fit in int64")
+        z = np.vstack([np.zeros((1, pm.d), dtype=np.int64), z])
+        order = np.lexsort(z.T[::-1])
+        new = np.ones(len(z), dtype=bool)
+        new[1:] = (z[order[1:]] != z[order[:-1]]).any(axis=1)
+        cols = np.empty(len(z), dtype=np.int64)
+        cols[order] = np.cumsum(new) - 1
+        nz = int(new.sum())
+        if pm.m * nz > GRID_MAX:
+            raise AnisoError(f"{len(freqs)} modes need an {pm.m} x {nz} grid, past {GRID_MAX}")
+        coeffs = np.zeros((pm.m, nz), dtype=np.complex128)
+        np.add.at(coeffs, (labels, cols[1:]), f.coeffs)
+        return cls(pm, z[order[new]], coeffs, f.window)
 
 
 @dataclass

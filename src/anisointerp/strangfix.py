@@ -9,7 +9,10 @@ for all canonical ``h != 0`` and ``z != 0``, with the weighted sequence
 ``{sigma_alpha(z) b_z}`` summable in ``l_q``.  The verifier computes the
 tightest admissible ``b_z`` on a truncated shell range (the Definition
 asks only for existence of some sequence, so the minimal witness is the
-canonical one) and reports the truncated ``gamma_SF``.
+canonical one) and reports the truncated ``gamma_SF``.  It reads the
+interpolant's class x shift grid directly: the shells are a set of its
+columns, ``b_z`` is a maximum down a column and ``gamma_IP`` a norm along
+each row.
 
 On a fixed finite index set any order is attainable with large enough
 constants, so finiteness alone cannot refute an overclaimed order.  The
@@ -26,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxspline import _int_box, _int_shell
+from .boxspline import _int_shell
 from .errors import AnisoError, DivergentSeries, InsufficientSupport
 from .fspaces import WeightSpec, lq_norm, weights_many
 from .interp import FundamentalInterpolant
 from .intlat import IntVec, PatternMatrix
-from .ptransform import fold_classes, gset_freqs
+from .ptransform import gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
 H0_TOL = 1e-10
@@ -94,44 +97,33 @@ class SFReport:
 
 
 def _shell_view(ifun: FundamentalInterpolant, zmax: int, alpha: float):
-    """The coefficients ``c_{h + M^T z}`` on the shells ``||z||_inf <= zmax``:
-    the folded ``z = 0`` coefficient of each class, the box ``||z||_inf <= r``
-    of the largest shell ``r`` the modes reach with ``sigma_alpha`` on it,
-    and each ``z != 0`` mode's class position, box index and coefficient;
-    raises as :func:`gamma_ip` documents."""
+    """The grid columns of the shells ``||z||_inf <= zmax``: their shifts,
+    ``sigma_alpha`` on them, the position of ``z = 0`` among them and the
+    ``(m, n)`` coefficients ``c_{h + M^T z}``; raises as :func:`gamma_ip`
+    documents."""
     if zmax < 0:
         raise ValueError(f"zmax must be >= 0, got {zmax}")
-    win = ifun.series.window
-    if win is None or win < zmax:
-        raise InsufficientSupport(
-            f"series window {win} does not cover requested shells {zmax}"
-        )
+    grid = ifun.grid
+    if grid.window is None or grid.window < zmax:
+        raise InsufficientSupport(f"series window {grid.window} does not cover "
+                                  f"requested shells {zmax}")
     pm = ifun.pm
-    zinf = np.abs(ifun.shifts).max(axis=1)
-    at0, out = zinf == 0, (zinf > 0) & (zinf <= zmax)
-    c0 = fold_classes(ifun.labels[at0], ifun.series.coeffs[at0], pm).values
-    r = int(zinf[out].max(initial=0))
-    box = _int_box(pm.d, r)
+    keep = np.abs(grid.shifts).max(axis=1) <= zmax
+    zs = grid.shifts[keep]
     with np.errstate(over="ignore"):
-        sig = weights_many(box, alpha, pm)
+        sig = weights_many(zs, alpha, pm)
         if not np.isfinite(np.float64(spectral_data(pm).norm2) ** alpha * sig.max()):
             raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
-    zidx = np.ravel_multi_index((ifun.shifts[out] + r).T, (2 * r + 1,) * pm.d)
-    return c0, box, sig, ifun.labels[out], zidx, ifun.series.coeffs[out]
+    return zs, sig, int(np.flatnonzero(~zs.any(axis=1))[0]), grid.coeffs[:, keep]
 
 
 def _gamma_ip(view, alpha: float, q: float, pm: PatternMatrix) -> float:
     """``m`` times the worst per-class ``l_q`` norm of a :func:`_shell_view`'s
     ``|c_h|`` and ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``."""
-    c0, _, sig, labels, zidx, coeffs = view
-    outer = spectral_data(pm).norm2**alpha * (sig[zidx] * np.abs(coeffs))
-    if math.isinf(q):
-        per_h = np.abs(c0)
-        np.maximum.at(per_h, labels, outer)
-        return pm.m * float(per_h.max())
-    per_h = np.abs(c0) ** q
-    np.add.at(per_h, labels, outer**q)
-    return pm.m * float(per_h.max() ** (1.0 / q))
+    _, sig, center, coeffs = view
+    terms = spectral_data(pm).norm2**alpha * (sig * np.abs(coeffs))
+    terms[:, center] = np.abs(coeffs[:, center])
+    return pm.m * float(lq_norm(terms, q, axis=1).max())
 
 
 def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFReport:
@@ -139,7 +131,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
     shells ``||z||_inf <= zmax``; raises as :func:`gamma_ip` does."""
     pm = ifun.pm
     view = _shell_view(ifun, zmax, params.alpha)
-    c0, box, sig_box, lab_o, zidx, c_o = view
+    zs, sig, center, coeffs = view
     sd = spectral_data(pm)
     s = params.s
     kappa_fac = sd.kappa ** (-s) if params.mode == "strict" else 1.0
@@ -152,48 +144,40 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
     witness = None
 
     # inner condition (z = 0); missing modes count as coefficient 0
-    inner = np.abs(1.0 - pm.m * c0)
+    inner = np.abs(1.0 - pm.m * coeffs[:, center])
     if inner[origin] > H0_TOL:
         failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
-        witness = witness or (tuple(int(x) for x in hs[origin]),
-                              (0,) * pm.d)
+        witness = witness or (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
 
     hmask = np.arange(pm.m) != origin
     rhs_inner = kappa_fac * ynorm**s
     b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
 
     # outer condition (z != 0)
-    zero_class = lab_o == origin
-    bad = np.abs(pm.m * c_o[zero_class]) > H0_TOL
+    outer = np.arange(len(zs)) != center
+    bad = outer & (np.abs(pm.m * coeffs[origin]) > H0_TOL)
     if bad.any():
-        j = np.flatnonzero(zero_class)[np.flatnonzero(bad)[0]]
         failures.append("nonzero coefficient on the zero class at z != 0")
-        witness = witness or ((0,) * pm.d, tuple(int(x) for x in box[zidx[j]]))
+        witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs[np.argmax(bad)]))
     rhs_outer = kappa_fac * sd.norm2 ** (-params.alpha) * ynorm**s
-    keep = ~zero_class
-    ratios = np.abs(pm.m * c_o[keep]) / rhs_outer[lab_o[keep]]
-    # b_z on the box, kept where positive, and always at its center z = 0
-    best = np.zeros(len(box))
-    np.maximum.at(best, zidx[keep], ratios)
-    center = len(box) // 2
+    ratios = np.abs(pm.m * coeffs[hmask]) / rhs_outer[hmask, None]
+    # b_z on the shells, kept where positive, and always at z = 0
+    best = ratios.max(axis=0, initial=0.0)
     best[center] = b0
-    hit = (best > 0.0) | (np.arange(len(box)) == center)
-    zkeys, bvals = box[hit], best[hit]
+    hit = (best > 0.0) | ~outer
+    zkeys, bvals = zs[hit], best[hit]
     b = dict(zip(map(tuple, zkeys.tolist()), bvals.tolist()))
 
     # truncated gamma_SF and its shell-convergence diagnostic
-    weighted = sig_box[hit] * bvals
+    weighted = sig[hit] * bvals
     gamma_sf = lq_norm(weighted, params.q)
     if not math.isfinite(gamma_sf):
         raise AnisoError(f"alpha = {params.alpha} with q = {params.q} overflows gamma_SF")
     last = np.abs(zkeys).max(axis=1) == zmax
-    tail_ok = True
-    if gamma_sf > 0.0 and zmax >= 1:
-        if math.isinf(params.q):
-            tail_ok = weighted[last].max(initial=0.0) <= math.sqrt(TAIL_FRAC) * gamma_sf
-        else:
-            tail_ok = float((weighted[last] ** params.q).sum()) <= TAIL_FRAC * gamma_sf**params.q
-    if not tail_ok:
+    # the last shell's share of gamma_SF^q is at most TAIL_FRAC (its max at
+    # most sqrt(TAIL_FRAC) gamma_SF for q = inf)
+    frac = math.sqrt(TAIL_FRAC) if math.isinf(params.q) else TAIL_FRAC ** (1.0 / params.q)
+    if gamma_sf > 0.0 and zmax >= 1 and lq_norm(weighted[last], params.q) > frac * gamma_sf:
         failures.append("no geometric tail: last shell dominates gamma_SF")
         j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
         witness = witness or (None, tuple(int(x) for x in zkeys[j]))

@@ -367,6 +367,11 @@ def test_experiment_spec_validation():
     for decay in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="decay"):
             decay_profile(2, decay, 4)
+    with pytest.raises(ValueError, match="kmax"):
+        decay_profile(2, 8.0, -1)
+    with pytest.raises(ValueError, match="scales"):  # one distinct ||M|| to fit over
+        ExperimentSpec(base_matrix=E2, scales=(1, 0, 1), test_function=f,
+                       alpha=0.0, mu=6.0, q=2.0)
     spec = ExperimentSpec(base_matrix=E2, scales=(0,), test_function=f,
                           alpha=0.0, mu=6.0, q=2.0)
     with pytest.raises(ValueError):

@@ -16,18 +16,30 @@ from anisointerp import (
     TailTooLarge,
     alias_fold,
     fundamental_interpolant,
+    gset_freqs,
+    inv_t_apply,
     periodization_tail,
     periodize,
     sf_order,
     validate_matrix,
 )
 from anisointerp import boxspline
-from anisointerp.boxspline import _alias_bound, _hat_on_lattice, _int_box, _int_shell
+from anisointerp.boxspline import _alias_bound, _int_box, _int_shell
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
 B111 = BoxSplineSpec(2, (1, 1, 1))
 B222 = BoxSplineSpec(2, (2, 2, 2))
+
+
+def _hat_on_lattice(y, spec):
+    """Oracle: the transform, a product of sinc powers over the directions,
+    at ``xi = 2 pi y`` for each row of an ``(n, d)`` float array, with
+    ``sinc(pi u) = np.sinc(u)`` in numpy's normalized convention."""
+    out = np.ones(len(y))
+    for direction, pj in zip(spec.directions(), spec.p):
+        out *= np.sinc(y @ direction.astype(float)) ** pj
+    return out
 
 
 def test_direction_families():
@@ -69,20 +81,41 @@ def test_periodized_coeff_closed_form():
     # the coefficient vanishes on the sublattice M^T z (sinc at an integer)
     for spec, k, expect in [(B111, (1, 0), 0.25 * (2.0 / math.pi) ** 2),
                             (B222, (0, 0), 0.25), (B222, (2, 0), 0.0)]:
-        f = periodize(spec, E2, win)
+        f = periodize(spec, E2, win).series
         c = f.coeffs[(f.freqs == k).all(axis=1)]
         assert len(c) == 1 and c[0] == pytest.approx(expect, rel=1e-13, abs=1e-30)
 
 
 def test_periodize_support_and_window():
     win = PeriodizationWindow(radius=8, tail_eps=None)
-    f = periodize(B222, E2, win)
-    assert len(f) == E2.m * (2 * 8 + 1) ** 2
-    assert f.window == 8
+    grid = periodize(B222, E2, win)
+    f = grid.series
+    assert len(grid) == len(f) == E2.m * (2 * 8 + 1) ** 2
+    assert grid.window == f.window == 8
+    assert grid.shifts.tolist() == _int_box(2, 8).tolist()
     folded = alias_fold(f, E2).values
     # every folded class is strictly positive: the interpolant exists
     assert folded.real.min() > 0.05
     assert np.abs(folded.imag).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec,mat", [
+    (B222, [[8, 3], [0, 8]]),
+    (BoxSplineSpec(3, (2, 1, 2, 1, 2, 1)), [[2, 1, 0], [0, 2, 1], [1, 0, 2]]),
+    (BoxSplineSpec(2, (1, 2, 1, 2), family="full"), [[3, 1], [-1, 2]]),
+    (BoxSplineSpec(3, (1,) * 9, family="full"), [[3, 1, 0], [0, 2, -1], [1, 0, 2]]),
+])
+def test_separable_hat_matches_flat_oracle(spec, mat):
+    """The per-direction sinc tables gathered at ``z^T v`` equal the
+    transform evaluated at every mode ``M^{-T} (h + M^T z)``."""
+    pm = validate_matrix(mat)
+    grid = periodize(spec, pm, PeriodizationWindow(radius=3, tail_eps=None))
+    z = _int_box(pm.d, 3)
+    ks = (gset_freqs(pm)[:, None, :] + (z @ pm.mat_np)[None]).reshape(-1, pm.d)
+    expect = _hat_on_lattice(inv_t_apply(ks, pm), spec) / pm.m
+    assert np.array_equal(grid.shifts, z)
+    assert np.array_equal(grid.series.freqs, ks)
+    assert np.abs(grid.coeffs.ravel() - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 def test_periodization_tail_frozen_values():
@@ -111,7 +144,7 @@ def test_periodize_refuses_modes_past_int64():
         periodize(B222, pm, PeriodizationWindow(radius=2, tail_eps=None))
     phi = periodize(B222, pm, PeriodizationWindow(radius=1, tail_eps=None))
     exact = {(z1, z1 * 2**61 + z2) for z1, z2 in product((-1, 0, 1), repeat=2)}
-    assert {tuple(k) for k in phi.freqs.tolist()} == exact
+    assert {tuple(k) for k in phi.series.freqs.tolist()} == exact
 
 
 def test_periodize_rejects_large_tail():
@@ -158,7 +191,7 @@ def test_tail_bounds_brute_force_sum(d, full, radius, data):
 
 def test_spatial_positivity_on_grid():
     """The periodized box spline is a sum of nonnegative bumps."""
-    f = periodize(B222, E2, PeriodizationWindow(radius=8, tail_eps=None))
+    f = periodize(B222, E2, PeriodizationWindow(radius=8, tail_eps=None)).series
     t = np.linspace(-math.pi, math.pi, 21)
     xx, yy = np.meshgrid(t, t)
     pts = np.column_stack([xx.ravel(), yy.ravel()])

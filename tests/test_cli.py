@@ -224,6 +224,25 @@ def test_converge_runs_and_writes(tmp_path, capsys):
     assert len(err) == 3 and all(line.startswith("error: ") for line in err), err
 
 
+@pytest.mark.parametrize("override,name", [("scales = 1,1", "scales"),
+                                           ("kmax = -1", "kmax")])
+def test_converge_rejects_repeated_scales_and_negative_kmax(tmp_path, capsys,
+                                                            override, name):
+    """A repeated scale would fit a rate over one distinct ||M||, and a
+    negative kmax has no test function: each is one error line naming it."""
+    mat = tmp_path / "M21.txt"
+    mat.write_text("2\n2 1\n0 2\n")
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nradius = 8\n"
+                   f"tail_eps = 1e-3\ncsv = {csv}\n{override}\n")
+    assert run(["converge", str(cfg)]) == 1
+    assert not csv.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err, err
+
+
 def test_usage_error_exit_code_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run([]) == 1

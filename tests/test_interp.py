@@ -160,7 +160,7 @@ def test_check_existence_flags_degenerate_class():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_kernel_coefficient_raises(bad):
-    phi = dirichlet_kernel(M21)
+    phi = dirichlet_kernel(M21).series
     coeffs = phi.coeffs.copy()
     coeffs[1] = bad
     phi = FourierSeries(phi.freqs, coeffs, window=math.inf)
@@ -186,7 +186,7 @@ def test_incorrect_interpolation_fallback():
 
 
 def test_membership_coeffs_accepts_translates():
-    phi = dirichlet_kernel(M21)
+    phi = dirichlet_kernel(M21).series
     t = translate(phi, (1, 0), M21)
     a = membership_coeffs(t, phi, M21)
     # a translate has |a_hat| = 1 on every class
@@ -195,7 +195,7 @@ def test_membership_coeffs_accepts_translates():
 
 def test_membership_coeffs_rejects_outsiders():
     pm = E2
-    phi = dirichlet_kernel(pm)
+    phi = dirichlet_kernel(pm).series
     # inconsistent ratios within one congruence class
     xi = FourierSeries(np.array([[0, 0], [2, 0]]),
                        np.array([1.0 + 0j, 5.0 + 0j]))
@@ -208,7 +208,7 @@ def test_membership_coeffs_accepts_scaled_kernel():
     """Each series' zero test is relative to its own largest coefficient, so
     a kernel coefficient near the threshold stays zero after scaling."""
     phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                    PeriodizationWindow(radius=16, tail_eps=1e-4))
+                    PeriodizationWindow(radius=16, tail_eps=1e-4)).series
     for c in (0.5, 1.0, 2.0):
         a = membership_coeffs(phi.scaled(c), phi, FIG1)
         assert np.allclose(a.values, c, rtol=1e-12, atol=0)
@@ -229,28 +229,67 @@ def _labelled_interpolants():
 
 
 def test_stored_labels_and_shifts_match_exact_reduction():
-    """Each mode's stored class is the position of ``reduce_freq(k)`` and
-    its stored shift is the exact ``M^{-T} (k - h)``; both are read-only."""
+    """Every grid entry ``(h, z)`` is the mode ``k = h + M^T z`` whose exact
+    reduction is ``h``; the shifts are distinct, in lexicographic order, and
+    include ``z = 0``."""
     for ifun in _labelled_interpolants():
-        pm = ifun.pm
-        position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
-        mt = pm.transposed()
-        freqs = ifun.series.freqs.tolist()
-        assert len(ifun.labels) == len(ifun.shifts) == len(freqs)
-        for k, lab, z in zip(freqs, ifun.labels.tolist(), ifun.shifts.tolist()):
-            h = reduce_freq(k, pm)
-            assert lab == position[h]
-            assert tuple(z) == mt.inv_apply(tuple(a - b for a, b in zip(k, h)))
-        for arr in (ifun.labels, ifun.shifts):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        pm, grid = ifun.pm, ifun.grid
+        hs = gset_freqs(pm).tolist()
+        shifts = grid.shifts.tolist()
+        assert list(map(tuple, shifts)) == sorted(set(map(tuple, shifts)))
+        assert [0] * pm.d in shifts
+        assert grid.coeffs.shape == (pm.m, len(shifts)) == (len(hs), len(shifts))
+        assert ifun.series.freqs.tolist() == [
+            [a + b for a, b in zip(h, (np.array(z) @ pm.mat_np).tolist())]
+            for h in hs for z in shifts]
+        for k, h in zip(ifun.series.freqs.tolist(), [h for h in hs for _ in shifts]):
+            assert reduce_freq(k, pm) == tuple(h)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ifun.labels = ifun.labels.copy()
+            ifun.grid = grid
+
+
+def test_series_path_matches_grid_path():
+    """A kernel given as its flat series is labelled, shifted and scattered
+    into the same grid that the kernel's own grid gives."""
+    kernels = [(dirichlet_kernel(FIG1), FIG1),
+               (periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
+                          PeriodizationWindow(radius=4, tail_eps=None)), FIG1),
+               (periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2,
+                          PeriodizationWindow(radius=6, tail_eps=None)), E2)]
+    for phi, pm in kernels:
+        for allow_incorrect in (False, True):
+            try:
+                want = fundamental_interpolant(phi, pm, allow_incorrect=allow_incorrect)
+            except NonExistent:
+                with pytest.raises(NonExistent):
+                    fundamental_interpolant(phi.series, pm, allow_incorrect=allow_incorrect)
+                continue
+            got = fundamental_interpolant(phi.series, pm, allow_incorrect=allow_incorrect)
+            assert np.array_equal(got.grid.shifts, want.grid.shifts)
+            assert np.array_equal(got.grid.coeffs, want.grid.coeffs)
+            assert np.array_equal(got.a_hat.values, want.a_hat.values)
+            assert got.grid.window == want.grid.window
+            assert got.incorrect_modes == want.incorrect_modes
+
+
+def test_series_grid_size_is_capped(monkeypatch):
+    """A sparse series whose modes span many shifts would need an
+    ``m x nz`` grid far larger than itself; past ``GRID_MAX`` entries that
+    is an ``AnisoError`` before anything is allocated."""
+    phi = dirichlet_kernel(FIG1).series
+    far = np.array([[0, 0]]) + np.arange(1, 40)[:, None] * np.array([[8, 0]])
+    f = FourierSeries(np.vstack([phi.freqs, far]), np.append(phi.coeffs, np.full(39, 0.1)),
+                      window=math.inf)
+    assert fundamental_interpolant(f, FIG1).grid.coeffs.shape == (FIG1.m, 40)
+    monkeypatch.setattr(ptransform, "GRID_MAX", FIG1.m * 39)
+    with pytest.raises(AnisoError, match="64 x 40 grid"):
+        fundamental_interpolant(f, FIG1)
 
 
 def test_interpolant_support_labelled_once(monkeypatch):
-    """Building the interpolant labels its kernel once; applying it,
-    verifying it and measuring errors with it never label its support."""
+    """Building the interpolant from a periodized kernel labels nothing;
+    applying it, verifying it and measuring errors with it never label its
+    support."""
     phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
                     PeriodizationWindow(radius=4, tail_eps=None))
     calls = []
@@ -262,8 +301,7 @@ def test_interpolant_support_labelled_once(monkeypatch):
 
     monkeypatch.setattr(ptransform, "class_labels", counting)
     ifun = fundamental_interpolant(phi, FIG1)
-    assert len(calls) == 1 and np.array_equal(calls[0], phi.freqs)
-    calls.clear()
+    assert not calls
     rng = np.random.default_rng(5)
     samples = SampleVector(rng.standard_normal(FIG1.m), FIG1)
     f = FourierSeries(rng.integers(-20, 21, size=(40, 2)),

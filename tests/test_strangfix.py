@@ -3,6 +3,8 @@
 import json
 import math
 import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,12 +25,14 @@ from anisointerp import (
     gamma_sm,
     gset_freqs,
     inv_t_apply,
+    lq_norm,
     periodize,
     reduce_freq,
     sf_order,
     spectral_data,
     validate_matrix,
     verify_sfc,
+    weights_many,
 )
 from anisointerp.boxspline import _int_box
 
@@ -65,32 +69,35 @@ def test_gamma_ip_rejects_invalid_alpha_and_q(alpha, q):
 
 def test_shifts_past_int64_raise():
     """Shifts come from the exact reduction, so a mode past the int64 range
-    of ``(k - h) adj M`` still gets its exact shift; only a shift that does
-    not itself fit in int64 is refused."""
+    of ``(k - h) adj M`` still gets its exact shift as a grid column; only a
+    shift that does not itself fit in int64 is refused, when the
+    interpolant is built."""
     def with_mode(k, pm):
-        phi = dirichlet_kernel(pm)
+        phi = dirichlet_kernel(pm).series
         return fundamental_interpolant(FourierSeries(
             np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5), window=math.inf), pm)
 
     pm = validate_matrix([[2, 1], [0, 2]])
     assert reduce_freq((2**63 - 1, 2**62 - 1), pm) == (-1, -1)
+    position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
     for k in ((2**63 - 1, 2**62 - 1), (2**61 - 2, -(2**61 - 2))):
         ifun = with_mode(k, pm)
         h = reduce_freq(k, pm)
-        assert tuple(ifun.shifts[-1].tolist()) == pm.transposed().inv_apply(
-            tuple(a - b for a, b in zip(k, h)))
+        z = pm.transposed().inv_apply(tuple(a - b for a, b in zip(k, h)))
+        assert ifun.grid.shifts.tolist() == [[0, 0], [int(x) for x in z]]
+        assert ifun.grid.coeffs[position[h], 1] == 0.5 * ifun.a_hat.values[position[h]]
         # the far mode lies outside the checked shells; both checks run
         rep = verify_sfc(ifun, SFParams(s=2.0), zmax=4)
         assert math.isfinite(rep.gamma_sf) and max(max(map(abs, z)) for z in rep.b) <= 4
         assert gamma_ip(ifun, 0.0, 2.0, 4) == pytest.approx(1.0, rel=1e-12)
         assert cardinal_residual(ifun) < 1e-12
+    # h' + M^T z for the other classes h' would wrap: the flat view refuses
+    with pytest.raises(AnisoError, match="int64"):
+        with_mode((2**63 - 1, 2**62 - 1), pm).series
 
     # on M = [[2, 100], [0, 2]] the shift of (2^60, 0) is (2^59, -25 2^60)
-    ifun = with_mode((2**60, 0), validate_matrix([[2, 100], [0, 2]]))
-    for check in (lambda: verify_sfc(ifun, SFParams(s=2.0), zmax=4),
-                  lambda: gamma_ip(ifun, 0.0, 2.0, 4)):
-        with pytest.raises(AnisoError, match="does not fit in int64"):
-            check()
+    with pytest.raises(AnisoError, match="does not fit in int64"):
+        with_mode((2**60, 0), validate_matrix([[2, 100], [0, 2]]))
 
 
 def test_dirichlet_passes_any_order_with_zero_gamma():
@@ -152,7 +159,6 @@ def test_insufficient_support_raised(box_ifun):
 
 
 def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
-    from anisointerp import weights_many
 
     rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0), zmax=16)
     zs = np.array(sorted(rep.b), dtype=np.int64)
@@ -300,9 +306,29 @@ def test_huge_alpha_raises():
                       lambda: gamma_ip(ifun, alpha, 2.0, 8)):
             with pytest.raises(AnisoError, match="alpha"):
                 check()
-    # the weights fit, but the l_4 sum of the weighted b_z does not
+    # the weights fit, but the weighted b_z do not
     with np.errstate(over="ignore"), pytest.raises(AnisoError, match="overflows gamma_SF"):
-        verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0), 8)
+        verify_sfc(ifun, SFParams(s=12.0, alpha=140.0, q=4.0), 8)
+
+
+def test_lq_sums_do_not_overflow_before_the_norm():
+    """``l_q`` sums are scaled by their largest term, so a norm that fits
+    is returned, without a RuntimeWarning, even where ``x^q`` overflows."""
+    assert lq_norm([1e100, 1e100], 4.0) == pytest.approx(2**0.25 * 1e100, rel=1e-15)
+    assert lq_norm(np.array([[3.0, 4.0], [0.0, 0.0], [1e300, 1e300]]), 2.0,
+                   axis=1) == pytest.approx([5.0, 0.0, 2**0.5 * 1e300], rel=1e-15)
+    ifun = fundamental_interpolant(
+        periodize(B222, FIG1, PeriodizationWindow(radius=8, tail_eps=1e-3)), FIG1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0), 8)
+        gip = gamma_ip(ifun, 100.0, 4.0, 8)
+    assert gip == rep.gamma_ip and math.isfinite(gip) and math.isfinite(rep.gamma_sf)
+    # the same norms in exact rationals, scaled by a power of two that fits
+    scale = 2.0**-900
+    sig = weights_many(np.array(list(rep.b)), 100.0, FIG1)
+    exact = sum(Fraction(x * scale) ** 4 for x in sig * np.array(list(rep.b.values())))
+    assert rep.gamma_sf == pytest.approx(float(exact) ** 0.25 / scale, rel=1e-13)
 
 
 def test_gamma_ip_dirichlet_is_one():
