@@ -68,18 +68,21 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
                  alpha: float, q: float) -> ErrorBreakdown:
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
 
-    ``L_M f`` and ``L_M S_M f`` live on the interpolant's grid, and
-    ``f - S_M f`` is ``f`` on its non-canonical modes.  Only ``f``'s modes
-    are labelled and shifted, and ``h + M^T z`` is searched by its exact
-    ``z`` among the sorted grid columns: each difference is the grid, less
-    ``f``'s coefficient where it has one, plus ``f``'s modes off the grid.
-    Every norm is an exact finite sum; ``f`` must have unique rows, as
-    :class:`FourierSeries` stores them (``ValueError`` if not).
+    ``L_M g`` is the interpolant's grid ``C`` with row ``h`` scaled by
+    ``g_h = m ghat_h``, and ``f - S_M f`` is ``f`` off the canonical set.
+    Only ``f``'s modes are labelled, and found among the grid's columns by
+    their exact ``z``.  A difference is ``L_M g`` off ``f``'s modes, with
+    norm ``|g_h|`` times a row norm of the real table ``sigma_alpha |C|``,
+    ``g - L_M g`` on them and ``g`` off the grid; its ``l_q`` norm is that
+    of the parts' norms.  Every norm is an exact finite sum; ``f`` must
+    have unique rows, as :class:`FourierSeries` stores them (``ValueError``
+    if not).
     """
     pm, grid = ifun.pm, ifun.grid
     ws = WeightSpec(alpha, pm, q)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
-    if len(np.unique(_row_keys(freqs))) < len(freqs):
+    keys = np.sort(_row_keys(freqs))  # np.unique would import numpy.ma
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("the series has repeated frequency rows")
     labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
     canon = ~(zf != 0).any(axis=1)
@@ -90,23 +93,30 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     col = order[np.minimum(np.searchsorted(cols[order], key), len(cols) - 1)]
     off = ~near | (cols[col] != key)
     hit = np.flatnonzero(~off)
-    at = (labels[hit], col[hit])
+    at, lab = (labels[hit], col[hit]), labels[hit]
     fvals, svals = (pm.m * dft_inverse(fold_classes(labels[keep], fc[keep], pm)).values
                     for keep in (slice(None), canon))
-    lc, lsc = (pm.m * discrete_coeffs(SampleVector(v, pm)).values[:, None] * grid.coeffs
-               for v in (fvals, svals))
-    w, wf = grid_weights(grid, ws.beta), weights_many(freqs, ws.beta, pm)
+    gf, gs = (pm.m * discrete_coeffs(SampleVector(v, pm)).values for v in (fvals, svals))
+    table = grid_weights(grid, ws.beta)
+    table *= np.abs(grid.coeffs)
+    on_f = table[at]
+    table[at] = 0.0
+    rows, wf = lq_norm(table, ws.q, axis=1), weights_many(freqs, ws.beta, pm)
 
-    def error_norm(c, lg):  # ||g - L g||, g with coefficients c on f's modes
-        terms = w * np.abs(lg)
-        terms[at] = w[at] * np.abs(c[hit] - lg[at])
-        return lq_norm(np.concatenate([terms.ravel(), wf[off] * np.abs(c[off])]), ws.q)
+    def norm(*parts):
+        return lq_norm(np.concatenate(parts), ws.q)
 
-    total, trig = error_norm(fc, lc), error_norm(np.where(canon, fc, 0), lsc)
-    aliasing = lq_norm(w * np.abs(lc - lsc), ws.q)
+    def error_norm(c, g):  # ||g - L g||, g with coefficients c on f's modes
+        return norm(np.abs(g) * rows, wf[hit] * np.abs(c[hit] - g[lab] * grid.coeffs[at]),
+                    wf[off] * np.abs(c[off]))
+
+    total, trig = error_norm(fc, gf), error_norm(np.where(canon, fc, 0), gs)
+    dg = np.abs(gf - gs)
+    aliasing = norm(dg * rows, dg[lab] * on_f)
     partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), ws.q)
     # L_M f folded in column order, as folding its flat series adds its modes
-    folded = np.cumsum(lc, axis=1)[:, -1]
+    lf = gf[:, None] * grid.coeffs
+    folded = np.cumsum(lf, axis=1, out=lf)[:, -1]
     residual = np.abs(pm.m * dft_inverse(CoeffVector(folded, pm)).values - fvals)
     return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
                           node_residual=float(residual.max(initial=0.0)),

@@ -18,9 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TailTooLarge
+from .errors import AnisoError, TailTooLarge
 from .intlat import PatternMatrix
-from .ptransform import AliasGrid, check_reach, gset_freqs
+from .ptransform import GRID_MAX, AliasGrid, check_reach, gset_freqs
 from .spectral import inv_t_apply
 
 
@@ -70,8 +70,8 @@ class BoxSplineSpec:
 class PeriodizationWindow:
     """Aliasing truncation radius and the acceptable tail bound.
 
-    ``tail_eps`` bounds the reported per-class sum of dropped coefficient
-    magnitudes; ``None`` disables the check.
+    ``tail_eps > 0`` bounds the reported per-class sum of dropped coefficient
+    magnitudes (``inf`` accepts any bound); ``None`` disables the check.
     """
 
     radius: int = 32
@@ -80,6 +80,8 @@ class PeriodizationWindow:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
+        if self.tail_eps is not None and not self.tail_eps > 0:
+            raise ValueError(f"tail_eps must be > 0 or None, got {self.tail_eps}")
 
 
 def _int_box(d: int, radius: int) -> np.ndarray:
@@ -176,9 +178,9 @@ def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
 def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
               win: PeriodizationWindow) -> AliasGrid:
     """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
-    periodized spline, ``y_h = M^{-T} h``, on the grid of every canonical
-    ``h`` and every ``||z||_inf <= radius`` (exact zeros included, so shell
-    coverage stays checkable); the grid ``window`` is the radius.
+    periodized spline, ``y_h = M^{-T} h``, on the real grid of every
+    canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
+    so shell coverage stays checkable); the grid ``window`` is the radius.
 
     The transform is a product over the directions ``v`` of
     ``sinc(pi (y_h^T v + z^T v))^{p_v}``, each a table over the integers
@@ -189,10 +191,13 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
     TailTooLarge
         If the computed tail bound exceeds ``win.tail_eps``.
     AnisoError
-        If a mode could leave int64: ``max|h| + d radius max|M| >= 2^63``.
+        If the grid passes ``GRID_MAX`` entries or a mode could leave int64
+        (``max|h| + d radius max|M| >= 2^63``), checked before any work.
     """
     if spec.d != pm.d:
         raise ValueError("spline dimension and matrix dimension differ")
+    if pm.m * (2 * win.radius + 1) ** pm.d > GRID_MAX:
+        raise AnisoError(f"radius {win.radius} needs a grid of over {GRID_MAX} entries")
     check_reach(pm, win.radius)
     if win.tail_eps is not None:
         tail = periodization_tail(spec, pm, win.radius, win.tail_eps)
@@ -207,7 +212,7 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
         nmax = int(np.abs(v).sum()) * win.radius
         table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
         hat *= table[:, z @ v + nmax]
-    return AliasGrid(pm, z, (hat / pm.m).astype(np.complex128), win.radius)
+    return AliasGrid(pm, z, hat / pm.m, win.radius)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

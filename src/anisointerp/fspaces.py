@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotExpanding
 from .intlat import PatternMatrix
-from .ptransform import AliasGrid, FourierSeries, gset_freqs
+from .ptransform import AliasGrid, FourierSeries, as_series, gset_freqs
 from .spectral import inv_t_apply, is_expanding, spectral_data
 
 SUBMULT_RANGE = 50
@@ -66,12 +66,13 @@ def lq_norm(values: np.ndarray, q: float, axis: int | None = None):
     return float(top.squeeze()) if axis is None else top.squeeze(axis)
 
 
-def a_norm(f: FourierSeries, alpha: float, ws: WeightSpec) -> float:
+def a_norm(f: FourierSeries | AliasGrid, alpha: float, ws: WeightSpec) -> float:
     """Weighted coefficient norm ``||{sigma_alpha(k) c_k(f)}||_{l_q}``.
 
     ``alpha`` is the exponent actually applied; ``ws`` supplies the matrix
     and the norm index.
     """
+    f = as_series(f)
     if len(f) == 0:
         return 0.0
     w = weights_many(f.freqs, alpha, ws.pm)

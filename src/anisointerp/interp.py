@@ -20,18 +20,19 @@ import numpy as np
 from .errors import AnisoError, NonExistent, NotInSpace
 from .intlat import IntVec, PatternMatrix, canonical_classes, freq_phase_residues, reduce_freq_many
 from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, alias_fold,
-                         dft_inverse, discrete_coeffs, freq_class_indices, gset_freqs,
-                         merge_rows)
+                         as_series, dft_inverse, discrete_coeffs, freq_class_indices,
+                         gset_freqs, merge_rows)
 
 EXISTENCE_EPS_REL = 1e-12
 
 
-def translate(f: FourierSeries, g: IntVec, pm: PatternMatrix) -> FourierSeries:
+def translate(f: FourierSeries | AliasGrid, g: IntVec, pm: PatternMatrix) -> FourierSeries:
     """Coefficients of ``f`` shifted by the pattern point ``y = M^{-1} g``.
 
     Each coefficient picks up the phase ``e^{-2 pi i k^T y}``, computed from
     the exact rational ``k^T adj(M) g / det`` reduced mod 1.
     """
+    f = as_series(f)
     if len(f) == 0:
         return f
     res = freq_phase_residues(f.freqs, np.array([g], dtype=np.int64), pm)[:, 0]
@@ -47,7 +48,7 @@ def evaluate(f: FourierSeries, x) -> complex:
     return complex(np.sum(f.coeffs * np.exp(1j * (f.freqs @ x))))
 
 
-def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
+def evaluate_at_nodes(f: FourierSeries | AliasGrid, pm: PatternMatrix) -> np.ndarray:
     """Values ``f(2 pi y)`` over the canonical pattern order, exactly.
 
     On pattern nodes the character ``e^{2 pi i k^T y}`` depends only on the
@@ -125,7 +126,7 @@ def fundamental_interpolant(
     if flagged and not allow_incorrect:
         raise NonExistent(f"folded kernel coefficient vanishes on classes {flagged}")
 
-    a_hat = np.zeros(pm.m, dtype=np.complex128)
+    a_hat = np.zeros(pm.m, dtype=folded.dtype)
     a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
     coeffs = grid.coeffs * a_hat[:, None]
     coeffs[np.ix_(flag, ~grid.shifts.any(axis=1))] = 1.0 / pm.m
@@ -136,8 +137,8 @@ def fundamental_interpolant(
     )
 
 
-def membership_coeffs(xi: FourierSeries, phi: FourierSeries, pm: PatternMatrix,
-                      tol: float = 1e-10) -> CoeffVector:
+def membership_coeffs(xi: FourierSeries | AliasGrid, phi: FourierSeries | AliasGrid,
+                      pm: PatternMatrix, tol: float = 1e-10) -> CoeffVector:
     """Translate coefficients ``a_hat`` with ``c_k(xi) = a_hat_h c_k(phi)``.
 
     Scans every stored mode of either series, grouped by congruence class,
@@ -149,6 +150,7 @@ def membership_coeffs(xi: FourierSeries, phi: FourierSeries, pm: PatternMatrix,
         With the first inconsistent index pair, if no consistent coefficient
         vector exists.
     """
+    xi, phi = as_series(xi), as_series(phi)
     freqs = np.vstack([f.freqs.reshape(-1, pm.d) for f in (xi, phi)])
     coeffs = np.zeros((len(freqs), 2), dtype=np.complex128)
     coeffs[:len(xi), 0], coeffs[len(xi):, 1] = xi.coeffs, phi.coeffs
@@ -205,8 +207,8 @@ def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
 def dirichlet_kernel(pm: PatternMatrix) -> AliasGrid:
     """Kernel with coefficient 1 on every canonical frequency, 0 elsewhere:
     the grid of the one shift ``z = 0``."""
-    return AliasGrid(pm, np.zeros((1, pm.d), dtype=np.int64),
-                     np.ones((pm.m, 1), dtype=np.complex128), window=math.inf)
+    return AliasGrid(pm, np.zeros((1, pm.d), dtype=np.int64), np.ones((pm.m, 1)),
+                     window=math.inf)
 
 
 def cardinal_residual(ifun: FundamentalInterpolant) -> float:

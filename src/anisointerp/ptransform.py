@@ -106,7 +106,8 @@ def check_reach(pm: PatternMatrix, zmax: int) -> None:
 class AliasGrid:
     """The ``(m, nz)`` grid ``coeffs[h, z] = c_{h + M^T z}`` of a series: rows
     follow :func:`gset_freqs`, columns the distinct ``(nz, d)`` ``shifts`` in
-    lexicographic order, ``z = 0`` among them; every entry is stored."""
+    lexicographic order, ``z = 0`` among them; every entry is stored, as
+    float64 for a real kernel and complex128 otherwise."""
 
     pm: PatternMatrix
     shifts: np.ndarray
@@ -126,8 +127,9 @@ class AliasGrid:
 
     @classmethod
     def from_series(cls, f: FourierSeries, pm: PatternMatrix) -> "AliasGrid":
-        """Label and shift each mode of ``f`` once and add it into its entry;
-        ``AnisoError`` if a shift leaves int64 or the grid passes ``GRID_MAX``."""
+        """Label and shift each mode of ``f`` once and add it into its entry,
+        a real grid when ``f`` has no imaginary part; ``AnisoError`` if a
+        shift leaves int64 or the grid passes ``GRID_MAX``."""
         freqs = f.freqs.reshape(-1, pm.d)
         labels, z = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
         if z.dtype == object:
@@ -143,9 +145,15 @@ class AliasGrid:
         nz = int(new.sum())
         if pm.m * nz > GRID_MAX:
             raise AnisoError(f"{len(freqs)} modes need an {pm.m} x {nz} grid, past {GRID_MAX}")
-        coeffs = np.zeros((pm.m, nz), dtype=np.complex128)
-        np.add.at(coeffs, (labels, cols[1:]), f.coeffs)
+        values = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
+        coeffs = np.zeros((pm.m, nz), dtype=values.dtype)
+        np.add.at(coeffs, (labels, cols[1:]), values)
         return cls(pm, z[order[new]], coeffs, f.window)
+
+
+def as_series(f: FourierSeries | AliasGrid) -> FourierSeries:
+    """``f`` itself, or the flat view of a grid."""
+    return f.series if isinstance(f, AliasGrid) else f
 
 
 @dataclass
@@ -219,12 +227,13 @@ def freq_class_indices(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
     return canonical_classes(pm, True)[2][class_labels(freqs, pm, transposed=True)]
 
 
-def alias_fold(f: FourierSeries, pm: PatternMatrix) -> CoeffVector:
+def alias_fold(f: FourierSeries | AliasGrid, pm: PatternMatrix) -> CoeffVector:
     """Fold the coefficients of ``f`` over congruence classes mod ``M^T``.
 
     For each canonical ``h`` the result is the exact finite sum of all
     stored coefficients whose index reduces to ``h``.
     """
+    f = as_series(f)
     return fold_classes(freq_class_indices(f.freqs, pm), f.coeffs, pm)
 
 

@@ -11,8 +11,9 @@ tightest admissible ``b_z`` on a truncated shell range (the Definition
 asks only for existence of some sequence, so the minimal witness is the
 canonical one) and reports the truncated ``gamma_SF``.  It reads the
 interpolant's class x shift grid directly: the shells are a set of its
-columns, ``b_z`` is a maximum down a column and ``gamma_IP`` a norm along
-each row.
+columns, and one real table ``|c_{h + M^T z}|`` of them serves both
+constants, ``b_z`` as a maximum down a column and ``gamma_IP`` as a norm
+along each row.
 
 On a fixed finite index set any order is attainable with large enough
 constants, so finiteness alone cannot refute an overclaimed order.  The
@@ -98,9 +99,10 @@ class SFReport:
 
 def _shell_view(ifun: FundamentalInterpolant, zmax: int, alpha: float):
     """The grid columns of the shells ``||z||_inf <= zmax``: their shifts,
-    ``sigma_alpha`` on them, the position of ``z = 0`` among them and the
-    ``(m, n)`` coefficients ``c_{h + M^T z}``; raises as :func:`gamma_ip`
-    documents."""
+    ``sigma_alpha`` on them, the position of ``z = 0`` among them, the
+    ``z = 0`` coefficients ``c_h`` and the real ``(m, n)`` magnitudes
+    ``|c_{h + M^T z}|`` (copying no columns when all are kept); raises as
+    :func:`gamma_ip` documents."""
     if zmax < 0:
         raise ValueError(f"zmax must be >= 0, got {zmax}")
     grid = ifun.grid
@@ -114,15 +116,17 @@ def _shell_view(ifun: FundamentalInterpolant, zmax: int, alpha: float):
         sig = weights_many(zs, alpha, pm)
         if not np.isfinite(np.float64(spectral_data(pm).norm2) ** alpha * sig.max()):
             raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
-    return zs, sig, int(np.flatnonzero(~zs.any(axis=1))[0]), grid.coeffs[:, keep]
+    center = int(np.flatnonzero(~zs.any(axis=1))[0])
+    coeffs = grid.coeffs if keep.all() else grid.coeffs[:, keep]
+    return zs, sig, center, coeffs[:, center], np.abs(coeffs)
 
 
 def _gamma_ip(view, alpha: float, q: float, pm: PatternMatrix) -> float:
     """``m`` times the worst per-class ``l_q`` norm of a :func:`_shell_view`'s
     ``|c_h|`` and ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``."""
-    _, sig, center, coeffs = view
-    terms = spectral_data(pm).norm2**alpha * (sig * np.abs(coeffs))
-    terms[:, center] = np.abs(coeffs[:, center])
+    _, sig, center, c0, mags = view
+    terms = spectral_data(pm).norm2**alpha * (sig * mags)
+    terms[:, center] = np.abs(c0)
     return pm.m * float(lq_norm(terms, q, axis=1).max())
 
 
@@ -131,7 +135,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
     shells ``||z||_inf <= zmax``; raises as :func:`gamma_ip` does."""
     pm = ifun.pm
     view = _shell_view(ifun, zmax, params.alpha)
-    zs, sig, center, coeffs = view
+    zs, sig, center, c0, mags = view
     sd = spectral_data(pm)
     s = params.s
     kappa_fac = sd.kappa ** (-s) if params.mode == "strict" else 1.0
@@ -144,7 +148,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
     witness = None
 
     # inner condition (z = 0); missing modes count as coefficient 0
-    inner = np.abs(1.0 - pm.m * coeffs[:, center])
+    inner = np.abs(1.0 - pm.m * c0)
     if inner[origin] > H0_TOL:
         failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
         witness = witness or (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
@@ -155,14 +159,14 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
 
     # outer condition (z != 0)
     outer = np.arange(len(zs)) != center
-    bad = outer & (np.abs(pm.m * coeffs[origin]) > H0_TOL)
+    bad = outer & (pm.m * mags[origin] > H0_TOL)
     if bad.any():
         failures.append("nonzero coefficient on the zero class at z != 0")
         witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs[np.argmax(bad)]))
     rhs_outer = kappa_fac * sd.norm2 ** (-params.alpha) * ynorm**s
-    ratios = np.abs(pm.m * coeffs[hmask]) / rhs_outer[hmask, None]
+    rhs_outer[origin] = math.inf  # the zero class is checked above
     # b_z on the shells, kept where positive, and always at z = 0
-    best = ratios.max(axis=0, initial=0.0)
+    best = (pm.m * mags / rhs_outer[:, None]).max(axis=0, initial=0.0)
     best[center] = b0
     hit = (best > 0.0) | ~outer
     zkeys, bvals = zs[hit], best[hit]

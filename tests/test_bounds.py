@@ -1,6 +1,10 @@
 """Measured interpolation errors against the proven bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from anisointerp import (
     report_to_csv,
     report_to_svg,
     spectral_data,
+    translate,
     validate_matrix,
     verify_sfc,
     weights_many,
@@ -240,6 +245,48 @@ def test_interp_error_matches_series_arithmetic_property(d, box, data):
     f = FourierSeries(freqs, coeffs, dedup=True)
     alpha, q = data.draw(st.sampled_from(ORACLE_NORMS))
     assert_matches_oracle(f, ifun, alpha, q)
+
+
+def complex_kernels(pm, radius):
+    """The box spline B(2,2,2) translated by the pattern point ``M^{-1} (0, 1)``
+    (a complex grid whose interpolant is the real one up to round-off) and
+    by ``(0.3, -0.7)``, off the pattern (a complex interpolant)."""
+    phi = periodize(B222, pm, PeriodizationWindow(radius=radius, tail_eps=None)).series
+    off = FourierSeries(phi.freqs, phi.coeffs * np.exp(-1j * (phi.freqs @ [0.3, -0.7])),
+                        window=phi.window)
+    kernels = [translate(phi, (0, 1), pm), off]
+    for kernel in kernels:
+        assert np.abs(kernel.coeffs.imag).max() > 0.1 * np.abs(kernel.coeffs).max()
+    return kernels
+
+
+def test_interp_error_matches_series_arithmetic_for_a_complex_kernel():
+    """Complex grids: the row norms scale by ``|g_h|`` as a real grid's do."""
+    f = _oracle_function(M21, np.random.default_rng(19))
+    for kernel in complex_kernels(M21, 6):
+        ifun = fundamental_interpolant(kernel, M21)
+        assert ifun.grid.coeffs.dtype == np.complex128
+        for alpha, q in ORACLE_NORMS:
+            assert_matches_oracle(f, ifun, alpha, q)
+
+
+def test_study_never_imports_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` (about 18 ms) on its first call in
+    a process; a fresh study must not pay for it."""
+    src = str(Path(bounds.__file__).parents[1])
+    code = ("import sys\n"
+            "from anisointerp import (BoxSplineSpec, ExperimentSpec, convergence_study,\n"
+            "                         decay_profile, validate_matrix)\n"
+            "spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]),\n"
+            "                      scales=(0, 1), test_function=decay_profile(2, 9.0, 8),\n"
+            "                      alpha=0.0, mu=6.0, q=2.0, kernel=BoxSplineSpec(2, (2, 2, 2)),\n"
+            "                      radius=8, tail_eps=1e-3)\n"
+            "assert convergence_study(spec).verdict\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_interp_error_rejects_repeated_rows():

@@ -147,6 +147,33 @@ def test_periodize_refuses_modes_past_int64():
     assert {tuple(k) for k in phi.series.freqs.tolist()} == exact
 
 
+def test_window_tail_eps_must_be_positive():
+    """A tail bound that is not ``> 0`` is refused by name; ``None`` skips
+    the check and ``inf`` accepts any bound."""
+    for bad in (math.nan, -1.0, 0.0, -math.inf):
+        with pytest.raises(ValueError, match="tail_eps"):
+            PeriodizationWindow(radius=4, tail_eps=bad)
+    for ok in (None, math.inf, 1e-300):
+        assert PeriodizationWindow(radius=4, tail_eps=ok).tail_eps == ok
+    # B(1,1,1) has an infinite tail bound, which only tail_eps = inf accepts
+    assert periodize(B111, E2, PeriodizationWindow(radius=2, tail_eps=math.inf)).window == 2
+
+
+def test_periodize_caps_the_grid_before_any_work(monkeypatch):
+    """A grid of more than ``GRID_MAX`` entries raises ``AnisoError`` naming
+    the radius, before the tail bound runs and before anything is built."""
+    monkeypatch.setattr(boxspline, "GRID_MAX", E2.m * 9**2)
+    assert periodize(B222, E2, PeriodizationWindow(radius=4, tail_eps=None)).coeffs.size == 324
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done past the cap")
+
+    for name in ("periodization_tail", "_int_box", "check_reach"):
+        monkeypatch.setattr(boxspline, name, refuse)
+    with pytest.raises(AnisoError, match="radius 5"):
+        periodize(B222, E2, PeriodizationWindow(radius=5, tail_eps=1e-4))
+
+
 def test_periodize_rejects_large_tail():
     with pytest.raises(TailTooLarge):
         periodize(B222, E2, PeriodizationWindow(radius=4, tail_eps=1e-12))

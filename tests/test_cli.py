@@ -276,3 +276,49 @@ def test_sample_validation_errors(e2, tmp_path, capsys):
                 assert run(argv) == 1
                 assert not out.exists()
                 assert repr(row) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tail_eps", ["nan", "-1", "0"])
+def test_tail_eps_must_be_positive(fig1, tmp_path, capsys, tail_eps):
+    """A NaN, negative or zero tail bound is refused by name in ``converge``
+    and ``sfcheck --tail-eps``, instead of failing as an exceeded bound."""
+    mat = tmp_path / "M21.txt"
+    mat.write_text("2\n2 1\n0 2\n")
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nradius = 8\n"
+                   f"tail_eps = {tail_eps}\ncsv = {csv}\n")
+    assert run(["converge", str(cfg)]) == 1
+    assert not csv.exists()
+    assert run(["sfcheck", fig1, "--kernel", "2;2,2,2", "--tail-eps", tail_eps]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    assert all(line.startswith("error: ") and "tail_eps" in line for line in lines), err
+
+
+def test_oversized_radius_is_refused_before_allocating(fig1, tmp_path):
+    """A radius whose grid passes ``GRID_MAX`` entries (here 596 GiB of
+    shifts) exits 1 with one line naming the radius, in 2 GiB of address
+    space, from both ``converge`` and ``sfcheck``."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+    src = str(Path(anisointerp.__file__).parents[1])
+    mat = tmp_path / "M21.txt"
+    mat.write_text("2\n2 1\n0 2\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nradius = 100000\n"
+                   f"tail_eps = 1e-4\ncsv = {tmp_path / 'out.csv'}\n")
+    for argv in (["converge", str(cfg)],
+                 ["sfcheck", fig1, "--kernel", "2;2,2,2", "--radius", "100000"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from anisointerp.cli import main; main()", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: radius 100000"), proc.stderr

@@ -16,6 +16,8 @@ from anisointerp import (
     PeriodizationWindow,
     SampleVector,
     SFParams,
+    WeightSpec,
+    a_norm,
     alias_fold,
     cardinal_residual,
     dirichlet_kernel,
@@ -270,6 +272,45 @@ def test_series_path_matches_grid_path():
             assert np.array_equal(got.a_hat.values, want.a_hat.values)
             assert got.grid.window == want.grid.window
             assert got.incorrect_modes == want.incorrect_modes
+
+
+def test_real_kernels_stay_real():
+    """Box-spline and Dirichlet grids, and their interpolants, are float64;
+    a series becomes a float64 grid when it is real and a complex128 one
+    when it is not.  The flat view is complex either way."""
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
+                    PeriodizationWindow(radius=4, tail_eps=None))
+    for phi in (box, dirichlet_kernel(FIG1)):
+        assert phi.coeffs.dtype == np.float64
+        assert fundamental_interpolant(phi, FIG1).grid.coeffs.dtype == np.float64
+        assert phi.series.coeffs.dtype == np.complex128
+        assert ptransform.AliasGrid.from_series(phi.series, FIG1).coeffs.dtype == np.float64
+    moved = translate(box.series, (1, 2), FIG1)
+    assert np.abs(moved.coeffs.imag).max() > 0.0
+    grid = ptransform.AliasGrid.from_series(moved, FIG1)
+    assert grid.coeffs.dtype == np.complex128
+    assert fundamental_interpolant(grid, FIG1).grid.coeffs.dtype == np.complex128
+
+
+def test_series_functions_accept_a_grid():
+    """``translate``, ``membership_coeffs``, ``alias_fold``, ``a_norm`` and
+    ``evaluate_at_nodes`` give for a kernel grid what they give for its
+    flat series."""
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
+                    PeriodizationWindow(radius=4, tail_eps=None))
+    for phi in (dirichlet_kernel(FIG1), box):
+        series = phi.series
+        got, want = translate(phi, (1, 2), FIG1), translate(series, (1, 2), FIG1)
+        assert np.array_equal(got.freqs, want.freqs)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.window == want.window
+        moved = ptransform.AliasGrid.from_series(want, FIG1)
+        assert np.array_equal(membership_coeffs(moved, phi, FIG1).values,
+                              membership_coeffs(want, series, FIG1).values)
+        assert np.array_equal(alias_fold(phi, FIG1).values, alias_fold(series, FIG1).values)
+        ws = WeightSpec(1.5, FIG1, 2.0)
+        assert a_norm(phi, 1.5, ws) == a_norm(series, 1.5, ws)
+        assert np.array_equal(evaluate_at_nodes(phi, FIG1), evaluate_at_nodes(series, FIG1))
 
 
 def test_series_grid_size_is_capped(monkeypatch):

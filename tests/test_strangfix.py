@@ -262,6 +262,35 @@ def test_shell_table_matches_dict_loop_oracle():
                     assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
 
 
+def test_complex_kernel_matches_dict_loop_oracle():
+    """On complex grids ``b_z`` is ``m |c|`` over the bound where the loop
+    takes ``|m c|``, which may differ by an ulp; ``gamma_IP`` agrees as on
+    real grids."""
+    from test_bounds import complex_kernels
+
+    position = {h: i for i, h in enumerate(map(tuple, gset_freqs(FIG1).tolist()))}
+    mt = FIG1.transposed()
+    for kernel in complex_kernels(FIG1, 2):
+        ifun = fundamental_interpolant(kernel, FIG1)
+        assert ifun.grid.coeffs.dtype == np.complex128
+        modes = []
+        for k, c in zip(ifun.series.freqs.tolist(), ifun.series.coeffs):
+            h = reduce_freq(k, FIG1)
+            z = tuple(int(x) for x in mt.inv_apply(tuple(a - b for a, b in zip(k, h))))
+            modes.append((position[h], z, complex(c)))
+        for zmax in (2, 1):
+            for alpha in (0.0, 1.5):
+                for q in (1.0, 2.0, math.inf):
+                    params = SFParams(s=2.0, alpha=alpha, q=q)
+                    rep = verify_sfc(ifun, params, zmax=zmax)
+                    expect_b, expect_ip = _table_oracle(ifun, params, zmax, modes)
+                    expect_b[(0, 0)] = rep.b[(0, 0)]
+                    assert rep.b.keys() == expect_b.keys()
+                    for z, want in expect_b.items():
+                        assert rep.b[z] == pytest.approx(want, rel=1e-15, abs=0.0), z
+                    assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
+
+
 def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, capsys, box_ifun):
     """The study and ``sfcheck`` never call ``gamma_ip``; one ``verify_sfc``
     builds one shell view and weights at most ``(2 zmax + 1)^d`` rows."""
