@@ -164,14 +164,13 @@ def check_partial_sum_theorem(f: FourierSeries, pm: PatternMatrix,
 
 
 def check_aliasing_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
-                           alpha: float, mu: float, q: float,
-                           zmax: int) -> float:
+                           alpha: float, mu: float, q: float) -> float:
     """Ratio of ``||L_M (f - S_M f) | A^alpha_q||`` to the product bound
     ``gamma_IP gamma_Sm ||M||^{alpha-mu} ||f | A^mu_q||``."""
     pm = ifun.pm
     err = interp_error(f, ifun, alpha, q)
     sd = spectral_data(pm)
-    gip = gamma_ip(ifun, alpha, q, zmax)
+    gip = gamma_ip(ifun, alpha, q)
     gsm = gamma_sm(mu, alpha, q, pm.d)
     rhs = gip * gsm * sd.norm2 ** (alpha - mu) * a_norm(
         f, mu, WeightSpec(alpha, pm, q)
@@ -289,8 +288,7 @@ def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
     ifun = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
     f = spec.test_function
     err = interp_error(f, ifun, spec.alpha, spec.q)
-    # the interpolant's window, spec.radius or inf, covers the shells up to spec.radius
-    rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q), zmax=spec.radius)
+    rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
     rho, c_rho_val = c_rho(rep.gamma_sf, rep.gamma_ip, gsm, s, spec.mu, spec.alpha, pm.d)
     fmu = a_norm(f, spec.mu, WeightSpec(spec.alpha, pm, spec.q))
     bound = c_rho_val * sd.norm2 ** (-rho) * fmu

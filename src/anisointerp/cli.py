@@ -177,20 +177,19 @@ def _cmd_sfcheck(args) -> int:
         order = float(sf_order(kernel))
     else:
         raise ValueError("--order is required for the Dirichlet kernel")
-    if kernel != "dirichlet" and args.zmax is not None:
-        raise ValueError("--zmax is for the Dirichlet kernel; "
-                         "a box-spline kernel's shell range is --radius")
-    zmax = args.radius if kernel != "dirichlet" else (8 if args.zmax is None else args.zmax)
     params = SFParams(s=order, alpha=args.alpha, q=args.q, mode=args.mode)
     ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps)
-    report = verify_sfc(ifun, params, zmax=zmax)
-    payload = report.to_json_dict()
-    payload["gamma_ip"] = report.gamma_ip
-    print(json.dumps(payload, indent=2))
+    report = verify_sfc(ifun, params)
+    print(json.dumps(report.to_json_dict(), indent=2))
     if not report.passed:
         for msg in report.failures:
             print(f"FAIL: {msg}", file=sys.stderr)
     return 0 if report.passed else 2
+
+
+# the keys a ``converge`` config may set; any other key is an error
+CONVERGE_KEYS = ("matrix", "kernel", "scales", "decay", "kmax", "alpha", "mu", "q",
+                 "s", "radius", "tail_eps", "csv", "svg")
 
 
 def _cmd_converge(args) -> int:
@@ -203,7 +202,11 @@ def _cmd_converge(args) -> int:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"config line {line!r}: expected key = value")
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONVERGE_KEYS:
+                raise ValueError(f"config key {key!r} is unknown; "
+                                 f"expected one of {', '.join(CONVERGE_KEYS)}")
+            cfg[key] = value.strip()
 
     pm = read_matrix(cfg["matrix"])
     kernel = parse_kernel(cfg.get("kernel", "dirichlet"))
@@ -224,12 +227,10 @@ def _cmd_converge(args) -> int:
         tail_eps=float(cfg["tail_eps"]) if "tail_eps" in cfg else 1e-4,
     )
     report = convergence_study(spec)
-    csv_path = cfg.get("csv", args.csv)
-    svg_path = cfg.get("svg", args.svg)
-    if csv_path:
-        report_to_csv(report, csv_path)
-    if svg_path:
-        report_to_svg(report, svg_path)
+    if cfg.get("csv"):
+        report_to_csv(report, cfg["csv"])
+    if cfg.get("svg"):
+        report_to_svg(report, cfg["svg"])
     rate = ("n/a" if report.fitted_rate is None
             else f"{report.fitted_rate:.3f}")
     print(f"rho={report.rho:g} fitted_rate={rate} "
@@ -281,17 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
-    p.add_argument("--radius", type=int, default=16)
-    p.add_argument("--zmax", type=int, default=None,
-                   help="shell range for the Dirichlet kernel (default 8); "
-                        "box-spline kernels use --radius and reject it")
+    p.add_argument("--radius", type=int, default=16,
+                   help="box-spline radius; the shells ||z||_inf <= radius are checked")
     p.add_argument("--tail-eps", dest="tail_eps", type=float, default=1e-4)
     p.set_defaults(func=_cmd_sfcheck)
 
     p = sub.add_parser("converge", help="run a dilation convergence study")
-    p.add_argument("config", help="plain-text key = value experiment config")
-    p.add_argument("--csv", help="override the CSV output path")
-    p.add_argument("--svg", help="override the SVG output path")
+    p.add_argument("config", help="key = value lines; keys: " + ", ".join(CONVERGE_KEYS)
+                   + " (csv and svg name the output files)")
     p.set_defaults(func=_cmd_converge)
     return parser
 

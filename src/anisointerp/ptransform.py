@@ -93,12 +93,12 @@ def merge_rows(freqs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.nd
     return freqs[starts], np.add.reduceat(coeffs, starts)
 
 
-def check_reach(pm: PatternMatrix, zmax: int) -> None:
-    """``AnisoError`` unless ``max|h| + d zmax max|M| < 2^63`` (int64 modes)."""
+def check_reach(pm: PatternMatrix, radius: int) -> None:
+    """``AnisoError`` unless ``max|h| + d radius max|M| < 2^63`` (int64 modes)."""
     reach = (int(np.abs(gset_freqs(pm)).max())
-             + pm.d * zmax * max(abs(x) for row in pm.mat for x in row))
+             + pm.d * radius * max(abs(x) for row in pm.mat for x in row))
     if reach >= 2**63:
-        raise AnisoError(f"modes h + M^T z of {pm.mat} up to ||z|| = {zmax} "
+        raise AnisoError(f"modes h + M^T z of {pm.mat} up to ||z|| = {radius} "
                          f"reach {reach}, past int64")
 
 

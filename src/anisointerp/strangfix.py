@@ -7,11 +7,13 @@ The conditions demand that the fundamental interpolant's coefficients obey
 
 for all canonical ``h != 0`` and ``z != 0``, with the weighted sequence
 ``{sigma_alpha(z) b_z}`` summable in ``l_q``.  The verifier computes the
-tightest admissible ``b_z`` on a truncated shell range (the Definition
-asks only for existence of some sequence, so the minimal witness is the
-canonical one) and reports the truncated ``gamma_SF``.  It reads the
-interpolant's class x shift grid directly: the shells are a set of its
-columns, and one real table ``|c_{h + M^T z}|`` of them serves both
+tightest admissible ``b_z`` (the Definition asks only for existence of
+some sequence, so the minimal witness is the canonical one) on the shells
+``||z||_inf <= window`` that the interpolant's grid declares complete, and
+reports the truncated ``gamma_SF``.  A periodized kernel's window is its
+radius; the Dirichlet kernel's is infinite, and its sums are exact.  The
+verifier reads the class x shift grid directly: the shells are a set of
+its columns, and one real table ``|c_{h + M^T z}|`` of them serves both
 constants, ``b_z`` as a maximum down a column and ``gamma_IP`` as a norm
 along each row.
 
@@ -67,15 +69,17 @@ class SFParams:
 class SFReport:
     """Outcome of the Strang-Fix verification.
 
-    ``b`` maps each tested aliasing shift ``z`` to the tightest admissible
-    constant; ``gamma_sf`` is the (truncated) weighted ``l_q`` norm of that
-    sequence, and ``gamma_ip`` is :func:`gamma_ip` on the same shells.
+    ``zmax`` is the grid window whose shells ``||z||_inf <= zmax`` were
+    checked (``inf`` for the Dirichlet kernel).  ``b`` maps each tested
+    aliasing shift ``z`` to the tightest admissible constant; ``gamma_sf``
+    is the (truncated) weighted ``l_q`` norm of that sequence, and
+    ``gamma_ip`` is :func:`gamma_ip` on the same shells.
     ``fitted_order`` is the measured decay exponent of the inner
     condition, ``None`` when the interpolant reproduces exactly.
     """
 
     params: SFParams
-    zmax: int
+    zmax: float
     b: dict[IntVec, float]
     gamma_sf: float
     gamma_ip: float
@@ -94,23 +98,21 @@ class SFReport:
             "fitted_order": self.fitted_order,
             "pass": self.passed,
             "witness": self.witness,
+            "gamma_ip": self.gamma_ip,
         }
 
 
-def _shell_view(ifun: FundamentalInterpolant, zmax: int, alpha: float):
-    """The grid columns of the shells ``||z||_inf <= zmax``: their shifts,
+def _shell_view(ifun: FundamentalInterpolant, alpha: float):
+    """The grid columns of the shells ``||z||_inf <= window``: their shifts,
     ``sigma_alpha`` on them, the position of ``z = 0`` among them, the
     ``z = 0`` coefficients ``c_h`` and the real ``(m, n)`` magnitudes
     ``|c_{h + M^T z}|`` (copying no columns when all are kept); raises as
     :func:`gamma_ip` documents."""
-    if zmax < 0:
-        raise ValueError(f"zmax must be >= 0, got {zmax}")
     grid = ifun.grid
-    if grid.window is None or grid.window < zmax:
-        raise InsufficientSupport(f"series window {grid.window} does not cover "
-                                  f"requested shells {zmax}")
+    if grid.window is None or not grid.window >= 0:
+        raise InsufficientSupport(f"the kernel declares no complete shells (window {grid.window})")
     pm = ifun.pm
-    keep = np.abs(grid.shifts).max(axis=1) <= zmax
+    keep = np.abs(grid.shifts).max(axis=1) <= grid.window
     zs = grid.shifts[keep]
     with np.errstate(over="ignore"):
         sig = weights_many(zs, alpha, pm)
@@ -130,11 +132,13 @@ def _gamma_ip(view, alpha: float, q: float, pm: PatternMatrix) -> float:
     return pm.m * float(lq_norm(terms, q, axis=1).max())
 
 
-def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFReport:
+def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     """Verify the Strang-Fix conditions, and compute ``gamma_IP``, on the
-    shells ``||z||_inf <= zmax``; raises as :func:`gamma_ip` does."""
+    shells of the interpolant's grid window; raises as :func:`gamma_ip`
+    does."""
     pm = ifun.pm
-    view = _shell_view(ifun, zmax, params.alpha)
+    window = ifun.grid.window
+    view = _shell_view(ifun, params.alpha)
     zs, sig, center, c0, mags = view
     sd = spectral_data(pm)
     s = params.s
@@ -177,11 +181,11 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
     gamma_sf = lq_norm(weighted, params.q)
     if not math.isfinite(gamma_sf):
         raise AnisoError(f"alpha = {params.alpha} with q = {params.q} overflows gamma_SF")
-    last = np.abs(zkeys).max(axis=1) == zmax
+    last = np.abs(zkeys).max(axis=1) == window
     # the last shell's share of gamma_SF^q is at most TAIL_FRAC (its max at
     # most sqrt(TAIL_FRAC) gamma_SF for q = inf)
     frac = math.sqrt(TAIL_FRAC) if math.isinf(params.q) else TAIL_FRAC ** (1.0 / params.q)
-    if gamma_sf > 0.0 and zmax >= 1 and lq_norm(weighted[last], params.q) > frac * gamma_sf:
+    if gamma_sf > 0.0 and window >= 1 and lq_norm(weighted[last], params.q) > frac * gamma_sf:
         failures.append("no geometric tail: last shell dominates gamma_SF")
         j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
         witness = witness or (None, tuple(int(x) for x in zkeys[j]))
@@ -207,7 +211,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
 
     return SFReport(
         params=params,
-        zmax=zmax,
+        zmax=window,
         b=b,
         gamma_sf=gamma_sf,
         gamma_ip=_gamma_ip(view, params.alpha, params.q, pm),
@@ -218,19 +222,20 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams, zmax: int) -> SFR
     )
 
 
-def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float,
-             zmax: int) -> float:
+def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float) -> float:
     """Aliasing-theorem constant: ``m`` times the worst per-class aggregate
     of inner and weighted outer interpolant coefficients.
 
-    Truncated at ``||z||_inf <= zmax``; ``verify_sfc`` reports the same
-    value as ``SFReport.gamma_ip``.  Raises ``ValueError`` for a negative
-    ``zmax`` or unless ``alpha >= 0`` and ``q >= 1`` (``q`` may be inf),
-    ``InsufficientSupport`` when the window does not cover the shells, and
-    ``AnisoError`` when ``||M||^alpha sigma_alpha`` overflows on them.
+    Truncated at the shells ``||z||_inf <= window`` of the interpolant's
+    grid (exact for the Dirichlet kernel, whose window is infinite);
+    ``verify_sfc`` reports the same value as ``SFReport.gamma_ip``.  Raises
+    ``ValueError`` unless ``alpha >= 0`` and ``q >= 1`` (``q`` may be inf),
+    ``InsufficientSupport`` when the grid's window is ``None`` or not
+    ``>= 0``, and ``AnisoError`` when ``||M||^alpha sigma_alpha`` overflows
+    on the shells.
     """
     WeightSpec(alpha, ifun.pm, q)
-    return _gamma_ip(_shell_view(ifun, zmax, alpha), alpha, q, ifun.pm)
+    return _gamma_ip(_shell_view(ifun, alpha), alpha, q, ifun.pm)
 
 
 def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:

@@ -180,7 +180,7 @@ def test_acceptance_7_theorem_audits():
     e2 = validate_matrix([[2, 0], [0, 2]])
     phi = periodize(B222, e2, PeriodizationWindow(radius=16, tail_eps=1e-4))
     box = fundamental_interpolant(phi, e2)
-    rep = verify_sfc(box, SFParams(s=4.0, alpha=0.0, q=2.0), zmax=16)
+    rep = verify_sfc(box, SFParams(s=4.0, alpha=0.0, q=2.0))
     rng = np.random.default_rng(107)
     hs = gset_freqs(e2)
 
@@ -203,11 +203,11 @@ def test_acceptance_7_theorem_audits():
     alias_ratios = [
         check_aliasing_theorem(
             FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]),
-                          window=math.inf), ifd, 0.0, 6.0, 2.0, 8),
+                          window=math.inf), ifd, 0.0, 6.0, 2.0),
         check_aliasing_theorem(decay_profile(2, 8.0, 12), box,
-                               0.0, 6.0, 2.0, 16),
+                               0.0, 6.0, 2.0),
         check_aliasing_theorem(decay_profile(2, 8.0, 12), box,
-                               1.0, 6.0, 2.0, 16),
+                               1.0, 6.0, 2.0),
     ]
     elapsed = time.time() - start
     worst = max(max(trig_ratios), max(psum_ratios), max(alias_ratios))
@@ -238,10 +238,9 @@ def test_acceptance_9_sf_order_detection():
     for alpha in (0.0, 1.0):
         claim = s - alpha
         assert claim > 2
-        rep = verify_sfc(ifun, SFParams(s=claim, alpha=alpha, q=2.0), zmax=16)
+        rep = verify_sfc(ifun, SFParams(s=claim, alpha=alpha, q=2.0))
         ok &= rep.passed
-    rep_hi = verify_sfc(ifun, SFParams(s=float(s + 4), alpha=0.0, q=2.0),
-                        zmax=16)
+    rep_hi = verify_sfc(ifun, SFParams(s=float(s + 4), alpha=0.0, q=2.0))
     ok &= not rep_hi.passed
     _verdict(9, ok, f"verify_sfc passes at orders {s} and {s - 1}, fails at "
                     f"{s + 4} (fitted decay {rep_hi.fitted_order:.2f})")

@@ -325,7 +325,7 @@ def test_interp_error_never_merges_the_support(monkeypatch):
 
 
 def test_trig_theorem_box_spline(box_e2):
-    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0), zmax=16)
+    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
     assert rep.passed
     rng = np.random.default_rng(3)
     ratios = [check_trig_theorem(random_trig_poly(E2, rng), box_e2, rep)
@@ -335,13 +335,13 @@ def test_trig_theorem_box_spline(box_e2):
 
 
 def test_trig_theorem_zero_function(box_e2):
-    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0), zmax=16)
+    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
     zero = FourierSeries.zero(2)
     assert check_trig_theorem(zero, box_e2, rep) == 0.0
 
 
 def test_trig_theorem_rejects_outside_support(box_e2):
-    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0), zmax=16)
+    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
     f = FourierSeries(np.array([[3, 0]]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         check_trig_theorem(f, box_e2, rep)
@@ -384,10 +384,10 @@ def test_aliasing_theorem_dirichlet_and_box(box_e2):
     f1 = FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]),
                        window=math.inf)
     ifd = fundamental_interpolant(dirichlet_kernel(E2), E2)
-    assert check_aliasing_theorem(f1, ifd, 0.0, 6.0, 2.0, 8) <= RATIO_TOL
+    assert check_aliasing_theorem(f1, ifd, 0.0, 6.0, 2.0) <= RATIO_TOL
     fdp = decay_profile(2, 8.0, 12)
     for alpha in (0.0, 1.0):
-        r = check_aliasing_theorem(fdp, box_e2, alpha, 6.0, 2.0, 16)
+        r = check_aliasing_theorem(fdp, box_e2, alpha, 6.0, 2.0)
         assert 0.0 < r <= RATIO_TOL
 
 
@@ -398,7 +398,7 @@ def test_aliasing_theorem_across_scales():
         phi = periodize(B222, pm, PeriodizationWindow(radius=8,
                                                       tail_eps=1e-3))
         ifun = fundamental_interpolant(phi, pm)
-        assert check_aliasing_theorem(fdp, ifun, 0.0, 6.0, 2.0, 8) <= RATIO_TOL
+        assert check_aliasing_theorem(fdp, ifun, 0.0, 6.0, 2.0) <= RATIO_TOL
 
 
 def test_experiment_spec_validation():

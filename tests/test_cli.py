@@ -128,7 +128,7 @@ def test_sfcheck_3d_end_to_end(tmp_path, capsys):
     ["--kernel", "2;2,2,2", "--q", "0"],
     ["--kernel", "2;2,2,2", "--alpha", "-1"],
     ["--kernel", "2;2,2,2", "--order", "nan"],
-    ["--order", "3", "--zmax", "-1"],  # the shell range of the Dirichlet kernel
+    ["--order", "-1"],  # the claimed order of the Dirichlet kernel
     ["--kernel", "2;2,2,2", "--alpha", "inf", "--q", "inf", "--tail-eps", "1e-3"],
     ["--kernel", "2;2,2,2", "--alpha", "400", "--tail-eps", "1e-3"],
 ])
@@ -148,8 +148,9 @@ def test_sfcheck_rejects_invalid_parameters(fig1, flags):
 
 @pytest.mark.parametrize("zmax", ["-1", "8", "40"])
 def test_sfcheck_rejects_zmax_for_box_spline(fig1, zmax):
-    """A box-spline kernel's shell range is --radius; an explicit --zmax
-    exits 1 with one stderr line naming --radius, whatever its value."""
+    """A box-spline kernel's shell range is its grid window, --radius; an
+    explicit --zmax exits 1 as a usage error, whatever its value, and
+    prints nothing to stdout."""
     src = str(Path(anisointerp.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "from anisointerp.cli import main; main()",
@@ -159,29 +160,50 @@ def test_sfcheck_rejects_zmax_for_box_spline(fig1, zmax):
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert "--radius" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: unrecognized arguments: --zmax {zmax}" in proc.stderr, proc.stderr
 
 
 def test_sfcheck_large_zmax_allocates_by_reached_shells(fig1):
-    """The Dirichlet kernel's modes all sit at z = 0, so ``--zmax 20000``
-    runs in 2 GiB of address space and prints what ``--zmax 8`` prints."""
+    """The Dirichlet kernel's window is infinite, the largest shell range
+    there is, but its modes all sit at z = 0: ``sfcheck`` allocates by the
+    shells its modes reach, so it runs in 2 GiB of address space and prints
+    what it prints without that limit."""
     resource = pytest.importorskip("resource")
     limit = 2 << 30
     src = str(Path(anisointerp.__file__).parents[1])
 
-    def sfcheck(zmax):
+    def sfcheck(preexec_fn):
         return subprocess.run(
             [sys.executable, "-c", "from anisointerp.cli import main; main()",
-             "sfcheck", fig1, "--order", "3", "--zmax", zmax],
+             "sfcheck", fig1, "--order", "3"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-            timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=120, preexec_fn=preexec_fn,
         )
 
-    big, small = sfcheck("20000"), sfcheck("8")
-    assert big.returncode == small.returncode == 0, big.stderr
-    assert big.stdout == small.stdout
+    capped = sfcheck(lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    free = sfcheck(None)
+    assert capped.returncode == free.returncode == 0, capped.stderr
+    assert json.loads(capped.stdout)["pass"] is True
+    assert capped.stdout == free.stdout
+
+
+def test_removed_flags_are_usage_errors(fig1, tmp_path, capsys):
+    """``sfcheck`` checks the shells of its kernel's window and takes no
+    ``--zmax``; ``converge`` writes where its config says and takes no
+    ``--csv`` or ``--svg``.  Each flag exits 1 as a usage error, and
+    ``converge`` writes nothing."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {fig1}\n")
+    out = tmp_path / "out"
+    for argv in (["sfcheck", fig1, "--order", "3", "--zmax", "8"],
+                 ["converge", str(cfg), "--csv", str(out)],
+                 ["converge", str(cfg), "--svg", str(out)]):
+        assert run(argv) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "error: unrecognized arguments: " + " ".join(argv[-2:]) in stderr, stderr
+    assert not out.exists()
 
 
 def test_sfcheck_dirichlet_trivial(fig1, capsys):
@@ -225,11 +247,13 @@ def test_converge_runs_and_writes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override,name", [("scales = 1,1", "scales"),
-                                           ("kmax = -1", "kmax")])
+                                           ("kmax = -1", "kmax"),
+                                           ("radus = 8", "'radus'")])
 def test_converge_rejects_repeated_scales_and_negative_kmax(tmp_path, capsys,
                                                             override, name):
-    """A repeated scale would fit a rate over one distinct ||M||, and a
-    negative kmax has no test function: each is one error line naming it."""
+    """A repeated scale would fit a rate over one distinct ||M||, a
+    negative kmax has no test function, and a misspelt key would leave its
+    setting at the default: each is one error line naming it."""
     mat = tmp_path / "M21.txt"
     mat.write_text("2\n2 1\n0 2\n")
     csv = tmp_path / "out.csv"

@@ -348,8 +348,8 @@ def test_interpolant_support_labelled_once(monkeypatch):
     f = FourierSeries(rng.integers(-20, 21, size=(40, 2)),
                       rng.standard_normal(40) + 0j, dedup=True)
     interpolation_operator(samples, ifun)
-    verify_sfc(ifun, SFParams(s=4.0), zmax=4)
-    gamma_ip(ifun, 1.0, 2.0, 4)
+    verify_sfc(ifun, SFParams(s=4.0))
+    gamma_ip(ifun, 1.0, 2.0)
     cardinal_residual(ifun)
     interp_error(f, ifun, 1.0, 2.0)
     support = ifun.series.freqs

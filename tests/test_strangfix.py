@@ -64,7 +64,7 @@ def test_gamma_ip_rejects_invalid_alpha_and_q(alpha, q):
     pm = validate_matrix([[2, 1], [0, 2]])
     ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
     with pytest.raises(ValueError):
-        gamma_ip(ifun, alpha, q, 4)
+        gamma_ip(ifun, alpha, q)
 
 
 def test_shifts_past_int64_raise():
@@ -74,36 +74,53 @@ def test_shifts_past_int64_raise():
     interpolant is built."""
     def with_mode(k, pm):
         phi = dirichlet_kernel(pm).series
-        return fundamental_interpolant(FourierSeries(
-            np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5), window=math.inf), pm)
+        return FourierSeries(np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5),
+                             window=math.inf)
 
     pm = validate_matrix([[2, 1], [0, 2]])
     assert reduce_freq((2**63 - 1, 2**62 - 1), pm) == (-1, -1)
     position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
+    mt = pm.transposed()
+    params = SFParams(s=2.0)
     for k in ((2**63 - 1, 2**62 - 1), (2**61 - 2, -(2**61 - 2))):
-        ifun = with_mode(k, pm)
+        kernel = with_mode(k, pm)
+        ifun = fundamental_interpolant(kernel, pm)
         h = reduce_freq(k, pm)
-        z = pm.transposed().inv_apply(tuple(a - b for a, b in zip(k, h)))
-        assert ifun.grid.shifts.tolist() == [[0, 0], [int(x) for x in z]]
+        z = tuple(int(x) for x in mt.inv_apply(tuple(a - b for a, b in zip(k, h))))
+        assert ifun.grid.shifts.tolist() == [[0, 0], list(z)]
         assert ifun.grid.coeffs[position[h], 1] == 0.5 * ifun.a_hat.values[position[h]]
-        # the far mode lies outside the checked shells; both checks run
-        rep = verify_sfc(ifun, SFParams(s=2.0), zmax=4)
-        assert math.isfinite(rep.gamma_sf) and max(max(map(abs, z)) for z in rep.b) <= 4
-        assert gamma_ip(ifun, 0.0, 2.0, 4) == pytest.approx(1.0, rel=1e-12)
+        # the series declares itself complete (window inf), so the far shell
+        # is checked: it enters b, gamma_SF and gamma_IP
+        rep = verify_sfc(ifun, params)
+        assert z in rep.b and math.isfinite(rep.gamma_sf)
+        # the oracle's modes come from the kernel (the interpolant's flat
+        # view would wrap), each scaled by its class's a_hat
+        modes = []
+        for kk, c in zip(kernel.freqs.tolist(), kernel.coeffs):
+            hh = reduce_freq(kk, pm)
+            zz = mt.inv_apply(tuple(a - b for a, b in zip(kk, hh)))
+            modes.append((position[hh], tuple(int(x) for x in zz),
+                          complex(c * ifun.a_hat.values[position[hh]])))
+        expect_b, expect_ip = _table_oracle(ifun, params, math.inf, modes)
+        expect_b[(0, 0)] = rep.b[(0, 0)]
+        assert rep.b == expect_b
+        assert rep.gamma_ip == gamma_ip(ifun, 0.0, 2.0)
+        assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
         assert cardinal_residual(ifun) < 1e-12
     # h' + M^T z for the other classes h' would wrap: the flat view refuses
     with pytest.raises(AnisoError, match="int64"):
-        with_mode((2**63 - 1, 2**62 - 1), pm).series
+        fundamental_interpolant(with_mode((2**63 - 1, 2**62 - 1), pm), pm).series
 
     # on M = [[2, 100], [0, 2]] the shift of (2^60, 0) is (2^59, -25 2^60)
+    pm = validate_matrix([[2, 100], [0, 2]])
     with pytest.raises(AnisoError, match="does not fit in int64"):
-        with_mode((2**60, 0), validate_matrix([[2, 100], [0, 2]]))
+        fundamental_interpolant(with_mode((2**60, 0), pm), pm)
 
 
 def test_dirichlet_passes_any_order_with_zero_gamma():
     ifun = fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
     for s in (1.0, 4.0, 12.0):
-        rep = verify_sfc(ifun, SFParams(s=s, alpha=1.0, q=2.0), zmax=6)
+        rep = verify_sfc(ifun, SFParams(s=s, alpha=1.0, q=2.0))
         assert rep.passed
         assert rep.gamma_sf == 0.0
         assert rep.fitted_order is None  # exact reproduction, nothing to fit
@@ -115,8 +132,7 @@ def test_box_spline_passes_at_its_order(box_ifun):
     for alpha in (0.0, 1.0):
         claim = s - alpha
         assert claim > 2  # hypothesis of the combined theorem
-        rep = verify_sfc(box_ifun, SFParams(s=claim, alpha=alpha, q=2.0),
-                         zmax=16)
+        rep = verify_sfc(box_ifun, SFParams(s=claim, alpha=alpha, q=2.0))
         assert rep.passed, rep.failures
         assert rep.gamma_sf > 0.0
         assert math.isfinite(rep.gamma_sf)
@@ -124,8 +140,7 @@ def test_box_spline_passes_at_its_order(box_ifun):
 
 def test_box_spline_fails_at_inflated_order(box_ifun):
     s = sf_order(B222)
-    rep = verify_sfc(box_ifun, SFParams(s=float(s + 4), alpha=0.0, q=2.0),
-                     zmax=16)
+    rep = verify_sfc(box_ifun, SFParams(s=float(s + 4), alpha=0.0, q=2.0))
     assert not rep.passed
     assert rep.fitted_order is not None
     assert rep.fitted_order < s + 4 - 0.5
@@ -134,33 +149,35 @@ def test_box_spline_fails_at_inflated_order(box_ifun):
 
 
 def test_fitted_order_matches_reproduction_order(box_ifun):
-    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=0.0, q=2.0), zmax=16)
+    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=0.0, q=2.0))
     assert rep.fitted_order == pytest.approx(4.0, abs=0.75)
 
 
 def test_relaxed_mode_scales_b_by_kappa(box_ifun):
     s = 4.0
-    strict = verify_sfc(box_ifun, SFParams(s=s, alpha=0.0, q=2.0), zmax=16)
-    relaxed = verify_sfc(box_ifun, SFParams(s=s, alpha=0.0, q=2.0,
-                                            mode="relaxed"), zmax=16)
+    strict = verify_sfc(box_ifun, SFParams(s=s, alpha=0.0, q=2.0))
+    relaxed = verify_sfc(box_ifun, SFParams(s=s, alpha=0.0, q=2.0, mode="relaxed"))
     assert relaxed.passed
     kappa = spectral_data(FIG1).kappa
     assert relaxed.gamma_sf == pytest.approx(strict.gamma_sf * kappa**-s,
                                              rel=1e-10)
 
 
-def test_insufficient_support_raised(box_ifun):
-    with pytest.raises(InsufficientSupport):
-        verify_sfc(box_ifun, SFParams(s=4.0), zmax=17)  # window is 16
-    for check in (lambda: verify_sfc(box_ifun, SFParams(s=4.0), zmax=-1),
-                  lambda: gamma_ip(box_ifun, 0.0, 2.0, -1)):
-        with pytest.raises(ValueError, match="zmax"):
-            check()
+def test_insufficient_support_raised():
+    """A series kernel that declares no window (or a negative or NaN one)
+    says nothing of which shells it holds completely, so neither constant
+    can be truncated."""
+    phi = dirichlet_kernel(FIG1).series
+    for window in (None, -1, math.nan):
+        ifun = fundamental_interpolant(FourierSeries(phi.freqs, phi.coeffs, window=window), FIG1)
+        for check in (lambda: verify_sfc(ifun, SFParams(s=4.0)),
+                      lambda: gamma_ip(ifun, 0.0, 2.0)):
+            with pytest.raises(InsufficientSupport, match="window"):
+                check()
 
 
 def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
-
-    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0), zmax=16)
+    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
     zs = np.array(sorted(rep.b), dtype=np.int64)
     bv = np.array([rep.b[tuple(int(x) for x in z)] for z in zs])
     sig = weights_many(zs, 1.0, FIG1)
@@ -172,9 +189,11 @@ def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
 def test_b_matches_dict_loop_oracle(box_ifun):
     """The per-shift constants equal a plain per-mode maximum over a dict,
     with each mode's class from ``reduce_freq`` and its shift
-    ``z = M^{-T} (k - h)`` in exact fractions."""
-    params, zmax = SFParams(s=4.0, alpha=1.0, q=2.0), 12
-    rep = verify_sfc(box_ifun, params, zmax=zmax)
+    ``z = M^{-T} (k - h)`` in exact fractions, on every shell of the
+    fixture's radius."""
+    params, radius = SFParams(s=4.0, alpha=1.0, q=2.0), 16
+    assert box_ifun.grid.window == radius
+    rep = verify_sfc(box_ifun, params)
     sd = spectral_data(FIG1)
     hs = gset_freqs(FIG1)
     ynorm = np.linalg.norm(inv_t_apply(hs, FIG1), axis=1)
@@ -188,7 +207,7 @@ def test_b_matches_dict_loop_oracle(box_ifun):
         assert all(x.denominator == 1 for x in z)
         key = tuple(int(x) for x in z)
         lab = position[h]
-        if not any(key) or max(map(abs, key)) > zmax or not any(h):
+        if not any(key) or max(map(abs, key)) > radius or not any(h):
             continue
         r = abs(FIG1.m * c) / rhs[lab]
         if r > expect.get(key, 0.0):
@@ -196,9 +215,10 @@ def test_b_matches_dict_loop_oracle(box_ifun):
     assert rep.b == expect
 
 
-def _table_oracle(ifun, params, zmax, modes):
-    """``b_z`` (z != 0) and ``gamma_IP`` as plain per-mode loops over
-    ``modes``, a list of (class position, exact shift, coefficient)."""
+def _table_oracle(ifun, params, window, modes):
+    """``b_z`` (z != 0) and ``gamma_IP`` as plain per-mode loops over the
+    ``modes`` with ``||z||_inf <= window``, a list of (class position,
+    exact shift, coefficient)."""
     pm = ifun.pm
     sd = spectral_data(pm)
     hs = gset_freqs(pm)
@@ -207,7 +227,7 @@ def _table_oracle(ifun, params, zmax, modes):
     mt = pm.transposed()
     b, inner, outer = {}, [0j] * pm.m, [[] for _ in range(pm.m)]
     for lab, z, c in modes:
-        if max(map(abs, z)) > zmax:
+        if max(map(abs, z)) > window:
             continue
         if not any(z):
             inner[lab] += c
@@ -228,62 +248,72 @@ def _table_oracle(ifun, params, zmax, modes):
     return b, pm.m * max(per_h)
 
 
+def _rewindowed(phi, pm, window):
+    """The fundamental interpolant of the series ``phi`` declared complete
+    only up to ``window``: the shells past it stay stored but are not
+    checked."""
+    return fundamental_interpolant(FourierSeries(phi.freqs, phi.coeffs, window=window), pm)
+
+
+def _oracle_modes(ifun):
+    """Each mode of ``ifun`` as (class position, exact shift, coefficient),
+    its class from ``reduce_freq`` and its shift ``z = M^{-T} (k - h)``."""
+    pm = ifun.pm
+    position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
+    mt = pm.transposed()
+    modes = []
+    for k, c in zip(ifun.series.freqs.tolist(), ifun.series.coeffs):
+        h = reduce_freq(k, pm)
+        z = mt.inv_apply(tuple(a - b for a, b in zip(k, h)))
+        assert all(x.denominator == 1 for x in z)
+        modes.append((position[h], tuple(int(x) for x in z), complex(c)))
+    return modes
+
+
 def test_shell_table_matches_dict_loop_oracle():
     """``b`` and ``gamma_IP`` of ``verify_sfc``, and ``gamma_ip``, equal
     per-mode loops over each mode's class from ``reduce_freq`` and its
-    shift ``z = M^{-T} (k - h)`` in exact fractions, for shell ranges at
-    and below the window."""
+    shift ``z = M^{-T} (k - h)`` in exact fractions, on the kernel's grid
+    and on its series re-windowed one shell short, whose outermost stored
+    shell is masked out."""
     from test_interp import _labelled_interpolants
 
     pm3 = validate_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
     phi3 = periodize(BoxSplineSpec(3, (1,) * 6), pm3,
                      PeriodizationWindow(radius=2, tail_eps=None))
-    for ifun in [*_labelled_interpolants(),
+    for base in [*_labelled_interpolants(),
                  fundamental_interpolant(phi3, pm3, allow_incorrect=True)]:
-        pm = ifun.pm
-        position = {h: i for i, h in enumerate(map(tuple, gset_freqs(pm).tolist()))}
-        mt = pm.transposed()
-        modes = []
-        for k, c in zip(ifun.series.freqs.tolist(), ifun.series.coeffs):
-            h = reduce_freq(k, pm)
-            z = mt.inv_apply(tuple(a - b for a, b in zip(k, h)))
-            assert all(x.denominator == 1 for x in z)
-            modes.append((position[h], tuple(int(x) for x in z), complex(c)))
-        win = ifun.series.window
-        for zmax in ((win, win - 1) if math.isfinite(win) else (3, 0)):
+        pm, win = base.pm, base.grid.window
+        variants = [base] + ([_rewindowed(base.series, pm, win - 1)] if math.isfinite(win) else [])
+        for ifun in variants:
+            modes = _oracle_modes(ifun)
             for alpha in (0.0, 1.5):
                 for q in (1.0, 2.0, math.inf):
                     params = SFParams(s=2.0, alpha=alpha, q=q)
-                    rep = verify_sfc(ifun, params, zmax=zmax)
-                    expect_b, expect_ip = _table_oracle(ifun, params, zmax, modes)
+                    rep = verify_sfc(ifun, params)
+                    assert rep.zmax == ifun.grid.window
+                    expect_b, expect_ip = _table_oracle(ifun, params, rep.zmax, modes)
                     expect_b[(0,) * pm.d] = rep.b[(0,) * pm.d]
                     assert rep.b == expect_b
-                    assert rep.gamma_ip == gamma_ip(ifun, alpha, q, zmax)
+                    assert rep.gamma_ip == gamma_ip(ifun, alpha, q)
                     assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
 
 
 def test_complex_kernel_matches_dict_loop_oracle():
     """On complex grids ``b_z`` is ``m |c|`` over the bound where the loop
     takes ``|m c|``, which may differ by an ulp; ``gamma_IP`` agrees as on
-    real grids."""
+    real grids, on the kernel's radius-2 grid and re-windowed to 1."""
     from test_bounds import complex_kernels
 
-    position = {h: i for i, h in enumerate(map(tuple, gset_freqs(FIG1).tolist()))}
-    mt = FIG1.transposed()
     for kernel in complex_kernels(FIG1, 2):
-        ifun = fundamental_interpolant(kernel, FIG1)
-        assert ifun.grid.coeffs.dtype == np.complex128
-        modes = []
-        for k, c in zip(ifun.series.freqs.tolist(), ifun.series.coeffs):
-            h = reduce_freq(k, FIG1)
-            z = tuple(int(x) for x in mt.inv_apply(tuple(a - b for a, b in zip(k, h))))
-            modes.append((position[h], z, complex(c)))
-        for zmax in (2, 1):
+        for ifun in (fundamental_interpolant(kernel, FIG1), _rewindowed(kernel, FIG1, 1)):
+            assert ifun.grid.coeffs.dtype == np.complex128
+            modes = _oracle_modes(ifun)
             for alpha in (0.0, 1.5):
                 for q in (1.0, 2.0, math.inf):
                     params = SFParams(s=2.0, alpha=alpha, q=q)
-                    rep = verify_sfc(ifun, params, zmax=zmax)
-                    expect_b, expect_ip = _table_oracle(ifun, params, zmax, modes)
+                    rep = verify_sfc(ifun, params)
+                    expect_b, expect_ip = _table_oracle(ifun, params, rep.zmax, modes)
                     expect_b[(0, 0)] = rep.b[(0, 0)]
                     assert rep.b.keys() == expect_b.keys()
                     for z, want in expect_b.items():
@@ -293,7 +323,8 @@ def test_complex_kernel_matches_dict_loop_oracle():
 
 def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, capsys, box_ifun):
     """The study and ``sfcheck`` never call ``gamma_ip``; one ``verify_sfc``
-    builds one shell view and weights at most ``(2 zmax + 1)^d`` rows."""
+    builds one shell view and weights at most ``(2 R + 1)^d`` rows on a
+    radius-``R`` grid."""
     import anisointerp
     from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
                              strangfix)
@@ -319,10 +350,11 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
                         lambda *args: views.append(args) or view(*args))
     monkeypatch.setattr(strangfix, "weights_many",
                         lambda ks, *args: rows.append(len(ks)) or weights(ks, *args))
-    zmax = 12
-    verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0), zmax=zmax)
+    radius = 16
+    assert box_ifun.grid.window == radius
+    verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
     assert len(views) == 1
-    assert sum(rows) <= (2 * zmax + 1) ** 2
+    assert sum(rows) <= (2 * radius + 1) ** 2
 
 
 def test_huge_alpha_raises():
@@ -331,13 +363,13 @@ def test_huge_alpha_raises():
     ifun = fundamental_interpolant(
         periodize(B222, FIG1, PeriodizationWindow(radius=8, tail_eps=1e-3)), FIG1)
     for alpha in (math.inf, 400.0):
-        for check in (lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=math.inf), 8),
-                      lambda: gamma_ip(ifun, alpha, 2.0, 8)):
+        for check in (lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=math.inf)),
+                      lambda: gamma_ip(ifun, alpha, 2.0)):
             with pytest.raises(AnisoError, match="alpha"):
                 check()
     # the weights fit, but the weighted b_z do not
     with np.errstate(over="ignore"), pytest.raises(AnisoError, match="overflows gamma_SF"):
-        verify_sfc(ifun, SFParams(s=12.0, alpha=140.0, q=4.0), 8)
+        verify_sfc(ifun, SFParams(s=12.0, alpha=140.0, q=4.0))
 
 
 def test_lq_sums_do_not_overflow_before_the_norm():
@@ -350,8 +382,8 @@ def test_lq_sums_do_not_overflow_before_the_norm():
         periodize(B222, FIG1, PeriodizationWindow(radius=8, tail_eps=1e-3)), FIG1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0), 8)
-        gip = gamma_ip(ifun, 100.0, 4.0, 8)
+        rep = verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0))
+        gip = gamma_ip(ifun, 100.0, 4.0)
     assert gip == rep.gamma_ip and math.isfinite(gip) and math.isfinite(rep.gamma_sf)
     # the same norms in exact rationals, scaled by a power of two that fits
     scale = 2.0**-900
@@ -363,16 +395,14 @@ def test_lq_sums_do_not_overflow_before_the_norm():
 def test_gamma_ip_dirichlet_is_one():
     ifun = fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
     for q in (1.0, 2.0, math.inf):
-        assert gamma_ip(ifun, 1.5, q, 6) == pytest.approx(1.0, rel=1e-12)
+        assert gamma_ip(ifun, 1.5, q) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gamma_ip_box_spline_exceeds_one_with_weight(box_ifun):
-    v = gamma_ip(box_ifun, 1.0, 2.0, 16)
+    v = gamma_ip(box_ifun, 1.0, 2.0)
     assert v > 1.0
     # sup form is dominated by the q = 1 form
-    assert gamma_ip(box_ifun, 1.0, math.inf, 16) <= gamma_ip(
-        box_ifun, 1.0, 1.0, 16
-    ) + 1e-12
+    assert gamma_ip(box_ifun, 1.0, math.inf) <= gamma_ip(box_ifun, 1.0, 1.0) + 1e-12
 
 
 def test_gamma_sm_q1_closed_form():
@@ -433,8 +463,9 @@ def test_c_rho_arithmetic():
 
 
 def test_report_json_keys(box_ifun):
-    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=0.0, q=2.0), zmax=16)
+    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=0.0, q=2.0))
     payload = rep.to_json_dict()
-    assert set(payload) == {"order", "alpha", "q", "mode", "gamma_sf",
-                            "fitted_order", "pass", "witness"}
+    assert list(payload) == ["order", "alpha", "q", "mode", "gamma_sf",
+                             "fitted_order", "pass", "witness", "gamma_ip"]
     assert payload["pass"] is True
+    assert payload["gamma_ip"] == rep.gamma_ip
