@@ -12,7 +12,6 @@ import numpy as np
 
 from anisointerp import (
     BoxSplineSpec,
-    PeriodizationWindow,
     SampleVector,
     alias_fold,
     cardinal_residual,
@@ -26,9 +25,10 @@ from anisointerp import (
 M = validate_matrix([[2, 1], [0, 2]])
 spline = BoxSplineSpec(2, (2, 2, 2))
 
-# truncate the periodization at ||z||_inf <= 16 aliasing shells; the
-# analytic tail bound certifies what was dropped
-phi = periodize(spline, M, PeriodizationWindow(radius=16, tail_eps=1e-4))
+# truncate the periodization at ||z||_inf <= 16 aliasing shells (radius
+# 16); the analytic tail bound certifies that what was dropped sums to at
+# most 1e-4 per class (tail_eps), or periodize raises TailTooLarge
+phi = periodize(spline, M, 16, 1e-4)
 print(f"periodized spline carries {len(phi)} Fourier modes")
 
 ifun = fundamental_interpolant(phi, M)

@@ -11,7 +11,6 @@ exponent of |1 - m c_h|.
 
 from anisointerp import (
     BoxSplineSpec,
-    PeriodizationWindow,
     SFParams,
     dirichlet_kernel,
     fundamental_interpolant,
@@ -28,8 +27,9 @@ s = sf_order(spline)
 print(f"reproduction order of B{spline.p}: s = {s}")
 
 # the constants are summed over the shells ||z||_inf <= 16 that the
-# periodization stores (the interpolant's grid window)
-phi = periodize(spline, M, PeriodizationWindow(radius=16, tail_eps=1e-4))
+# periodization stores (radius 16, the interpolant's grid window; tail
+# bound 1e-4)
+phi = periodize(spline, M, 16, 1e-4)
 ifun = fundamental_interpolant(phi, M)
 
 for claim in (s, s + 4):

@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .boxspline import (
     BoxSplineSpec,
-    PeriodizationWindow,
     periodization_tail,
     periodize,
     sf_order,
@@ -40,7 +39,6 @@ from .errors import (
 )
 from .fspaces import (
     SubmultReport,
-    WeightSpec,
     a_norm,
     check_submultiplicativity,
     lq_norm,

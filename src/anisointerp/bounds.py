@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxspline import BoxSplineSpec, PeriodizationWindow, periodize, sf_order
-from .fspaces import WeightSpec, a_norm, grid_weights, lq_norm, weights_many
+from .boxspline import BoxSplineSpec, periodize, sf_order
+from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
     canonical_mask,
@@ -79,7 +79,6 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     if not).
     """
     pm, grid = ifun.pm, ifun.grid
-    ws = WeightSpec(alpha, pm, q)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
     keys = np.sort(_row_keys(freqs))  # np.unique would import numpy.ma
     if (keys[1:] == keys[:-1]).any():
@@ -97,14 +96,14 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     fvals, svals = (pm.m * dft_inverse(fold_classes(labels[keep], fc[keep], pm)).values
                     for keep in (slice(None), canon))
     gf, gs = (pm.m * discrete_coeffs(SampleVector(v, pm)).values for v in (fvals, svals))
-    table = grid_weights(grid, ws.beta)
+    table = grid_weights(grid, alpha)
     table *= np.abs(grid.coeffs)
     on_f = table[at]
     table[at] = 0.0
-    rows, wf = lq_norm(table, ws.q, axis=1), weights_many(freqs, ws.beta, pm)
+    rows, wf = lq_norm(table, q, axis=1), weights_many(freqs, alpha, pm)
 
     def norm(*parts):
-        return lq_norm(np.concatenate(parts), ws.q)
+        return lq_norm(np.concatenate(parts), q)
 
     def error_norm(c, g):  # ||g - L g||, g with coefficients c on f's modes
         return norm(np.abs(g) * rows, wf[hit] * np.abs(c[hit] - g[lab] * grid.coeffs[at]),
@@ -113,7 +112,7 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     total, trig = error_norm(fc, gf), error_norm(np.where(canon, fc, 0), gs)
     dg = np.abs(gf - gs)
     aliasing = norm(dg * rows, dg[lab] * on_f)
-    partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), ws.q)
+    partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), q)
     # L_M f folded in column order, as folding its flat series adds its modes
     lf = gf[:, None] * grid.coeffs
     folded = np.cumsum(lf, axis=1, out=lf)[:, -1]
@@ -143,9 +142,7 @@ def check_trig_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
     p = report.params
     err = interp_error(f, ifun, p.alpha, p.q)
     sd = spectral_data(pm)
-    rhs = sd.norm2 ** (-p.s) * report.gamma_sf * a_norm(
-        f, p.alpha + p.s, WeightSpec(p.alpha, pm, p.q)
-    )
+    rhs = sd.norm2 ** (-p.s) * report.gamma_sf * a_norm(f, p.alpha + p.s, pm, p.q)
     return _safe_ratio(err.total, rhs, err.scale)
 
 
@@ -155,11 +152,10 @@ def check_partial_sum_theorem(f: FourierSeries, pm: PatternMatrix,
     ``(2/||M||)^{mu-alpha} ||f | A^mu_q||``; holds for any regular matrix."""
     if mu < alpha:
         raise ValueError("mu must be >= alpha")
-    ws = WeightSpec(alpha, pm, q)
     hi = ~canonical_mask(f.freqs, pm)
-    num = a_norm(FourierSeries(f.freqs[hi], f.coeffs[hi]), alpha, ws)
+    num = a_norm(FourierSeries(f.freqs[hi], f.coeffs[hi]), alpha, pm, q)
     sd = spectral_data(pm)
-    rhs = (2.0 / sd.norm2) ** (mu - alpha) * a_norm(f, mu, ws)
+    rhs = (2.0 / sd.norm2) ** (mu - alpha) * a_norm(f, mu, pm, q)
     return _safe_ratio(num, rhs, float(np.abs(f.coeffs).max(initial=0.0)))
 
 
@@ -172,9 +168,7 @@ def check_aliasing_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
     sd = spectral_data(pm)
     gip = gamma_ip(ifun, alpha, q)
     gsm = gamma_sm(mu, alpha, q, pm.d)
-    rhs = gip * gsm * sd.norm2 ** (alpha - mu) * a_norm(
-        f, mu, WeightSpec(alpha, pm, q)
-    )
+    rhs = gip * gsm * sd.norm2 ** (alpha - mu) * a_norm(f, mu, pm, q)
     return _safe_ratio(err.aliasing, rhs, err.scale)
 
 
@@ -196,7 +190,7 @@ class ExperimentSpec:
     kernel: BoxSplineSpec | str = "dirichlet"
     s: float | None = None
     radius: int = 16
-    tail_eps: float | None = 1e-5
+    tail_eps: float = 1e-5
 
     def __post_init__(self):
         if not self.scales:
@@ -242,7 +236,6 @@ class BoundReport:
     rho: float
     rows: list[ScaleRow] = field(default_factory=list)
     fitted_rate: float | None = None
-    fit_residual: float | None = None
 
     @property
     def verdict(self) -> bool:
@@ -269,11 +262,11 @@ def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
 
 
 def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: int,
-                      tail_eps: float | None, allow_incorrect: bool = False
+                      tail_eps: float, allow_incorrect: bool = False
                       ) -> FundamentalInterpolant:
     """Fundamental interpolant of a box spline periodized with ``radius`` and
     ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf)."""
-    phi = (periodize(kernel, pm, PeriodizationWindow(radius=radius, tail_eps=tail_eps))
+    phi = (periodize(kernel, pm, radius, tail_eps)
            if isinstance(kernel, BoxSplineSpec) else dirichlet_kernel(pm))
     return fundamental_interpolant(phi, pm, allow_incorrect=allow_incorrect)
 
@@ -290,7 +283,7 @@ def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
     err = interp_error(f, ifun, spec.alpha, spec.q)
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
     rho, c_rho_val = c_rho(rep.gamma_sf, rep.gamma_ip, gsm, s, spec.mu, spec.alpha, pm.d)
-    fmu = a_norm(f, spec.mu, WeightSpec(spec.alpha, pm, spec.q))
+    fmu = a_norm(f, spec.mu, pm, spec.q)
     bound = c_rho_val * sd.norm2 ** (-rho) * fmu
     return ScaleRow(
         j=j,
@@ -322,10 +315,8 @@ def convergence_study(spec: ExperimentSpec) -> BoundReport:
     pts = [(math.log(r.norm2), math.log(r.error))
            for r in report.rows if r.j >= 1 and r.error > _TINY]
     if len(pts) >= 2:
-        x, y = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
-        slope, icpt = np.polyfit(x, y, 1)
-        report.fitted_rate = float(slope)
-        report.fit_residual = float(np.abs(y - (slope * x + icpt)).max())
+        x, y = np.array(pts).T
+        report.fitted_rate = float(np.polyfit(x, y, 1)[0])
     return report
 
 

@@ -66,24 +66,6 @@ class BoxSplineSpec:
         return np.array(dirs, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class PeriodizationWindow:
-    """Aliasing truncation radius and the acceptable tail bound.
-
-    ``tail_eps > 0`` bounds the reported per-class sum of dropped coefficient
-    magnitudes (``inf`` accepts any bound); ``None`` disables the check.
-    """
-
-    radius: int = 32
-    tail_eps: float | None = 1e-6
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ValueError("radius must be >= 1")
-        if self.tail_eps is not None and not self.tail_eps > 0:
-            raise ValueError(f"tail_eps must be > 0 or None, got {self.tail_eps}")
-
-
 def _int_box(d: int, radius: int) -> np.ndarray:
     """Every ``z`` with ``||z||_inf <= radius``, in lexicographic order."""
     side = 2 * radius + 1
@@ -175,8 +157,8 @@ def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
         partial += float(_alias_bound(_int_shell(d, r), spec).sum()) / pm.m
 
 
-def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
-              win: PeriodizationWindow) -> AliasGrid:
+def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
+              tail_eps: float) -> AliasGrid:
     """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
     periodized spline, ``y_h = M^{-T} h``, on the real grid of every
     canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
@@ -188,31 +170,35 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix,
 
     Raises
     ------
+    ValueError
+        Unless ``radius >= 1`` and ``tail_eps > 0`` (``inf`` accepts any tail).
     TailTooLarge
-        If the computed tail bound exceeds ``win.tail_eps``.
+        If :func:`periodization_tail`, the certified bound on the per-class
+        sum of dropped coefficient magnitudes, exceeds ``tail_eps``.
     AnisoError
         If the grid passes ``GRID_MAX`` entries or a mode could leave int64
         (``max|h| + d radius max|M| >= 2^63``), checked before any work.
     """
+    if not radius >= 1:
+        raise ValueError(f"radius must be >= 1, got {radius}")
+    if tail_eps is None or not tail_eps > 0:
+        raise ValueError(f"tail_eps must be > 0, got {tail_eps}")
     if spec.d != pm.d:
         raise ValueError("spline dimension and matrix dimension differ")
-    if pm.m * (2 * win.radius + 1) ** pm.d > GRID_MAX:
-        raise AnisoError(f"radius {win.radius} needs a grid of over {GRID_MAX} entries")
-    check_reach(pm, win.radius)
-    if win.tail_eps is not None:
-        tail = periodization_tail(spec, pm, win.radius, win.tail_eps)
-        if not tail <= win.tail_eps:
-            raise TailTooLarge(
-                f"tail bound {tail:.3e} exceeds requested {win.tail_eps:.3e}"
-            )
-    z = _int_box(pm.d, win.radius)
+    if pm.m * (2 * radius + 1) ** pm.d > GRID_MAX:
+        raise AnisoError(f"radius {radius} needs a grid of over {GRID_MAX} entries")
+    check_reach(pm, radius)
+    tail = periodization_tail(spec, pm, radius, tail_eps)
+    if not tail <= tail_eps:
+        raise TailTooLarge(f"tail bound {tail:.3e} exceeds requested {tail_eps:.3e}")
+    z = _int_box(pm.d, radius)
     y = inv_t_apply(gset_freqs(pm), pm)
     hat = np.ones((pm.m, len(z)))
     for v, pj in zip(spec.directions(), spec.p):
-        nmax = int(np.abs(v).sum()) * win.radius
+        nmax = int(np.abs(v).sum()) * radius
         table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
         hat *= table[:, z @ v + nmax]
-    return AliasGrid(pm, z, hat / pm.m, win.radius)
+    return AliasGrid(pm, z, hat / pm.m, radius)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

@@ -206,7 +206,11 @@ def _cmd_converge(args) -> int:
             if key not in CONVERGE_KEYS:
                 raise ValueError(f"config key {key!r} is unknown; "
                                  f"expected one of {', '.join(CONVERGE_KEYS)}")
+            if key in cfg:
+                raise ValueError(f"config key {key!r} is set twice")
             cfg[key] = value.strip()
+    if "matrix" not in cfg:
+        raise ValueError("config has no 'matrix' key")
 
     pm = read_matrix(cfg["matrix"])
     kernel = parse_kernel(cfg.get("kernel", "dirichlet"))

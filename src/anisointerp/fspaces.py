@@ -22,23 +22,11 @@ from .spectral import inv_t_apply, is_expanding, spectral_data
 SUBMULT_RANGE = 50
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight exponent, pattern matrix, and norm index ``q`` (may be inf)."""
-
-    beta: float
-    pm: PatternMatrix
-    q: float
-
-    def __post_init__(self):
-        if not (self.beta >= 0):
-            raise ValueError("beta must be >= 0")
-        if not (self.q >= 1):
-            raise ValueError("q must be >= 1 or inf")
-
-
 def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
-    """Vectorized ellipsoidal weight for an ``(n, d)`` integer index array."""
+    """Vectorized ellipsoidal weight for an ``(n, d)`` integer index array;
+    ``ValueError`` unless ``beta >= 0``."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     y = inv_t_apply(np.asarray(ks, dtype=np.int64), pm)
     r2 = np.einsum("ij,ij->i", y, y)
     return (1.0 + spectral_data(pm).norm2**2 * r2) ** (beta / 2.0)
@@ -46,7 +34,10 @@ def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
 
 def grid_weights(grid: AliasGrid, beta: float) -> np.ndarray:
     """:func:`weights_many` at every entry ``h + M^T z`` of a grid, from
-    ``M^{-T} (h + M^T z) = M^{-T} h + z``, as an ``(m, nz)`` array."""
+    ``M^{-T} (h + M^T z) = M^{-T} h + z``, as an ``(m, nz)`` array;
+    ``ValueError`` unless ``beta >= 0``."""
+    if not beta >= 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
     y = inv_t_apply(gset_freqs(grid.pm), grid.pm)
     r2 = sum((y[:, a, None] + grid.shifts[:, a]) ** 2 for a in range(grid.pm.d))
     return (1.0 + spectral_data(grid.pm).norm2**2 * r2) ** (beta / 2.0)
@@ -55,7 +46,10 @@ def grid_weights(grid: AliasGrid, beta: float) -> np.ndarray:
 def lq_norm(values: np.ndarray, q: float, axis: int | None = None):
     """``l_q`` norm of a nonnegative array, with the sup convention for inf;
     with ``axis``, the array of norms along it.  Each sum is scaled by its
-    largest term before the power, so it overflows only when the norm does."""
+    largest term before the power, so it overflows only when the norm does.
+    ``ValueError`` unless ``q >= 1``."""
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1 or inf, got {q}")
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return 0.0
@@ -66,17 +60,12 @@ def lq_norm(values: np.ndarray, q: float, axis: int | None = None):
     return float(top.squeeze()) if axis is None else top.squeeze(axis)
 
 
-def a_norm(f: FourierSeries | AliasGrid, alpha: float, ws: WeightSpec) -> float:
-    """Weighted coefficient norm ``||{sigma_alpha(k) c_k(f)}||_{l_q}``.
-
-    ``alpha`` is the exponent actually applied; ``ws`` supplies the matrix
-    and the norm index.
-    """
+def a_norm(f: FourierSeries | AliasGrid, beta: float, pm: PatternMatrix, q: float) -> float:
+    """Weighted coefficient norm ``||{sigma_beta(k) c_k(f)}||_{l_q}`` of the
+    space ``A^beta_q`` of ``pm``; raises as :func:`weights_many` and
+    :func:`lq_norm` do."""
     f = as_series(f)
-    if len(f) == 0:
-        return 0.0
-    w = weights_many(f.freqs, alpha, ws.pm)
-    return lq_norm(w * np.abs(f.coeffs), ws.q)
+    return lq_norm(weights_many(f.freqs, beta, pm) * np.abs(f.coeffs), q)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Floating-point spectral quantities of a pattern matrix.
 
-Provides the Gram eigenvalues of ``M^T M``, the spectral norm, the
+Provides the spectral norm from the Gram eigenvalues of ``M^T M``, the
 condition number ``kappa = ||M||_2 ||M^{-1}||_2``, the eigenvalue
 magnitudes of ``M`` itself, and the expanding test ``|lambda_max| >= 2``.
 Integer pattern matrices are generally non-normal, so the eigenvalue
@@ -27,8 +27,6 @@ class SpectralData:
 
     Attributes
     ----------
-    gram_eigs : tuple of float
-        Eigenvalues of ``M^T M`` in increasing order (all positive).
     norm2 : float
         Spectral norm ``||M||_2 = sqrt(max gram eigenvalue)``.
     inv_norm2 : float
@@ -39,7 +37,6 @@ class SpectralData:
         Magnitudes of the (possibly complex) eigenvalues of ``M``, increasing.
     """
 
-    gram_eigs: tuple[float, ...]
     norm2: float
     inv_norm2: float
     kappa: float
@@ -57,15 +54,13 @@ def spectral_data(pm: PatternMatrix) -> SpectralData:
     """
     m = pm.mat_np.astype(float)
     try:
-        gram = np.linalg.eigvalsh(m.T @ m)
+        gram = np.linalg.eigvalsh(m.T @ m)  # in increasing order
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    gram = np.sort(gram)
     norm2 = float(np.sqrt(gram[-1]))
     inv_norm2 = float(1.0 / np.sqrt(gram[0]))
     return SpectralData(
-        gram_eigs=tuple(float(x) for x in gram),
         norm2=norm2,
         inv_norm2=inv_norm2,
         kappa=norm2 * inv_norm2,

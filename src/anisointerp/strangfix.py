@@ -34,7 +34,7 @@ import numpy as np
 
 from .boxspline import _int_shell
 from .errors import AnisoError, DivergentSeries, InsufficientSupport
-from .fspaces import WeightSpec, lq_norm, weights_many
+from .fspaces import lq_norm, weights_many
 from .interp import FundamentalInterpolant
 from .intlat import IntVec, PatternMatrix
 from .ptransform import gset_freqs
@@ -234,7 +234,6 @@ def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float) -> float:
     ``>= 0``, and ``AnisoError`` when ``||M||^alpha sigma_alpha`` overflows
     on the shells.
     """
-    WeightSpec(alpha, ifun.pm, q)
     return _gamma_ip(_shell_view(ifun, alpha), alpha, q, ifun.pm)
 
 

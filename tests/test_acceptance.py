@@ -11,7 +11,6 @@ from anisointerp import (
     ExperimentSpec,
     FourierSeries,
     NonExistent,
-    PeriodizationWindow,
     SampleVector,
     SFParams,
     alias_fold,
@@ -135,8 +134,7 @@ def test_acceptance_5_fundamental_interpolant_contract():
     details = []
     for mat in ([[2, 0], [0, 2]], [[2, 1], [0, 2]], FIG1):
         pm = validate_matrix(mat)
-        phi = periodize(B222, pm, PeriodizationWindow(radius=32,
-                                                      tail_eps=1e-5))
+        phi = periodize(B222, pm, 32, 1e-5)
         ifun = fundamental_interpolant(phi, pm)
         fold_dev = float(np.abs(alias_fold(ifun.series, pm).values
                                 - 1.0 / pm.m).max())
@@ -178,7 +176,7 @@ def test_acceptance_6_node_exactness(study):
 def test_acceptance_7_theorem_audits():
     start = time.time()
     e2 = validate_matrix([[2, 0], [0, 2]])
-    phi = periodize(B222, e2, PeriodizationWindow(radius=16, tail_eps=1e-4))
+    phi = periodize(B222, e2, 16, 1e-4)
     box = fundamental_interpolant(phi, e2)
     rep = verify_sfc(box, SFParams(s=4.0, alpha=0.0, q=2.0))
     rng = np.random.default_rng(107)
@@ -231,7 +229,7 @@ def test_acceptance_8_convergence_study(study):
 
 def test_acceptance_9_sf_order_detection():
     pm = validate_matrix(FIG1)
-    phi = periodize(B222, pm, PeriodizationWindow(radius=16, tail_eps=1e-4))
+    phi = periodize(B222, pm, 16, 1e-4)
     ifun = fundamental_interpolant(phi, pm)
     s = sf_order(B222)
     ok = True

@@ -16,10 +16,8 @@ from anisointerp import (
     ErrorBreakdown,
     ExperimentSpec,
     FourierSeries,
-    PeriodizationWindow,
     SampleVector,
     SFParams,
-    WeightSpec,
     a_norm,
     check_aliasing_theorem,
     check_partial_sum_theorem,
@@ -52,7 +50,7 @@ RATIO_TOL = 1.0 + 1e-9
 
 @pytest.fixture(scope="module")
 def box_e2():
-    phi = periodize(B222, E2, PeriodizationWindow(radius=16, tail_eps=1e-4))
+    phi = periodize(B222, E2, 16, 1e-4)
     return fundamental_interpolant(phi, E2)
 
 
@@ -100,7 +98,6 @@ def interp_error_by_series_arithmetic(f, ifun, alpha, q):
     """Oracle: every difference of the breakdown as a series built with
     ``FourierSeries.__add__``, then normed on its own merged support."""
     pm = ifun.pm
-    ws = WeightSpec(alpha, pm, q)
 
     def interpolate(g):
         values = evaluate_at_nodes(g, pm)
@@ -110,10 +107,10 @@ def interp_error_by_series_arithmetic(f, ifun, alpha, q):
     lmf, lm_smf = interpolate(f), interpolate(smf)
     residual = np.abs(evaluate_at_nodes(lmf, pm) - evaluate_at_nodes(f, pm))
     return ErrorBreakdown(
-        total=a_norm(f + lmf.scaled(-1.0), alpha, ws),
-        trig=a_norm(smf + lm_smf.scaled(-1.0), alpha, ws),
-        partial=a_norm(f + smf.scaled(-1.0), alpha, ws),
-        aliasing=a_norm(lmf + lm_smf.scaled(-1.0), alpha, ws),
+        total=a_norm(f + lmf.scaled(-1.0), alpha, pm, q),
+        trig=a_norm(smf + lm_smf.scaled(-1.0), alpha, pm, q),
+        partial=a_norm(f + smf.scaled(-1.0), alpha, pm, q),
+        aliasing=a_norm(lmf + lm_smf.scaled(-1.0), alpha, pm, q),
         node_residual=float(residual.max(initial=0.0)),
         scale=float(np.abs(f.coeffs).max(initial=0.0)),
     )
@@ -124,10 +121,10 @@ def _oracle_kernel(name):
         pm = validate_matrix([[3, 1], [-1, 2]])
         return fundamental_interpolant(dirichlet_kernel(pm), pm)
     if name == "box":
-        phi = periodize(B222, M21, PeriodizationWindow(radius=6, tail_eps=None))
+        phi = periodize(B222, M21, 6, math.inf)
         return fundamental_interpolant(phi, M21)
     full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
-    phi = periodize(full, E2, PeriodizationWindow(radius=6, tail_eps=None))
+    phi = periodize(full, E2, 6, math.inf)
     ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
     return ifun
@@ -161,9 +158,8 @@ def test_partial_sum_theorem_matches_series_arithmetic(alpha, q):
     mu = 6.0
     for pm in (E2, M21, validate_matrix([[3, 1], [-1, 2]])):
         f = _oracle_function(pm, np.random.default_rng(13))
-        ws = WeightSpec(alpha, pm, q)
-        num = a_norm(f + fourier_partial_sum(f, pm).scaled(-1.0), alpha, ws)
-        rhs = (2.0 / spectral_data(pm).norm2) ** (mu - alpha) * a_norm(f, mu, ws)
+        num = a_norm(f + fourier_partial_sum(f, pm).scaled(-1.0), alpha, pm, q)
+        rhs = (2.0 / spectral_data(pm).norm2) ** (mu - alpha) * a_norm(f, mu, pm, q)
         assert num > 0.0
         assert check_partial_sum_theorem(f, pm, alpha, mu, q) == pytest.approx(
             num / rhs, rel=1e-12, abs=0.0)
@@ -230,7 +226,7 @@ def test_interp_error_matches_series_arithmetic_property(d, box, data):
     pm = validate_matrix(mat)
     if box:
         spec = BoxSplineSpec(d, (2,) * (d * (d + 1) // 2))
-        phi = periodize(spec, pm, PeriodizationWindow(radius=2, tail_eps=None))
+        phi = periodize(spec, pm, 2, math.inf)
         ifun = fundamental_interpolant(phi, pm, allow_incorrect=True)
     else:
         ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
@@ -251,7 +247,7 @@ def complex_kernels(pm, radius):
     """The box spline B(2,2,2) translated by the pattern point ``M^{-1} (0, 1)``
     (a complex grid whose interpolant is the real one up to round-off) and
     by ``(0.3, -0.7)``, off the pattern (a complex interpolant)."""
-    phi = periodize(B222, pm, PeriodizationWindow(radius=radius, tail_eps=None)).series
+    phi = periodize(B222, pm, radius, math.inf).series
     off = FourierSeries(phi.freqs, phi.coeffs * np.exp(-1j * (phi.freqs @ [0.3, -0.7])),
                         window=phi.window)
     kernels = [translate(phi, (0, 1), pm), off]
@@ -395,8 +391,7 @@ def test_aliasing_theorem_across_scales():
     fdp = decay_profile(2, 8.0, 12)
     for j in (0, 1, 2, 3):
         pm = validate_matrix([[2 * 2**j, 2**j], [0, 2 * 2**j]])
-        phi = periodize(B222, pm, PeriodizationWindow(radius=8,
-                                                      tail_eps=1e-3))
+        phi = periodize(B222, pm, 8, 1e-3)
         ifun = fundamental_interpolant(phi, pm)
         assert check_aliasing_theorem(fdp, ifun, 0.0, 6.0, 2.0) <= RATIO_TOL
 

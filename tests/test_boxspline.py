@@ -12,7 +12,6 @@ from anisointerp import (
     AnisoError,
     BoxSplineSpec,
     NonExistent,
-    PeriodizationWindow,
     TailTooLarge,
     alias_fold,
     fundamental_interpolant,
@@ -76,19 +75,17 @@ def test_hat_symmetry_and_bound():
 
 
 def test_periodized_coeff_closed_form():
-    win = PeriodizationWindow(radius=1, tail_eps=None)
     # c_k = (1/m) hat(2 pi M^{-T} k); k = (1, 0) on 2 E_2: (1/4) hat(pi, 0), and
     # the coefficient vanishes on the sublattice M^T z (sinc at an integer)
     for spec, k, expect in [(B111, (1, 0), 0.25 * (2.0 / math.pi) ** 2),
                             (B222, (0, 0), 0.25), (B222, (2, 0), 0.0)]:
-        f = periodize(spec, E2, win).series
+        f = periodize(spec, E2, 1, math.inf).series
         c = f.coeffs[(f.freqs == k).all(axis=1)]
         assert len(c) == 1 and c[0] == pytest.approx(expect, rel=1e-13, abs=1e-30)
 
 
 def test_periodize_support_and_window():
-    win = PeriodizationWindow(radius=8, tail_eps=None)
-    grid = periodize(B222, E2, win)
+    grid = periodize(B222, E2, 8, math.inf)
     f = grid.series
     assert len(grid) == len(f) == E2.m * (2 * 8 + 1) ** 2
     assert grid.window == f.window == 8
@@ -109,7 +106,7 @@ def test_separable_hat_matches_flat_oracle(spec, mat):
     """The per-direction sinc tables gathered at ``z^T v`` equal the
     transform evaluated at every mode ``M^{-T} (h + M^T z)``."""
     pm = validate_matrix(mat)
-    grid = periodize(spec, pm, PeriodizationWindow(radius=3, tail_eps=None))
+    grid = periodize(spec, pm, 3, math.inf)
     z = _int_box(pm.d, 3)
     ks = (gset_freqs(pm)[:, None, :] + (z @ pm.mat_np)[None]).reshape(-1, pm.d)
     expect = _hat_on_lattice(inv_t_apply(ks, pm), spec) / pm.m
@@ -137,33 +134,38 @@ def test_periodize_refuses_modes_past_int64():
     """``h + M^T z`` past int64 raises before the product instead of
     wrapping; just inside the guard every mode is exact."""
     with pytest.raises(AnisoError, match="int64"):
-        periodize(B222, validate_matrix([[1, 2**60], [0, 1]]),
-                  PeriodizationWindow(radius=16, tail_eps=None))
+        periodize(B222, validate_matrix([[1, 2**60], [0, 1]]), 16, math.inf)
     pm = validate_matrix([[1, 2**61], [0, 1]])  # m = 1, h = 0
     with pytest.raises(AnisoError, match="int64"):  # 2 * 2 * 2^61 = 2^63
-        periodize(B222, pm, PeriodizationWindow(radius=2, tail_eps=None))
-    phi = periodize(B222, pm, PeriodizationWindow(radius=1, tail_eps=None))
+        periodize(B222, pm, 2, math.inf)
+    phi = periodize(B222, pm, 1, math.inf)
     exact = {(z1, z1 * 2**61 + z2) for z1, z2 in product((-1, 0, 1), repeat=2)}
     assert {tuple(k) for k in phi.series.freqs.tolist()} == exact
 
 
 def test_window_tail_eps_must_be_positive():
-    """A tail bound that is not ``> 0`` is refused by name; ``None`` skips
-    the check and ``inf`` accepts any bound."""
-    for bad in (math.nan, -1.0, 0.0, -math.inf):
-        with pytest.raises(ValueError, match="tail_eps"):
-            PeriodizationWindow(radius=4, tail_eps=bad)
-    for ok in (None, math.inf, 1e-300):
-        assert PeriodizationWindow(radius=4, tail_eps=ok).tail_eps == ok
+    """``periodize`` refuses a tail bound that is not ``> 0``, and ``None``,
+    by name; ``inf`` accepts any bound."""
+    for bad in (math.nan, -1.0, 0.0, -math.inf, None):
+        with pytest.raises(ValueError, match="tail_eps must be > 0"):
+            periodize(B222, E2, 4, bad)
+    with pytest.raises(TailTooLarge):  # a valid bound, but not met
+        periodize(B222, E2, 4, 1e-300)
     # B(1,1,1) has an infinite tail bound, which only tail_eps = inf accepts
-    assert periodize(B111, E2, PeriodizationWindow(radius=2, tail_eps=math.inf)).window == 2
+    assert periodize(B111, E2, 2, math.inf).window == 2
+
+
+def test_periodize_radius_must_be_positive():
+    for bad in (0, -1, math.nan):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            periodize(B222, E2, bad, math.inf)
 
 
 def test_periodize_caps_the_grid_before_any_work(monkeypatch):
     """A grid of more than ``GRID_MAX`` entries raises ``AnisoError`` naming
     the radius, before the tail bound runs and before anything is built."""
     monkeypatch.setattr(boxspline, "GRID_MAX", E2.m * 9**2)
-    assert periodize(B222, E2, PeriodizationWindow(radius=4, tail_eps=None)).coeffs.size == 324
+    assert periodize(B222, E2, 4, math.inf).coeffs.size == 324
 
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the cap")
@@ -171,12 +173,12 @@ def test_periodize_caps_the_grid_before_any_work(monkeypatch):
     for name in ("periodization_tail", "_int_box", "check_reach"):
         monkeypatch.setattr(boxspline, name, refuse)
     with pytest.raises(AnisoError, match="radius 5"):
-        periodize(B222, E2, PeriodizationWindow(radius=5, tail_eps=1e-4))
+        periodize(B222, E2, 5, 1e-4)
 
 
 def test_periodize_rejects_large_tail():
     with pytest.raises(TailTooLarge):
-        periodize(B222, E2, PeriodizationWindow(radius=4, tail_eps=1e-12))
+        periodize(B222, E2, 4, 1e-12)
 
 
 def test_tail_infinite_when_order_at_most_d():
@@ -187,7 +189,7 @@ def test_tail_infinite_when_order_at_most_d():
     d3 = validate_matrix(np.diag([2, 2, 2]))
     assert periodization_tail(BoxSplineSpec(3, (1,) * 6), d3, 2) == math.inf
     with pytest.raises(TailTooLarge):
-        periodize(B111, E2, PeriodizationWindow(radius=16, tail_eps=1.0))
+        periodize(B111, E2, 16, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,7 +220,7 @@ def test_tail_bounds_brute_force_sum(d, full, radius, data):
 
 def test_spatial_positivity_on_grid():
     """The periodized box spline is a sum of nonnegative bumps."""
-    f = periodize(B222, E2, PeriodizationWindow(radius=8, tail_eps=None)).series
+    f = periodize(B222, E2, 8, math.inf).series
     t = np.linspace(-math.pi, math.pi, 21)
     xx, yy = np.meshgrid(t, t)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
@@ -244,7 +246,7 @@ def test_full_family_has_degenerate_class():
     """The 4-direction spline's periodization vanishes on a folded class,
     triggering the incorrect-interpolation fallback."""
     full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
-    phi = periodize(full, E2, PeriodizationWindow(radius=12, tail_eps=None))
+    phi = periodize(full, E2, 12, math.inf)
     with pytest.raises(NonExistent, match=r"\(-1, -1\)"):
         fundamental_interpolant(phi, E2)
     ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)

@@ -267,6 +267,30 @@ def test_converge_rejects_repeated_scales_and_negative_kmax(tmp_path, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err, err
 
 
+def test_converge_names_a_missing_matrix_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("kernel = dirichlet\ns = 2\n")
+    assert run(["converge", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: config has no 'matrix' key\n"
+
+
+def test_converge_rejects_a_repeated_key(tmp_path, capsys):
+    """A second ``radius`` line used to override the first in silence."""
+    mat = tmp_path / "M.txt"
+    mat.write_text(FIG1_TEXT)
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nradius = 8\nradius = 4\n"
+                   f"tail_eps = 1e-3\ncsv = {csv}\n")
+    assert run(["converge", str(cfg)]) == 1
+    assert not csv.exists()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "'radius'" in err, err
+
+
 def test_usage_error_exit_code_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run([]) == 1

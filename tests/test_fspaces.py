@@ -8,14 +8,15 @@ import pytest
 from anisointerp import (
     FourierSeries,
     NotExpanding,
-    WeightSpec,
     a_norm,
     check_submultiplicativity,
+    dirichlet_kernel,
     lq_norm,
     spectral_data,
     validate_matrix,
     weights_many,
 )
+from anisointerp.fspaces import grid_weights
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
@@ -68,15 +69,37 @@ def test_lq_norm_conventions():
     assert lq_norm(np.array([]), 2.0) == 0.0
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan])
+def test_weights_reject_invalid_beta(beta):
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        weights_many([(1, 0)], beta, E2)
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        grid_weights(dirichlet_kernel(E2), beta)
+
+
+@pytest.mark.parametrize("q", [0.5, math.nan])
+def test_lq_norm_rejects_invalid_q(q):
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        lq_norm(np.array([3.0, 4.0]), q)
+
+
+def test_a_norm_checks_an_empty_series():
+    """The checks run before any term is summed, so an empty series with an
+    invalid ``q`` is refused too."""
+    assert a_norm(FourierSeries.zero(2), 0.0, E2, 2.0) == 0.0
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        a_norm(FourierSeries.zero(2), 0.0, E2, 0.5)
+
+
 def test_a_norm_hand_value():
     # f = 2 e^{i k1 x} + i e^{i k2 x} on 2 E_2, alpha = 2, q = 2
     f = FourierSeries(np.array([[1, 0], [1, 1]]),
                       np.array([2.0 + 0j, 1j]))
-    val = a_norm(f, 2.0, WeightSpec(0.0, E2, 2.0))
+    val = a_norm(f, 2.0, E2, 2.0)
     # sigma_2(1,0) = 2, sigma_2(1,1) = 3 -> sqrt((2*2)^2 + (3*1)^2) = 5
     assert val == pytest.approx(5.0)
     # sup norm
-    assert a_norm(f, 2.0, WeightSpec(0.0, E2, math.inf)) == pytest.approx(4.0)
+    assert a_norm(f, 2.0, E2, math.inf) == pytest.approx(4.0)
 
 
 def test_a_norm_monotone_in_alpha():
@@ -84,8 +107,7 @@ def test_a_norm_monotone_in_alpha():
     freqs = rng.integers(-15, 16, size=(60, 2))
     coeffs = rng.standard_normal(60) + 1j * rng.standard_normal(60)
     f = FourierSeries(freqs, coeffs, dedup=True)
-    ws = WeightSpec(0.0, FIG1, 2.0)
-    norms = [a_norm(f, alpha, ws) for alpha in (0.0, 1.0, 2.0, 4.0)]
+    norms = [a_norm(f, alpha, FIG1, 2.0) for alpha in (0.0, 1.0, 2.0, 4.0)]
     assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
 
 

@@ -13,10 +13,8 @@ from anisointerp import (
     FourierSeries,
     NonExistent,
     NotInSpace,
-    PeriodizationWindow,
     SampleVector,
     SFParams,
-    WeightSpec,
     a_norm,
     alias_fold,
     cardinal_residual,
@@ -209,8 +207,7 @@ def test_membership_coeffs_rejects_outsiders():
 def test_membership_coeffs_accepts_scaled_kernel():
     """Each series' zero test is relative to its own largest coefficient, so
     a kernel coefficient near the threshold stays zero after scaling."""
-    phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                    PeriodizationWindow(radius=16, tail_eps=1e-4)).series
+    phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 16, 1e-4).series
     for c in (0.5, 1.0, 2.0):
         a = membership_coeffs(phi.scaled(c), phi, FIG1)
         assert np.allclose(a.values, c, rtol=1e-12, atol=0)
@@ -220,11 +217,9 @@ def _labelled_interpolants():
     """Dirichlet, B(2,2,2) and a ``family="full"`` kernel whose class
     (-1, -1) is flagged and kept as one canonical mode."""
     yield fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
-    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                    PeriodizationWindow(radius=4, tail_eps=None))
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
     yield fundamental_interpolant(box, FIG1)
-    full = periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2,
-                     PeriodizationWindow(radius=6, tail_eps=None))
+    full = periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2, 6, math.inf)
     ifun = fundamental_interpolant(full, E2, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
     yield ifun
@@ -254,10 +249,8 @@ def test_series_path_matches_grid_path():
     """A kernel given as its flat series is labelled, shifted and scattered
     into the same grid that the kernel's own grid gives."""
     kernels = [(dirichlet_kernel(FIG1), FIG1),
-               (periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                          PeriodizationWindow(radius=4, tail_eps=None)), FIG1),
-               (periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2,
-                          PeriodizationWindow(radius=6, tail_eps=None)), E2)]
+               (periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf), FIG1),
+               (periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2, 6, math.inf), E2)]
     for phi, pm in kernels:
         for allow_incorrect in (False, True):
             try:
@@ -278,8 +271,7 @@ def test_real_kernels_stay_real():
     """Box-spline and Dirichlet grids, and their interpolants, are float64;
     a series becomes a float64 grid when it is real and a complex128 one
     when it is not.  The flat view is complex either way."""
-    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                    PeriodizationWindow(radius=4, tail_eps=None))
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
     for phi in (box, dirichlet_kernel(FIG1)):
         assert phi.coeffs.dtype == np.float64
         assert fundamental_interpolant(phi, FIG1).grid.coeffs.dtype == np.float64
@@ -296,8 +288,7 @@ def test_series_functions_accept_a_grid():
     """``translate``, ``membership_coeffs``, ``alias_fold``, ``a_norm`` and
     ``evaluate_at_nodes`` give for a kernel grid what they give for its
     flat series."""
-    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                    PeriodizationWindow(radius=4, tail_eps=None))
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
     for phi in (dirichlet_kernel(FIG1), box):
         series = phi.series
         got, want = translate(phi, (1, 2), FIG1), translate(series, (1, 2), FIG1)
@@ -308,8 +299,7 @@ def test_series_functions_accept_a_grid():
         assert np.array_equal(membership_coeffs(moved, phi, FIG1).values,
                               membership_coeffs(want, series, FIG1).values)
         assert np.array_equal(alias_fold(phi, FIG1).values, alias_fold(series, FIG1).values)
-        ws = WeightSpec(1.5, FIG1, 2.0)
-        assert a_norm(phi, 1.5, ws) == a_norm(series, 1.5, ws)
+        assert a_norm(phi, 1.5, FIG1, 2.0) == a_norm(series, 1.5, FIG1, 2.0)
         assert np.array_equal(evaluate_at_nodes(phi, FIG1), evaluate_at_nodes(series, FIG1))
 
 
@@ -331,8 +321,7 @@ def test_interpolant_support_labelled_once(monkeypatch):
     """Building the interpolant from a periodized kernel labels nothing;
     applying it, verifying it and measuring errors with it never label its
     support."""
-    phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1,
-                    PeriodizationWindow(radius=4, tail_eps=None))
+    phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
     calls = []
     real = ptransform.class_labels
 

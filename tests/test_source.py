@@ -58,3 +58,11 @@ def test_no_orphan_public_names():
                and not node.name.startswith("_") and node.name not in used
                and (name[:-3], node.name) not in scripts]
     assert not orphans
+
+
+def test_readme_quickstart_runs():
+    """The first python block of ``README.md`` runs against the package, so
+    the quick start cannot drift from the API."""
+    readme = (Path(anisointerp.__file__).parents[2] / "README.md").read_text()
+    code = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    exec(compile(code, "README.md", "exec"), {})

@@ -15,7 +15,6 @@ from anisointerp import (
     DivergentSeries,
     FourierSeries,
     InsufficientSupport,
-    PeriodizationWindow,
     SFParams,
     c_rho,
     cardinal_residual,
@@ -42,7 +41,7 @@ B222 = BoxSplineSpec(2, (2, 2, 2))
 
 @pytest.fixture(scope="module")
 def box_ifun():
-    phi = periodize(B222, FIG1, PeriodizationWindow(radius=16, tail_eps=1e-4))
+    phi = periodize(B222, FIG1, 16, 1e-4)
     return fundamental_interpolant(phi, FIG1)
 
 
@@ -279,8 +278,7 @@ def test_shell_table_matches_dict_loop_oracle():
     from test_interp import _labelled_interpolants
 
     pm3 = validate_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
-    phi3 = periodize(BoxSplineSpec(3, (1,) * 6), pm3,
-                     PeriodizationWindow(radius=2, tail_eps=None))
+    phi3 = periodize(BoxSplineSpec(3, (1,) * 6), pm3, 2, math.inf)
     for base in [*_labelled_interpolants(),
                  fundamental_interpolant(phi3, pm3, allow_incorrect=True)]:
         pm, win = base.pm, base.grid.window
@@ -361,7 +359,7 @@ def test_huge_alpha_raises():
     """An alpha that overflows ||M||^alpha sigma_alpha on the checked
     shells is refused by name, not turned into an infinite constant."""
     ifun = fundamental_interpolant(
-        periodize(B222, FIG1, PeriodizationWindow(radius=8, tail_eps=1e-3)), FIG1)
+        periodize(B222, FIG1, 8, 1e-3), FIG1)
     for alpha in (math.inf, 400.0):
         for check in (lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=math.inf)),
                       lambda: gamma_ip(ifun, alpha, 2.0)):
@@ -379,7 +377,7 @@ def test_lq_sums_do_not_overflow_before_the_norm():
     assert lq_norm(np.array([[3.0, 4.0], [0.0, 0.0], [1e300, 1e300]]), 2.0,
                    axis=1) == pytest.approx([5.0, 0.0, 2**0.5 * 1e300], rel=1e-15)
     ifun = fundamental_interpolant(
-        periodize(B222, FIG1, PeriodizationWindow(radius=8, tail_eps=1e-3)), FIG1)
+        periodize(B222, FIG1, 8, 1e-3), FIG1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0))
