@@ -31,7 +31,9 @@ spline = BoxSplineSpec(2, (2, 2, 2))
 phi = periodize(spline, M, 16, 1e-4)
 print(f"periodized spline carries {len(phi)} Fourier modes")
 
-ifun = fundamental_interpolant(phi, M)
+# phi is a kernel grid: it carries its pattern M, so the interpolant
+# needs nothing else
+ifun = fundamental_interpolant(phi)
 
 # two sanity checks of the cardinal function: its folded coefficients
 # are exactly 1/m, and it is 1 at the origin node, 0 at the others

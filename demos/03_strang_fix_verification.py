@@ -27,10 +27,10 @@ s = sf_order(spline)
 print(f"reproduction order of B{spline.p}: s = {s}")
 
 # the constants are summed over the shells ||z||_inf <= 16 that the
-# periodization stores (radius 16, the interpolant's grid window; tail
-# bound 1e-4)
+# periodization stores (radius 16, the window of the kernel grid, which the
+# interpolant keeps with the grid's pattern M; tail bound 1e-4)
 phi = periodize(spline, M, 16, 1e-4)
-ifun = fundamental_interpolant(phi, M)
+ifun = fundamental_interpolant(phi)
 
 for claim in (s, s + 4):
     rep = verify_sfc(ifun, SFParams(s=float(claim), alpha=0.0, q=2.0))
@@ -41,6 +41,6 @@ print("gamma_IP =", gamma_ip(ifun, 0.0, 2.0))
 
 # the Dirichlet kernel reproduces every T_M exactly, so it passes any
 # order with gamma_SF = 0; its window is infinite and its sums are exact
-ifd = fundamental_interpolant(dirichlet_kernel(M), M)
+ifd = fundamental_interpolant(dirichlet_kernel(M))
 rep = verify_sfc(ifd, SFParams(s=10.0, alpha=0.0, q=2.0))
 print(f"Dirichlet at order 10: pass={rep.passed}, gamma_SF={rep.gamma_sf}")

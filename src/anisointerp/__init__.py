@@ -64,6 +64,7 @@ from .intlat import (
     validate_matrix,
 )
 from .ptransform import (
+    AliasGrid,
     CoeffVector,
     FourierSeries,
     SampleVector,

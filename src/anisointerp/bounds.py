@@ -30,8 +30,9 @@ from .interp import (
     fundamental_interpolant,
 )
 from .intlat import PatternMatrix, freq_shifts, validate_matrix
-from .ptransform import (CoeffVector, FourierSeries, SampleVector, dft_inverse,
-                         discrete_coeffs, fold_classes, freq_class_indices)
+from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
+                         dft_inverse, discrete_coeffs, fold_classes, freq_class_indices,
+                         row_keys)
 from .spectral import is_expanding, spectral_data
 from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
 
@@ -57,13 +58,6 @@ class ErrorBreakdown:
     scale: float
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of an ``(n, d)`` int64 array as one opaque key: equal keys are
-    equal rows, and the keys sort and search exactly."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(f"V{8 * rows.shape[1]}").ravel()
-
-
 def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
                  alpha: float, q: float) -> ErrorBreakdown:
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
@@ -75,19 +69,16 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     norm ``|g_h|`` times a row norm of the real table ``sigma_alpha |C|``,
     ``g - L_M g`` on them and ``g`` off the grid; its ``l_q`` norm is that
     of the parts' norms.  Every norm is an exact finite sum; ``f`` must
-    have unique rows, as :class:`FourierSeries` stores them (``ValueError``
-    if not).
+    have unique rows (``ValueError`` if not).
     """
     pm, grid = ifun.pm, ifun.grid
+    check_unique_rows(f)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
-    keys = np.sort(_row_keys(freqs))  # np.unique would import numpy.ma
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("the series has repeated frequency rows")
     labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
     canon = ~(zf != 0).any(axis=1)
     # a shift past the grid's range, perhaps past int64, is off the grid
     near = ((zf >= grid.shifts.min(axis=0)) & (zf <= grid.shifts.max(axis=0))).all(axis=1)
-    cols, key = _row_keys(grid.shifts), _row_keys(np.where(near[:, None], zf, 0))
+    cols, key = row_keys(grid.shifts), row_keys(np.where(near[:, None], zf, 0))
     order = np.argsort(cols)
     col = order[np.minimum(np.searchsorted(cols[order], key), len(cols) - 1)]
     off = ~near | (cols[col] != key)
@@ -258,7 +249,7 @@ def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     ks = _int_box(d, kmax)
     coeffs = (1.0 + np.linalg.norm(ks, axis=1)) ** (-decay)
-    return FourierSeries(ks, coeffs.astype(np.complex128), window=math.inf)
+    return FourierSeries(ks, coeffs.astype(np.complex128))
 
 
 def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: int,
@@ -268,7 +259,7 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
     ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf)."""
     phi = (periodize(kernel, pm, radius, tail_eps)
            if isinstance(kernel, BoxSplineSpec) else dirichlet_kernel(pm))
-    return fundamental_interpolant(phi, pm, allow_incorrect=allow_incorrect)
+    return fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
 
 
 def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -106,7 +105,10 @@ def read_samples(path, pm: PatternMatrix) -> SampleVector:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != pm.d + 2:
             raise ValueError(f"sample row {line!r}: expected {pm.d + 2} fields")
-        y = tuple(Fraction(p) for p in parts[:pm.d])
+        try:
+            y = tuple(Fraction(p) for p in parts[:pm.d])
+        except ZeroDivisionError:
+            raise ValueError(f"sample row {line!r}: zero denominator") from None
         # shift into the canonical half-open box [-1/2, 1/2)
         y = tuple(((c + Fraction(1, 2)) % 1) - Fraction(1, 2) for c in y)
         if y not in index:
@@ -126,16 +128,18 @@ def read_samples(path, pm: PatternMatrix) -> SampleVector:
 
 def _cmd_pattern(args) -> int:
     pm = read_matrix(args.matrix)
+    nodes = node_fractions(pm)  # before any output, which an error would cut short
     print(",".join(f"y{i + 1}" for i in range(pm.d)))
-    for node in node_fractions(pm):
+    for node in nodes:
         print(",".join(str(c) for c in node))
     return 0
 
 
 def _cmd_gset(args) -> int:
     pm = read_matrix(args.matrix)
+    hs = gset_freqs(pm)
     print(",".join(f"k{i + 1}" for i in range(pm.d)))
-    for h in gset_freqs(pm):
+    for h in hs:
         print(",".join(str(int(x)) for x in h))
     return 0
 
@@ -147,8 +151,7 @@ def _cmd_dft(args) -> int:
     back = dft_inverse(fhat)
     resid = float(np.abs(back.values - samples.values).max())
     if args.out:
-        series = FourierSeries(gset_freqs(pm).copy(), fhat.values,
-                               window=math.inf)
+        series = FourierSeries(gset_freqs(pm).copy(), fhat.values)
         with open(args.out, "w") as fh:
             fh.write(series_to_csv(series))
     print(f"m={pm.m} roundtrip_residual={resid:.3e}")
@@ -313,3 +316,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotExpanding
 from .intlat import PatternMatrix
-from .ptransform import AliasGrid, FourierSeries, as_series, gset_freqs
+from .ptransform import AliasGrid, FourierSeries, check_unique_rows, gset_freqs
 from .spectral import inv_t_apply, is_expanding, spectral_data
 
 SUBMULT_RANGE = 50
@@ -60,11 +60,11 @@ def lq_norm(values: np.ndarray, q: float, axis: int | None = None):
     return float(top.squeeze()) if axis is None else top.squeeze(axis)
 
 
-def a_norm(f: FourierSeries | AliasGrid, beta: float, pm: PatternMatrix, q: float) -> float:
+def a_norm(f: FourierSeries, beta: float, pm: PatternMatrix, q: float) -> float:
     """Weighted coefficient norm ``||{sigma_beta(k) c_k(f)}||_{l_q}`` of the
     space ``A^beta_q`` of ``pm``; raises as :func:`weights_many` and
-    :func:`lq_norm` do."""
-    f = as_series(f)
+    :func:`lq_norm` do, and ``ValueError`` if ``f`` repeats a frequency row."""
+    check_unique_rows(f)
     return lq_norm(weights_many(f.freqs, beta, pm) * np.abs(f.coeffs), q)
 
 

@@ -18,26 +18,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnisoError, NonExistent, NotInSpace
-from .intlat import IntVec, PatternMatrix, canonical_classes, freq_phase_residues, reduce_freq_many
+from .intlat import (GRID_MAX, IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
+                     reduce_freq_many)
 from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, alias_fold,
-                         as_series, dft_inverse, discrete_coeffs, freq_class_indices,
-                         gset_freqs, merge_rows)
+                         dft_inverse, discrete_coeffs, freq_class_indices, gset_freqs,
+                         merge_rows)
 
 EXISTENCE_EPS_REL = 1e-12
 
 
-def translate(f: FourierSeries | AliasGrid, g: IntVec, pm: PatternMatrix) -> FourierSeries:
+def translate(f: FourierSeries, g: IntVec, pm: PatternMatrix) -> FourierSeries:
     """Coefficients of ``f`` shifted by the pattern point ``y = M^{-1} g``.
 
     Each coefficient picks up the phase ``e^{-2 pi i k^T y}``, computed from
     the exact rational ``k^T adj(M) g / det`` reduced mod 1.
     """
-    f = as_series(f)
     if len(f) == 0:
         return f
     res = freq_phase_residues(f.freqs, np.array([g], dtype=np.int64), pm)[:, 0]
     phases = np.exp(-2j * np.pi * res / pm.m)
-    return FourierSeries(f.freqs, f.coeffs * phases, window=f.window)
+    return FourierSeries(f.freqs, f.coeffs * phases)
 
 
 def evaluate(f: FourierSeries, x) -> complex:
@@ -48,7 +48,7 @@ def evaluate(f: FourierSeries, x) -> complex:
     return complex(np.sum(f.coeffs * np.exp(1j * (f.freqs @ x))))
 
 
-def evaluate_at_nodes(f: FourierSeries | AliasGrid, pm: PatternMatrix) -> np.ndarray:
+def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
     """Values ``f(2 pi y)`` over the canonical pattern order, exactly.
 
     On pattern nodes the character ``e^{2 pi i k^T y}`` depends only on the
@@ -88,15 +88,13 @@ class FundamentalInterpolant:
         return self.grid.series
 
 
-def fundamental_interpolant(
-    phi: AliasGrid | FourierSeries,
-    pm: PatternMatrix,
-    allow_incorrect: bool = False,
-) -> FundamentalInterpolant:
-    """Build the fundamental interpolant of the translate space of ``phi``,
-    a grid or a series (labelled and shifted by :meth:`AliasGrid.from_series`).
+def fundamental_interpolant(grid: AliasGrid, *,
+                            allow_incorrect: bool = False) -> FundamentalInterpolant:
+    """Build the fundamental interpolant of the translate space of the kernel
+    ``grid``, on the grid's pattern and with its shifts and window; a series
+    kernel becomes a grid through :meth:`AliasGrid.from_series`.
 
-    Coefficients are ``c_k(phi) / (m * folded)`` classwise.  On classes
+    Coefficients are ``c_k / (m * folded)`` classwise.  On classes
     where the folded coefficient vanishes the interpolant does not exist;
     with ``allow_incorrect`` those classes fall back to the single
     canonical coefficient ``1/m`` (all non-canonical modes of the class are
@@ -110,12 +108,9 @@ def fundamental_interpolant(
         If a folded class vanishes and ``allow_incorrect`` is not set; the
         message lists the vanishing classes.
     AnisoError
-        If a folded class coefficient is not finite, or a shift of a series
-        does not fit in int64.
+        If a folded class coefficient is not finite.
     """
-    grid = phi if isinstance(phi, AliasGrid) else AliasGrid.from_series(phi, pm)
-    if grid.pm != pm:
-        raise ValueError("the kernel grid belongs to another pattern matrix")
+    pm = grid.pm
     folded = grid.coeffs.sum(axis=1)
     mags = np.abs(folded)
     if not np.isfinite(mags).all():
@@ -137,8 +132,8 @@ def fundamental_interpolant(
     )
 
 
-def membership_coeffs(xi: FourierSeries | AliasGrid, phi: FourierSeries | AliasGrid,
-                      pm: PatternMatrix, tol: float = 1e-10) -> CoeffVector:
+def membership_coeffs(xi: FourierSeries, phi: FourierSeries, pm: PatternMatrix,
+                      tol: float = 1e-10) -> CoeffVector:
     """Translate coefficients ``a_hat`` with ``c_k(xi) = a_hat_h c_k(phi)``.
 
     Scans every stored mode of either series, grouped by congruence class,
@@ -150,7 +145,6 @@ def membership_coeffs(xi: FourierSeries | AliasGrid, phi: FourierSeries | AliasG
         With the first inconsistent index pair, if no consistent coefficient
         vector exists.
     """
-    xi, phi = as_series(xi), as_series(phi)
     freqs = np.vstack([f.freqs.reshape(-1, pm.d) for f in (xi, phi)])
     coeffs = np.zeros((len(freqs), 2), dtype=np.complex128)
     coeffs[:len(xi), 0], coeffs[len(xi):, 1] = xi.coeffs, phi.coeffs
@@ -185,10 +179,8 @@ def interpolation_operator(samples: SampleVector,
     ``c_{h + M^T z} = m * folded_sample_coeff(h) * c_{h + M^T z}(interpolant)``
     over the stored support of the interpolant, as a flat series.
     """
-    ch = discrete_coeffs(samples).values
-    f = ifun.series
-    coeffs = ifun.pm.m * ch[:, None] * ifun.grid.coeffs
-    return FourierSeries(f.freqs, coeffs.ravel(), window=f.window)
+    coeffs = ifun.pm.m * discrete_coeffs(samples).values[:, None] * ifun.grid.coeffs
+    return FourierSeries(ifun.series.freqs, coeffs.ravel())
 
 
 def canonical_mask(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
@@ -201,12 +193,15 @@ def canonical_mask(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
 def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
     """Restriction of the support to the canonical generating set of ``M^T``."""
     keep = canonical_mask(f.freqs, pm)
-    return FourierSeries(f.freqs[keep], f.coeffs[keep], window=math.inf)
+    return FourierSeries(f.freqs[keep], f.coeffs[keep])
 
 
 def dirichlet_kernel(pm: PatternMatrix) -> AliasGrid:
     """Kernel with coefficient 1 on every canonical frequency, 0 elsewhere:
-    the grid of the one shift ``z = 0``."""
+    the grid of the one shift ``z = 0``; ``AnisoError``, before anything is
+    allocated, if ``m`` passes ``GRID_MAX``."""
+    if pm.m > GRID_MAX:
+        raise AnisoError(f"m = {pm.m} classes of {pm.mat} pass GRID_MAX = {GRID_MAX}")
     return AliasGrid(pm, np.zeros((1, pm.d), dtype=np.int64), np.ones((pm.m, 1)),
                      window=math.inf)
 

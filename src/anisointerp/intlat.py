@@ -32,6 +32,9 @@ from .errors import AnisoError, NotAMember, SingularMatrix
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
+GRID_MAX = 2**25  # entries of a class table or grid (512 MiB of float64)
+
+
 def _det_bareiss(rows: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     a = [row[:] for row in rows]
@@ -221,8 +224,10 @@ def canonical_classes(pm: PatternMatrix,
     """Read-only ``(rows, labels, positions)``: the ``m`` integer vectors
     ``k`` with ``M^{-1} k`` (``M^{-T} k`` with ``transposed``) in
     ``[-1/2, 1/2)^d`` in lexicographic order, the class label of each row,
-    and the row of each label.  Raises ``AnisoError`` if a reduced
-    representative leaves the half-open cube or its class."""
+    and the row of each label.  ``AnisoError`` if ``m`` passes ``GRID_MAX``,
+    first, or if a representative leaves the half-open cube or its class."""
+    if pm.m > GRID_MAX:
+        raise AnisoError(f"m = {pm.m} classes of {pm.mat} pass GRID_MAX = {GRID_MAX}")
     eps, u, v = pm.diagonal_form
     # the map to digits, U or V^T, is unimodular: its inverse is det * adj
     inv = validate_matrix(tuple(zip(*v)) if transposed else u)

@@ -12,33 +12,25 @@ large frequency indices suffer no phase drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AnisoError
-from .intlat import (PatternMatrix, canonical_classes, class_labels, freq_phase_residues,
-                     freq_shifts)
-
-GRID_MAX = 2**25  # entries of a grid built from a series (512 MiB)
+from .intlat import (GRID_MAX, PatternMatrix, canonical_classes, class_labels,
+                     freq_phase_residues, freq_shifts)
 
 
 class FourierSeries:
-    """A finite map from frequency indices to complex Fourier coefficients.
+    """A finite map from frequency indices to complex Fourier coefficients,
+    tied to no pattern: parallel arrays ``freqs`` (``(n, d)`` int64) and
+    ``coeffs`` (``(n,)`` complex128), unstored indices zero.  Its rows are
+    unique when built with ``dedup=True`` or by an :class:`AliasGrid`."""
 
-    Stored as parallel arrays ``freqs`` (``(n, d)`` int64, unique rows) and
-    ``coeffs`` (``(n,)`` complex128).  Indices not stored are implicit
-    zeros.  ``window`` optionally records up to which aliasing shell
-    ``||z||_inf`` the stored support is complete (``math.inf`` when every
-    unstored index is exactly zero); consumers needing coverage guarantees
-    inspect it.
-    """
+    __slots__ = ("freqs", "coeffs")
 
-    __slots__ = ("freqs", "coeffs", "window")
-
-    def __init__(self, freqs, coeffs, window=None, dedup: bool = False):
+    def __init__(self, freqs, coeffs, dedup: bool = False):
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
         coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
         if len(freqs) != len(coeffs):
@@ -47,13 +39,12 @@ class FourierSeries:
             freqs, coeffs = merge_rows(freqs, coeffs)
         self.freqs = freqs
         self.coeffs = coeffs
-        self.window = window
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "FourierSeries":
-        return cls(np.zeros((0, dim), dtype=np.int64), np.zeros(0), window=math.inf)
+        return cls(np.zeros((0, dim), dtype=np.int64), np.zeros(0))
 
     # -- basic protocol -------------------------------------------------------
 
@@ -67,10 +58,10 @@ class FourierSeries:
     def prune(self, tol: float = 0.0) -> "FourierSeries":
         """Drop coefficients with magnitude <= ``tol`` (normalization pass)."""
         keep = np.abs(self.coeffs) > tol
-        return FourierSeries(self.freqs[keep], self.coeffs[keep], window=None)
+        return FourierSeries(self.freqs[keep], self.coeffs[keep])
 
     def scaled(self, c: complex) -> "FourierSeries":
-        return FourierSeries(self.freqs, self.coeffs * c, window=self.window)
+        return FourierSeries(self.freqs, self.coeffs * c)
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         return FourierSeries(
@@ -78,6 +69,20 @@ class FourierSeries:
             np.concatenate([self.coeffs, other.coeffs]),
             dedup=True,
         )
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an ``(n, d)`` int64 array as one opaque key: equal keys are
+    equal rows, and the keys sort and search exactly."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(f"V{8 * rows.shape[1]}").ravel()
+
+
+def check_unique_rows(f: FourierSeries) -> None:
+    """``ValueError`` if ``f`` stores a frequency row twice."""
+    keys = np.sort(row_keys(f.freqs))  # np.unique would import numpy.ma
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("the series has repeated frequency rows")
 
 
 def merge_rows(freqs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,10 +109,12 @@ def check_reach(pm: PatternMatrix, radius: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class AliasGrid:
-    """The ``(m, nz)`` grid ``coeffs[h, z] = c_{h + M^T z}`` of a series: rows
-    follow :func:`gset_freqs`, columns the distinct ``(nz, d)`` ``shifts`` in
-    lexicographic order, ``z = 0`` among them; every entry is stored, as
-    float64 for a real kernel and complex128 otherwise."""
+    """A kernel on the pattern of ``pm``, the ``(m, nz)`` grid ``coeffs[h, z]
+    = c_{h + M^T z}``: rows follow :func:`gset_freqs`, columns the distinct
+    ``(nz, d)`` ``shifts`` in lexicographic order, ``z = 0`` among them, as
+    float64 for a real kernel and complex128 otherwise.  Every nonzero
+    coefficient with ``||z||_inf <= window`` is stored (``None``: no shell
+    is declared complete)."""
 
     pm: PatternMatrix
     shifts: np.ndarray
@@ -122,14 +129,15 @@ class AliasGrid:
         """The flat view, ``h + M^T z`` ``h``-major; ``AnisoError`` past int64."""
         check_reach(self.pm, int(np.abs(self.shifts).max()))
         ks = gset_freqs(self.pm)[:, None, :] + (self.shifts @ self.pm.mat_np)[None]
-        return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel(),
-                             window=self.window)
+        return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel())
 
     @classmethod
-    def from_series(cls, f: FourierSeries, pm: PatternMatrix) -> "AliasGrid":
-        """Label and shift each mode of ``f`` once and add it into its entry,
-        a real grid when ``f`` has no imaginary part; ``AnisoError`` if a
-        shift leaves int64 or the grid passes ``GRID_MAX``."""
+    def from_series(cls, f: FourierSeries, pm: PatternMatrix,
+                    window: float | None = None) -> "AliasGrid":
+        """The kernel ``f`` on the pattern of ``pm``, complete up to ``window``:
+        each mode labelled, shifted and added into its entry once, a real grid
+        when ``f`` has no imaginary part; ``AnisoError`` if a shift leaves
+        int64 or the grid passes ``GRID_MAX``."""
         freqs = f.freqs.reshape(-1, pm.d)
         labels, z = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
         if z.dtype == object:
@@ -148,12 +156,7 @@ class AliasGrid:
         values = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
         coeffs = np.zeros((pm.m, nz), dtype=values.dtype)
         np.add.at(coeffs, (labels, cols[1:]), values)
-        return cls(pm, z[order[new]], coeffs, f.window)
-
-
-def as_series(f: FourierSeries | AliasGrid) -> FourierSeries:
-    """``f`` itself, or the flat view of a grid."""
-    return f.series if isinstance(f, AliasGrid) else f
+        return cls(pm, z[order[new]], coeffs, window)
 
 
 @dataclass
@@ -227,13 +230,12 @@ def freq_class_indices(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
     return canonical_classes(pm, True)[2][class_labels(freqs, pm, transposed=True)]
 
 
-def alias_fold(f: FourierSeries | AliasGrid, pm: PatternMatrix) -> CoeffVector:
+def alias_fold(f: FourierSeries, pm: PatternMatrix) -> CoeffVector:
     """Fold the coefficients of ``f`` over congruence classes mod ``M^T``.
 
     For each canonical ``h`` the result is the exact finite sum of all
     stored coefficients whose index reduces to ``h``.
     """
-    f = as_series(f)
     return fold_classes(freq_class_indices(f.freqs, pm), f.coeffs, pm)
 
 

@@ -103,11 +103,12 @@ class SFReport:
 
 
 def _shell_view(ifun: FundamentalInterpolant, alpha: float):
-    """The grid columns of the shells ``||z||_inf <= window``: their shifts,
-    ``sigma_alpha`` on them, the position of ``z = 0`` among them, the
-    ``z = 0`` coefficients ``c_h`` and the real ``(m, n)`` magnitudes
-    ``|c_{h + M^T z}|`` (copying no columns when all are kept); raises as
-    :func:`gamma_ip` documents."""
+    """The grid columns of the shells ``||z||_inf <= window`` that the kernel
+    grid declares complete (the window :meth:`AliasGrid.from_series` was
+    given, for a series kernel): their shifts, ``sigma_alpha`` on them, the
+    position of ``z = 0`` among them, the ``z = 0`` coefficients ``c_h`` and
+    the real ``(m, n)`` magnitudes ``|c_{h + M^T z}|`` (copying no columns
+    when all are kept); raises as :func:`gamma_ip` documents."""
     grid = ifun.grid
     if grid.window is None or not grid.window >= 0:
         raise InsufficientSupport(f"the kernel declares no complete shells (window {grid.window})")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    AliasGrid,
     BoxSplineSpec,
     ExperimentSpec,
     FourierSeries,
@@ -135,14 +136,13 @@ def test_acceptance_5_fundamental_interpolant_contract():
     for mat in ([[2, 0], [0, 2]], [[2, 1], [0, 2]], FIG1):
         pm = validate_matrix(mat)
         phi = periodize(B222, pm, 32, 1e-5)
-        ifun = fundamental_interpolant(phi, pm)
+        ifun = fundamental_interpolant(phi)
         fold_dev = float(np.abs(alias_fold(ifun.series, pm).values
                                 - 1.0 / pm.m).max())
         card = cardinal_residual(ifun)
         ok &= fold_dev < 1e-10 and card < 1e-6
         details.append(f"m={pm.m}: fold {fold_dev:.1e}, cardinal {card:.1e}")
-    ifd = fundamental_interpolant(dirichlet_kernel(validate_matrix(FIG1)),
-                                  validate_matrix(FIG1))
+    ifd = fundamental_interpolant(dirichlet_kernel(validate_matrix(FIG1)))
     coeffs = dict(zip(map(tuple, ifd.series.freqs.tolist()), ifd.series.coeffs))
     dir_dev = max(abs(coeffs.get(h, 0.0) - 1.0 / 64)
                   for h in map(tuple, gset_freqs(ifd.pm).tolist()))
@@ -177,7 +177,7 @@ def test_acceptance_7_theorem_audits():
     start = time.time()
     e2 = validate_matrix([[2, 0], [0, 2]])
     phi = periodize(B222, e2, 16, 1e-4)
-    box = fundamental_interpolant(phi, e2)
+    box = fundamental_interpolant(phi)
     rep = verify_sfc(box, SFParams(s=4.0, alpha=0.0, q=2.0))
     rng = np.random.default_rng(107)
     hs = gset_freqs(e2)
@@ -185,23 +185,21 @@ def test_acceptance_7_theorem_audits():
     trig_ratios = []
     for _ in range(20):
         c = rng.standard_normal(e2.m) + 1j * rng.standard_normal(e2.m)
-        f = FourierSeries(hs.copy(), c, window=math.inf)
+        f = FourierSeries(hs.copy(), c)
         trig_ratios.append(check_trig_theorem(f, box, rep))
 
     psum_ratios = [check_partial_sum_theorem(
-        FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]),
-                      window=math.inf), e2, 1.0, 6.0, 2.0)]
+        FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j])), e2, 1.0, 6.0, 2.0)]
     for _ in range(20):
         f = FourierSeries(rng.integers(-20, 21, size=(30, 2)),
                           rng.standard_normal(30) + 1j * rng.standard_normal(30),
                           dedup=True)
         psum_ratios.append(check_partial_sum_theorem(f, e2, 0.0, 6.0, 2.0))
 
-    ifd = fundamental_interpolant(dirichlet_kernel(e2), e2)
+    ifd = fundamental_interpolant(dirichlet_kernel(e2))
     alias_ratios = [
         check_aliasing_theorem(
-            FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]),
-                          window=math.inf), ifd, 0.0, 6.0, 2.0),
+            FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j])), ifd, 0.0, 6.0, 2.0),
         check_aliasing_theorem(decay_profile(2, 8.0, 12), box,
                                0.0, 6.0, 2.0),
         check_aliasing_theorem(decay_profile(2, 8.0, 12), box,
@@ -230,7 +228,7 @@ def test_acceptance_8_convergence_study(study):
 def test_acceptance_9_sf_order_detection():
     pm = validate_matrix(FIG1)
     phi = periodize(B222, pm, 16, 1e-4)
-    ifun = fundamental_interpolant(phi, pm)
+    ifun = fundamental_interpolant(phi)
     s = sf_order(B222)
     ok = True
     for alpha in (0.0, 1.0):
@@ -252,14 +250,14 @@ def test_acceptance_10_incorrect_interpolation():
     alias = tuple((np.array([-1, -1]) + pm.mat_np.T @ np.array([1, 1])).tolist())
     freqs.append(alias)
     coeffs.append(-1.0 + 0j)
-    phi = FourierSeries(np.array(freqs), np.array(coeffs), window=math.inf)
+    phi = AliasGrid.from_series(FourierSeries(np.array(freqs), np.array(coeffs)), pm, math.inf)
 
     raised = False
     try:
-        fundamental_interpolant(phi, pm)
+        fundamental_interpolant(phi)
     except NonExistent:
         raised = True
-    ifun = fundamental_interpolant(phi, pm, allow_incorrect=True)
+    ifun = fundamental_interpolant(phi, allow_incorrect=True)
     card = cardinal_residual(ifun)
     ok = (raised and ifun.incorrect_modes == [(-1, -1)] and card < 1e-10)
     _verdict(10, ok, f"vanishing folded class -> NonExistent without the "

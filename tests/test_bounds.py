@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anisointerp import (
+    AliasGrid,
     BoxSplineSpec,
     ErrorBreakdown,
     ExperimentSpec,
@@ -51,17 +52,17 @@ RATIO_TOL = 1.0 + 1e-9
 @pytest.fixture(scope="module")
 def box_e2():
     phi = periodize(B222, E2, 16, 1e-4)
-    return fundamental_interpolant(phi, E2)
+    return fundamental_interpolant(phi)
 
 
 def random_trig_poly(pm, rng):
     hs = gset_freqs(pm)
     c = rng.standard_normal(pm.m) + 1j * rng.standard_normal(pm.m)
-    return FourierSeries(hs.copy(), c, window=math.inf)
+    return FourierSeries(hs.copy(), c)
 
 
 def test_trig_poly_dirichlet_error_zero():
-    ifun = fundamental_interpolant(dirichlet_kernel(M21), M21)
+    ifun = fundamental_interpolant(dirichlet_kernel(M21))
     rng = np.random.default_rng(0)
     f = random_trig_poly(M21, rng)
     err = interp_error(f, ifun, 0.0, 2.0)
@@ -72,9 +73,9 @@ def test_trig_poly_dirichlet_error_zero():
 def test_single_outside_mode_closed_form():
     """f = e^{i k0 x} outside G_S with the Dirichlet kernel: the error has
     exactly two modes, k0 and its canonical representative h0."""
-    ifun = fundamental_interpolant(dirichlet_kernel(E2), E2)
+    ifun = fundamental_interpolant(dirichlet_kernel(E2))
     k0, h0 = (3, 0), (-1, 0)  # reduce((3,0)) mod (2 E_2)^T
-    f = FourierSeries(np.array([k0]), np.array([2.0 + 0j]), window=math.inf)
+    f = FourierSeries(np.array([k0]), np.array([2.0 + 0j]))
     alpha, q = 1.0, 2.0
     err = interp_error(f, ifun, alpha, q)
     wk, wh = weights_many([k0, h0], alpha, E2)
@@ -119,13 +120,13 @@ def interp_error_by_series_arithmetic(f, ifun, alpha, q):
 def _oracle_kernel(name):
     if name == "dirichlet":
         pm = validate_matrix([[3, 1], [-1, 2]])
-        return fundamental_interpolant(dirichlet_kernel(pm), pm)
+        return fundamental_interpolant(dirichlet_kernel(pm))
     if name == "box":
         phi = periodize(B222, M21, 6, math.inf)
-        return fundamental_interpolant(phi, M21)
+        return fundamental_interpolant(phi)
     full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
     phi = periodize(full, E2, 6, math.inf)
-    ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
+    ifun = fundamental_interpolant(phi, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
     return ifun
 
@@ -192,7 +193,7 @@ def _edge_function(case, ifun, rng):
     if case == "outside":
         k = gset_freqs(pm)[-1] + np.array([9, -4]) @ pm.mat_np
         assert len(_off_support(ifun, k[None])) == 1
-        return FourierSeries(k[None], np.array([0.5 - 2j]), window=math.inf)
+        return FourierSeries(k[None], np.array([0.5 - 2j]))
     if case == "wrap":
         big = 2**40
         freqs = np.vstack([[[big, -big], [-big, big], [big, 3], [-5, -big]],
@@ -227,9 +228,9 @@ def test_interp_error_matches_series_arithmetic_property(d, box, data):
     if box:
         spec = BoxSplineSpec(d, (2,) * (d * (d + 1) // 2))
         phi = periodize(spec, pm, 2, math.inf)
-        ifun = fundamental_interpolant(phi, pm, allow_incorrect=True)
+        ifun = fundamental_interpolant(phi, allow_incorrect=True)
     else:
-        ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+        ifun = fundamental_interpolant(dirichlet_kernel(pm))
     support = ifun.series.freqs
     picked = data.draw(st.lists(st.integers(0, len(support) - 1), max_size=8))
     entry = st.one_of(st.integers(-20, 20), st.sampled_from([-2**40, 2**40, 2**62]))
@@ -246,11 +247,11 @@ def test_interp_error_matches_series_arithmetic_property(d, box, data):
 def complex_kernels(pm, radius):
     """The box spline B(2,2,2) translated by the pattern point ``M^{-1} (0, 1)``
     (a complex grid whose interpolant is the real one up to round-off) and
-    by ``(0.3, -0.7)``, off the pattern (a complex interpolant)."""
+    by ``(0.3, -0.7)``, off the pattern (a complex interpolant), as grids
+    complete up to ``radius``."""
     phi = periodize(B222, pm, radius, math.inf).series
-    off = FourierSeries(phi.freqs, phi.coeffs * np.exp(-1j * (phi.freqs @ [0.3, -0.7])),
-                        window=phi.window)
-    kernels = [translate(phi, (0, 1), pm), off]
+    off = FourierSeries(phi.freqs, phi.coeffs * np.exp(-1j * (phi.freqs @ [0.3, -0.7])))
+    kernels = [AliasGrid.from_series(f, pm, radius) for f in (translate(phi, (0, 1), pm), off)]
     for kernel in kernels:
         assert np.abs(kernel.coeffs.imag).max() > 0.1 * np.abs(kernel.coeffs).max()
     return kernels
@@ -260,7 +261,7 @@ def test_interp_error_matches_series_arithmetic_for_a_complex_kernel():
     """Complex grids: the row norms scale by ``|g_h|`` as a real grid's do."""
     f = _oracle_function(M21, np.random.default_rng(19))
     for kernel in complex_kernels(M21, 6):
-        ifun = fundamental_interpolant(kernel, M21)
+        ifun = fundamental_interpolant(kernel)
         assert ifun.grid.coeffs.dtype == np.complex128
         for alpha, q in ORACLE_NORMS:
             assert_matches_oracle(f, ifun, alpha, q)
@@ -347,7 +348,7 @@ def test_partial_sum_single_mode_closed_form():
     # ratio = sigma_{alpha-mu}(k0) (||M||/2)^{mu-alpha} exactly
     k0 = (5, 3)
     alpha, mu, q = 1.0, 6.0, 2.0
-    f = FourierSeries(np.array([k0]), np.array([1.0 + 0j]), window=math.inf)
+    f = FourierSeries(np.array([k0]), np.array([1.0 + 0j]))
     ratio = check_partial_sum_theorem(f, E2, alpha, mu, q)
     sd = spectral_data(E2)
     expect = (weights_many([k0], alpha, E2)[0] / weights_many([k0], mu, E2)[0]
@@ -377,9 +378,8 @@ def test_partial_sum_non_expanding_matrix():
 
 
 def test_aliasing_theorem_dirichlet_and_box(box_e2):
-    f1 = FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]),
-                       window=math.inf)
-    ifd = fundamental_interpolant(dirichlet_kernel(E2), E2)
+    f1 = FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]))
+    ifd = fundamental_interpolant(dirichlet_kernel(E2))
     assert check_aliasing_theorem(f1, ifd, 0.0, 6.0, 2.0) <= RATIO_TOL
     fdp = decay_profile(2, 8.0, 12)
     for alpha in (0.0, 1.0):
@@ -392,7 +392,7 @@ def test_aliasing_theorem_across_scales():
     for j in (0, 1, 2, 3):
         pm = validate_matrix([[2 * 2**j, 2**j], [0, 2 * 2**j]])
         phi = periodize(B222, pm, 8, 1e-3)
-        ifun = fundamental_interpolant(phi, pm)
+        ifun = fundamental_interpolant(phi)
         assert check_aliasing_theorem(fdp, ifun, 0.0, 6.0, 2.0) <= RATIO_TOL
 
 

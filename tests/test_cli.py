@@ -326,6 +326,28 @@ def test_sample_validation_errors(e2, tmp_path, capsys):
                 assert repr(row) in capsys.readouterr().err
 
 
+def test_zero_denominator_in_a_sample_row(e2, tmp_path, capsys):
+    """A node coordinate ``1/0`` is a bad row, named in one error line."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("y1,y2,re,im\n1/0,0,1,0\n")
+    assert run(["dft", e2, str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: sample row '1/0,0,1,0': zero denominator"]
+
+
+def test_module_entry_point_runs_main(fig1):
+    """``python -m anisointerp.cli`` runs the same command as ``main()``."""
+    src = str(Path(anisointerp.__file__).parents[1])
+    procs = [subprocess.run([sys.executable, *how, "gset", fig1], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+             for how in (["-m", "anisointerp.cli"],
+                         ["-c", "from anisointerp.cli import main; main()"])]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout
+    assert len(procs[0].stdout.splitlines()) == 65
+
+
 @pytest.mark.parametrize("tail_eps", ["nan", "-1", "0"])
 def test_tail_eps_must_be_positive(fig1, tmp_path, capsys, tail_eps):
     """A NaN, negative or zero tail bound is refused by name in ``converge``
@@ -370,3 +392,31 @@ def test_oversized_radius_is_refused_before_allocating(fig1, tmp_path):
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: radius 100000"), proc.stderr
+
+
+def test_oversized_pattern_is_refused_before_allocating(tmp_path):
+    """A pattern of ``m = 10^12`` points (tables of TiB) exits 1 with one
+    line naming ``m`` and ``GRID_MAX``, in 2 GiB of address space, from
+    ``gset``, a Dirichlet ``converge`` and ``sfcheck``."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+    src = str(Path(anisointerp.__file__).parents[1])
+    mat = tmp_path / "big.txt"
+    mat.write_text("2\n1000000 0\n0 1000000\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = dirichlet\ns = 2\nscales = 0\n"
+                   f"csv = {tmp_path / 'out.csv'}\n")
+    for argv in (["gset", str(mat)], ["converge", str(cfg)],
+                 ["sfcheck", str(mat), "--order", "2"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from anisointerp.cli import main; main()", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "m = 1000000000000" in proc.stderr and "GRID_MAX" in proc.stderr, proc.stderr
+    assert not (tmp_path / "out.csv").exists()

@@ -9,6 +9,7 @@ from anisointerp import (
     FourierSeries,
     NotExpanding,
     a_norm,
+    check_partial_sum_theorem,
     check_submultiplicativity,
     dirichlet_kernel,
     lq_norm,
@@ -89,6 +90,20 @@ def test_a_norm_checks_an_empty_series():
     assert a_norm(FourierSeries.zero(2), 0.0, E2, 2.0) == 0.0
     with pytest.raises(ValueError, match="q must be >= 1"):
         a_norm(FourierSeries.zero(2), 0.0, E2, 0.5)
+
+
+def test_a_norm_rejects_repeated_rows():
+    """Stored twice with opposite signs, a mode is the zero function; its
+    rows' norm would be sqrt(2), so ``a_norm`` and the theorem checks that
+    take it refuse such a series, as ``interp_error`` does."""
+    f = FourierSeries(np.array([[1, 0], [1, 0]]), np.array([1.0, -1.0]))
+    m21 = validate_matrix([[2, 1], [0, 2]])
+    with pytest.raises(ValueError, match="repeated frequency rows"):
+        a_norm(f, 0.0, m21, 2.0)
+    with pytest.raises(ValueError, match="repeated frequency rows"):
+        check_partial_sum_theorem(f, m21, 0.0, 6.0, 2.0)
+    merged = FourierSeries(f.freqs, f.coeffs, dedup=True)
+    assert a_norm(merged, 0.0, m21, 2.0) == 0.0
 
 
 def test_a_norm_hand_value():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    AliasGrid,
     AnisoError,
     BoxSplineSpec,
     FourierSeries,
@@ -15,7 +16,6 @@ from anisointerp import (
     NotInSpace,
     SampleVector,
     SFParams,
-    a_norm,
     alias_fold,
     cardinal_residual,
     dirichlet_kernel,
@@ -91,7 +91,7 @@ def test_translate_shifts_node_values():
 
 def test_dirichlet_interpolant_exact_coefficients():
     for pm in (E2, M21, FIG1):
-        ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+        ifun = fundamental_interpolant(dirichlet_kernel(pm))
         hs = gset_freqs(pm)
         assert len(ifun.series) == pm.m
         for h in hs:
@@ -102,7 +102,7 @@ def test_dirichlet_interpolant_exact_coefficients():
 
 
 def test_interpolant_folded_coefficients_are_uniform():
-    ifun = fundamental_interpolant(dirichlet_kernel(M21), M21)
+    ifun = fundamental_interpolant(dirichlet_kernel(M21))
     folded = alias_fold(ifun.series, M21).values
     assert np.abs(folded - 1.0 / M21.m).max() < 1e-14
 
@@ -110,7 +110,7 @@ def test_interpolant_folded_coefficients_are_uniform():
 def test_interpolation_operator_reproduces_samples():
     rng = np.random.default_rng(8)
     for pm in (E2, FIG1):
-        ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+        ifun = fundamental_interpolant(dirichlet_kernel(pm))
         vals = rng.standard_normal(pm.m) + 1j * rng.standard_normal(pm.m)
         series = interpolation_operator(SampleVector(vals, pm), ifun)
         assert np.abs(evaluate_at_nodes(series, pm) - vals).max() < 1e-12
@@ -118,11 +118,11 @@ def test_interpolation_operator_reproduces_samples():
 
 def test_interpolation_of_trig_polynomial_is_identity():
     pm = M21
-    ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+    ifun = fundamental_interpolant(dirichlet_kernel(pm))
     hs = gset_freqs(pm)
     rng = np.random.default_rng(13)
     c = rng.standard_normal(pm.m) + 1j * rng.standard_normal(pm.m)
-    f = FourierSeries(hs.copy(), c, window=math.inf)
+    f = FourierSeries(hs.copy(), c)
     samples = SampleVector(evaluate_at_nodes(f, pm), pm)
     lf = interpolation_operator(samples, ifun)
     for h, ch in zip(hs, c):
@@ -139,7 +139,7 @@ def test_fourier_partial_sum_restricts_support():
 
 
 def degenerate_kernel(pm):
-    """Kernel whose folded coefficient vanishes on exactly one class."""
+    """Kernel grid whose folded coefficient vanishes on exactly one class."""
     hs = gset_freqs(pm)
     freqs = [tuple(int(x) for x in h) for h in hs]
     coeffs = [1.0 + 0j] * len(freqs)
@@ -147,15 +147,25 @@ def degenerate_kernel(pm):
     alias = tuple((np.array([-1, -1]) + pm.mat_np.T @ np.array([1, 1])).tolist())
     freqs.append(alias)
     coeffs.append(-1.0 + 0j)
-    return FourierSeries(np.array(freqs), np.array(coeffs), window=math.inf)
+    return AliasGrid.from_series(FourierSeries(np.array(freqs), np.array(coeffs)), pm, math.inf)
 
 
 def test_check_existence_flags_degenerate_class():
     phi = degenerate_kernel(E2)
     with pytest.raises(NonExistent, match=re.escape("classes [(-1, -1)]")):
-        fundamental_interpolant(phi, E2)
-    ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
+        fundamental_interpolant(phi)
+    ifun = fundamental_interpolant(phi, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
+
+
+def test_fundamental_interpolant_takes_the_pattern_from_its_grid():
+    """``allow_incorrect`` is keyword-only, so an old-style call that passes
+    the pattern matrix second is a ``TypeError`` instead of a truthy flag."""
+    phi = degenerate_kernel(E2)
+    for second in (E2, True):
+        with pytest.raises(TypeError):
+            fundamental_interpolant(phi, second)
+    assert fundamental_interpolant(phi, allow_incorrect=True).pm == E2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -163,17 +173,17 @@ def test_non_finite_kernel_coefficient_raises(bad):
     phi = dirichlet_kernel(M21).series
     coeffs = phi.coeffs.copy()
     coeffs[1] = bad
-    phi = FourierSeries(phi.freqs, coeffs, window=math.inf)
+    phi = AliasGrid.from_series(FourierSeries(phi.freqs, coeffs), M21, math.inf)
     for allow_incorrect in (False, True):
         with pytest.raises(AnisoError, match="not finite"):
-            fundamental_interpolant(phi, M21, allow_incorrect=allow_incorrect)
+            fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
 
 
 def test_incorrect_interpolation_fallback():
     phi = degenerate_kernel(E2)
     with pytest.raises(NonExistent):
-        fundamental_interpolant(phi, E2)
-    ifun = fundamental_interpolant(phi, E2, allow_incorrect=True)
+        fundamental_interpolant(phi)
+    ifun = fundamental_interpolant(phi, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
     assert coeff_at(ifun.series, (-1, -1)) == pytest.approx(1.0 / E2.m)
     # the fallback still yields a cardinal function at the nodes
@@ -216,11 +226,11 @@ def test_membership_coeffs_accepts_scaled_kernel():
 def _labelled_interpolants():
     """Dirichlet, B(2,2,2) and a ``family="full"`` kernel whose class
     (-1, -1) is flagged and kept as one canonical mode."""
-    yield fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
+    yield fundamental_interpolant(dirichlet_kernel(FIG1))
     box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
-    yield fundamental_interpolant(box, FIG1)
+    yield fundamental_interpolant(box)
     full = periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2, 6, math.inf)
-    ifun = fundamental_interpolant(full, E2, allow_incorrect=True)
+    ifun = fundamental_interpolant(full, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
     yield ifun
 
@@ -247,19 +257,21 @@ def test_stored_labels_and_shifts_match_exact_reduction():
 
 def test_series_path_matches_grid_path():
     """A kernel given as its flat series is labelled, shifted and scattered
-    into the same grid that the kernel's own grid gives."""
+    by ``AliasGrid.from_series`` into the same grid that the kernel's own
+    grid gives, with the window it is given."""
     kernels = [(dirichlet_kernel(FIG1), FIG1),
                (periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf), FIG1),
                (periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"), E2, 6, math.inf), E2)]
     for phi, pm in kernels:
+        rebuilt = AliasGrid.from_series(phi.series, pm, phi.window)
         for allow_incorrect in (False, True):
             try:
-                want = fundamental_interpolant(phi, pm, allow_incorrect=allow_incorrect)
+                want = fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
             except NonExistent:
                 with pytest.raises(NonExistent):
-                    fundamental_interpolant(phi.series, pm, allow_incorrect=allow_incorrect)
+                    fundamental_interpolant(rebuilt, allow_incorrect=allow_incorrect)
                 continue
-            got = fundamental_interpolant(phi.series, pm, allow_incorrect=allow_incorrect)
+            got = fundamental_interpolant(rebuilt, allow_incorrect=allow_incorrect)
             assert np.array_equal(got.grid.shifts, want.grid.shifts)
             assert np.array_equal(got.grid.coeffs, want.grid.coeffs)
             assert np.array_equal(got.a_hat.values, want.a_hat.values)
@@ -274,33 +286,14 @@ def test_real_kernels_stay_real():
     box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
     for phi in (box, dirichlet_kernel(FIG1)):
         assert phi.coeffs.dtype == np.float64
-        assert fundamental_interpolant(phi, FIG1).grid.coeffs.dtype == np.float64
+        assert fundamental_interpolant(phi).grid.coeffs.dtype == np.float64
         assert phi.series.coeffs.dtype == np.complex128
-        assert ptransform.AliasGrid.from_series(phi.series, FIG1).coeffs.dtype == np.float64
+        assert AliasGrid.from_series(phi.series, FIG1).coeffs.dtype == np.float64
     moved = translate(box.series, (1, 2), FIG1)
     assert np.abs(moved.coeffs.imag).max() > 0.0
-    grid = ptransform.AliasGrid.from_series(moved, FIG1)
+    grid = AliasGrid.from_series(moved, FIG1)
     assert grid.coeffs.dtype == np.complex128
-    assert fundamental_interpolant(grid, FIG1).grid.coeffs.dtype == np.complex128
-
-
-def test_series_functions_accept_a_grid():
-    """``translate``, ``membership_coeffs``, ``alias_fold``, ``a_norm`` and
-    ``evaluate_at_nodes`` give for a kernel grid what they give for its
-    flat series."""
-    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
-    for phi in (dirichlet_kernel(FIG1), box):
-        series = phi.series
-        got, want = translate(phi, (1, 2), FIG1), translate(series, (1, 2), FIG1)
-        assert np.array_equal(got.freqs, want.freqs)
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert got.window == want.window
-        moved = ptransform.AliasGrid.from_series(want, FIG1)
-        assert np.array_equal(membership_coeffs(moved, phi, FIG1).values,
-                              membership_coeffs(want, series, FIG1).values)
-        assert np.array_equal(alias_fold(phi, FIG1).values, alias_fold(series, FIG1).values)
-        assert a_norm(phi, 1.5, FIG1, 2.0) == a_norm(series, 1.5, FIG1, 2.0)
-        assert np.array_equal(evaluate_at_nodes(phi, FIG1), evaluate_at_nodes(series, FIG1))
+    assert fundamental_interpolant(grid).grid.coeffs.dtype == np.complex128
 
 
 def test_series_grid_size_is_capped(monkeypatch):
@@ -309,12 +302,11 @@ def test_series_grid_size_is_capped(monkeypatch):
     is an ``AnisoError`` before anything is allocated."""
     phi = dirichlet_kernel(FIG1).series
     far = np.array([[0, 0]]) + np.arange(1, 40)[:, None] * np.array([[8, 0]])
-    f = FourierSeries(np.vstack([phi.freqs, far]), np.append(phi.coeffs, np.full(39, 0.1)),
-                      window=math.inf)
-    assert fundamental_interpolant(f, FIG1).grid.coeffs.shape == (FIG1.m, 40)
+    f = FourierSeries(np.vstack([phi.freqs, far]), np.append(phi.coeffs, np.full(39, 0.1)))
+    assert AliasGrid.from_series(f, FIG1).coeffs.shape == (FIG1.m, 40)
     monkeypatch.setattr(ptransform, "GRID_MAX", FIG1.m * 39)
     with pytest.raises(AnisoError, match="64 x 40 grid"):
-        fundamental_interpolant(f, FIG1)
+        AliasGrid.from_series(f, FIG1)
 
 
 def test_interpolant_support_labelled_once(monkeypatch):
@@ -330,7 +322,7 @@ def test_interpolant_support_labelled_once(monkeypatch):
         return real(x, pm, transposed)
 
     monkeypatch.setattr(ptransform, "class_labels", counting)
-    ifun = fundamental_interpolant(phi, FIG1)
+    ifun = fundamental_interpolant(phi)
     assert not calls
     rng = np.random.default_rng(5)
     samples = SampleVector(rng.standard_normal(FIG1.m), FIG1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    AliasGrid,
     FourierSeries,
     SampleVector,
     alias_fold,
@@ -149,13 +150,17 @@ def test_gset_ordering_is_lexicographic():
 
 
 def test_window_metadata():
-    f = FourierSeries(np.array([[0, 0]]), np.array([1.0 + 0j]),
-                      window=math.inf)
-    assert f.window == math.inf
-    g = f.scaled(2.0)
-    assert g.window == math.inf
-    s = f + f  # merged supports have unknown coverage
-    assert s.window is None
+    """The window is the kernel grid's, never a series': a series made
+    into a grid declares no complete shell unless it is given a window."""
+    assert FourierSeries.__slots__ == ("freqs", "coeffs")
+    f = FourierSeries(np.array([[0, 0]]), np.array([1.0 + 0j]))
+    with pytest.raises(TypeError):
+        FourierSeries(f.freqs, f.coeffs, window=math.inf)
+    pm = validate_matrix(FIG1)
+    assert AliasGrid.from_series(f, pm).window is None
+    grid = AliasGrid.from_series(f, pm, math.inf)
+    assert grid.window == math.inf
+    assert not hasattr(grid.series, "window")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

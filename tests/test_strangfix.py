@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from anisointerp import (
+    AliasGrid,
     AnisoError,
     BoxSplineSpec,
     DivergentSeries,
@@ -42,7 +43,7 @@ B222 = BoxSplineSpec(2, (2, 2, 2))
 @pytest.fixture(scope="module")
 def box_ifun():
     phi = periodize(B222, FIG1, 16, 1e-4)
-    return fundamental_interpolant(phi, FIG1)
+    return fundamental_interpolant(phi)
 
 
 def test_sfparams_validation():
@@ -61,7 +62,7 @@ def test_sfparams_validation():
                                      (-1.0, 2.0), (math.nan, 2.0)])
 def test_gamma_ip_rejects_invalid_alpha_and_q(alpha, q):
     pm = validate_matrix([[2, 1], [0, 2]])
-    ifun = fundamental_interpolant(dirichlet_kernel(pm), pm)
+    ifun = fundamental_interpolant(dirichlet_kernel(pm))
     with pytest.raises(ValueError):
         gamma_ip(ifun, alpha, q)
 
@@ -73,8 +74,7 @@ def test_shifts_past_int64_raise():
     interpolant is built."""
     def with_mode(k, pm):
         phi = dirichlet_kernel(pm).series
-        return FourierSeries(np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5),
-                             window=math.inf)
+        return FourierSeries(np.vstack([phi.freqs, [k]]), np.append(phi.coeffs, 0.5))
 
     pm = validate_matrix([[2, 1], [0, 2]])
     assert reduce_freq((2**63 - 1, 2**62 - 1), pm) == (-1, -1)
@@ -83,12 +83,12 @@ def test_shifts_past_int64_raise():
     params = SFParams(s=2.0)
     for k in ((2**63 - 1, 2**62 - 1), (2**61 - 2, -(2**61 - 2))):
         kernel = with_mode(k, pm)
-        ifun = fundamental_interpolant(kernel, pm)
+        ifun = fundamental_interpolant(AliasGrid.from_series(kernel, pm, math.inf))
         h = reduce_freq(k, pm)
         z = tuple(int(x) for x in mt.inv_apply(tuple(a - b for a, b in zip(k, h))))
         assert ifun.grid.shifts.tolist() == [[0, 0], list(z)]
         assert ifun.grid.coeffs[position[h], 1] == 0.5 * ifun.a_hat.values[position[h]]
-        # the series declares itself complete (window inf), so the far shell
+        # the kernel grid declares itself complete (window inf), so the far shell
         # is checked: it enters b, gamma_SF and gamma_IP
         rep = verify_sfc(ifun, params)
         assert z in rep.b and math.isfinite(rep.gamma_sf)
@@ -107,17 +107,18 @@ def test_shifts_past_int64_raise():
         assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
         assert cardinal_residual(ifun) < 1e-12
     # h' + M^T z for the other classes h' would wrap: the flat view refuses
+    kernel = AliasGrid.from_series(with_mode((2**63 - 1, 2**62 - 1), pm), pm)
     with pytest.raises(AnisoError, match="int64"):
-        fundamental_interpolant(with_mode((2**63 - 1, 2**62 - 1), pm), pm).series
+        fundamental_interpolant(kernel).series
 
     # on M = [[2, 100], [0, 2]] the shift of (2^60, 0) is (2^59, -25 2^60)
     pm = validate_matrix([[2, 100], [0, 2]])
     with pytest.raises(AnisoError, match="does not fit in int64"):
-        fundamental_interpolant(with_mode((2**60, 0), pm), pm)
+        AliasGrid.from_series(with_mode((2**60, 0), pm), pm)
 
 
 def test_dirichlet_passes_any_order_with_zero_gamma():
-    ifun = fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
+    ifun = fundamental_interpolant(dirichlet_kernel(FIG1))
     for s in (1.0, 4.0, 12.0):
         rep = verify_sfc(ifun, SFParams(s=s, alpha=1.0, q=2.0))
         assert rep.passed
@@ -163,12 +164,12 @@ def test_relaxed_mode_scales_b_by_kappa(box_ifun):
 
 
 def test_insufficient_support_raised():
-    """A series kernel that declares no window (or a negative or NaN one)
-    says nothing of which shells it holds completely, so neither constant
-    can be truncated."""
+    """A series kernel given no window (or a negative or NaN one) says
+    nothing of which shells it holds completely, so neither constant can be
+    truncated."""
     phi = dirichlet_kernel(FIG1).series
     for window in (None, -1, math.nan):
-        ifun = fundamental_interpolant(FourierSeries(phi.freqs, phi.coeffs, window=window), FIG1)
+        ifun = fundamental_interpolant(AliasGrid.from_series(phi, FIG1, window))
         for check in (lambda: verify_sfc(ifun, SFParams(s=4.0)),
                       lambda: gamma_ip(ifun, 0.0, 2.0)):
             with pytest.raises(InsufficientSupport, match="window"):
@@ -251,7 +252,7 @@ def _rewindowed(phi, pm, window):
     """The fundamental interpolant of the series ``phi`` declared complete
     only up to ``window``: the shells past it stay stored but are not
     checked."""
-    return fundamental_interpolant(FourierSeries(phi.freqs, phi.coeffs, window=window), pm)
+    return fundamental_interpolant(AliasGrid.from_series(phi, pm, window))
 
 
 def _oracle_modes(ifun):
@@ -280,7 +281,7 @@ def test_shell_table_matches_dict_loop_oracle():
     pm3 = validate_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
     phi3 = periodize(BoxSplineSpec(3, (1,) * 6), pm3, 2, math.inf)
     for base in [*_labelled_interpolants(),
-                 fundamental_interpolant(phi3, pm3, allow_incorrect=True)]:
+                 fundamental_interpolant(phi3, allow_incorrect=True)]:
         pm, win = base.pm, base.grid.window
         variants = [base] + ([_rewindowed(base.series, pm, win - 1)] if math.isfinite(win) else [])
         for ifun in variants:
@@ -304,7 +305,7 @@ def test_complex_kernel_matches_dict_loop_oracle():
     from test_bounds import complex_kernels
 
     for kernel in complex_kernels(FIG1, 2):
-        for ifun in (fundamental_interpolant(kernel, FIG1), _rewindowed(kernel, FIG1, 1)):
+        for ifun in (fundamental_interpolant(kernel), _rewindowed(kernel.series, FIG1, 1)):
             assert ifun.grid.coeffs.dtype == np.complex128
             modes = _oracle_modes(ifun)
             for alpha in (0.0, 1.5):
@@ -358,8 +359,7 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
 def test_huge_alpha_raises():
     """An alpha that overflows ||M||^alpha sigma_alpha on the checked
     shells is refused by name, not turned into an infinite constant."""
-    ifun = fundamental_interpolant(
-        periodize(B222, FIG1, 8, 1e-3), FIG1)
+    ifun = fundamental_interpolant(periodize(B222, FIG1, 8, 1e-3))
     for alpha in (math.inf, 400.0):
         for check in (lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=math.inf)),
                       lambda: gamma_ip(ifun, alpha, 2.0)):
@@ -376,8 +376,7 @@ def test_lq_sums_do_not_overflow_before_the_norm():
     assert lq_norm([1e100, 1e100], 4.0) == pytest.approx(2**0.25 * 1e100, rel=1e-15)
     assert lq_norm(np.array([[3.0, 4.0], [0.0, 0.0], [1e300, 1e300]]), 2.0,
                    axis=1) == pytest.approx([5.0, 0.0, 2**0.5 * 1e300], rel=1e-15)
-    ifun = fundamental_interpolant(
-        periodize(B222, FIG1, 8, 1e-3), FIG1)
+    ifun = fundamental_interpolant(periodize(B222, FIG1, 8, 1e-3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0))
@@ -391,7 +390,7 @@ def test_lq_sums_do_not_overflow_before_the_norm():
 
 
 def test_gamma_ip_dirichlet_is_one():
-    ifun = fundamental_interpolant(dirichlet_kernel(FIG1), FIG1)
+    ifun = fundamental_interpolant(dirichlet_kernel(FIG1))
     for q in (1.0, 2.0, math.inf):
         assert gamma_ip(ifun, 1.5, q) == pytest.approx(1.0, rel=1e-12)
 
