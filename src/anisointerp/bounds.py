@@ -66,10 +66,13 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     ``g_h = m ghat_h``, and ``f - S_M f`` is ``f`` off the canonical set.
     Only ``f``'s modes are labelled, and found among the grid's columns by
     their exact ``z``.  A difference is ``L_M g`` off ``f``'s modes, with
-    norm ``|g_h|`` times a row norm of the real table ``sigma_alpha |C|``,
-    ``g - L_M g`` on them and ``g`` off the grid; its ``l_q`` norm is that
-    of the parts' norms.  Every norm is an exact finite sum; ``f`` must
-    have unique rows (``ValueError`` if not).
+    norm ``|g_h|`` times a row norm of ``sigma_alpha |C|``, ``g - L_M g`` on
+    them and ``g`` off the grid; its ``l_q`` norm is that of the parts'
+    norms.  The grid is streamed in row blocks, each building its own
+    ``sigma_alpha |C|`` (just ``|C|`` at ``alpha = 0``), row norms and
+    ``L_M f`` fold, so the working memory beyond the grid is
+    ``O(block * nz)``.  Every norm is an exact finite sum; ``f`` must have
+    unique rows (``ValueError`` if not).
     """
     pm, grid = ifun.pm, ifun.grid
     check_unique_rows(f)
@@ -87,11 +90,21 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     fvals, svals = (pm.m * dft_inverse(fold_classes(labels[keep], fc[keep], pm)).values
                     for keep in (slice(None), canon))
     gf, gs = (pm.m * discrete_coeffs(SampleVector(v, pm)).values for v in (fvals, svals))
-    table = grid_weights(grid, alpha)
-    table *= np.abs(grid.coeffs)
-    on_f = table[at]
-    table[at] = 0.0
-    rows, wf = lq_norm(table, q, axis=1), weights_many(freqs, alpha, pm)
+    wf = weights_many(freqs, alpha, pm)
+    rows, on_f = np.empty(pm.m), np.empty(len(hit))
+    folded = np.empty(pm.m, dtype=np.complex128)
+    for block_rows, block in grid.row_blocks():
+        table = np.abs(block)
+        if alpha:  # sigma_0 is exactly 1
+            table *= grid_weights(grid, alpha, block_rows)
+        mine = np.flatnonzero((lab >= block_rows.start) & (lab < block_rows.stop))
+        here = (lab[mine] - block_rows.start, at[1][mine])
+        on_f[mine] = table[here]
+        table[here] = 0.0
+        rows[block_rows] = lq_norm(table, q, axis=1)
+        # L_M f folded in column order, as folding its flat series adds its modes
+        lf = gf[block_rows, None] * block
+        folded[block_rows] = np.cumsum(lf, axis=1, out=lf)[:, -1]
 
     def norm(*parts):
         return lq_norm(np.concatenate(parts), q)
@@ -104,9 +117,6 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     dg = np.abs(gf - gs)
     aliasing = norm(dg * rows, dg[lab] * on_f)
     partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), q)
-    # L_M f folded in column order, as folding its flat series adds its modes
-    lf = gf[:, None] * grid.coeffs
-    folded = np.cumsum(lf, axis=1, out=lf)[:, -1]
     residual = np.abs(pm.m * dft_inverse(CoeffVector(folded, pm)).values - fvals)
     return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
                           node_residual=float(residual.max(initial=0.0)),

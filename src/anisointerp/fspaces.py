@@ -32,13 +32,13 @@ def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
     return (1.0 + spectral_data(pm).norm2**2 * r2) ** (beta / 2.0)
 
 
-def grid_weights(grid: AliasGrid, beta: float) -> np.ndarray:
-    """:func:`weights_many` at every entry ``h + M^T z`` of a grid, from
-    ``M^{-T} (h + M^T z) = M^{-T} h + z``, as an ``(m, nz)`` array;
-    ``ValueError`` unless ``beta >= 0``."""
+def grid_weights(grid: AliasGrid, beta: float, rows: slice = slice(None)) -> np.ndarray:
+    """:func:`weights_many` at every entry ``h + M^T z`` of the grid's
+    ``rows``, from ``M^{-T} (h + M^T z) = M^{-T} h + z``, as a
+    ``(len(rows), nz)`` array; ``ValueError`` unless ``beta >= 0``."""
     if not beta >= 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    y = inv_t_apply(gset_freqs(grid.pm), grid.pm)
+    y = inv_t_apply(gset_freqs(grid.pm)[rows], grid.pm)
     r2 = sum((y[:, a, None] + grid.shifts[:, a]) ** 2 for a in range(grid.pm.d))
     return (1.0 + spectral_data(grid.pm).norm2**2 * r2) ** (beta / 2.0)
 

@@ -110,6 +110,10 @@ def fundamental_interpolant(grid: AliasGrid, *,
     AnisoError
         If a folded class coefficient is not finite.
     """
+    if not isinstance(grid, AliasGrid):
+        raise TypeError(f"fundamental_interpolant takes an AliasGrid, not "
+                        f"{type(grid).__name__}; build a series kernel's grid with "
+                        "AliasGrid.from_series(f, pm, window)")
     pm = grid.pm
     folded = grid.coeffs.sum(axis=1)
     mags = np.abs(folded)

@@ -33,6 +33,7 @@ IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
 GRID_MAX = 2**25  # entries of a class table or grid (512 MiB of float64)
+GRID_BLOCK = 2**16  # entries of one row block when a grid is streamed (512 KiB of float64)
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AnisoError
-from .intlat import (GRID_MAX, PatternMatrix, canonical_classes, class_labels,
+from .intlat import (GRID_BLOCK, GRID_MAX, PatternMatrix, canonical_classes, class_labels,
                      freq_phase_residues, freq_shifts)
 
 
@@ -31,6 +31,13 @@ class FourierSeries:
     __slots__ = ("freqs", "coeffs")
 
     def __init__(self, freqs, coeffs, dedup: bool = False):
+        freqs = np.asarray(freqs)
+        if freqs.dtype.kind not in "iu":  # a float or object index must be whole
+            with np.errstate(invalid="ignore"):
+                ints = freqs.astype(np.int64)
+            if not (ints == freqs).all():
+                raise ValueError("frequency indices must be integers")
+            freqs = ints
         freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
         coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
         if len(freqs) != len(coeffs):
@@ -130,6 +137,20 @@ class AliasGrid:
         check_reach(self.pm, int(np.abs(self.shifts).max()))
         ks = gset_freqs(self.pm)[:, None, :] + (self.shifts @ self.pm.mat_np)[None]
         return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel())
+
+    def row_blocks(self, cols: np.ndarray | None = None):
+        """Yield ``(rows, coeffs[rows])`` over consecutive row slices of about
+        ``GRID_BLOCK`` entries (at least one row each), restricted to the
+        boolean column mask ``cols`` when given.  Each block is C-contiguous
+        (a view of a C-contiguous grid, else a copy of the block alone), so
+        a sum along its rows adds in the same order whatever the block's
+        size."""
+        step = max(1, GRID_BLOCK // self.coeffs.shape[1])
+        for start in range(0, len(self.coeffs), step):
+            rows = slice(start, start + step)
+            block = self.coeffs[rows]
+            yield rows, (np.ascontiguousarray(block) if cols is None
+                         else np.compress(cols, block, axis=1))
 
     @classmethod
     def from_series(cls, f: FourierSeries, pm: PatternMatrix,

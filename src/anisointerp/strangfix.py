@@ -13,9 +13,11 @@ some sequence, so the minimal witness is the canonical one) on the shells
 reports the truncated ``gamma_SF``.  A periodized kernel's window is its
 radius; the Dirichlet kernel's is infinite, and its sums are exact.  The
 verifier reads the class x shift grid directly: the shells are a set of
-its columns, and one real table ``|c_{h + M^T z}|`` of them serves both
-constants, ``b_z`` as a maximum down a column and ``gamma_IP`` as a norm
-along each row.
+its columns, streamed in blocks of rows of about ``GRID_BLOCK`` entries.
+Each block's ``|c_{h + M^T z}|`` serves both constants, ``b_z`` as a
+running maximum down each column and ``gamma_IP`` as a norm along each
+row, so the working memory beyond the grid is ``O(block * nz)``, not
+``O(m * nz)``.
 
 On a fixed finite index set any order is attainable with large enough
 constants, so finiteness alone cannot refute an overclaimed order.  The
@@ -36,7 +38,7 @@ from .boxspline import _int_shell
 from .errors import AnisoError, DivergentSeries, InsufficientSupport
 from .fspaces import lq_norm, weights_many
 from .interp import FundamentalInterpolant
-from .intlat import IntVec, PatternMatrix
+from .intlat import IntVec
 from .ptransform import gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
@@ -106,9 +108,8 @@ def _shell_view(ifun: FundamentalInterpolant, alpha: float):
     """The grid columns of the shells ``||z||_inf <= window`` that the kernel
     grid declares complete (the window :meth:`AliasGrid.from_series` was
     given, for a series kernel): their shifts, ``sigma_alpha`` on them, the
-    position of ``z = 0`` among them, the ``z = 0`` coefficients ``c_h`` and
-    the real ``(m, n)`` magnitudes ``|c_{h + M^T z}|`` (copying no columns
-    when all are kept); raises as :func:`gamma_ip` documents."""
+    position of ``z = 0`` among them, their column mask and the ``z = 0``
+    coefficients ``c_h``; raises as :func:`gamma_ip` documents."""
     grid = ifun.grid
     if grid.window is None or not grid.window >= 0:
         raise InsufficientSupport(f"the kernel declares no complete shells (window {grid.window})")
@@ -120,27 +121,39 @@ def _shell_view(ifun: FundamentalInterpolant, alpha: float):
         if not np.isfinite(np.float64(spectral_data(pm).norm2) ** alpha * sig.max()):
             raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
     center = int(np.flatnonzero(~zs.any(axis=1))[0])
-    coeffs = grid.coeffs if keep.all() else grid.coeffs[:, keep]
-    return zs, sig, center, coeffs[:, center], np.abs(coeffs)
+    return zs, sig, center, keep, grid.coeffs[:, np.flatnonzero(keep)[center]]
 
 
-def _gamma_ip(view, alpha: float, q: float, pm: PatternMatrix) -> float:
-    """``m`` times the worst per-class ``l_q`` norm of a :func:`_shell_view`'s
-    ``|c_h|`` and ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``."""
-    _, sig, center, c0, mags = view
-    terms = spectral_data(pm).norm2**alpha * (sig * mags)
-    terms[:, center] = np.abs(c0)
-    return pm.m * float(lq_norm(terms, q, axis=1).max())
+def _shell_scan(ifun: FundamentalInterpolant, view, alpha: float, q: float,
+                rhs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """One pass over the row blocks of a :func:`_shell_view`, each block's
+    ``|c_{h + M^T z}|`` serving both constants: the column maxima of
+    ``m |c_{h + M^T z}| / rhs_h`` (zeros without ``rhs``), and ``gamma_IP``,
+    ``m`` times the worst per-class ``l_q`` norm of ``|c_h|`` and
+    ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``."""
+    _, sig, center, keep, _ = view
+    pm = ifun.pm
+    weight = spectral_data(pm).norm2**alpha
+    best, worst = np.zeros(len(sig)), np.zeros(())
+    for rows, block in ifun.grid.row_blocks(None if keep.all() else keep):
+        mags = np.abs(block)
+        if rhs is not None:
+            np.maximum(best, (pm.m * mags / rhs[rows, None]).max(axis=0, initial=0.0), out=best)
+        terms = weight * (sig * mags)
+        terms[:, center] = mags[:, center]
+        worst = np.maximum(worst, lq_norm(terms, q, axis=1).max())
+    return best, pm.m * float(worst)
 
 
 def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     """Verify the Strang-Fix conditions, and compute ``gamma_IP``, on the
-    shells of the interpolant's grid window; raises as :func:`gamma_ip`
-    does."""
+    shells of the interpolant's grid window, in one pass over the grid's row
+    blocks (working memory ``O(block * nz)`` beyond the grid); raises as
+    :func:`gamma_ip` does."""
     pm = ifun.pm
     window = ifun.grid.window
     view = _shell_view(ifun, params.alpha)
-    zs, sig, center, c0, mags = view
+    zs, sig, center, keep, c0 = view
     sd = spectral_data(pm)
     s = params.s
     kappa_fac = sd.kappa ** (-s) if params.mode == "strict" else 1.0
@@ -164,14 +177,14 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
 
     # outer condition (z != 0)
     outer = np.arange(len(zs)) != center
-    bad = outer & (pm.m * mags[origin] > H0_TOL)
+    bad = outer & (pm.m * np.abs(ifun.grid.coeffs[origin, keep]) > H0_TOL)
     if bad.any():
         failures.append("nonzero coefficient on the zero class at z != 0")
         witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs[np.argmax(bad)]))
     rhs_outer = kappa_fac * sd.norm2 ** (-params.alpha) * ynorm**s
     rhs_outer[origin] = math.inf  # the zero class is checked above
     # b_z on the shells, kept where positive, and always at z = 0
-    best = (pm.m * mags / rhs_outer[:, None]).max(axis=0, initial=0.0)
+    best, gip = _shell_scan(ifun, view, params.alpha, params.q, rhs_outer)
     best[center] = b0
     hit = (best > 0.0) | ~outer
     zkeys, bvals = zs[hit], best[hit]
@@ -215,7 +228,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
         zmax=window,
         b=b,
         gamma_sf=gamma_sf,
-        gamma_ip=_gamma_ip(view, params.alpha, params.q, pm),
+        gamma_ip=gip,
         passed=not failures,
         witness=witness,
         fitted_order=fitted_order,
@@ -229,13 +242,15 @@ def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float) -> float:
 
     Truncated at the shells ``||z||_inf <= window`` of the interpolant's
     grid (exact for the Dirichlet kernel, whose window is infinite);
-    ``verify_sfc`` reports the same value as ``SFReport.gamma_ip``.  Raises
+    ``verify_sfc`` reports the same value as ``SFReport.gamma_ip``.  The
+    grid is streamed in row blocks, with working memory ``O(block * nz)``
+    beyond it.  Raises
     ``ValueError`` unless ``alpha >= 0`` and ``q >= 1`` (``q`` may be inf),
     ``InsufficientSupport`` when the grid's window is ``None`` or not
     ``>= 0``, and ``AnisoError`` when ``||M||^alpha sigma_alpha`` overflows
     on the shells.
     """
-    return _gamma_ip(_shell_view(ifun, alpha), alpha, q, ifun.pm)
+    return _shell_scan(ifun, _shell_view(ifun, alpha), alpha, q)[1]
 
 
 def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:

@@ -29,6 +29,7 @@ from anisointerp import (
     evaluate_at_nodes,
     fourier_partial_sum,
     fundamental_interpolant,
+    gamma_ip,
     gset_freqs,
     interp_error,
     interpolation_operator,
@@ -319,6 +320,66 @@ def test_interp_error_never_merges_the_support(monkeypatch):
     # the study's error at j=3 (anisointerp converge on the benchmark config)
     assert err.total == pytest.approx(1.8818036851855097e-07, rel=1e-12)
     assert err.node_residual < 1e-12
+
+
+def _block_kernels():
+    """A box spline, the Dirichlet kernel, and a series kernel that stores a
+    shell past its window, on ``[[8, 3], [0, 8]]`` (m = 64)."""
+    pm = validate_matrix([[8, 3], [0, 8]])
+    phi = periodize(B222, pm, 4, math.inf)
+    return [fundamental_interpolant(phi), fundamental_interpolant(dirichlet_kernel(pm)),
+            fundamental_interpolant(AliasGrid.from_series(phi.series, pm, 3))]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_row_blocks_leave_every_result_bit_for_bit_unchanged(monkeypatch, rows):
+    """``interp_error``, ``verify_sfc`` and ``gamma_ip`` stream the grid in
+    row blocks; blocks of one row, and of three rows (which do not divide
+    m = 64), give exactly the numbers of one block over the whole grid."""
+
+    def results(ifun):
+        out = []
+        for alpha in (0.0, 1.5):
+            for q in (1.0, 2.0, math.inf):
+                rep = verify_sfc(ifun, SFParams(s=2.0, alpha=alpha, q=q))
+                out.append((interp_error(f, ifun, alpha, q), rep.b, rep.gamma_sf,
+                            rep.gamma_ip, gamma_ip(ifun, alpha, q), rep.fitted_order,
+                            rep.passed))
+        return out
+
+    kernels = _block_kernels()
+    assert np.abs(kernels[2].grid.shifts).max() > kernels[2].grid.window
+    for ifun in kernels:
+        f = _oracle_function(ifun.pm, np.random.default_rng(23))
+        nz = ifun.grid.coeffs.shape[1]
+        assert len(list(ifun.grid.row_blocks())) == 1
+        whole = results(ifun)
+        monkeypatch.setattr(ptransform, "GRID_BLOCK", rows * nz)
+        assert len(list(ifun.grid.row_blocks())) == -(-ifun.pm.m // rows)
+        assert results(ifun) == whole
+        monkeypatch.undo()
+
+
+def test_streaming_keeps_working_memory_below_half_the_grid():
+    """On the study's j = 4 interpolant (m = 1 024, nz = 1 089) the traced
+    peak of ``interp_error`` and ``verify_sfc`` stays below half the grid."""
+    import tracemalloc
+
+    ifun = bounds.build_interpolant(B222, validate_matrix([[32, 16], [0, 32]]), 16, 1e-4)
+    assert ifun.grid.coeffs.shape == (1024, 1089)
+    f = decay_profile(2, 9.0, 16)
+    calls = [lambda: interp_error(f, ifun, 0.0, 2.0), lambda: interp_error(f, ifun, 1.5, 2.0),
+             lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=0.0, q=2.0)),
+             lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=1.5, q=2.0))]
+    for call in calls:
+        call()  # fill the pattern's caches first
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ifun.grid.coeffs.nbytes / 2
 
 
 def test_trig_theorem_box_spline(box_e2):

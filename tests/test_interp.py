@@ -168,6 +168,14 @@ def test_fundamental_interpolant_takes_the_pattern_from_its_grid():
     assert fundamental_interpolant(phi, allow_incorrect=True).pm == E2
 
 
+def test_fundamental_interpolant_refuses_a_series_by_name():
+    """A series kernel is a ``TypeError`` that names the constructor of its
+    grid, not an ``AttributeError`` on a missing ``pm``."""
+    phi = FourierSeries(np.array([[0, 0]]), np.array([1.0]))
+    with pytest.raises(TypeError, match=re.escape("AliasGrid.from_series(f, pm, window)")):
+        fundamental_interpolant(phi)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_kernel_coefficient_raises(bad):
     phi = dirichlet_kernel(M21).series

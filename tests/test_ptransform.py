@@ -163,6 +163,22 @@ def test_window_metadata():
     assert not hasattr(grid.series, "window")
 
 
+def test_non_integral_frequencies_are_refused():
+    """A float or object index must be a whole number: ``[1.5, 0.7]`` was
+    truncated to ``[1, 0]``, a different function; whole floats and
+    Python ints are accepted as before."""
+    from fractions import Fraction
+
+    for bad in ([[1.5, 0.7]], [[1.0, math.nan]], [[math.inf, 0.0]],
+                np.array([[Fraction(3, 2), 0]], dtype=object)):
+        with pytest.raises(ValueError, match="must be integers"):
+            FourierSeries(bad, [1.0])
+    for good in ([[1.0, -2.0]], [[1, -2]], np.array([[1, -2]], dtype=object),
+                 np.array([[1, -2]], dtype=np.int32)):
+        f = FourierSeries(good, [1.0])
+        assert f.freqs.dtype == np.int64 and f.freqs.tolist() == [[1, -2]]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dedup_matches_dict_sum_oracle(d):
     rng = np.random.default_rng(d)
