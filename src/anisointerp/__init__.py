@@ -83,7 +83,6 @@ from .strangfix import (
     SFParams,
     SFReport,
     c_rho,
-    gamma_ip,
     gamma_sm,
     verify_sfc,
 )

@@ -9,7 +9,8 @@ each with its own proven bound: the trigonometric-polynomial estimate
 ``gamma_SF ||M||^{-s}``, the partial-sum estimate ``(2/||M||)^{mu-alpha}``
 and the aliasing estimate ``gamma_IP gamma_Sm ||M||^{alpha-mu}``.  This
 module measures the actual weighted-norm errors, evaluates the right-hand
-sides with the constants computed in :mod:`anisointerp.strangfix`, and runs
+sides with the constants computed in :mod:`anisointerp.strangfix` (``gamma_SF``
+and ``gamma_IP`` read from a Strang-Fix report, never recomputed), and runs
 dilation studies ``M_j = 2^j M_0`` checking both the one-sided inequalities
 and the observed log-log decay rate.
 """
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .boxspline import BoxSplineSpec, periodize, sf_order
+from .boxspline import BoxSplineSpec, _int_box, periodize, sf_order
+from .errors import AnisoError
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
@@ -29,12 +32,12 @@ from .interp import (
     dirichlet_kernel,
     fundamental_interpolant,
 )
-from .intlat import PatternMatrix, freq_shifts, validate_matrix
+from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
 from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
                          dft_inverse, discrete_coeffs, fold_classes, freq_class_indices,
                          row_keys)
 from .spectral import is_expanding, spectral_data
-from .strangfix import SFParams, SFReport, c_rho, gamma_ip, gamma_sm, verify_sfc
+from .strangfix import SFParams, SFReport, c_rho, gamma_sm, verify_sfc
 
 RATIO_TOL = 1e-9
 NODE_TOL = 1e-6
@@ -161,15 +164,21 @@ def check_partial_sum_theorem(f: FourierSeries, pm: PatternMatrix,
 
 
 def check_aliasing_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
-                           alpha: float, mu: float, q: float) -> float:
+                           report: SFReport, mu: float) -> float:
     """Ratio of ``||L_M (f - S_M f) | A^alpha_q||`` to the product bound
-    ``gamma_IP gamma_Sm ||M||^{alpha-mu} ||f | A^mu_q||``."""
+    ``gamma_IP gamma_Sm ||M||^{alpha-mu} ||f | A^mu_q||``.
+
+    ``report`` is a Strang-Fix verification of the interpolant; its
+    ``gamma_ip``, ``alpha`` and ``q`` are used, and since ``gamma_IP``
+    depends on neither the order ``s`` nor the mode, any ``s`` and mode
+    serve.
+    """
     pm = ifun.pm
+    alpha, q = report.params.alpha, report.params.q
     err = interp_error(f, ifun, alpha, q)
     sd = spectral_data(pm)
-    gip = gamma_ip(ifun, alpha, q)
     gsm = gamma_sm(mu, alpha, q, pm.d)
-    rhs = gip * gsm * sd.norm2 ** (alpha - mu) * a_norm(f, mu, pm, q)
+    rhs = report.gamma_ip * gsm * sd.norm2 ** (alpha - mu) * a_norm(f, mu, pm, q)
     return _safe_ratio(err.aliasing, rhs, err.scale)
 
 
@@ -250,13 +259,14 @@ class BoundReport:
 def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
     """Truncated series with real coefficients ``(1 + ||k||_2)^(-decay)``
     on the box ``||k||_inf <= kmax``; ``decay`` must be finite and
-    ``kmax >= 0``."""
-    from .boxspline import _int_box
-
+    ``kmax >= 0``.  ``AnisoError``, before anything is allocated, if the box
+    holds more than ``GRID_MAX`` modes."""
     if not math.isfinite(decay):
         raise ValueError("decay must be finite")
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if (2 * kmax + 1) ** d > GRID_MAX:
+        raise AnisoError(f"kmax {kmax} needs a box of over {GRID_MAX} modes")
     ks = _int_box(d, kmax)
     coeffs = (1.0 + np.linalg.norm(ks, axis=1)) ** (-decay)
     return FourierSeries(ks, coeffs.astype(np.complex128))
@@ -273,7 +283,9 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
 
 
 def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
-    mat = [[(2**j) * e for e in row] for row in spec.base_matrix.mat]
+    mat = [[Fraction(2) ** j * e for e in row] for row in spec.base_matrix.mat]
+    if any(x.denominator != 1 for row in mat for x in row):
+        raise ValueError(f"scale matrix 2^j M_0 at j={j} is not an integer matrix")
     pm = validate_matrix(mat)
     sd = spectral_data(pm)
     if not is_expanding(sd):

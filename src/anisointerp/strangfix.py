@@ -15,9 +15,11 @@ radius; the Dirichlet kernel's is infinite, and its sums are exact.  The
 verifier reads the class x shift grid directly: the shells are a set of
 its columns, streamed in blocks of rows of about ``GRID_BLOCK`` entries.
 Each block's ``|c_{h + M^T z}|`` serves both constants, ``b_z`` as a
-running maximum down each column and ``gamma_IP`` as a norm along each
-row, so the working memory beyond the grid is ``O(block * nz)``, not
-``O(m * nz)``.
+running maximum down each column and the aliasing-theorem constant
+``gamma_IP`` as a norm along each row, so the working memory beyond the
+grid is ``O(block * nz)``, not ``O(m * nz)``.  That one pass is the only
+reader of the shells: ``gamma_IP`` is read from the report, never
+recomputed.
 
 On a fixed finite index set any order is attainable with large enough
 constants, so finiteness alone cannot refute an overclaimed order.  The
@@ -51,9 +53,9 @@ SM_MAX_SHELL = 200
 
 @dataclass(frozen=True)
 class SFParams:
-    """Claimed order ``s``, weight exponent ``alpha``, norm index ``q``,
-    and mode (``"strict"`` keeps the ``kappa^{-s}`` factor, ``"relaxed"``
-    omits it)."""
+    """Claimed finite order ``s``, weight exponent ``alpha``, norm index
+    ``q``, and mode (``"strict"`` keeps the ``kappa^{-s}`` factor,
+    ``"relaxed"`` omits it)."""
 
     s: float
     alpha: float = 0.0
@@ -61,8 +63,8 @@ class SFParams:
     mode: str = "strict"
 
     def __post_init__(self):
-        if not (self.s > 0 and self.alpha >= 0 and self.q >= 1):
-            raise ValueError("need order s > 0, alpha >= 0 and q >= 1 (q may be inf)")
+        if not (0 < self.s < math.inf and self.alpha >= 0 and self.q >= 1):
+            raise ValueError("need a finite order s > 0, alpha >= 0 and q >= 1 (q may be inf)")
         if self.mode not in ("strict", "relaxed"):
             raise ValueError("mode must be 'strict' or 'relaxed'")
 
@@ -71,17 +73,15 @@ class SFParams:
 class SFReport:
     """Outcome of the Strang-Fix verification.
 
-    ``zmax`` is the grid window whose shells ``||z||_inf <= zmax`` were
-    checked (``inf`` for the Dirichlet kernel).  ``b`` maps each tested
-    aliasing shift ``z`` to the tightest admissible constant; ``gamma_sf``
-    is the (truncated) weighted ``l_q`` norm of that sequence, and
-    ``gamma_ip`` is :func:`gamma_ip` on the same shells.
+    ``b`` maps each aliasing shift ``z`` on the checked shells (those of the
+    interpolant's grid window) to the tightest admissible constant;
+    ``gamma_sf`` is the (truncated) weighted ``l_q`` norm of that sequence,
+    and ``gamma_ip`` the aliasing-theorem constant on the same shells.
     ``fitted_order`` is the measured decay exponent of the inner
     condition, ``None`` when the interpolant reproduces exactly.
     """
 
     params: SFParams
-    zmax: float
     b: dict[IntVec, float]
     gamma_sf: float
     gamma_ip: float
@@ -104,87 +104,77 @@ class SFReport:
         }
 
 
-def _shell_view(ifun: FundamentalInterpolant, alpha: float):
-    """The grid columns of the shells ``||z||_inf <= window`` that the kernel
-    grid declares complete (the window :meth:`AliasGrid.from_series` was
-    given, for a series kernel): their shifts, ``sigma_alpha`` on them, the
-    position of ``z = 0`` among them, their column mask and the ``z = 0``
-    coefficients ``c_h``; raises as :func:`gamma_ip` documents."""
-    grid = ifun.grid
-    if grid.window is None or not grid.window >= 0:
-        raise InsufficientSupport(f"the kernel declares no complete shells (window {grid.window})")
-    pm = ifun.pm
-    keep = np.abs(grid.shifts).max(axis=1) <= grid.window
-    zs = grid.shifts[keep]
-    with np.errstate(over="ignore"):
-        sig = weights_many(zs, alpha, pm)
-        if not np.isfinite(np.float64(spectral_data(pm).norm2) ** alpha * sig.max()):
-            raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
-    center = int(np.flatnonzero(~zs.any(axis=1))[0])
-    return zs, sig, center, keep, grid.coeffs[:, np.flatnonzero(keep)[center]]
-
-
-def _shell_scan(ifun: FundamentalInterpolant, view, alpha: float, q: float,
-                rhs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """One pass over the row blocks of a :func:`_shell_view`, each block's
-    ``|c_{h + M^T z}|`` serving both constants: the column maxima of
-    ``m |c_{h + M^T z}| / rhs_h`` (zeros without ``rhs``), and ``gamma_IP``,
-    ``m`` times the worst per-class ``l_q`` norm of ``|c_h|`` and
-    ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``."""
-    _, sig, center, keep, _ = view
-    pm = ifun.pm
-    weight = spectral_data(pm).norm2**alpha
-    best, worst = np.zeros(len(sig)), np.zeros(())
-    for rows, block in ifun.grid.row_blocks(None if keep.all() else keep):
-        mags = np.abs(block)
-        if rhs is not None:
-            np.maximum(best, (pm.m * mags / rhs[rows, None]).max(axis=0, initial=0.0), out=best)
-        terms = weight * (sig * mags)
-        terms[:, center] = mags[:, center]
-        worst = np.maximum(worst, lq_norm(terms, q, axis=1).max())
-    return best, pm.m * float(worst)
-
-
+# every overflow in it ends in an AnisoError that names the parameters at fault
+@np.errstate(over="ignore")
 def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     """Verify the Strang-Fix conditions, and compute ``gamma_IP``, on the
-    shells of the interpolant's grid window, in one pass over the grid's row
-    blocks (working memory ``O(block * nz)`` beyond the grid); raises as
-    :func:`gamma_ip` does."""
-    pm = ifun.pm
-    window = ifun.grid.window
-    view = _shell_view(ifun, params.alpha)
-    zs, sig, center, keep, c0 = view
+    shells ``||z||_inf <= window`` that the interpolant's grid declares
+    complete (the window :meth:`AliasGrid.from_series` was given, for a
+    series kernel), in one pass over the grid's row blocks.
+
+    ``gamma_IP`` is ``m`` times the worst per-class ``l_q`` norm of ``|c_h|``
+    and ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``; it depends on
+    ``alpha`` and ``q`` only.  Raises ``InsufficientSupport`` when the
+    grid's window is ``None`` or not ``>= 0``, and ``AnisoError`` when
+    ``||M||^alpha sigma_alpha`` overflows on the shells, when the bound
+    ``kappa^{-s} ||M||^{-alpha} ||M^{-T} h||^s`` leaves the float range at
+    some ``h != 0``, or when ``gamma_SF`` overflows.
+    """
+    pm, grid = ifun.pm, ifun.grid
+    window = grid.window
+    if window is None or not window >= 0:
+        raise InsufficientSupport(f"the kernel declares no complete shells (window {window})")
     sd = spectral_data(pm)
-    s = params.s
+    s, alpha, q = params.s, params.alpha, params.q
+    keep = np.abs(grid.shifts).max(axis=1) <= window
+    zs = grid.shifts[keep]
+    sig = weights_many(zs, alpha, pm)
+    if not np.isfinite(np.float64(sd.norm2) ** alpha * sig.max()):
+        raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
+    center = int(np.flatnonzero(~zs.any(axis=1))[0])
     kappa_fac = sd.kappa ** (-s) if params.mode == "strict" else 1.0
 
     hs = gset_freqs(pm)
     ynorm = np.linalg.norm(inv_t_apply(hs, pm), axis=1)
     origin = int(np.flatnonzero(~hs.any(axis=1))[0])
+    hmask = np.arange(pm.m) != origin
+    with np.errstate(invalid="ignore"):
+        rhs_inner = kappa_fac * ynorm**s
+        rhs_outer = kappa_fac * sd.norm2 ** (-alpha) * ynorm**s
+    # rhs_outer <= rhs_inner, so this also guards the inner quotients
+    if not np.isfinite(rhs_inner[hmask]).all() or not (rhs_outer[hmask] > 0.0).all():
+        raise AnisoError(f"order s = {s} with alpha = {alpha} puts the bound "
+                         "kappa^-s ||M||^-alpha ||M^-T h||^s out of float range")
+    rhs_outer[origin] = math.inf  # the zero class is checked below
 
     failures: list[str] = []
     witness = None
 
     # inner condition (z = 0); missing modes count as coefficient 0
-    inner = np.abs(1.0 - pm.m * c0)
+    inner = np.abs(1.0 - pm.m * grid.coeffs[:, np.flatnonzero(keep)[center]])
     if inner[origin] > H0_TOL:
         failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
         witness = witness or (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
-
-    hmask = np.arange(pm.m) != origin
-    rhs_inner = kappa_fac * ynorm**s
     b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
 
     # outer condition (z != 0)
     outer = np.arange(len(zs)) != center
-    bad = outer & (pm.m * np.abs(ifun.grid.coeffs[origin, keep]) > H0_TOL)
+    bad = outer & (pm.m * np.abs(grid.coeffs[origin, keep]) > H0_TOL)
     if bad.any():
         failures.append("nonzero coefficient on the zero class at z != 0")
         witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs[np.argmax(bad)]))
-    rhs_outer = kappa_fac * sd.norm2 ** (-params.alpha) * ynorm**s
-    rhs_outer[origin] = math.inf  # the zero class is checked above
+    # one pass over the shells' row blocks: each block's |c_{h + M^T z}| gives
+    # b_z as a running maximum down each column of m |c| / rhs_outer, and
+    # gamma_IP as the worst norm along its rows
+    weight = sd.norm2**alpha
+    best, worst = np.zeros(len(zs)), np.zeros(())
+    for rows, block in grid.row_blocks(None if keep.all() else keep):
+        mags = np.abs(block)
+        np.maximum(best, (pm.m * mags / rhs_outer[rows, None]).max(axis=0, initial=0.0), out=best)
+        terms = weight * (sig * mags)
+        terms[:, center] = mags[:, center]
+        worst = np.maximum(worst, lq_norm(terms, q, axis=1).max())
     # b_z on the shells, kept where positive, and always at z = 0
-    best, gip = _shell_scan(ifun, view, params.alpha, params.q, rhs_outer)
     best[center] = b0
     hit = (best > 0.0) | ~outer
     zkeys, bvals = zs[hit], best[hit]
@@ -192,14 +182,14 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
 
     # truncated gamma_SF and its shell-convergence diagnostic
     weighted = sig[hit] * bvals
-    gamma_sf = lq_norm(weighted, params.q)
+    gamma_sf = lq_norm(weighted, q)
     if not math.isfinite(gamma_sf):
-        raise AnisoError(f"alpha = {params.alpha} with q = {params.q} overflows gamma_SF")
+        raise AnisoError(f"order s = {s} with alpha = {alpha} and q = {q} overflows gamma_SF")
     last = np.abs(zkeys).max(axis=1) == window
     # the last shell's share of gamma_SF^q is at most TAIL_FRAC (its max at
     # most sqrt(TAIL_FRAC) gamma_SF for q = inf)
-    frac = math.sqrt(TAIL_FRAC) if math.isinf(params.q) else TAIL_FRAC ** (1.0 / params.q)
-    if gamma_sf > 0.0 and window >= 1 and lq_norm(weighted[last], params.q) > frac * gamma_sf:
+    frac = math.sqrt(TAIL_FRAC) if math.isinf(q) else TAIL_FRAC ** (1.0 / q)
+    if gamma_sf > 0.0 and window >= 1 and lq_norm(weighted[last], q) > frac * gamma_sf:
         failures.append("no geometric tail: last shell dominates gamma_SF")
         j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
         witness = witness or (None, tuple(int(x) for x in zkeys[j]))
@@ -225,32 +215,14 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
 
     return SFReport(
         params=params,
-        zmax=window,
         b=b,
         gamma_sf=gamma_sf,
-        gamma_ip=gip,
+        gamma_ip=pm.m * float(worst),
         passed=not failures,
         witness=witness,
         fitted_order=fitted_order,
         failures=failures,
     )
-
-
-def gamma_ip(ifun: FundamentalInterpolant, alpha: float, q: float) -> float:
-    """Aliasing-theorem constant: ``m`` times the worst per-class aggregate
-    of inner and weighted outer interpolant coefficients.
-
-    Truncated at the shells ``||z||_inf <= window`` of the interpolant's
-    grid (exact for the Dirichlet kernel, whose window is infinite);
-    ``verify_sfc`` reports the same value as ``SFReport.gamma_ip``.  The
-    grid is streamed in row blocks, with working memory ``O(block * nz)``
-    beyond it.  Raises
-    ``ValueError`` unless ``alpha >= 0`` and ``q >= 1`` (``q`` may be inf),
-    ``InsufficientSupport`` when the grid's window is ``None`` or not
-    ``>= 0``, and ``AnisoError`` when ``||M||^alpha sigma_alpha`` overflows
-    on the shells.
-    """
-    return _shell_scan(ifun, _shell_view(ifun, alpha), alpha, q)[1]
 
 
 def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:

@@ -199,11 +199,11 @@ def test_acceptance_7_theorem_audits():
     ifd = fundamental_interpolant(dirichlet_kernel(e2))
     alias_ratios = [
         check_aliasing_theorem(
-            FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j])), ifd, 0.0, 6.0, 2.0),
+            FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j])), ifd,
+            verify_sfc(ifd, SFParams(s=4.0, alpha=0.0, q=2.0)), 6.0),
+        check_aliasing_theorem(decay_profile(2, 8.0, 12), box, rep, 6.0),
         check_aliasing_theorem(decay_profile(2, 8.0, 12), box,
-                               0.0, 6.0, 2.0),
-        check_aliasing_theorem(decay_profile(2, 8.0, 12), box,
-                               1.0, 6.0, 2.0),
+                               verify_sfc(box, SFParams(s=4.0, alpha=1.0, q=2.0)), 6.0),
     ]
     elapsed = time.time() - start
     worst = max(max(trig_ratios), max(psum_ratios), max(alias_ratios))

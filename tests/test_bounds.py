@@ -29,7 +29,6 @@ from anisointerp import (
     evaluate_at_nodes,
     fourier_partial_sum,
     fundamental_interpolant,
-    gamma_ip,
     gset_freqs,
     interp_error,
     interpolation_operator,
@@ -333,7 +332,7 @@ def _block_kernels():
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_row_blocks_leave_every_result_bit_for_bit_unchanged(monkeypatch, rows):
-    """``interp_error``, ``verify_sfc`` and ``gamma_ip`` stream the grid in
+    """``interp_error`` and ``verify_sfc`` stream the grid in
     row blocks; blocks of one row, and of three rows (which do not divide
     m = 64), give exactly the numbers of one block over the whole grid."""
 
@@ -343,8 +342,7 @@ def test_row_blocks_leave_every_result_bit_for_bit_unchanged(monkeypatch, rows):
             for q in (1.0, 2.0, math.inf):
                 rep = verify_sfc(ifun, SFParams(s=2.0, alpha=alpha, q=q))
                 out.append((interp_error(f, ifun, alpha, q), rep.b, rep.gamma_sf,
-                            rep.gamma_ip, gamma_ip(ifun, alpha, q), rep.fitted_order,
-                            rep.passed))
+                            rep.gamma_ip, rep.fitted_order, rep.passed))
         return out
 
     kernels = _block_kernels()
@@ -438,14 +436,23 @@ def test_partial_sum_non_expanding_matrix():
     assert check_partial_sum_theorem(f, shear, 0.0, 4.0, 2.0) <= RATIO_TOL
 
 
+def _aliasing_ratio(f, ifun, alpha, mu, q):
+    return check_aliasing_theorem(f, ifun, verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=q)),
+                                  mu)
+
+
 def test_aliasing_theorem_dirichlet_and_box(box_e2):
     f1 = FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]))
     ifd = fundamental_interpolant(dirichlet_kernel(E2))
-    assert check_aliasing_theorem(f1, ifd, 0.0, 6.0, 2.0) <= RATIO_TOL
+    assert _aliasing_ratio(f1, ifd, 0.0, 6.0, 2.0) <= RATIO_TOL
     fdp = decay_profile(2, 8.0, 12)
     for alpha in (0.0, 1.0):
-        r = check_aliasing_theorem(fdp, box_e2, alpha, 6.0, 2.0)
+        r = _aliasing_ratio(fdp, box_e2, alpha, 6.0, 2.0)
         assert 0.0 < r <= RATIO_TOL
+        # gamma_IP, and so the ratio, depends on neither s nor the mode
+        for s, mode in ((1.0, "relaxed"), (9.0, "strict")):
+            rep = verify_sfc(box_e2, SFParams(s=s, alpha=alpha, q=2.0, mode=mode))
+            assert check_aliasing_theorem(fdp, box_e2, rep, 6.0) == r
 
 
 def test_aliasing_theorem_across_scales():
@@ -454,7 +461,7 @@ def test_aliasing_theorem_across_scales():
         pm = validate_matrix([[2 * 2**j, 2**j], [0, 2 * 2**j]])
         phi = periodize(B222, pm, 8, 1e-3)
         ifun = fundamental_interpolant(phi)
-        assert check_aliasing_theorem(fdp, ifun, 0.0, 6.0, 2.0) <= RATIO_TOL
+        assert _aliasing_ratio(fdp, ifun, 0.0, 6.0, 2.0) <= RATIO_TOL
 
 
 def test_experiment_spec_validation():

@@ -368,13 +368,30 @@ def test_tail_eps_must_be_positive(fig1, tmp_path, capsys, tail_eps):
     assert all(line.startswith("error: ") and "tail_eps" in line for line in lines), err
 
 
+def _one_error_line(argv) -> str:
+    """Run the CLI on ``argv`` in a fresh interpreter limited to 2 GiB of
+    address space; it must exit 1 with no output and exactly one stderr
+    line, ``error: ...``, which is returned."""
+    resource = pytest.importorskip("resource")
+    limit = 2 << 30
+    src = str(Path(anisointerp.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from anisointerp.cli import main; main()", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+    return proc.stderr
+
+
 def test_oversized_radius_is_refused_before_allocating(fig1, tmp_path):
     """A radius whose grid passes ``GRID_MAX`` entries (here 596 GiB of
     shifts) exits 1 with one line naming the radius, in 2 GiB of address
     space, from both ``converge`` and ``sfcheck``."""
-    resource = pytest.importorskip("resource")
-    limit = 2 << 30
-    src = str(Path(anisointerp.__file__).parents[1])
     mat = tmp_path / "M21.txt"
     mat.write_text("2\n2 1\n0 2\n")
     cfg = tmp_path / "exp.cfg"
@@ -382,25 +399,39 @@ def test_oversized_radius_is_refused_before_allocating(fig1, tmp_path):
                    f"tail_eps = 1e-4\ncsv = {tmp_path / 'out.csv'}\n")
     for argv in (["converge", str(cfg)],
                  ["sfcheck", fig1, "--kernel", "2;2,2,2", "--radius", "100000"]):
-        proc = subprocess.run(
-            [sys.executable, "-c", "from anisointerp.cli import main; main()", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-            timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-        assert proc.returncode == 1, proc.stderr
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith("error: radius 100000"), proc.stderr
+        assert _one_error_line(argv).startswith("error: radius 100000")
+
+
+def test_oversized_kmax_is_refused_before_allocating(tmp_path):
+    """A ``kmax`` whose test function passes ``GRID_MAX`` modes (here 596 GiB
+    of frequencies) exits 1 with one line naming it, in 2 GiB of address
+    space."""
+    mat = tmp_path / "M21.txt"
+    mat.write_text("2\n2 1\n0 2\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nkmax = 100000\nradius = 8\n"
+                   f"tail_eps = 1e-3\ncsv = {tmp_path / 'out.csv'}\n")
+    assert _one_error_line(["converge", str(cfg)]).startswith("error: kmax 100000")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sfcheck_refuses_an_order_past_the_float_range(fig1):
+    """An infinite order, or one whose bound ``kappa^-s ||M^-T h||^s``
+    underflows to 0, exits 1 with one line naming the order, not numpy
+    warnings and an error that blames ``alpha``; the Dirichlet kernel,
+    which reproduces exactly, included."""
+    box = ["--kernel", "2;2,2,2", "--radius", "8"]
+    for argv, name in ((["sfcheck", fig1, *box, "--order", "inf"], "finite order s"),
+                       (["sfcheck", fig1, *box, "--order", "400"], "order s = 400.0"),
+                       (["sfcheck", fig1, "--order", "400"], "order s = 400.0")):
+        err = _one_error_line(argv)
+        assert name in err and "alpha = 0.0 with" not in err, err
 
 
 def test_oversized_pattern_is_refused_before_allocating(tmp_path):
     """A pattern of ``m = 10^12`` points (tables of TiB) exits 1 with one
     line naming ``m`` and ``GRID_MAX``, in 2 GiB of address space, from
     ``gset``, a Dirichlet ``converge`` and ``sfcheck``."""
-    resource = pytest.importorskip("resource")
-    limit = 2 << 30
-    src = str(Path(anisointerp.__file__).parents[1])
     mat = tmp_path / "big.txt"
     mat.write_text("2\n1000000 0\n0 1000000\n")
     cfg = tmp_path / "exp.cfg"
@@ -408,15 +439,23 @@ def test_oversized_pattern_is_refused_before_allocating(tmp_path):
                    f"csv = {tmp_path / 'out.csv'}\n")
     for argv in (["gset", str(mat)], ["converge", str(cfg)],
                  ["sfcheck", str(mat), "--order", "2"]):
-        proc = subprocess.run(
-            [sys.executable, "-c", "from anisointerp.cli import main; main()", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-            timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-        assert proc.returncode == 1, proc.stderr
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith("error: "), proc.stderr
-        assert "m = 1000000000000" in proc.stderr and "GRID_MAX" in proc.stderr, proc.stderr
+        err = _one_error_line(argv)
+        assert "m = 1000000000000" in err and "GRID_MAX" in err, err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_converge_names_a_scale_whose_matrix_is_not_integral(tmp_path, capsys):
+    """A negative scale is valid while ``2^j M_0`` stays an integer matrix;
+    otherwise the one error line names ``j``."""
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "exp.cfg"
+    for text, scales, code in ((FIG1_TEXT, "-1,0", 1), ("2\n4 2\n0 4\n", "-1,0,1", 0)):
+        mat = tmp_path / "M0.txt"
+        mat.write_text(text)
+        cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nscales = {scales}\nradius = 8\n"
+                       f"tail_eps = 1e-3\ncsv = {csv}\n")
+        assert run(["converge", str(cfg)]) == code
+    out, err = capsys.readouterr()
+    assert err == "error: scale matrix 2^j M_0 at j=-1 is not an integer matrix\n"
+    assert "verdict=pass" in out and "  j=-1 m=4 " in out
+    assert [line.split(",")[0] for line in csv.read_text().splitlines()] == ["j", "-1", "0", "1"]

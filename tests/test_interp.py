@@ -23,7 +23,6 @@ from anisointerp import (
     evaluate_at_nodes,
     fourier_partial_sum,
     fundamental_interpolant,
-    gamma_ip,
     gset_freqs,
     interp_error,
     interpolation_operator,
@@ -338,7 +337,7 @@ def test_interpolant_support_labelled_once(monkeypatch):
                       rng.standard_normal(40) + 0j, dedup=True)
     interpolation_operator(samples, ifun)
     verify_sfc(ifun, SFParams(s=4.0))
-    gamma_ip(ifun, 1.0, 2.0)
+    verify_sfc(ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
     cardinal_residual(ifun)
     interp_error(f, ifun, 1.0, 2.0)
     support = ifun.series.freqs

@@ -66,3 +66,29 @@ def test_readme_quickstart_runs():
     readme = (Path(anisointerp.__file__).parents[2] / "README.md").read_text()
     code = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M).group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_no_orphan_private_names_or_constants():
+    """Every private top-level function and every module-level constant is
+    used by name somewhere in the package, so a helper or setting left
+    behind by a deletion fails here (``__version__`` alone is exempt)."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(anisointerp.__file__).parent.rglob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                defined.append((name, node.name))
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+    orphans = [f"{name[:-3]}.{ident}" for name, ident in defined
+               if ident not in used and ident != "__version__"]
+    assert not orphans

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -21,7 +22,6 @@ from anisointerp import (
     cardinal_residual,
     dirichlet_kernel,
     fundamental_interpolant,
-    gamma_ip,
     gamma_sm,
     gset_freqs,
     inv_t_apply,
@@ -51,8 +51,8 @@ def test_sfparams_validation():
         SFParams(s=0.0)
     with pytest.raises(ValueError):
         SFParams(s=2.0, mode="loose")
-    for bad in ({"s": math.nan}, {"s": 2.0, "q": math.nan}, {"s": 2.0, "q": 0.5},
-                {"s": 2.0, "alpha": -1.0}, {"s": 2.0, "alpha": math.nan}):
+    for bad in ({"s": math.nan}, {"s": math.inf}, {"s": 2.0, "q": math.nan},
+                {"s": 2.0, "q": 0.5}, {"s": 2.0, "alpha": -1.0}, {"s": 2.0, "alpha": math.nan}):
         with pytest.raises(ValueError):
             SFParams(**bad)
     assert SFParams(s=2.0, alpha=math.inf, q=math.inf).q == math.inf
@@ -61,10 +61,12 @@ def test_sfparams_validation():
 @pytest.mark.parametrize("alpha,q", [(0.0, 0.0), (0.0, math.nan), (0.0, 0.5),
                                      (-1.0, 2.0), (math.nan, 2.0)])
 def test_gamma_ip_rejects_invalid_alpha_and_q(alpha, q):
+    """``gamma_IP`` comes only from ``verify_sfc``, whose parameters refuse
+    an ``alpha`` or ``q`` outside its domain."""
     pm = validate_matrix([[2, 1], [0, 2]])
     ifun = fundamental_interpolant(dirichlet_kernel(pm))
     with pytest.raises(ValueError):
-        gamma_ip(ifun, alpha, q)
+        verify_sfc(ifun, SFParams(s=2.0, alpha=alpha, q=q))
 
 
 def test_shifts_past_int64_raise():
@@ -103,7 +105,6 @@ def test_shifts_past_int64_raise():
         expect_b, expect_ip = _table_oracle(ifun, params, math.inf, modes)
         expect_b[(0, 0)] = rep.b[(0, 0)]
         assert rep.b == expect_b
-        assert rep.gamma_ip == gamma_ip(ifun, 0.0, 2.0)
         assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
         assert cardinal_residual(ifun) < 1e-12
     # h' + M^T z for the other classes h' would wrap: the flat view refuses
@@ -165,15 +166,14 @@ def test_relaxed_mode_scales_b_by_kappa(box_ifun):
 
 def test_insufficient_support_raised():
     """A series kernel given no window (or a negative or NaN one) says
-    nothing of which shells it holds completely, so neither constant can be
-    truncated."""
+    nothing of which shells it holds completely, so neither ``gamma_SF`` nor
+    ``gamma_IP`` can be truncated."""
     phi = dirichlet_kernel(FIG1).series
     for window in (None, -1, math.nan):
         ifun = fundamental_interpolant(AliasGrid.from_series(phi, FIG1, window))
-        for check in (lambda: verify_sfc(ifun, SFParams(s=4.0)),
-                      lambda: gamma_ip(ifun, 0.0, 2.0)):
+        for alpha in (0.0, 1.5):
             with pytest.raises(InsufficientSupport, match="window"):
-                check()
+                verify_sfc(ifun, SFParams(s=4.0, alpha=alpha))
 
 
 def test_gamma_sf_is_weighted_lq_of_b(box_ifun):
@@ -271,11 +271,11 @@ def _oracle_modes(ifun):
 
 
 def test_shell_table_matches_dict_loop_oracle():
-    """``b`` and ``gamma_IP`` of ``verify_sfc``, and ``gamma_ip``, equal
-    per-mode loops over each mode's class from ``reduce_freq`` and its
-    shift ``z = M^{-T} (k - h)`` in exact fractions, on the kernel's grid
-    and on its series re-windowed one shell short, whose outermost stored
-    shell is masked out."""
+    """``b`` and ``gamma_IP`` of ``verify_sfc`` equal per-mode loops over
+    each mode's class from ``reduce_freq`` and its shift
+    ``z = M^{-T} (k - h)`` in exact fractions, on the kernel's grid and on
+    its series re-windowed one shell short, whose outermost stored shell is
+    masked out."""
     from test_interp import _labelled_interpolants
 
     pm3 = validate_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
@@ -290,11 +290,9 @@ def test_shell_table_matches_dict_loop_oracle():
                 for q in (1.0, 2.0, math.inf):
                     params = SFParams(s=2.0, alpha=alpha, q=q)
                     rep = verify_sfc(ifun, params)
-                    assert rep.zmax == ifun.grid.window
-                    expect_b, expect_ip = _table_oracle(ifun, params, rep.zmax, modes)
+                    expect_b, expect_ip = _table_oracle(ifun, params, ifun.grid.window, modes)
                     expect_b[(0,) * pm.d] = rep.b[(0,) * pm.d]
                     assert rep.b == expect_b
-                    assert rep.gamma_ip == gamma_ip(ifun, alpha, q)
                     assert rep.gamma_ip == pytest.approx(expect_ip, rel=1e-12)
 
 
@@ -312,7 +310,7 @@ def test_complex_kernel_matches_dict_loop_oracle():
                 for q in (1.0, 2.0, math.inf):
                     params = SFParams(s=2.0, alpha=alpha, q=q)
                     rep = verify_sfc(ifun, params)
-                    expect_b, expect_ip = _table_oracle(ifun, params, rep.zmax, modes)
+                    expect_b, expect_ip = _table_oracle(ifun, params, ifun.grid.window, modes)
                     expect_b[(0, 0)] = rep.b[(0, 0)]
                     assert rep.b.keys() == expect_b.keys()
                     for z, want in expect_b.items():
@@ -321,39 +319,50 @@ def test_complex_kernel_matches_dict_loop_oracle():
 
 
 def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, capsys, box_ifun):
-    """The study and ``sfcheck`` never call ``gamma_ip``; one ``verify_sfc``
-    builds one shell view and weights at most ``(2 R + 1)^d`` rows on a
-    radius-``R`` grid."""
+    """``verify_sfc`` is the only reader of the shells: it makes exactly one
+    pass over the grid's row blocks and weights at most ``(2 R + 1)^d`` rows
+    on a radius-``R`` grid; ``check_aliasing_theorem`` makes no pass of its
+    own (its one pass is the error measurement of ``interp_error``), and
+    each study row and ``sfcheck`` read ``gamma_IP`` from that one pass."""
     import anisointerp
-    from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
-                             strangfix)
+    from anisointerp import (ExperimentSpec, bounds, check_aliasing_theorem, cli,
+                             convergence_study, decay_profile, strangfix)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("gamma_ip called")
+    assert not any(hasattr(mod, "gamma_ip") for mod in (anisointerp, bounds, cli, strangfix))
+    passes, rows = [], []
+    row_blocks, weights = AliasGrid.row_blocks, strangfix.weights_many
 
-    for mod in (anisointerp, bounds, cli, strangfix):
-        monkeypatch.setattr(mod, "gamma_ip", refuse, raising=False)
+    def counting(grid, *args):
+        passes.append(sys._getframe(1).f_code.co_name)
+        return row_blocks(grid, *args)
+
+    monkeypatch.setattr(AliasGrid, "row_blocks", counting)
+    monkeypatch.setattr(strangfix, "weights_many",
+                        lambda ks, *args: rows.append(len(ks)) or weights(ks, *args))
+    radius = 16
+    assert box_ifun.grid.window == radius
+    rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
+    assert passes == ["verify_sfc"]
+    assert sum(rows) <= (2 * radius + 1) ** 2
+
+    passes.clear()
+    assert 0.0 < check_aliasing_theorem(decay_profile(2, 8.0, 12), box_ifun, rep, 6.0) <= 1.0
+    assert passes == ["interp_error"]
+
+    passes.clear()
     spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]), scales=(0, 1),
                           test_function=decay_profile(2, 9.0, 8),
                           alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
     assert convergence_study(spec).verdict
+    assert passes == ["interp_error", "verify_sfc"] * 2
+
+    passes.clear()
     mat = tmp_path / "M.txt"
     mat.write_text("2\n8 3\n0 8\n")
     assert cli.run(["sfcheck", str(mat), "--kernel", "2; 2,2,2", "--radius", "8",
                     "--tail-eps", "1e-3"]) == 0
     assert json.loads(capsys.readouterr().out)["gamma_ip"] > 0.0
-
-    views, rows = [], []
-    view, weights = strangfix._shell_view, strangfix.weights_many
-    monkeypatch.setattr(strangfix, "_shell_view",
-                        lambda *args: views.append(args) or view(*args))
-    monkeypatch.setattr(strangfix, "weights_many",
-                        lambda ks, *args: rows.append(len(ks)) or weights(ks, *args))
-    radius = 16
-    assert box_ifun.grid.window == radius
-    verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
-    assert len(views) == 1
-    assert sum(rows) <= (2 * radius + 1) ** 2
+    assert passes == ["verify_sfc"]
 
 
 def test_huge_alpha_raises():
@@ -361,10 +370,9 @@ def test_huge_alpha_raises():
     shells is refused by name, not turned into an infinite constant."""
     ifun = fundamental_interpolant(periodize(B222, FIG1, 8, 1e-3))
     for alpha in (math.inf, 400.0):
-        for check in (lambda: verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=math.inf)),
-                      lambda: gamma_ip(ifun, alpha, 2.0)):
+        for q in (math.inf, 2.0):
             with pytest.raises(AnisoError, match="alpha"):
-                check()
+                verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=q))
     # the weights fit, but the weighted b_z do not
     with np.errstate(over="ignore"), pytest.raises(AnisoError, match="overflows gamma_SF"):
         verify_sfc(ifun, SFParams(s=12.0, alpha=140.0, q=4.0))
@@ -380,8 +388,7 @@ def test_lq_sums_do_not_overflow_before_the_norm():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = verify_sfc(ifun, SFParams(s=4.0, alpha=100.0, q=4.0))
-        gip = gamma_ip(ifun, 100.0, 4.0)
-    assert gip == rep.gamma_ip and math.isfinite(gip) and math.isfinite(rep.gamma_sf)
+    assert math.isfinite(rep.gamma_ip) and math.isfinite(rep.gamma_sf)
     # the same norms in exact rationals, scaled by a power of two that fits
     scale = 2.0**-900
     sig = weights_many(np.array(list(rep.b)), 100.0, FIG1)
@@ -389,17 +396,42 @@ def test_lq_sums_do_not_overflow_before_the_norm():
     assert rep.gamma_sf == pytest.approx(float(exact) ** 0.25 / scale, rel=1e-13)
 
 
+def _report_ip(ifun, alpha, q):
+    return verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=q)).gamma_ip
+
+
 def test_gamma_ip_dirichlet_is_one():
     ifun = fundamental_interpolant(dirichlet_kernel(FIG1))
     for q in (1.0, 2.0, math.inf):
-        assert gamma_ip(ifun, 1.5, q) == pytest.approx(1.0, rel=1e-12)
+        assert _report_ip(ifun, 1.5, q) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gamma_ip_box_spline_exceeds_one_with_weight(box_ifun):
-    v = gamma_ip(box_ifun, 1.0, 2.0)
+    v = _report_ip(box_ifun, 1.0, 2.0)
     assert v > 1.0
     # sup form is dominated by the q = 1 form
-    assert gamma_ip(box_ifun, 1.0, math.inf) <= gamma_ip(box_ifun, 1.0, 1.0) + 1e-12
+    assert _report_ip(box_ifun, 1.0, math.inf) <= _report_ip(box_ifun, 1.0, 1.0) + 1e-12
+
+
+def test_underflowing_order_is_refused_by_name():
+    """An order ``s`` whose bound ``kappa^-s ||M^-T h||^s`` underflows to 0
+    at some ``h != 0`` is refused by name before anything divides by it,
+    without a RuntimeWarning, even for the Dirichlet kernel, which
+    reproduces exactly; a finite ``s`` is required."""
+    kernels = [fundamental_interpolant(dirichlet_kernel(FIG1)),
+               fundamental_interpolant(periodize(B222, FIG1, 8, 1e-3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ifun in kernels:
+            for mode in ("strict", "relaxed"):
+                with pytest.raises(AnisoError, match="order s = 400.0"):
+                    verify_sfc(ifun, SFParams(s=400.0, mode=mode))
+        # a bound that stays positive but makes some b_z overflow
+        with pytest.raises(AnisoError, match="order s = 300.0 .* overflows gamma_SF"):
+            verify_sfc(kernels[1], SFParams(s=300.0))
+        assert verify_sfc(kernels[0], SFParams(s=12.0)).passed
+    with pytest.raises(ValueError, match="finite order"):
+        SFParams(s=math.inf)
 
 
 def test_gamma_sm_q1_closed_form():
