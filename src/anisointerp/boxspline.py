@@ -17,11 +17,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import AnisoError, TailTooLarge
 from .intlat import PatternMatrix
 from .ptransform import GRID_MAX, AliasGrid, check_reach, gset_freqs
 from .spectral import inv_t_apply
+
+TAIL_BLOCK = 2**11  # points of the shells bounded by one _alias_bound call
 
 
 @dataclass(frozen=True)
@@ -119,19 +122,40 @@ def _basis_margin(spec: BoxSplineSpec) -> float:
     return 1.0 / float(np.abs(np.linalg.inv(bases)).sum(axis=2).max())
 
 
+def _shell_sums(spec: BoxSplineSpec, first: int, last: int):
+    """Yield the sum of :func:`_alias_bound` over each shell ``||z||_inf = r``,
+    ``r = first, ..., last`` in order.  One :func:`_alias_bound` call takes
+    the fewest next shells that hold ``TAIL_BLOCK`` points (or all that are
+    left); each shell's sum is over its own slice, so it equals the sum
+    over that shell alone."""
+    r = first
+    while r <= last:
+        shells, size = [], 0
+        while r <= last and size < TAIL_BLOCK:
+            shells.append(_int_shell(spec.d, r))
+            size += len(shells[-1])
+            r += 1
+        ends = np.cumsum([len(z) for z in shells])[:-1]
+        for part in np.split(_alias_bound(np.concatenate(shells), spec), ends):
+            yield float(part.sum())
+
+
 def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
                        tail_eps: float | None = None) -> float:
     """Certified upper bound on the per-class magnitude sum of the
     coefficients dropped outside ``||z||_inf <= radius``.
 
     Sums the per-point bound :func:`_alias_bound` exactly over the shells
-    ``||z||_inf = radius + 1, ..., R``, one shell at a time, and bounds the
+    ``||z||_inf = radius + 1, ..., R``, shell by shell, and bounds the
     shells past ``R`` by an integral: with ``o = sf_order(spec)``, ``eps``
     from :func:`_basis_margin` and ``w = max ||v||_1 / 2``, on a shell
     ``r > R`` the sinc factors below ``1 / (pi (eps r - w))`` have total
     multiplicity at least ``o``, so once ``pi (eps R - w) >= 1`` the rest is at
     most ``2d (2R+1)^{d-1} R (pi (eps R - w))^{-o} / (o - d)``.  Infinite
-    when ``o <= d``, where that comparison does not converge.
+    when ``o <= d``, where that comparison does not converge.  The shells
+    are bounded in blocks by :func:`_shell_sums` and added one at a time,
+    so ``R`` is the same as for a shell-by-shell loop; the shells of the
+    last block past ``R`` are bounded but not added.
 
     With ``tail_eps`` the sum stops as soon as it decides ``<= tail_eps``:
     at the first ``R`` whose bound is within it, or once the partial sum
@@ -144,6 +168,7 @@ def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     eps = _basis_margin(spec)
     w = float(np.abs(spec.directions()).sum(axis=1).max()) / 2.0
     cap = radius + (512 if d == 2 else 64)
+    sums = _shell_sums(spec, radius + 1, cap)
     partial, r = 0.0, radius
     while True:
         x = math.pi * (eps * r - w)
@@ -154,7 +179,20 @@ def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
         if r == cap or (tail_eps is not None and (bound <= tail_eps or partial > tail_eps)):
             return bound
         r += 1
-        partial += float(_alias_bound(_int_shell(d, r), spec).sum()) / pm.m
+        partial += next(sums) / pm.m
+
+
+def _box_view(table: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
+    """Read-only view ``f[h, a_1, ..., a_d] = table[h, z^T v + ||v||_1 radius]``
+    of an ``(m, 2 ||v||_1 radius + 1)`` table, ``z = a - radius`` over the box
+    ``0 <= a_k <= 2 radius``: along axis ``k`` the stride is ``v_k`` columns,
+    reversed where ``v_k < 0`` and broadcast where ``v_k = 0``.  Its columns
+    run from 0 at the corner ``z_k = -radius sign(v_k)`` to
+    ``2 ||v||_1 radius`` at the opposite one, so it stays inside the table."""
+    row, col = table.strides
+    start = 2 * radius * int(-v[v < 0].sum())
+    return as_strided(table[:, start:], (len(table),) + (2 * radius + 1,) * len(v),
+                      (row, *(int(vk) * col for vk in v)), writeable=False)
 
 
 def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
@@ -165,8 +203,12 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     so shell coverage stays checkable); the grid ``window`` is the radius.
 
     The transform is a product over the directions ``v`` of
-    ``sinc(pi (y_h^T v + z^T v))^{p_v}``, each a table over the integers
-    ``|n| <= ||v||_1 radius`` gathered at ``n = z^T v``.
+    ``sinc(pi (y_h^T v + z^T v))^{p_v}``, each an ``(m, 2 ||v||_1 radius + 1)``
+    table over the integers ``|n| <= ||v||_1 radius``.  Laid out on the box
+    ``(m, 2 radius + 1, ..., 2 radius + 1)``, C order over ``z + radius``,
+    the factor at ``n = z^T v`` is a strided view of that table
+    (:func:`_box_view`); the views are multiplied into one output array in
+    direction order, which is divided by ``m`` in place.
 
     Raises
     ------
@@ -191,14 +233,17 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     tail = periodization_tail(spec, pm, radius, tail_eps)
     if not tail <= tail_eps:
         raise TailTooLarge(f"tail bound {tail:.3e} exceeds requested {tail_eps:.3e}")
-    z = _int_box(pm.d, radius)
     y = inv_t_apply(gset_freqs(pm), pm)
-    hat = np.ones((pm.m, len(z)))
+    factors = []
     for v, pj in zip(spec.directions(), spec.p):
         nmax = int(np.abs(v).sum()) * radius
         table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
-        hat *= table[:, z @ v + nmax]
-    return AliasGrid(pm, z, hat / pm.m, radius)
+        factors.append(_box_view(table, v, radius))
+    hat = np.array(factors[0], order="C")
+    for factor in factors[1:]:
+        hat *= factor
+    hat /= pm.m
+    return AliasGrid(pm, _int_box(pm.d, radius), hat.reshape(pm.m, -1), radius)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

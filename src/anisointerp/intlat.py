@@ -58,6 +58,13 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _int64_rows(rows: IntMat, name: str) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise AnisoError(f"{name} has an entry past int64") from None
+
+
 def _minor(rows: IntMat, i: int, j: int) -> list[list[int]]:
     return [
         [rows[r][c] for c in range(len(rows)) if c != j]
@@ -97,11 +104,13 @@ class PatternMatrix:
 
     @property
     def mat_np(self) -> np.ndarray:
-        return np.array(self.mat, dtype=np.int64)
+        """``M`` as int64; ``AnisoError`` if an entry does not fit."""
+        return _int64_rows(self.mat, f"matrix {self.mat}")
 
     @property
     def adj_np(self) -> np.ndarray:
-        return np.array(self.adj, dtype=np.int64)
+        """The adjugate as int64; ``AnisoError`` if an entry does not fit."""
+        return _int64_rows(self.adj, f"the adjugate of {self.mat}")
 
     def transposed(self) -> "PatternMatrix":
         """Pattern matrix of ``M^T`` (same determinant, transposed adjugate)."""

@@ -171,8 +171,10 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     for rows, block in grid.row_blocks(None if keep.all() else keep):
         mags = np.abs(block)
         np.maximum(best, (pm.m * mags / rhs_outer[rows, None]).max(axis=0, initial=0.0), out=best)
-        terms = weight * (sig * mags)
-        terms[:, center] = mags[:, center]
+        terms = mags
+        if alpha:  # sigma_0 is exactly 1, and so is ||M||^0
+            terms = weight * (sig * mags)
+            terms[:, center] = mags[:, center]
         worst = np.maximum(worst, lq_norm(terms, q, axis=1).max())
     # b_z on the shells, kept where positive, and always at z = 0
     best[center] = b0

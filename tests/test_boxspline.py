@@ -1,6 +1,7 @@
 """Box-spline transforms and their periodization."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -23,7 +24,7 @@ from anisointerp import (
     validate_matrix,
 )
 from anisointerp import boxspline
-from anisointerp.boxspline import _alias_bound, _int_box, _int_shell
+from anisointerp.boxspline import _alias_bound, _basis_margin, _int_box, _int_shell
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
@@ -103,7 +104,7 @@ def test_periodize_support_and_window():
     (BoxSplineSpec(3, (1,) * 9, family="full"), [[3, 1, 0], [0, 2, -1], [1, 0, 2]]),
 ])
 def test_separable_hat_matches_flat_oracle(spec, mat):
-    """The per-direction sinc tables gathered at ``z^T v`` equal the
+    """The per-direction sinc tables read at ``z^T v`` equal the
     transform evaluated at every mode ``M^{-T} (h + M^T z)``."""
     pm = validate_matrix(mat)
     grid = periodize(spec, pm, 3, math.inf)
@@ -113,6 +114,53 @@ def test_separable_hat_matches_flat_oracle(spec, mat):
     assert np.array_equal(grid.shifts, z)
     assert np.array_equal(grid.series.freqs, ks)
     assert np.abs(grid.coeffs.ravel() - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def _periodize_gather(spec, pm, radius):
+    """Oracle: the coefficient grid with each direction's sinc table
+    gathered into a full ``(m, nz)`` array at ``n = z^T v``."""
+    z = _int_box(pm.d, radius)
+    y = inv_t_apply(gset_freqs(pm), pm)
+    hat = np.ones((pm.m, len(z)))
+    for v, pj in zip(spec.directions(), spec.p):
+        nmax = int(np.abs(v).sum()) * radius
+        table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
+        hat *= table[:, z @ v + nmax]
+    return hat / pm.m
+
+
+@pytest.mark.parametrize("spec,mat", [
+    (BoxSplineSpec(1, (3,)), [[5]]),
+    (BoxSplineSpec(2, (1, 2, 3)), [[2, 1], [0, 2]]),
+    (BoxSplineSpec(2, (1, 2, 3, 2), family="full"), [[3, 1], [-1, 2]]),
+    (BoxSplineSpec(3, (2, 1, 2, 1, 3, 1)), [[2, 1, 0], [0, 2, 1], [1, 0, 2]]),
+    (BoxSplineSpec(3, (1, 2, 1, 2, 1, 2, 1, 3, 1), family="full"),
+     [[3, 1, 0], [0, 2, -1], [1, 0, 2]]),
+])
+@pytest.mark.parametrize("radius", [1, 3])
+def test_strided_factors_match_gather_oracle(spec, mat, radius):
+    """The product of strided table views is the gathered product, bit for
+    bit: same factors, same order, same division; negative direction
+    entries included."""
+    pm = validate_matrix(mat)
+    grid = periodize(spec, pm, radius, math.inf)
+    expect = _periodize_gather(spec, pm, radius)
+    assert grid.coeffs.flags.c_contiguous and grid.coeffs.shape == expect.shape
+    assert np.array_equal(grid.coeffs, expect)
+
+
+def test_periodize_peak_memory_is_near_its_output():
+    """At j = 4 of the study (m = 1024, radius 16) ``periodize`` allocates
+    little beyond the grid it returns: no ``(m, nz)`` gathered factors."""
+    pm = validate_matrix([[32, 16], [0, 32]])
+    periodize(B222, pm, 16, 1e-4)  # fill the class tables' cache first
+    tracemalloc.start()
+    try:
+        grid = periodize(B222, pm, 16, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid.coeffs.nbytes
 
 
 def test_periodization_tail_frozen_values():
@@ -192,6 +240,68 @@ def test_tail_infinite_when_order_at_most_d():
         periodize(B111, E2, 16, 1.0)
 
 
+def _record_shells_summed(mp):
+    """Patch the shell sums of :func:`periodization_tail` to record each
+    shell ``r`` whose sum it adds; the last one recorded is where it
+    stopped.  The list is returned and filled as the sums are taken."""
+    taken, sums = [], boxspline._shell_sums
+
+    def recorded(spec, first, last):
+        for r, total in enumerate(sums(spec, first, last), first):
+            taken.append(r)
+            yield total
+
+    mp.setattr(boxspline, "_shell_sums", recorded)
+    return taken
+
+
+def _tail_per_shell(spec, pm, radius, tail_eps):
+    """Oracle: the tail bound summed one shell per ``_alias_bound`` call,
+    as ``(bound, R)`` with ``R`` the shell where the sum stopped."""
+    d, order = spec.d, sf_order(spec)
+    if order <= d:
+        return math.inf, radius
+    eps = _basis_margin(spec)
+    w = float(np.abs(spec.directions()).sum(axis=1).max()) / 2.0
+    cap = radius + (512 if d == 2 else 64)
+    partial, r = 0.0, radius
+    while True:
+        x = math.pi * (eps * r - w)
+        rest = math.inf
+        if x >= 1.0:
+            rest = 2 * d * (2 * r + 1) ** (d - 1) * r * x ** (-order) / (order - d)
+        bound = partial + rest / pm.m
+        if r == cap or (tail_eps is not None and (bound <= tail_eps or partial > tail_eps)):
+            return bound, r
+        r += 1
+        partial += float(_alias_bound(_int_shell(d, r), spec).sum()) / pm.m
+
+
+@pytest.mark.parametrize("spec,mats", [
+    (BoxSplineSpec(1, (3,)), [[[2]], [[16]], [[256]]]),
+    (B222, [[[2, 1], [0, 2]], [[8, 3], [0, 8]], [[32, 16], [0, 32]]]),
+    (BoxSplineSpec(2, (1, 2, 3)), [[[1, 0], [0, 2]], [[8, 3], [0, 8]]]),
+    (BoxSplineSpec(2, (1, 2, 1, 2), family="full"), [[[3, 1], [-1, 2]], [[8, 3], [0, 8]]]),
+    (BoxSplineSpec(3, (2, 2, 3, 2, 2, 3)), [[[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                            [[8, 2, 1], [0, 8, 2], [1, 0, 8]]]),
+    (BoxSplineSpec(3, (2, 1, 2, 1, 2, 1)), [np.diag([2, 2, 2])]),  # order 3 = d
+    (BoxSplineSpec(3, (2,) * 9, family="full"), [np.diag([2, 2, 2])]),
+])
+def test_blocked_tail_matches_per_shell_loop(spec, mats):
+    """The tail bound over blocks of shells stops at the same shell as the
+    per-shell loop, with the same value, whatever the budget."""
+    # with no budget the sum runs to the cap whatever m, so once is enough
+    cases = [(mats[0], 2, None), *product(mats, (2, 5), (1e-4, 1e-8, 1e300))]
+    for mat, radius, tail_eps in cases:
+        pm = validate_matrix(mat)
+        expect, stop = _tail_per_shell(spec, pm, radius, tail_eps)
+        with pytest.MonkeyPatch.context() as mp:
+            taken = _record_shells_summed(mp)
+            got = periodization_tail(spec, pm, radius, tail_eps)
+        assert taken == list(range(radius + 1, stop + 1))
+        assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 3), full=st.booleans(), radius=st.integers(2, 6),
        data=st.data())
@@ -206,8 +316,7 @@ def test_tail_bounds_brute_force_sum(d, full, radius, data):
     pm = validate_matrix(np.diag([2] * d))
     seen = [radius]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(boxspline, "_int_shell",
-                   lambda dd, r: seen.append(r) or _int_shell(dd, r))
+        seen += _record_shells_summed(mp)
         tail = periodization_tail(spec, pm, radius, 1e300)
         assert periodization_tail(spec, pm, radius + 1, 1e300) <= tail
     if sf_order(spec) <= d:

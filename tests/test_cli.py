@@ -459,3 +459,14 @@ def test_converge_names_a_scale_whose_matrix_is_not_integral(tmp_path, capsys):
     assert err == "error: scale matrix 2^j M_0 at j=-1 is not an integer matrix\n"
     assert "verdict=pass" in out and "  j=-1 m=4 " in out
     assert [line.split(",")[0] for line in csv.read_text().splitlines()] == ["j", "-1", "0", "1"]
+
+
+def test_converge_names_a_scale_matrix_past_int64(tmp_path):
+    """A scale whose ``2^j M_0`` has an entry past int64 exits 1 with one
+    line naming the matrix and int64, not an ``OverflowError`` traceback."""
+    mat = tmp_path / "M21.txt"
+    mat.write_text("2\n2 1\n0 2\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = dirichlet\nscales = 62\ns = 2\n")
+    err = _one_error_line(["converge", str(cfg)])
+    assert f"matrix (({2**63}, {2**62}), (0, {2**63})) has an entry past int64" in err, err

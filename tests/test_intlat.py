@@ -398,3 +398,15 @@ def test_phase_residues_exact_for_any_int64_input():
         for j, g in enumerate(gs.tolist()):
             t = intlat._mat_vec(pm.adj, g)  # det * M^{-1} g
             assert got[i, j] == pm.sign * sum(a * b for a, b in zip(k, t)) % pm.m
+
+
+def test_int64_views_name_the_matrix_past_int64():
+    """``mat_np`` and ``adj_np`` raise ``AnisoError`` naming the matrix when
+    an entry does not fit in int64, not numpy's ``OverflowError``."""
+    big = validate_matrix([[2**63, 0], [0, 1]])
+    with pytest.raises(AnisoError, match=r"^matrix \(\(9223372036854775808, 0\).*past int64"):
+        big.mat_np
+    pm = validate_matrix(np.diag([2**32] * 3))  # entries fit, the adjugate's 2^64 does not
+    assert pm.mat_np.tolist() == np.diag([2**32] * 3).tolist()
+    with pytest.raises(AnisoError, match=r"^the adjugate of \(\(4294967296, 0, 0\).*past int64"):
+        pm.adj_np
