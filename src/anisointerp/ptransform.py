@@ -225,16 +225,12 @@ def fourier_matrix(pm: PatternMatrix) -> np.ndarray:
 def _grid_fft(values: np.ndarray, pm: PatternMatrix, forward: bool) -> np.ndarray:
     """Scatter canonical-order values to the ``eps`` grid by class label,
     run the FFT, and gather the result in the other side's canonical order.
-    The FFT is one 1-D transform per axis with ``eps_i > 1``, last axis
-    first as ``fftn`` orders them; a length-1 axis is the identity."""
+    Unit axes are dropped from the grid: a length-1 transform is the
+    identity and does not change the C-order ravel."""
     src, dst = canonical_classes(pm, not forward)[2], canonical_classes(pm, forward)[1]
-    fft = np.fft.fft if forward else np.fft.ifft
-    eps = pm.diagonal_form[0]
-    grid = values[src].reshape(eps)
-    for axis in reversed(range(pm.d)):
-        if eps[axis] > 1:
-            grid = fft(grid, axis=axis)
-    return grid.ravel()[dst]
+    fft = np.fft.fftn if forward else np.fft.ifftn
+    shape = [e for e in pm.diagonal_form[0] if e > 1] or [1]
+    return fft(values[src].reshape(shape)).ravel()[dst]
 
 
 def dft_forward(s: SampleVector) -> CoeffVector:

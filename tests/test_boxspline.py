@@ -292,6 +292,7 @@ def test_blocked_tail_matches_per_shell_loop(spec, mats):
     per-shell loop, with the same value, whatever the budget."""
     # with no budget the sum runs to the cap whatever m, so once is enough
     cases = [(mats[0], 2, None), *product(mats, (2, 5), (1e-4, 1e-8, 1e300))]
+    summed = 0
     for mat, radius, tail_eps in cases:
         pm = validate_matrix(mat)
         expect, stop = _tail_per_shell(spec, pm, radius, tail_eps)
@@ -300,6 +301,9 @@ def test_blocked_tail_matches_per_shell_loop(spec, mats):
             got = periodization_tail(spec, pm, radius, tail_eps)
         assert taken == list(range(radius + 1, stop + 1))
         assert got == pytest.approx(expect, rel=1e-15, abs=0.0)
+        summed += len(taken)
+    # the uncapped case sums shells, so the recording is not vacuous
+    assert summed or sf_order(spec) <= spec.d
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,15 +318,17 @@ def test_tail_bounds_brute_force_sum(d, full, radius, data):
     spec = BoxSplineSpec(d, tuple(data.draw(st.lists(st.integers(1, 3), min_size=ndir,
                                                      max_size=ndir))), family)
     pm = validate_matrix(np.diag([2] * d))
-    seen = [radius]
+    _, stop = _tail_per_shell(spec, pm, radius, 1e300)
     with pytest.MonkeyPatch.context() as mp:
-        seen += _record_shells_summed(mp)
+        taken = _record_shells_summed(mp)
         tail = periodization_tail(spec, pm, radius, 1e300)
+        # the recording must see every shell summed, up to the oracle's stop
+        assert taken == list(range(radius + 1, stop + 1))
         assert periodization_tail(spec, pm, radius + 1, 1e300) <= tail
     if sf_order(spec) <= d:
         assert tail == math.inf
         return
-    z = _int_box(d, 2 * max(seen))
+    z = _int_box(d, 2 * max([radius, *taken]))
     brute = _alias_bound(z[np.abs(z).max(axis=1) > radius], spec).sum() / pm.m
     assert tail >= brute
 

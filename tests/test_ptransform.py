@@ -206,8 +206,8 @@ def test_dedup_matches_dict_sum_oracle(d):
     [[1]],  # eps = (1,): no axis is transformed
 ])
 def test_grid_fft_matches_fftn_on_unit_axes(mat):
-    """One 1-D FFT per axis with ``eps_i > 1`` equals ``fftn``/``ifftn``
-    over the whole ``eps`` grid bit for bit."""
+    """The FFT over the ``eps`` grid with its unit axes dropped equals
+    ``fftn``/``ifftn`` over the whole grid bit for bit."""
     pm = validate_matrix(mat)
     eps = pm.diagonal_form[0]
     assert 1 in eps
