@@ -224,13 +224,10 @@ def fourier_matrix(pm: PatternMatrix) -> np.ndarray:
 
 def _grid_fft(values: np.ndarray, pm: PatternMatrix, forward: bool) -> np.ndarray:
     """Scatter canonical-order values to the ``eps`` grid by class label,
-    run the FFT, and gather the result in the other side's canonical order.
-    Unit axes are dropped from the grid: a length-1 transform is the
-    identity and does not change the C-order ravel."""
+    run the FFT, and gather the result in the other side's canonical order."""
     src, dst = canonical_classes(pm, not forward)[2], canonical_classes(pm, forward)[1]
     fft = np.fft.fftn if forward else np.fft.ifftn
-    shape = [e for e in pm.diagonal_form[0] if e > 1] or [1]
-    return fft(values[src].reshape(shape)).ravel()[dst]
+    return fft(values[src].reshape(pm.diagonal_form[0])).ravel()[dst]
 
 
 def dft_forward(s: SampleVector) -> CoeffVector:

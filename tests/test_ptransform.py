@@ -20,8 +20,6 @@ from anisointerp import (
     series_to_csv,
     validate_matrix,
 )
-from anisointerp.intlat import canonical_classes
-from anisointerp.ptransform import _grid_fft
 
 FIG1 = [[8, 3], [0, 8]]
 
@@ -196,25 +194,3 @@ def test_dedup_matches_dict_sum_oracle(d):
     # summation order may differ: the standard n * eps * sum|c| error bound
     tol = n * np.finfo(np.float64).eps * np.abs(coeffs).sum()
     assert np.abs(f.coeffs - np.array([expect[k] for k in keys])).max() <= tol
-
-
-@pytest.mark.parametrize("mat", [
-    [[2, 0, 0], [0, 1, 0], [0, 0, 256]],  # eps = (2, 1, 256)
-    [[8, 2, 1], [0, 8, 2], [0, 0, 16]],  # eps = (1, 4, 256)
-    [[1, 0, 0], [0, 1, 0], [0, 0, 7]],  # eps = (1, 1, 7)
-    [[2, 1], [0, 2]],  # eps = (1, 4)
-    [[1]],  # eps = (1,): no axis is transformed
-])
-def test_grid_fft_matches_fftn_on_unit_axes(mat):
-    """The FFT over the ``eps`` grid with its unit axes dropped equals
-    ``fftn``/``ifftn`` over the whole grid bit for bit."""
-    pm = validate_matrix(mat)
-    eps = pm.diagonal_form[0]
-    assert 1 in eps
-    rng = np.random.default_rng(pm.m)
-    a = rng.standard_normal(pm.m) + 1j * rng.standard_normal(pm.m)
-    for forward, fftn in ((True, np.fft.fftn), (False, np.fft.ifftn)):
-        src = canonical_classes(pm, not forward)[2]
-        dst = canonical_classes(pm, forward)[1]
-        expect = fftn(a[src].reshape(eps)).ravel()[dst]
-        assert np.array_equal(_grid_fft(a, pm, forward), expect)
