@@ -28,9 +28,9 @@ from .errors import AnisoError
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
+    _interpolant,
     canonical_mask,
     dirichlet_kernel,
-    fundamental_interpolant,
 )
 from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
 from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
@@ -67,15 +67,15 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
 
     ``L_M g`` is the interpolant's grid ``C`` with row ``h`` scaled by
     ``g_h = m ghat_h``, and ``f - S_M f`` is ``f`` off the canonical set.
-    Only ``f``'s modes are labelled, and found among the grid's columns by
-    their exact ``z``.  A difference is ``L_M g`` off ``f``'s modes, with
-    norm ``|g_h|`` times a row norm of ``sigma_alpha |C|``, ``g - L_M g`` on
-    them and ``g`` off the grid; its ``l_q`` norm is that of the parts'
-    norms.  The grid is streamed in row blocks, each building its own
-    ``sigma_alpha |C|`` (just ``|C|`` at ``alpha = 0``), row norms and
-    ``L_M f`` fold, so the working memory beyond the grid is
-    ``O(block * nz)``.  Every norm is an exact finite sum; ``f`` must have
-    unique rows (``ValueError`` if not).
+    Only ``f``'s modes are labelled, and searched by their exact ``z`` among
+    the column keys, sorted as the lexicographic shifts are.  A difference
+    is ``L_M g`` off ``f``'s modes, with norm ``|g_h|`` times a row norm of
+    ``sigma_alpha |C|``, ``g - L_M g`` on them and ``g`` off the grid; its
+    ``l_q`` norm is that of the parts' norms.  The grid is streamed in row
+    blocks, each building its own ``sigma_alpha |C|`` (just ``|C|`` at
+    ``alpha = 0``), row norms and ``L_M f`` fold, so the working memory
+    beyond the grid is ``O(block * nz)``.  Every norm is an exact finite
+    sum; ``f`` must have unique rows (``ValueError`` if not).
     """
     pm, grid = ifun.pm, ifun.grid
     check_unique_rows(f)
@@ -85,8 +85,7 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     # a shift past the grid's range, perhaps past int64, is off the grid
     near = ((zf >= grid.shifts.min(axis=0)) & (zf <= grid.shifts.max(axis=0))).all(axis=1)
     cols, key = row_keys(grid.shifts), row_keys(np.where(near[:, None], zf, 0))
-    order = np.argsort(cols)
-    col = order[np.minimum(np.searchsorted(cols[order], key), len(cols) - 1)]
+    col = np.minimum(np.searchsorted(cols, key), len(cols) - 1)
     off = ~near | (cols[col] != key)
     hit = np.flatnonzero(~off)
     at, lab = (labels[hit], col[hit]), labels[hit]
@@ -276,10 +275,11 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
                       tail_eps: float, allow_incorrect: bool = False
                       ) -> FundamentalInterpolant:
     """Fundamental interpolant of a box spline periodized with ``radius`` and
-    ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf)."""
+    ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf);
+    the interpolant scales the fresh kernel grid in place, so no copy is made."""
     phi = (periodize(kernel, pm, radius, tail_eps)
            if isinstance(kernel, BoxSplineSpec) else dirichlet_kernel(pm))
-    return fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
+    return _interpolant(phi, allow_incorrect)
 
 
 def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:

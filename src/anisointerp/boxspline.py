@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -24,7 +25,7 @@ from .intlat import PatternMatrix
 from .ptransform import GRID_MAX, AliasGrid, check_reach, gset_freqs
 from .spectral import inv_t_apply
 
-TAIL_BLOCK = 2**11  # points of the shells bounded by one _alias_bound call
+TAIL_BLOCK = 2**11  # points of the shells built and summed in one pass
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,14 @@ class BoxSplineSpec:
             raise ValueError("all multiplicities must be >= 1")
 
     def directions(self) -> np.ndarray:
-        """Direction vectors as an ``(ndir, d)`` integer array."""
-        d = self.d
-        dirs = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = [0] * d
-                v[i] = v[j] = 1
-                dirs.append(tuple(v))
-        if self.family == "full":
-            for i in range(d):
-                for j in range(i + 1, d):
-                    v = [0] * d
-                    v[i], v[j] = 1, -1
-                    dirs.append(tuple(v))
-        elif self.family != "simplex":
+        """Direction vectors as an ``(ndir, d)`` integer array: the ``e_j``,
+        then the ``e_i + e_j`` and (full family) the ``e_i - e_j``, ``i < j``."""
+        signs = {"simplex": (1,), "full": (1, -1)}.get(self.family)
+        if signs is None:
             raise ValueError(f"unknown family {self.family!r}")
-        return np.array(dirs, dtype=np.int64)
+        eye = np.eye(self.d, dtype=np.int64)
+        i, j = np.array(list(combinations(range(self.d), 2)), dtype=int).reshape(-1, 2).T
+        return np.concatenate([eye, *(eye[i] + s * eye[j] for s in signs)])
 
 
 def _int_box(d: int, radius: int) -> np.ndarray:
@@ -75,36 +67,17 @@ def _int_box(d: int, radius: int) -> np.ndarray:
     return np.indices((side,) * d, dtype=np.int64).reshape(d, -1).T - radius
 
 
-def _int_shell(d: int, r: int) -> np.ndarray:
-    """Every ``z`` with ``||z||_inf = r``, ``(2r+1)^d - (2r-1)^d`` rows.
-
-    Block ``i`` holds the points whose first coordinate of magnitude ``r``
-    is ``z_i``, so the blocks are disjoint and only the shell is stored.
-    """
-    if r == 0:
-        return np.zeros((1, d), dtype=np.int64)
-    blocks = []
-    for i in range(d):
-        shape = (2 * r - 1,) * i + (2,) + (2 * r + 1,) * (d - 1 - i)
-        z = np.indices(shape, dtype=np.int64).reshape(d, -1).T
-        z[:, :i] -= r - 1
-        z[:, i] = 2 * r * z[:, i] - r
-        z[:, i + 1:] -= r
-        blocks.append(z)
-    return np.concatenate(blocks)
-
-
 def _alias_bound(z: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
     """Upper bound on ``sup_y |hat(2 pi (y + z))|`` over the unit half-cube.
 
     Per direction ``v``: ``|sinc(pi (y + z)^T v)| <= 1 / (pi (|z^T v| - w))``
     with ``w = sum|v| / 2`` whenever ``|z^T v| > w``, else 1.  For integer
-    ``z`` each factor is at most 1, since then ``|z^T v| - w >= 1/2``.
+    ``z`` each factor is at most 1, since then ``|z^T v| - w >= 1/2``.  The
+    ``z^T v`` are one BLAS product in floats, exact below ``2^53``.
     """
+    dirs, half = _constants(spec)[:2]
     out = np.ones(len(z))
-    for direction, pj in zip(spec.directions(), spec.p):
-        t = np.abs(z @ direction)
-        w = np.abs(direction).sum() / 2.0
+    for t, w, pj in zip(np.abs(dirs.astype(float) @ z.T.astype(float)), half, spec.p):
         factor = np.ones(len(z))
         mask = t > w
         factor[mask] = (np.pi * (t[mask] - w)) ** (-float(pj))
@@ -112,32 +85,56 @@ def _alias_bound(z: np.ndarray, spec: BoxSplineSpec) -> np.ndarray:
     return out
 
 
-def _basis_margin(spec: BoxSplineSpec) -> float:
-    """``eps = min 1 / ||B^{-1}||_inf`` over the bases ``B`` (as rows) drawn
-    from the directions: if ``||z||_inf = r``, the directions with
-    ``|z^T v| < eps r`` contain no basis, so they lie in one hyperplane."""
-    dirs = spec.directions().astype(float)
-    bases = dirs[np.array(list(combinations(range(len(dirs)), spec.d)))]
+@cache
+def _constants(spec: BoxSplineSpec) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Computed once per spec: the directions and their ``||v||_1 / 2``
+    (read-only), :func:`sf_order`, and ``eps = min 1 / ||B^{-1}||_inf`` over
+    the bases ``B`` (as rows) among the directions: if ``||z||_inf = r``, the
+    directions with ``|z^T v| < eps r`` hold no basis, so lie in a hyperplane."""
+    dirs = spec.directions()
+    half = np.abs(dirs).sum(axis=1) / 2.0
+    dirs.flags.writeable = half.flags.writeable = False
+    (n, d), fdirs, p, most = dirs.shape, dirs.astype(float), np.array(spec.p), 0
+    for sub in combinations(range(n), d - 1):
+        # det[sub; v] = 0 exactly when v lies in the span of sub
+        stack = np.concatenate([np.broadcast_to(fdirs[list(sub)], (n, d - 1, d)),
+                                fdirs[:, None, :]], axis=1)
+        inside = np.abs(np.linalg.det(stack)) < 0.5
+        if not inside.all():  # sub spans a hyperplane
+            most = max(most, int(p[inside].sum()))
+    bases = fdirs[np.array(list(combinations(range(n), d)))]
     bases = bases[np.abs(np.linalg.det(bases)) > 0.5]
-    return 1.0 / float(np.abs(np.linalg.inv(bases)).sum(axis=2).max())
+    eps = 1.0 / float(np.abs(np.linalg.inv(bases)).sum(axis=2).max())
+    return dirs, half, int(p.sum()) - most, eps
 
 
-def _shell_sums(spec: BoxSplineSpec, first: int, last: int):
-    """Yield the sum of :func:`_alias_bound` over each shell ``||z||_inf = r``,
-    ``r = first, ..., last`` in order.  One :func:`_alias_bound` call takes
-    the fewest next shells that hold ``TAIL_BLOCK`` points (or all that are
-    left); each shell's sum is over its own slice, so it equals the sum
-    over that shell alone."""
-    r = first
-    while r <= last:
-        shells, size = [], 0
-        while r <= last and size < TAIL_BLOCK:
-            shells.append(_int_shell(spec.d, r))
-            size += len(shells[-1])
-            r += 1
-        ends = np.cumsum([len(z) for z in shells])[:-1]
-        for part in np.split(_alias_bound(np.concatenate(shells), spec), ends):
-            yield float(part.sum())
+def _shell_sums(d: int, first: int, last: int, term):
+    """Yield the sum of ``term`` over each shell ``||z||_inf = r``, ``r = first
+    >= 1, ..., last``.  ``term`` maps the ``(n, d)`` points of a block, the
+    fewest shells holding ``TAIL_BLOCK`` points (or all left), to ``n``
+    values, summed per shell slice, so each sum is the shell's alone.  A
+    block is one pass: shell ``r`` is ``d`` parts in C order, part ``i`` with
+    ``|z_k| < r`` before ``i``, ``z_i = -r, r`` and ``|z_k| <= r`` after."""
+    while first <= last:
+        sizes = []
+        while first <= last and sum(sizes) < TAIL_BLOCK:
+            sizes.append((2 * first + 1) ** d - (2 * first - 1) ** d)
+            first += 1
+        r = np.arange(first - len(sizes), first).repeat(d)  # part (r, i), r-major
+        i, axis = np.arange(len(r)) % d, np.arange(d)[:, None]
+        runs = np.where(axis == i, 2, 2 * r + 1 - 2 * (axis < i))  # z_k's run length, per part
+        step, low = np.where(axis == i, 2 * r, 1), (axis < i) - r
+        high = low + step * (runs - 1)
+        cols, part, n = [], np.arange(len(r)), 1
+        for k in range(d):
+            part = part.repeat(n)  # the part of each run of z_k
+            n = runs[k, part]
+            inc = step[k, part].repeat(n)  # a run's start jumps from the last one's end
+            inc[np.cumsum(n) - n] = low[k, part] - np.concatenate(([0], high[k, part][:-1]))
+            cols = [c.repeat(n) for c in cols] + [inc.cumsum()]
+        values, ends = term(np.array(cols).T), np.cumsum(sizes)
+        for start, end in zip(ends - sizes, ends):
+            yield float(values[start:end].sum())
 
 
 def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
@@ -148,27 +145,26 @@ def periodization_tail(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     Sums the per-point bound :func:`_alias_bound` exactly over the shells
     ``||z||_inf = radius + 1, ..., R``, shell by shell, and bounds the
     shells past ``R`` by an integral: with ``o = sf_order(spec)``, ``eps``
-    from :func:`_basis_margin` and ``w = max ||v||_1 / 2``, on a shell
+    from :func:`_constants` and ``w = max ||v||_1 / 2``, on a shell
     ``r > R`` the sinc factors below ``1 / (pi (eps r - w))`` have total
     multiplicity at least ``o``, so once ``pi (eps R - w) >= 1`` the rest is at
     most ``2d (2R+1)^{d-1} R (pi (eps R - w))^{-o} / (o - d)``.  Infinite
     when ``o <= d``, where that comparison does not converge.  The shells
-    are bounded in blocks by :func:`_shell_sums` and added one at a time,
-    so ``R`` is the same as for a shell-by-shell loop; the shells of the
-    last block past ``R`` are bounded but not added.
+    are built and bounded in blocks by :func:`_shell_sums` and added one
+    at a time, so ``R`` is the same as for a shell-by-shell loop; the
+    shells of the last block past ``R`` are bounded but not added.
 
     With ``tail_eps`` the sum stops as soon as it decides ``<= tail_eps``:
     at the first ``R`` whose bound is within it, or once the partial sum
     alone exceeds it.  Otherwise it stops at ``R = radius + 512`` (``d = 2``)
     or ``radius + 64``.  The value returned is the bound at that ``R``.
     """
-    d, order = spec.d, sf_order(spec)
+    d, (_, half, order, eps) = spec.d, _constants(spec)
     if order <= d:
         return math.inf
-    eps = _basis_margin(spec)
-    w = float(np.abs(spec.directions()).sum(axis=1).max()) / 2.0
+    w = float(half.max())
     cap = radius + (512 if d == 2 else 64)
-    sums = _shell_sums(spec, radius + 1, cap)
+    sums = _shell_sums(d, radius + 1, cap, lambda z: _alias_bound(z, spec))
     partial, r = 0.0, radius
     while True:
         x = math.pi * (eps * r - w)
@@ -235,12 +231,13 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
         raise TailTooLarge(f"tail bound {tail:.3e} exceeds requested {tail_eps:.3e}")
     y = inv_t_apply(gset_freqs(pm), pm)
     factors = []
-    for v, pj in zip(spec.directions(), spec.p):
+    for v, pj in zip(_constants(spec)[0], spec.p):
         nmax = int(np.abs(v).sum()) * radius
         table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
         factors.append(_box_view(table, v, radius))
-    hat = np.array(factors[0], order="C")
-    for factor in factors[1:]:
+    hat = np.empty((pm.m,) + (2 * radius + 1,) * pm.d)
+    np.multiply(factors[0], factors[1] if len(factors) > 1 else 1.0, out=hat)
+    for factor in factors[2:]:
         hat *= factor
     hat /= pm.m
     return AliasGrid(pm, _int_box(pm.d, radius), hat.reshape(pm.m, -1), radius)
@@ -253,16 +250,6 @@ def sf_order(spec: BoxSplineSpec) -> int:
     directions in one hyperplane (de Boor, Hollig, Riemenschneider, *Box
     Splines*, 1993); it is enough to check the hyperplanes spanned by
     ``d - 1`` directions.  For the bivariate 3-directional spline this is
-    the minimum pairwise sum ``min(p_i + p_j)``.
+    the minimum pairwise sum ``min(p_i + p_j)``.  Computed once per spec.
     """
-    dirs, p = spec.directions().astype(float), np.array(spec.p)
-    n, d = dirs.shape
-    most = 0
-    for sub in combinations(range(n), d - 1):
-        # det[sub; v] = 0 exactly when v lies in the span of sub
-        stack = np.concatenate([np.broadcast_to(dirs[list(sub)], (n, d - 1, d)),
-                                dirs[:, None, :]], axis=1)
-        inside = np.abs(np.linalg.det(stack)) < 0.5
-        if not inside.all():  # sub spans a hyperplane
-            most = max(most, int(p[inside].sum()))
-    return int(p.sum()) - most
+    return _constants(spec)[2]

@@ -46,17 +46,17 @@ def grid_weights(grid: AliasGrid, beta: float, rows: slice = slice(None)) -> np.
 def lq_norm(values: np.ndarray, q: float, axis: int | None = None):
     """``l_q`` norm of a nonnegative array, with the sup convention for inf;
     with ``axis``, the array of norms along it.  Each sum is scaled by its
-    largest term before the power, so it overflows only when the norm does.
-    ``ValueError`` unless ``q >= 1``."""
+    largest term before the power, so it overflows only when the norm does;
+    an empty sum is 0.  ``ValueError`` unless ``q >= 1``."""
     if not q >= 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    top = values.max(axis=axis, keepdims=True)
+    top = values.max(axis=axis, keepdims=True, initial=0.0)
     if not math.isinf(q):
         scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
-        top = scale * ((values / scale) ** q).sum(axis=axis, keepdims=True) ** (1.0 / q)
+        terms = values / scale
+        terms **= q
+        top = scale * terms.sum(axis=axis, keepdims=True) ** (1.0 / q)
     return float(top.squeeze()) if axis is None else top.squeeze(axis)
 
 

@@ -13,7 +13,7 @@ translate / evaluate / partial-sum machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,6 +114,11 @@ def fundamental_interpolant(grid: AliasGrid, *,
         raise TypeError(f"fundamental_interpolant takes an AliasGrid, not "
                         f"{type(grid).__name__}; build a series kernel's grid with "
                         "AliasGrid.from_series(f, pm, window)")
+    return _interpolant(replace(grid, coeffs=grid.coeffs.copy()), allow_incorrect)
+
+
+def _interpolant(grid: AliasGrid, allow_incorrect: bool) -> FundamentalInterpolant:
+    """:func:`fundamental_interpolant`, scaling a fresh grid (no ``series`` yet) in place."""
     pm = grid.pm
     folded = grid.coeffs.sum(axis=1)
     mags = np.abs(folded)
@@ -127,10 +132,10 @@ def fundamental_interpolant(grid: AliasGrid, *,
 
     a_hat = np.zeros(pm.m, dtype=folded.dtype)
     a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
-    coeffs = grid.coeffs * a_hat[:, None]
-    coeffs[np.ix_(flag, ~grid.shifts.any(axis=1))] = 1.0 / pm.m
+    np.multiply(grid.coeffs, a_hat[:, None], out=grid.coeffs)
+    grid.coeffs[np.ix_(flag, ~grid.shifts.any(axis=1))] = 1.0 / pm.m
     return FundamentalInterpolant(
-        grid=AliasGrid(pm, grid.shifts, coeffs, grid.window),
+        grid=grid,
         a_hat=CoeffVector(a_hat, pm),
         incorrect_modes=flagged,
     )

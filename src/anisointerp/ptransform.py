@@ -79,10 +79,10 @@ class FourierSeries:
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of an ``(n, d)`` int64 array as one opaque key: equal keys are
-    equal rows, and the keys sort and search exactly."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(f"V{8 * rows.shape[1]}").ravel()
+    """Each row of an ``(n, d)`` int64 array as one key (entries big-endian,
+    sign bit flipped): equal as the rows are, ordered as they are lexicographically."""
+    flipped = np.ascontiguousarray(rows, dtype=np.int64).view(np.uint64) ^ np.uint64(2**63)
+    return flipped.astype(">u8").view(f"V{8 * flipped.shape[1]}").ravel()
 
 
 def check_unique_rows(f: FourierSeries) -> None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxspline import _int_shell
+from .boxspline import _shell_sums
 from .errors import AnisoError, DivergentSeries, InsufficientSupport
 from .fspaces import lq_norm, weights_many
 from .interp import FundamentalInterpolant
@@ -69,26 +69,33 @@ class SFParams:
             raise ValueError("mode must be 'strict' or 'relaxed'")
 
 
-@dataclass
+@dataclass(eq=False)
 class SFReport:
     """Outcome of the Strang-Fix verification.
 
-    ``b`` maps each aliasing shift ``z`` on the checked shells (those of the
-    interpolant's grid window) to the tightest admissible constant;
-    ``gamma_sf`` is the (truncated) weighted ``l_q`` norm of that sequence,
-    and ``gamma_ip`` the aliasing-theorem constant on the same shells.
+    ``shifts`` holds ``z = 0`` and each aliasing shift on the checked shells
+    (those of the interpolant's grid window) with a positive tightest
+    admissible constant, ``bz`` those constants, and the property ``b`` maps
+    one to the other; ``gamma_sf`` is the (truncated) weighted ``l_q`` norm
+    of that sequence, and ``gamma_ip`` the aliasing-theorem constant on the same shells.
     ``fitted_order`` is the measured decay exponent of the inner
     condition, ``None`` when the interpolant reproduces exactly.
     """
 
     params: SFParams
-    b: dict[IntVec, float]
+    shifts: np.ndarray
+    bz: np.ndarray
     gamma_sf: float
     gamma_ip: float
     passed: bool
     witness: tuple[IntVec, IntVec] | None = None
     fitted_order: float | None = None
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def b(self) -> dict[IntVec, float]:
+        """``{z: b_z}`` over :attr:`shifts`, built on each access."""
+        return dict(zip(map(tuple, self.shifts.tolist()), self.bz.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,7 +177,9 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     best, worst = np.zeros(len(zs)), np.zeros(())
     for rows, block in grid.row_blocks(None if keep.all() else keep):
         mags = np.abs(block)
-        np.maximum(best, (pm.m * mags / rhs_outer[rows, None]).max(axis=0, initial=0.0), out=best)
+        ratio = np.multiply(pm.m, mags)
+        ratio /= rhs_outer[rows, None]
+        np.maximum(best, ratio.max(axis=0, initial=0.0), out=best)
         terms = mags
         if alpha:  # sigma_0 is exactly 1, and so is ||M||^0
             terms = weight * (sig * mags)
@@ -180,7 +189,6 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     best[center] = b0
     hit = (best > 0.0) | ~outer
     zkeys, bvals = zs[hit], best[hit]
-    b = dict(zip(map(tuple, zkeys.tolist()), bvals.tolist()))
 
     # truncated gamma_SF and its shell-convergence diagnostic
     weighted = sig[hit] * bvals
@@ -217,7 +225,8 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
 
     return SFReport(
         params=params,
-        b=b,
+        shifts=zkeys,
+        bz=bvals,
         gamma_sf=gamma_sf,
         gamma_ip=pm.m * float(worst),
         passed=not failures,
@@ -252,22 +261,19 @@ def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:
     if mu <= d * (1.0 - qinv) + 1e-12:
         raise DivergentSeries(f"mu = {mu} must exceed d(1 - 1/q) = {d * (1 - qinv)}")
     pref = (1.0 + d) ** (alpha / 2.0) * 2.0**mu
-    if q == 1:
-        return pref * float(_shell_norms(d, 1).min() ** (-mu))
+    if q == 1:  # every z on the shell ||z||_inf = 1 has ||2|z| - 1|| = sqrt(d)
+        return pref * math.sqrt(d) ** (-mu)
     p = 1.0 if math.isinf(q) else q / (q - 1.0)
     e = p * mu
     total = 0.0
-    for r in range(1, SM_MAX_SHELL + 1):
-        total += float((_shell_norms(d, r) ** (-e)).sum())
+    shells = _shell_sums(d, 1, SM_MAX_SHELL,
+                         lambda z: np.linalg.norm(2.0 * np.abs(z) - 1.0, axis=1) ** (-e))
+    for r, shell in enumerate(shells, 1):
+        total += shell
         rest = d * ((2 * r + 1) / (2 * r - 1)) ** (d - 1) * (2 * r - 1) ** (d - e) / (e - d)
         if rest <= SM_REL_TOL * total:
             break
     return pref * float((total + rest) ** (1.0 / p))
-
-
-def _shell_norms(d: int, r: int) -> np.ndarray:
-    """``||2|z| - 1||_2`` over the shell ``||z||_inf = r``."""
-    return np.linalg.norm(2.0 * np.abs(_int_shell(d, r)) - 1.0, axis=1)
 
 
 def c_rho(gamma_sf: float, gamma_ip_val: float, gamma_sm_val: float,

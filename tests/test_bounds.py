@@ -358,6 +358,22 @@ def test_row_blocks_leave_every_result_bit_for_bit_unchanged(monkeypatch, rows):
         monkeypatch.undo()
 
 
+def test_build_interpolant_peak_memory_is_near_its_grid():
+    """At j = 4 of the study (m = 1024, radius 16) ``build_interpolant``
+    scales the kernel grid it built in place: no second ``(m, nz)`` array."""
+    import tracemalloc
+
+    pm = validate_matrix([[32, 16], [0, 32]])
+    bounds.build_interpolant(B222, pm, 16, 1e-4)  # fill the class tables' cache first
+    tracemalloc.start()
+    try:
+        ifun = bounds.build_interpolant(B222, pm, 16, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * ifun.grid.coeffs.nbytes
+
+
 def test_streaming_keeps_working_memory_below_half_the_grid():
     """On the study's j = 4 interpolant (m = 1 024, nz = 1 089) the traced
     peak of ``interp_error`` and ``verify_sfc`` stays below half the grid."""

@@ -24,12 +24,29 @@ from anisointerp import (
     validate_matrix,
 )
 from anisointerp import boxspline
-from anisointerp.boxspline import _alias_bound, _basis_margin, _int_box, _int_shell
+from anisointerp.boxspline import _alias_bound, _constants, _int_box, _shell_sums
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 FIG1 = validate_matrix([[8, 3], [0, 8]])
 B111 = BoxSplineSpec(2, (1, 1, 1))
 B222 = BoxSplineSpec(2, (2, 2, 2))
+
+
+def _int_shell(d, r):
+    """Oracle: every ``z`` with ``||z||_inf = r``, ``(2r+1)^d - (2r-1)^d`` rows,
+    one ``np.indices`` call per part.  Part ``i`` holds the points whose first
+    coordinate of magnitude ``r`` is ``z_i``, so the parts are disjoint."""
+    if r == 0:
+        return np.zeros((1, d), dtype=np.int64)
+    blocks = []
+    for i in range(d):
+        shape = (2 * r - 1,) * i + (2,) + (2 * r + 1,) * (d - 1 - i)
+        z = np.indices(shape, dtype=np.int64).reshape(d, -1).T
+        z[:, :i] -= r - 1
+        z[:, i] = 2 * r * z[:, i] - r
+        z[:, i + 1:] -= r
+        blocks.append(z)
+    return np.concatenate(blocks)
 
 
 def _hat_on_lattice(y, spec):
@@ -246,8 +263,8 @@ def _record_shells_summed(mp):
     stopped.  The list is returned and filled as the sums are taken."""
     taken, sums = [], boxspline._shell_sums
 
-    def recorded(spec, first, last):
-        for r, total in enumerate(sums(spec, first, last), first):
+    def recorded(d, first, last, term):
+        for r, total in enumerate(sums(d, first, last, term), first):
             taken.append(r)
             yield total
 
@@ -261,7 +278,7 @@ def _tail_per_shell(spec, pm, radius, tail_eps):
     d, order = spec.d, sf_order(spec)
     if order <= d:
         return math.inf, radius
-    eps = _basis_margin(spec)
+    eps = _constants(spec)[3]
     w = float(np.abs(spec.directions()).sum(axis=1).max()) / 2.0
     cap = radius + (512 if d == 2 else 64)
     partial, r = 0.0, radius
@@ -372,6 +389,61 @@ def test_full_family_has_degenerate_class():
 def test_int_box_matches_product(d, r):
     expect = [list(z) for z in product(range(-r, r + 1), repeat=d)]
     assert _int_box(d, r).tolist() == expect
+
+
+@pytest.mark.parametrize("d,first,last", [(1, 1, 1), (1, 1, 40), (1, 900, 2100), (2, 1, 1),
+                                          (2, 1, 60), (2, 5, 300), (3, 1, 14), (3, 9, 20)])
+def test_shell_sums_build_blocks_in_the_oracle_order(d, first, last):
+    """The blocks, built in one pass each, hold the shells ``first..last`` in
+    the oracle's order, each block the fewest shells that reach
+    ``TAIL_BLOCK`` points unless it is the last, and one sum per shell."""
+    blocks = []
+
+    def term(z):
+        blocks.append(z.copy())
+        return np.ones(len(z))
+
+    sums = list(_shell_sums(d, first, last, term))
+    shells = [_int_shell(d, r) for r in range(first, last + 1)]
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(shells))
+    assert sums == [float(len(z)) for z in shells]
+    sizes = iter(len(z) for z in shells)
+    for n, z in enumerate(blocks):
+        assert z.dtype == np.int64
+        own = []
+        while sum(own) < len(z):
+            own.append(next(sizes))
+        assert sum(own) == len(z)
+        assert n == len(blocks) - 1 or sum(own[:-1]) < boxspline.TAIL_BLOCK <= sum(own)
+
+
+@pytest.mark.parametrize("spec", [
+    BoxSplineSpec(1, (3,)), B111, BoxSplineSpec(2, (1, 2, 1, 2), "full"),
+    BoxSplineSpec(3, (2, 1, 3, 1, 2, 2)), BoxSplineSpec(3, (1, 2, 3, 1, 2, 3, 1, 2, 3), "full"),
+])
+def test_alias_bound_matches_the_integer_loop(spec):
+    """The float product gives every ``z^T v`` exactly, so the bound keeps
+    the bits of the per-direction integer loop, up to entries of ``2^48``."""
+    far = 2**48 - _int_box(spec.d, 1), -(2**48) * np.eye(spec.d, dtype=np.int64)
+    z = np.concatenate([_int_box(spec.d, 4), *far])
+    expect = np.ones(len(z))
+    for v, pj in zip(spec.directions(), spec.p):
+        t, w = np.abs(z @ v), np.abs(v).sum() / 2.0
+        factor = np.ones(len(z))
+        factor[t > w] = (np.pi * (t[t > w] - w)) ** (-float(pj))
+        expect *= factor
+    assert np.array_equal(_alias_bound(z, spec), expect)
+
+
+def test_spec_constants_are_read_only():
+    """The per-spec arrays are shared by every call, so none can be written."""
+    for spec in (B222, BoxSplineSpec(3, (2,) * 9, family="full")):
+        dirs, half, order, _ = _constants(spec)
+        assert _constants(spec)[0] is dirs and order == sf_order(spec)
+        assert dirs.tolist() == spec.directions().tolist()
+        for a in (dirs, half):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

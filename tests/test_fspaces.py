@@ -70,6 +70,14 @@ def test_lq_norm_conventions():
     assert lq_norm(np.array([]), 2.0) == 0.0
 
 
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_lq_norm_of_empty_rows(q):
+    """Along an axis, an empty array has one zero norm per row, or none."""
+    assert lq_norm(np.zeros((3, 0)), q, axis=1).tolist() == [0.0, 0.0, 0.0]
+    assert lq_norm(np.zeros((0, 3)), q, axis=1).shape == (0,)
+    assert lq_norm(np.zeros((0, 3)), q) == 0.0
+
+
 @pytest.mark.parametrize("beta", [-1.0, math.nan])
 def test_weights_reject_invalid_beta(beta):
     with pytest.raises(ValueError, match="beta must be >= 0"):

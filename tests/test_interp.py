@@ -286,6 +286,18 @@ def test_series_path_matches_grid_path():
             assert got.incorrect_modes == want.incorrect_modes
 
 
+def test_fundamental_interpolant_leaves_its_kernel_unchanged():
+    """The interpolant scales a copy: the kernel's coefficients keep their
+    bits for a real kernel, a complex one and the fallback."""
+    box = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)
+    moved = AliasGrid.from_series(translate(box.series, (1, 2), FIG1), FIG1, 4)
+    for phi, allow_incorrect in ((box, False), (moved, False), (degenerate_kernel(E2), True)):
+        before = phi.coeffs.copy()
+        ifun = fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
+        assert not np.shares_memory(ifun.grid.coeffs, phi.coeffs)
+        assert before.tobytes() == phi.coeffs.tobytes()
+
+
 def test_real_kernels_stay_real():
     """Box-spline and Dirichlet grids, and their interpolants, are float64;
     a series becomes a float64 grid when it is real and a complex128 one

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anisointerp import (
     AliasGrid,
@@ -20,6 +22,7 @@ from anisointerp import (
     series_to_csv,
     validate_matrix,
 )
+from anisointerp.ptransform import row_keys
 
 FIG1 = [[8, 3], [0, 8]]
 
@@ -194,3 +197,17 @@ def test_dedup_matches_dict_sum_oracle(d):
     # summation order may differ: the standard n * eps * sum|c| error bound
     tol = n * np.finfo(np.float64).eps * np.abs(coeffs).sum()
     assert np.abs(f.coeffs - np.array([expect[k] for k in keys])).max() <= tol
+
+
+_INT64 = st.one_of(st.integers(-3, 3), st.sampled_from([-2**62, 2**62, -2**63, 2**63 - 1]),
+                   st.integers(-2**63, 2**63 - 1))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(_INT64, min_size=d, max_size=d), max_size=30)
+    .map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, d))))
+def test_row_keys_sort_in_lexicographic_row_order(rows):
+    """Sorting the keys orders the rows as ``np.lexsort`` does, ties kept in
+    place, so the keys of lexicographic rows are sorted."""
+    expect = np.lexsort(rows.T[::-1])
+    assert np.argsort(row_keys(rows), kind="stable").tolist() == expect.tolist()
