@@ -10,12 +10,11 @@ from .bounds import (
     BoundReport,
     ErrorBreakdown,
     ExperimentSpec,
-    check_aliasing_theorem,
-    check_partial_sum_theorem,
-    check_trig_theorem,
+    PartBounds,
     convergence_study,
     decay_profile,
     interp_error,
+    part_bounds,
     report_to_csv,
     report_to_svg,
 )

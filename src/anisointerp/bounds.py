@@ -7,12 +7,12 @@ inequality into three measurable pieces,
 
 each with its own proven bound: the trigonometric-polynomial estimate
 ``gamma_SF ||M||^{-s}``, the partial-sum estimate ``(2/||M||)^{mu-alpha}``
-and the aliasing estimate ``gamma_IP gamma_Sm ||M||^{alpha-mu}``.  This
-module measures the actual weighted-norm errors, evaluates the right-hand
-sides with the constants computed in :mod:`anisointerp.strangfix` (``gamma_SF``
-and ``gamma_IP`` read from a Strang-Fix report, never recomputed), and runs
-dilation studies ``M_j = 2^j M_0`` checking both the one-sided inequalities
-and the observed log-log decay rate.
+and the aliasing estimate ``gamma_IP gamma_Sm ||M||^{alpha-mu}``.  One call
+of :func:`part_bounds` measures the error and its three parts and evaluates
+the three right-hand sides, with ``gamma_SF`` and ``gamma_IP`` read from a
+Strang-Fix report of :mod:`anisointerp.strangfix`, never recomputed.  A
+dilation study ``M_j = 2^j M_0`` keeps that result in every row, checks the
+combined one-sided bound and fits the observed log-log decay rate.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
     _interpolant,
-    canonical_mask,
     dirichlet_kernel,
+    fourier_partial_sum,
 )
 from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
 from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
@@ -131,54 +131,46 @@ def _safe_ratio(num: float, den: float, scale: float) -> float:
     return num / den
 
 
-def check_trig_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
-                       report: SFReport) -> float:
-    """Ratio of the measured error of a trig polynomial ``f`` in ``T_M``
-    to the bound ``||M||^{-s} gamma_SF ||f | A^{alpha+s}_q||``.
+@dataclass
+class PartBounds:
+    """An error breakdown with its parts' bounds: ``trig`` is
+    ``gamma_SF ||M||^{-s} ||S_M f | A^{alpha+s}_q||``, ``partial``
+    ``(2/||M||)^{mu-alpha} f_mu`` and ``aliasing``
+    ``gamma_IP gamma_Sm ||M||^{alpha-mu} f_mu``, with ``f_mu = ||f | A^mu_q||``."""
 
-    ``f`` must be supported on the canonical generating set; ``report`` is
-    a passing Strang-Fix verification of the interpolant.
-    """
-    pm = ifun.pm
-    if not canonical_mask(f.freqs, pm).all():
-        raise ValueError("f is not a trigonometric polynomial in T_M")
-    p = report.params
-    err = interp_error(f, ifun, p.alpha, p.q)
-    sd = spectral_data(pm)
-    rhs = sd.norm2 ** (-p.s) * report.gamma_sf * a_norm(f, p.alpha + p.s, pm, p.q)
-    return _safe_ratio(err.total, rhs, err.scale)
+    error: ErrorBreakdown
+    trig: float
+    partial: float
+    aliasing: float
+    f_mu: float
+
+    @property
+    def ratios(self) -> dict[str, float]:
+        e = self.error
+        return {k: _safe_ratio(getattr(e, k), getattr(self, k), e.scale)
+                for k in ("trig", "partial", "aliasing")}
 
 
-def check_partial_sum_theorem(f: FourierSeries, pm: PatternMatrix,
-                              alpha: float, mu: float, q: float) -> float:
-    """Ratio of ``||f - S_M f | A^alpha_q||`` to
-    ``(2/||M||)^{mu-alpha} ||f | A^mu_q||``; holds for any regular matrix."""
-    if mu < alpha:
+def part_bounds(f: FourierSeries, ifun: FundamentalInterpolant, report: SFReport,
+                mu: float) -> PartBounds:
+    """Measure ``f``'s error at the ``alpha`` and ``q`` of ``report``, a
+    Strang-Fix verification of ``ifun``, and bound its parts.  The trig bound
+    needs a passing report; the others hold for any ``s`` and mode (``gamma_IP``
+    depends on neither).  ``ValueError`` if ``mu < alpha``."""
+    pm, p = ifun.pm, report.params
+    if mu < p.alpha:
         raise ValueError("mu must be >= alpha")
-    hi = ~canonical_mask(f.freqs, pm)
-    num = a_norm(FourierSeries(f.freqs[hi], f.coeffs[hi]), alpha, pm, q)
-    sd = spectral_data(pm)
-    rhs = (2.0 / sd.norm2) ** (mu - alpha) * a_norm(f, mu, pm, q)
-    return _safe_ratio(num, rhs, float(np.abs(f.coeffs).max(initial=0.0)))
-
-
-def check_aliasing_theorem(f: FourierSeries, ifun: FundamentalInterpolant,
-                           report: SFReport, mu: float) -> float:
-    """Ratio of ``||L_M (f - S_M f) | A^alpha_q||`` to the product bound
-    ``gamma_IP gamma_Sm ||M||^{alpha-mu} ||f | A^mu_q||``.
-
-    ``report`` is a Strang-Fix verification of the interpolant; its
-    ``gamma_ip``, ``alpha`` and ``q`` are used, and since ``gamma_IP``
-    depends on neither the order ``s`` nor the mode, any ``s`` and mode
-    serve.
-    """
-    pm = ifun.pm
-    alpha, q = report.params.alpha, report.params.q
-    err = interp_error(f, ifun, alpha, q)
-    sd = spectral_data(pm)
-    gsm = gamma_sm(mu, alpha, q, pm.d)
-    rhs = report.gamma_ip * gsm * sd.norm2 ** (alpha - mu) * a_norm(f, mu, pm, q)
-    return _safe_ratio(err.aliasing, rhs, err.scale)
+    err = interp_error(f, ifun, p.alpha, p.q)
+    norm2 = spectral_data(pm).norm2
+    smf = fourier_partial_sum(f, pm)
+    f_mu, gsm = a_norm(f, mu, pm, p.q), gamma_sm(mu, p.alpha, p.q, pm.d)
+    return PartBounds(
+        error=err,
+        trig=norm2 ** (-p.s) * report.gamma_sf * a_norm(smf, p.alpha + p.s, pm, p.q),
+        partial=(2.0 / norm2) ** (mu - p.alpha) * f_mu,
+        aliasing=report.gamma_ip * gsm * norm2 ** (p.alpha - mu) * f_mu,
+        f_mu=f_mu,
+    )
 
 
 @dataclass(frozen=True)
@@ -210,21 +202,28 @@ class ExperimentSpec:
             raise ValueError("alpha and mu must be finite")
         if not (self.mu >= self.alpha >= 0):
             raise ValueError("need mu >= alpha >= 0")
+        if not self.q >= 1:
+            raise ValueError(f"q must be >= 1 or inf, got {self.q}")
         qinv = 0.0 if math.isinf(self.q) else 1.0 / self.q
         if self.mu <= self.base_matrix.d * (1.0 - qinv):
             raise ValueError("need mu > d(1 - 1/q)")
 
     def order(self) -> float:
-        if self.s is not None:
-            return self.s
-        if isinstance(self.kernel, BoxSplineSpec):
-            return float(sf_order(self.kernel))
-        raise ValueError("order s must be given for the Dirichlet kernel")
+        return kernel_order(self.kernel, self.s)
+
+
+def kernel_order(kernel: BoxSplineSpec | str, s: float | None) -> float:
+    """``s``, by default the box spline's order; the Dirichlet kernel needs it."""
+    if s is not None:
+        return s
+    if isinstance(kernel, BoxSplineSpec):
+        return float(sf_order(kernel))
+    raise ValueError("order s must be given for the Dirichlet kernel")
 
 
 @dataclass
 class ScaleRow:
-    """One dilation level of a convergence study."""
+    """One dilation level of a convergence study, with its :class:`PartBounds`."""
 
     j: int
     m: int
@@ -235,6 +234,7 @@ class ScaleRow:
     node_residual: float
     gamma_sf: float
     sf_passed: bool
+    parts: PartBounds
 
 
 @dataclass
@@ -282,7 +282,7 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
     return _interpolant(phi, allow_incorrect)
 
 
-def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
+def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     mat = [[Fraction(2) ** j * e for e in row] for row in spec.base_matrix.mat]
     if any(x.denominator != 1 for row in mat for x in row):
         raise ValueError(f"scale matrix 2^j M_0 at j={j} is not an integer matrix")
@@ -292,23 +292,15 @@ def _study_row(spec: ExperimentSpec, j: int, gsm: float) -> ScaleRow:
         raise ValueError(f"scale matrix at j={j} is not expanding")
     s = spec.order()
     ifun = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
-    f = spec.test_function
-    err = interp_error(f, ifun, spec.alpha, spec.q)
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
+    parts = part_bounds(spec.test_function, ifun, rep, spec.mu)
+    err, gsm = parts.error, gamma_sm(spec.mu, spec.alpha, spec.q, pm.d)
     rho, c_rho_val = c_rho(rep.gamma_sf, rep.gamma_ip, gsm, s, spec.mu, spec.alpha, pm.d)
-    fmu = a_norm(f, spec.mu, pm, spec.q)
-    bound = c_rho_val * sd.norm2 ** (-rho) * fmu
-    return ScaleRow(
-        j=j,
-        m=pm.m,
-        norm2=sd.norm2,
-        error=err.total,
-        bound=bound,
-        ratio=_safe_ratio(err.total, bound, err.scale),
-        node_residual=err.node_residual,
-        gamma_sf=rep.gamma_sf,
-        sf_passed=rep.passed,
-    )
+    bound = c_rho_val * sd.norm2 ** (-rho) * parts.f_mu
+    return ScaleRow(j=j, m=pm.m, norm2=sd.norm2, error=err.total, bound=bound,
+                    ratio=_safe_ratio(err.total, bound, err.scale),
+                    node_residual=err.node_residual, gamma_sf=rep.gamma_sf,
+                    sf_passed=rep.passed, parts=parts)
 
 
 def convergence_study(spec: ExperimentSpec) -> BoundReport:
@@ -322,8 +314,7 @@ def convergence_study(spec: ExperimentSpec) -> BoundReport:
     s = spec.order()
     rho = min(s, spec.mu - spec.alpha)
     report = BoundReport(spec=spec, rho=rho)
-    gsm = gamma_sm(spec.mu, spec.alpha, spec.q, spec.base_matrix.d)
-    report.rows = [_study_row(spec, j, gsm) for j in sorted(spec.scales)]
+    report.rows = [_study_row(spec, j) for j in sorted(spec.scales)]
 
     pts = [(math.log(r.norm2), math.log(r.error))
            for r in report.rows if r.j >= 1 and r.error > _TINY]

@@ -26,12 +26,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxspline import BoxSplineSpec, sf_order
+from .boxspline import BoxSplineSpec
 from .bounds import (
     ExperimentSpec,
     build_interpolant,
     convergence_study,
     decay_profile,
+    kernel_order,
     report_to_csv,
     report_to_svg,
 )
@@ -174,13 +175,8 @@ def _cmd_interpolate(args) -> int:
 def _cmd_sfcheck(args) -> int:
     pm = read_matrix(args.matrix)
     kernel = parse_kernel(args.kernel)
-    if args.order is not None:
-        order = args.order
-    elif isinstance(kernel, BoxSplineSpec):
-        order = float(sf_order(kernel))
-    else:
-        raise ValueError("--order is required for the Dirichlet kernel")
-    params = SFParams(s=order, alpha=args.alpha, q=args.q, mode=args.mode)
+    params = SFParams(s=kernel_order(kernel, args.order), alpha=args.alpha, q=args.q,
+                      mode=args.mode)
     ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps)
     report = verify_sfc(ifun, params)
     print(json.dumps(report.to_json_dict(), indent=2))

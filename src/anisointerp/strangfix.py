@@ -31,6 +31,7 @@ falsifiable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -236,6 +237,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     )
 
 
+@functools.cache
 def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:
     """Smoothness constant of the aliasing theorem, as a certified upper bound.
 
@@ -254,9 +256,13 @@ def gamma_sm(mu: float, alpha: float, q: float, d: int) -> float:
 
     Raises
     ------
+    ValueError
+        Unless ``q >= 1``.
     DivergentSeries
         If ``mu <= d (1 - 1/q)``.
     """
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1 or inf, got {q}")
     qinv = 0.0 if math.isinf(q) else 1.0 / q
     if mu <= d * (1.0 - qinv) + 1e-12:
         raise DivergentSeries(f"mu = {mu} must exceed d(1 - 1/q) = {d * (1 - qinv)}")

@@ -20,9 +20,6 @@ from anisointerp import (
     SampleVector,
     SFParams,
     a_norm,
-    check_aliasing_theorem,
-    check_partial_sum_theorem,
-    check_trig_theorem,
     convergence_study,
     decay_profile,
     dirichlet_kernel,
@@ -32,6 +29,7 @@ from anisointerp import (
     gset_freqs,
     interp_error,
     interpolation_operator,
+    part_bounds,
     periodize,
     report_to_csv,
     report_to_svg,
@@ -162,7 +160,7 @@ def test_partial_sum_theorem_matches_series_arithmetic(alpha, q):
         num = a_norm(f + fourier_partial_sum(f, pm).scaled(-1.0), alpha, pm, q)
         rhs = (2.0 / spectral_data(pm).norm2) ** (mu - alpha) * a_norm(f, mu, pm, q)
         assert num > 0.0
-        assert check_partial_sum_theorem(f, pm, alpha, mu, q) == pytest.approx(
+        assert _partial_ratio(f, pm, alpha, mu, q) == pytest.approx(
             num / rhs, rel=1e-12, abs=0.0)
 
 
@@ -242,6 +240,12 @@ def test_interp_error_matches_series_arithmetic_property(d, box, data):
     f = FourierSeries(freqs, coeffs, dedup=True)
     alpha, q = data.draw(st.sampled_from(ORACLE_NORMS))
     assert_matches_oracle(f, ifun, alpha, q)
+    # the triangle inequality, and the partial-sum estimate, which holds for
+    # every regular M (mu = 6 > d(1 - 1/q) for d <= 3)
+    parts = part_bounds(f, ifun, verify_sfc(ifun, SFParams(s=1.0, alpha=alpha, q=q)), 6.0)
+    err = parts.error
+    assert err.total <= (err.trig + err.partial + err.aliasing) * (1.0 + 1e-12)
+    assert parts.ratios["partial"] <= RATIO_TOL
 
 
 def complex_kernels(pm, radius):
@@ -396,12 +400,23 @@ def test_streaming_keeps_working_memory_below_half_the_grid():
         assert peak < ifun.grid.coeffs.nbytes / 2
 
 
+def _trig_ratio(f, ifun, rep):
+    return part_bounds(f, ifun, rep, 6.0).ratios["trig"]
+
+
+def _partial_ratio(f, pm, alpha, mu, q):
+    """The partial-sum ratio, which no kernel enters: that of the Dirichlet
+    interpolant of ``pm``."""
+    ifun = fundamental_interpolant(dirichlet_kernel(pm))
+    rep = verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=q))
+    return part_bounds(f, ifun, rep, mu).ratios["partial"]
+
+
 def test_trig_theorem_box_spline(box_e2):
     rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
     assert rep.passed
     rng = np.random.default_rng(3)
-    ratios = [check_trig_theorem(random_trig_poly(E2, rng), box_e2, rep)
-              for _ in range(20)]
+    ratios = [_trig_ratio(random_trig_poly(E2, rng), box_e2, rep) for _ in range(20)]
     assert max(ratios) <= RATIO_TOL
     assert max(ratios) > 0.0  # non-vacuous: the error is really measured
 
@@ -409,14 +424,18 @@ def test_trig_theorem_box_spline(box_e2):
 def test_trig_theorem_zero_function(box_e2):
     rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
     zero = FourierSeries.zero(2)
-    assert check_trig_theorem(zero, box_e2, rep) == 0.0
+    assert _trig_ratio(zero, box_e2, rep) == 0.0
 
 
-def test_trig_theorem_rejects_outside_support(box_e2):
+def test_trig_theorem_reads_the_partial_sum(box_e2):
+    """The trig part of any ``f`` is that of ``S_M f``, and so is its ratio."""
     rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
-    f = FourierSeries(np.array([[3, 0]]), np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        check_trig_theorem(f, box_e2, rep)
+    f = decay_profile(2, 7.0, 10) + random_trig_poly(E2, np.random.default_rng(9))
+    smf = fourier_partial_sum(f, E2)
+    assert 0 < len(smf) < len(f)
+    ratio = _trig_ratio(f, box_e2, rep)
+    assert 0.0 < ratio <= RATIO_TOL
+    assert ratio == pytest.approx(_trig_ratio(smf, box_e2, rep), rel=1e-12, abs=0.0)
 
 
 def test_partial_sum_single_mode_closed_form():
@@ -424,7 +443,7 @@ def test_partial_sum_single_mode_closed_form():
     k0 = (5, 3)
     alpha, mu, q = 1.0, 6.0, 2.0
     f = FourierSeries(np.array([k0]), np.array([1.0 + 0j]))
-    ratio = check_partial_sum_theorem(f, E2, alpha, mu, q)
+    ratio = _partial_ratio(f, E2, alpha, mu, q)
     sd = spectral_data(E2)
     expect = (weights_many([k0], alpha, E2)[0] / weights_many([k0], mu, E2)[0]
               * (sd.norm2 / 2.0) ** (mu - alpha))
@@ -438,23 +457,21 @@ def test_partial_sum_random_and_trig(box_e2):
         freqs = rng.integers(-20, 21, size=(30, 2))
         coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         f = FourierSeries(freqs, coeffs, dedup=True)
-        assert check_partial_sum_theorem(f, E2, 0.0, 6.0, 2.0) <= RATIO_TOL
+        assert _partial_ratio(f, E2, 0.0, 6.0, 2.0) <= RATIO_TOL
     # trig polynomial: numerator vanishes
-    assert check_partial_sum_theorem(
-        random_trig_poly(E2, rng), E2, 0.0, 6.0, 2.0
-    ) == 0.0
+    assert _partial_ratio(random_trig_poly(E2, rng), E2, 0.0, 6.0, 2.0) == 0.0
 
 
 def test_partial_sum_non_expanding_matrix():
     shear = validate_matrix([[1, 1], [0, 1]])
     f = FourierSeries(np.array([[4, -2], [1, 1]]),
                       np.array([1.0 + 0j, 0.5 + 0j]))
-    assert check_partial_sum_theorem(f, shear, 0.0, 4.0, 2.0) <= RATIO_TOL
+    assert _partial_ratio(f, shear, 0.0, 4.0, 2.0) <= RATIO_TOL
 
 
 def _aliasing_ratio(f, ifun, alpha, mu, q):
-    return check_aliasing_theorem(f, ifun, verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=q)),
-                                  mu)
+    rep = verify_sfc(ifun, SFParams(s=4.0, alpha=alpha, q=q))
+    return part_bounds(f, ifun, rep, mu).ratios["aliasing"]
 
 
 def test_aliasing_theorem_dirichlet_and_box(box_e2):
@@ -468,7 +485,7 @@ def test_aliasing_theorem_dirichlet_and_box(box_e2):
         # gamma_IP, and so the ratio, depends on neither s nor the mode
         for s, mode in ((1.0, "relaxed"), (9.0, "strict")):
             rep = verify_sfc(box_e2, SFParams(s=s, alpha=alpha, q=2.0, mode=mode))
-            assert check_aliasing_theorem(fdp, box_e2, rep, 6.0) == r
+            assert part_bounds(fdp, box_e2, rep, 6.0).ratios["aliasing"] == r
 
 
 def test_aliasing_theorem_across_scales():

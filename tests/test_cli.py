@@ -248,7 +248,8 @@ def test_converge_runs_and_writes(tmp_path, capsys):
 
 @pytest.mark.parametrize("override,name", [("scales = 1,1", "scales"),
                                            ("kmax = -1", "kmax"),
-                                           ("radus = 8", "'radus'")])
+                                           ("radus = 8", "'radus'"),
+                                           ("q = 0", "q")])
 def test_converge_rejects_repeated_scales_and_negative_kmax(tmp_path, capsys,
                                                             override, name):
     """A repeated scale would fit a rate over one distinct ||M||, a

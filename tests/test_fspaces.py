@@ -8,13 +8,16 @@ import pytest
 from anisointerp import (
     FourierSeries,
     NotExpanding,
+    SFParams,
     a_norm,
-    check_partial_sum_theorem,
     check_submultiplicativity,
     dirichlet_kernel,
+    fundamental_interpolant,
     lq_norm,
+    part_bounds,
     spectral_data,
     validate_matrix,
+    verify_sfc,
     weights_many,
 )
 from anisointerp.fspaces import grid_weights
@@ -102,14 +105,15 @@ def test_a_norm_checks_an_empty_series():
 
 def test_a_norm_rejects_repeated_rows():
     """Stored twice with opposite signs, a mode is the zero function; its
-    rows' norm would be sqrt(2), so ``a_norm`` and the theorem checks that
-    take it refuse such a series, as ``interp_error`` does."""
+    rows' norm would be sqrt(2), so ``a_norm`` and ``part_bounds`` refuse
+    such a series, as ``interp_error`` does."""
     f = FourierSeries(np.array([[1, 0], [1, 0]]), np.array([1.0, -1.0]))
     m21 = validate_matrix([[2, 1], [0, 2]])
+    ifd = fundamental_interpolant(dirichlet_kernel(m21))
     with pytest.raises(ValueError, match="repeated frequency rows"):
         a_norm(f, 0.0, m21, 2.0)
     with pytest.raises(ValueError, match="repeated frequency rows"):
-        check_partial_sum_theorem(f, m21, 0.0, 6.0, 2.0)
+        part_bounds(f, ifd, verify_sfc(ifd, SFParams(s=4.0, alpha=0.0, q=2.0)), 6.0)
     merged = FourierSeries(f.freqs, f.coeffs, dedup=True)
     assert a_norm(merged, 0.0, m21, 2.0) == 0.0
 

@@ -321,12 +321,12 @@ def test_complex_kernel_matches_dict_loop_oracle():
 def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, capsys, box_ifun):
     """``verify_sfc`` is the only reader of the shells: it makes exactly one
     pass over the grid's row blocks and weights at most ``(2 R + 1)^d`` rows
-    on a radius-``R`` grid; ``check_aliasing_theorem`` makes no pass of its
-    own (its one pass is the error measurement of ``interp_error``), and
-    each study row and ``sfcheck`` read ``gamma_IP`` from that one pass."""
+    on a radius-``R`` grid; ``part_bounds`` makes no pass of its own (its
+    one pass is the error measurement of ``interp_error``), and each study
+    row and ``sfcheck`` read ``gamma_IP`` from that one pass."""
     import anisointerp
-    from anisointerp import (ExperimentSpec, bounds, check_aliasing_theorem, cli,
-                             convergence_study, decay_profile, strangfix)
+    from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
+                             part_bounds, strangfix)
 
     assert not any(hasattr(mod, "gamma_ip") for mod in (anisointerp, bounds, cli, strangfix))
     passes, rows = [], []
@@ -346,7 +346,8 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     assert sum(rows) <= (2 * radius + 1) ** 2
 
     passes.clear()
-    assert 0.0 < check_aliasing_theorem(decay_profile(2, 8.0, 12), box_ifun, rep, 6.0) <= 1.0
+    parts = part_bounds(decay_profile(2, 8.0, 12), box_ifun, rep, 6.0)
+    assert 0.0 < parts.ratios["aliasing"] <= 1.0
     assert passes == ["interp_error"]
 
     passes.clear()
@@ -354,7 +355,7 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
                           test_function=decay_profile(2, 9.0, 8),
                           alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
     assert convergence_study(spec).verdict
-    assert passes == ["interp_error", "verify_sfc"] * 2
+    assert passes == ["verify_sfc", "interp_error"] * 2
 
     passes.clear()
     mat = tmp_path / "M.txt"
@@ -480,6 +481,10 @@ def test_gamma_sm_divergence_guard():
     # boundary is excluded
     with pytest.raises(DivergentSeries):
         gamma_sm(1.0, 0.0, 2.0, 2)
+    # q is checked before 1/q is taken
+    for q in (0.0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            gamma_sm(6.0, 0.0, q, 2)
 
 
 def test_c_rho_arithmetic():
