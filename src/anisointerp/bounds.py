@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boxspline import BoxSplineSpec, _int_box, periodize, sf_order
-from .errors import AnisoError
+from .errors import AnisoError, DivergentSeries
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
@@ -136,13 +136,15 @@ class PartBounds:
     """An error breakdown with its parts' bounds: ``trig`` is
     ``gamma_SF ||M||^{-s} ||S_M f | A^{alpha+s}_q||``, ``partial``
     ``(2/||M||)^{mu-alpha} f_mu`` and ``aliasing``
-    ``gamma_IP gamma_Sm ||M||^{alpha-mu} f_mu``, with ``f_mu = ||f | A^mu_q||``."""
+    ``gamma_IP gamma_Sm ||M||^{alpha-mu} f_mu``, with ``f_mu = ||f | A^mu_q||``
+    and ``gsm = gamma_Sm``."""
 
     error: ErrorBreakdown
     trig: float
     partial: float
     aliasing: float
     f_mu: float
+    gsm: float
 
     @property
     def ratios(self) -> dict[str, float]:
@@ -156,20 +158,25 @@ def part_bounds(f: FourierSeries, ifun: FundamentalInterpolant, report: SFReport
     """Measure ``f``'s error at the ``alpha`` and ``q`` of ``report``, a
     Strang-Fix verification of ``ifun``, and bound its parts.  The trig bound
     needs a passing report; the others hold for any ``s`` and mode (``gamma_IP``
-    depends on neither).  ``ValueError`` if ``mu < alpha``."""
+    depends on neither); the aliasing bound is ``inf`` if ``gamma_Sm`` diverges,
+    ``mu <= d(1 - 1/q)``.  ``ValueError`` if ``mu < alpha``."""
     pm, p = ifun.pm, report.params
     if mu < p.alpha:
         raise ValueError("mu must be >= alpha")
     err = interp_error(f, ifun, p.alpha, p.q)
     norm2 = spectral_data(pm).norm2
     smf = fourier_partial_sum(f, pm)
-    f_mu, gsm = a_norm(f, mu, pm, p.q), gamma_sm(mu, p.alpha, p.q, pm.d)
+    f_mu = a_norm(f, mu, pm, p.q)
+    try:
+        gsm = gamma_sm(mu, p.alpha, p.q, pm.d)
+        aliasing = report.gamma_ip * gsm * norm2 ** (p.alpha - mu) * f_mu
+    except DivergentSeries:  # not gsm * f_mu, which is nan at f = 0
+        gsm = aliasing = math.inf
     return PartBounds(
         error=err,
         trig=norm2 ** (-p.s) * report.gamma_sf * a_norm(smf, p.alpha + p.s, pm, p.q),
         partial=(2.0 / norm2) ** (mu - p.alpha) * f_mu,
-        aliasing=report.gamma_ip * gsm * norm2 ** (p.alpha - mu) * f_mu,
-        f_mu=f_mu,
+        aliasing=aliasing, f_mu=f_mu, gsm=gsm,
     )
 
 
@@ -208,9 +215,6 @@ class ExperimentSpec:
         if self.mu <= self.base_matrix.d * (1.0 - qinv):
             raise ValueError("need mu > d(1 - 1/q)")
 
-    def order(self) -> float:
-        return kernel_order(self.kernel, self.s)
-
 
 def kernel_order(kernel: BoxSplineSpec | str, s: float | None) -> float:
     """``s``, by default the box spline's order; the Dirichlet kernel needs it."""
@@ -218,7 +222,7 @@ def kernel_order(kernel: BoxSplineSpec | str, s: float | None) -> float:
         return s
     if isinstance(kernel, BoxSplineSpec):
         return float(sf_order(kernel))
-    raise ValueError("order s must be given for the Dirichlet kernel")
+    raise ValueError("order s (--order) must be given for the Dirichlet kernel")
 
 
 @dataclass
@@ -290,13 +294,13 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     sd = spectral_data(pm)
     if not is_expanding(sd):
         raise ValueError(f"scale matrix at j={j} is not expanding")
-    s = spec.order()
+    s = kernel_order(spec.kernel, spec.s)
     ifun = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
     parts = part_bounds(spec.test_function, ifun, rep, spec.mu)
-    err, gsm = parts.error, gamma_sm(spec.mu, spec.alpha, spec.q, pm.d)
-    rho, c_rho_val = c_rho(rep.gamma_sf, rep.gamma_ip, gsm, s, spec.mu, spec.alpha, pm.d)
-    bound = c_rho_val * sd.norm2 ** (-rho) * parts.f_mu
+    err = parts.error
+    rho, const = c_rho(rep.gamma_sf, rep.gamma_ip, parts.gsm, s, spec.mu, spec.alpha, pm.d)
+    bound = const * sd.norm2 ** (-rho) * parts.f_mu
     return ScaleRow(j=j, m=pm.m, norm2=sd.norm2, error=err.total, bound=bound,
                     ratio=_safe_ratio(err.total, bound, err.scale),
                     node_residual=err.node_residual, gamma_sf=rep.gamma_sf,
@@ -311,7 +315,7 @@ def convergence_study(spec: ExperimentSpec) -> BoundReport:
     log-log fit over ``j >= 1``, reported but not part of the verdict
     (the bound is one-sided).
     """
-    s = spec.order()
+    s = kernel_order(spec.kernel, spec.s)
     rho = min(s, spec.mu - spec.alpha)
     report = BoundReport(spec=spec, rho=rho)
     report.rows = [_study_row(spec, j) for j in sorted(spec.scales)]

@@ -439,16 +439,17 @@ def test_trig_theorem_reads_the_partial_sum(box_e2):
 
 
 def test_partial_sum_single_mode_closed_form():
-    # ratio = sigma_{alpha-mu}(k0) (||M||/2)^{mu-alpha} exactly
+    # ratio = sigma_{alpha-mu}(k0) (||M||/2)^{mu-alpha} exactly, also at
+    # mu <= d(1 - 1/q), where gamma_Sm diverges
     k0 = (5, 3)
-    alpha, mu, q = 1.0, 6.0, 2.0
     f = FourierSeries(np.array([k0]), np.array([1.0 + 0j]))
-    ratio = _partial_ratio(f, E2, alpha, mu, q)
     sd = spectral_data(E2)
-    expect = (weights_many([k0], alpha, E2)[0] / weights_many([k0], mu, E2)[0]
-              * (sd.norm2 / 2.0) ** (mu - alpha))
-    assert ratio == pytest.approx(expect, rel=1e-12)
-    assert ratio <= RATIO_TOL
+    for alpha, mu, q in ((1.0, 6.0, 2.0), (0.0, 2.0, math.inf)):
+        ratio = _partial_ratio(f, E2, alpha, mu, q)
+        expect = (weights_many([k0], alpha, E2)[0] / weights_many([k0], mu, E2)[0]
+                  * (sd.norm2 / 2.0) ** (mu - alpha))
+        assert ratio == pytest.approx(expect, rel=1e-12)
+        assert ratio <= RATIO_TOL
 
 
 def test_partial_sum_random_and_trig(box_e2):
@@ -478,6 +479,7 @@ def test_aliasing_theorem_dirichlet_and_box(box_e2):
     f1 = FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]))
     ifd = fundamental_interpolant(dirichlet_kernel(E2))
     assert _aliasing_ratio(f1, ifd, 0.0, 6.0, 2.0) <= RATIO_TOL
+    assert _aliasing_ratio(f1, ifd, 0.0, 2.0, math.inf) == 0.0  # gamma_Sm diverges
     fdp = decay_profile(2, 8.0, 12)
     for alpha in (0.0, 1.0):
         r = _aliasing_ratio(fdp, box_e2, alpha, 6.0, 2.0)
@@ -517,8 +519,8 @@ def test_experiment_spec_validation():
                        alpha=0.0, mu=6.0, q=2.0)
     spec = ExperimentSpec(base_matrix=E2, scales=(0,), test_function=f,
                           alpha=0.0, mu=6.0, q=2.0)
-    with pytest.raises(ValueError):
-        spec.order()  # Dirichlet kernel needs explicit s
+    with pytest.raises(ValueError, match="--order"):
+        convergence_study(spec)  # Dirichlet kernel needs explicit s
 
 
 def test_convergence_study_dirichlet_trig_exact():
