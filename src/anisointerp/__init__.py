@@ -30,16 +30,11 @@ from .errors import (
     DivergentSeries,
     InsufficientSupport,
     NonExistent,
-    NotAMember,
-    NotExpanding,
-    NotInSpace,
     SingularMatrix,
     TailTooLarge,
 )
 from .fspaces import (
-    SubmultReport,
     a_norm,
-    check_submultiplicativity,
     lq_norm,
     weights_many,
 )
@@ -47,17 +42,14 @@ from .interp import (
     FundamentalInterpolant,
     cardinal_residual,
     dirichlet_kernel,
-    evaluate,
     evaluate_at_nodes,
     fourier_partial_sum,
     fundamental_interpolant,
     interpolation_operator,
-    membership_coeffs,
     translate,
 )
 from .intlat import (
     PatternMatrix,
-    pattern_add,
     reduce_freq,
     reduce_freq_many,
     validate_matrix,
@@ -74,7 +66,6 @@ from .ptransform import (
     fourier_matrix,
     gset_freqs,
     pattern_generators,
-    series_from_csv,
     series_to_csv,
 )
 from .spectral import inv_t_apply, is_expanding, spectral_data

@@ -41,6 +41,8 @@ class BoxSplineSpec:
     family: str = "simplex"
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"box spline dimension must be >= 1, got {self.d}")
         dirs = self.directions()
         if len(self.p) != len(dirs):
             raise ValueError(

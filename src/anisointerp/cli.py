@@ -67,6 +67,8 @@ def read_matrix(path) -> PatternMatrix:
     if not tokens:
         raise ValueError(f"empty matrix file {path}")
     d = int(tokens[0])
+    if d < 1:
+        raise ValueError(f"matrix file {path}: dimension must be >= 1, got {d}")
     nums = [int(t) for t in tokens[1:]]
     if len(nums) != d * d:
         raise ValueError(f"matrix file {path}: expected {d * d} entries, "

@@ -9,20 +9,8 @@ class SingularMatrix(AnisoError):
     """The given integer matrix has determinant zero."""
 
 
-class NotAMember(AnisoError):
-    """A point failed an exact pattern/generating-set membership test."""
-
-
 class ConvergenceFailure(AnisoError):
     """An iterative eigenvalue computation did not converge."""
-
-
-class NotExpanding(AnisoError):
-    """The matrix does not satisfy the expanding condition |lambda_max| >= 2."""
-
-
-class NotInSpace(AnisoError):
-    """A series is not contained in the translate space of the given kernel."""
 
 
 class NonExistent(AnisoError):

@@ -10,16 +10,12 @@ finite sums; truncation tails of infinite series are the caller's concern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotExpanding
 from .intlat import PatternMatrix
 from .ptransform import AliasGrid, FourierSeries, check_unique_rows, gset_freqs
-from .spectral import inv_t_apply, is_expanding, spectral_data
-
-SUBMULT_RANGE = 50
+from .spectral import inv_t_apply, spectral_data
 
 
 def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
@@ -66,57 +62,3 @@ def a_norm(f: FourierSeries, beta: float, pm: PatternMatrix, q: float) -> float:
     :func:`lq_norm` do, and ``ValueError`` if ``f`` repeats a frequency row."""
     check_unique_rows(f)
     return lq_norm(weights_many(f.freqs, beta, pm) * np.abs(f.coeffs), q)
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    """Outcome of the random submultiplicativity audit."""
-
-    trials: int
-    violations: int
-    max_ratio: float
-    relaxed: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def check_submultiplicativity(
-    trials: int,
-    beta: float,
-    pm: PatternMatrix,
-    relaxed: bool = False,
-    rng: np.random.Generator | None = None,
-) -> SubmultReport:
-    """Randomized audit of the weight splitting inequality.
-
-    Checks ``sigma_beta(k + M^T z) <= C sigma_beta(k) sigma_beta(z)`` on
-    random index pairs in ``[-SUBMULT_RANGE, SUBMULT_RANGE]^d``, with
-    ``C = ||M||_2^beta`` in strict mode (requires an expanding matrix) and
-    ``C = 2^beta ||M||_2^beta`` in relaxed mode (any regular matrix with
-    ``||M||_2 >= 1``).
-
-    Raises
-    ------
-    NotExpanding
-        In strict mode when ``|lambda_max(M)| < 2``.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    sd = spectral_data(pm)
-    if not relaxed and not is_expanding(sd):
-        raise NotExpanding("strict mode needs |lambda_max(M)| >= 2; "
-                           "use relaxed=True for the 2^beta variant")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    factor = sd.norm2**beta * (2.0**beta if relaxed else 1.0)
-    ks = rng.integers(-SUBMULT_RANGE, SUBMULT_RANGE + 1, size=(trials, pm.d))
-    zs = rng.integers(-SUBMULT_RANGE, SUBMULT_RANGE + 1, size=(trials, pm.d))
-    lhs = weights_many(ks + zs @ pm.mat_np, beta, pm)
-    rhs = factor * weights_many(ks, beta, pm) * weights_many(zs, beta, pm)
-    ratio = lhs / rhs
-    max_ratio = float(ratio.max())
-    violations = int((ratio > 1.0 + 1e-12).sum())
-    return SubmultReport(trials=trials, violations=violations,
-                         max_ratio=max_ratio, relaxed=relaxed)

@@ -7,7 +7,7 @@ whenever no folded class coefficient vanishes.  This module constructs
 that cardinal function as a class x shift :class:`AliasGrid`, where the fold
 is a row sum and the scaling a row product, applies the induced
 interpolation operator to node samples, and provides the supporting
-translate / evaluate / partial-sum machinery.
+translate, node-evaluation and partial-sum functions.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AnisoError, NonExistent, NotInSpace
+from .errors import AnisoError, NonExistent
 from .intlat import (GRID_MAX, IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
                      reduce_freq_many)
 from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, alias_fold,
-                         dft_inverse, discrete_coeffs, freq_class_indices, gset_freqs,
-                         merge_rows)
+                         dft_inverse, discrete_coeffs, gset_freqs)
 
 EXISTENCE_EPS_REL = 1e-12
 
@@ -38,14 +37,6 @@ def translate(f: FourierSeries, g: IntVec, pm: PatternMatrix) -> FourierSeries:
     res = freq_phase_residues(f.freqs, np.array([g], dtype=np.int64), pm)[:, 0]
     phases = np.exp(-2j * np.pi * res / pm.m)
     return FourierSeries(f.freqs, f.coeffs * phases)
-
-
-def evaluate(f: FourierSeries, x) -> complex:
-    """Fourier synthesis ``sum_k c_k e^{i k^T x}`` at a torus point ``x``."""
-    if len(f) == 0:
-        return 0.0 + 0.0j
-    x = np.asarray(x, dtype=float)
-    return complex(np.sum(f.coeffs * np.exp(1j * (f.freqs @ x))))
 
 
 def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
@@ -139,46 +130,6 @@ def _interpolant(grid: AliasGrid, allow_incorrect: bool) -> FundamentalInterpola
         a_hat=CoeffVector(a_hat, pm),
         incorrect_modes=flagged,
     )
-
-
-def membership_coeffs(xi: FourierSeries, phi: FourierSeries, pm: PatternMatrix,
-                      tol: float = 1e-10) -> CoeffVector:
-    """Translate coefficients ``a_hat`` with ``c_k(xi) = a_hat_h c_k(phi)``.
-
-    Scans every stored mode of either series, grouped by congruence class,
-    and demands a consistent ratio per class.
-
-    Raises
-    ------
-    NotInSpace
-        With the first inconsistent index pair, if no consistent coefficient
-        vector exists.
-    """
-    freqs = np.vstack([f.freqs.reshape(-1, pm.d) for f in (xi, phi)])
-    coeffs = np.zeros((len(freqs), 2), dtype=np.complex128)
-    coeffs[:len(xi), 0], coeffs[len(xi):, 1] = xi.coeffs, phi.coeffs
-    keys, merged = merge_rows(freqs, coeffs)
-    cx, cp = merged.T
-    # each series is tested against its own largest coefficient, so scaling
-    # either one does not change which of its modes count as zero
-    zero_x, zero_p = (np.abs(c) <= tol * (np.abs(c).max(initial=0.0) or 1.0)
-                      for c in (cx, cp))
-    stray = zero_p & ~zero_x
-    if stray.any():
-        raise NotInSpace(f"mode {tuple(keys[np.argmax(stray)].tolist())} "
-                         "not proportional to the kernel")
-    idx = np.flatnonzero(~zero_p)
-    labels = freq_class_indices(keys[idx], pm)
-    ratio = cx[idx] / cp[idx]
-    first = np.full(pm.m, len(idx))  # the first nonzero kernel mode per class
-    np.minimum.at(first, labels, np.arange(len(idx)))
-    a_hat = np.append(ratio, 0.0)[first]  # 0 on classes without one
-    bad = np.abs(ratio - a_hat[labels]) > tol * (1.0 + np.abs(a_hat[labels]))
-    if bad.any():
-        i = np.argmax(bad)
-        witness, k = (tuple(keys[idx[j]].tolist()) for j in (first[labels[i]], i))
-        raise NotInSpace(f"inconsistent ratio within class: modes {witness} and {k}")
-    return CoeffVector(a_hat, pm)
 
 
 def interpolation_operator(samples: SampleVector,

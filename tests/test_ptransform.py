@@ -18,11 +18,11 @@ from anisointerp import (
     fourier_matrix,
     gset_freqs,
     pattern_generators,
-    series_from_csv,
     series_to_csv,
     validate_matrix,
 )
 from anisointerp.ptransform import row_keys
+from reference_api import series_from_csv
 
 FIG1 = [[8, 3], [0, 8]]
 
