@@ -11,8 +11,9 @@ and the aliasing estimate ``gamma_IP gamma_Sm ||M||^{alpha-mu}``.  One call
 of :func:`part_bounds` measures the error and its three parts and evaluates
 the three right-hand sides, with ``gamma_SF`` and ``gamma_IP`` read from a
 Strang-Fix report of :mod:`anisointerp.strangfix`, never recomputed.  A
-dilation study ``M_j = 2^j M_0`` keeps that result in every row, checks the
-combined one-sided bound and fits the observed log-log decay rate.
+dilation study ``M_j = 2^j M_0``, streaming each row's kernel in row blocks,
+keeps that result in every row, checks the combined one-sided bound and
+fits the observed log-log decay rate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxspline import BoxSplineSpec, _int_box, periodize, sf_order
+from .boxspline import BoxSplineSpec, _int_box, _periodized_rows, periodize, sf_order
 from .errors import AnisoError, DivergentSeries
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
@@ -33,11 +34,11 @@ from .interp import (
     fourier_partial_sum,
 )
 from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
-from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
+from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, check_unique_rows,
                          dft_inverse, discrete_coeffs, fold_classes, freq_class_indices,
                          row_keys)
 from .spectral import is_expanding, spectral_data
-from .strangfix import SFParams, SFReport, c_rho, gamma_sm, verify_sfc
+from .strangfix import SFParams, SFReport, _sf_pass, c_rho, gamma_sm
 
 RATIO_TOL = 1e-9
 NODE_TOL = 1e-6
@@ -77,31 +78,41 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     beyond the grid is ``O(block * nz)``.  Every norm is an exact finite
     sum; ``f`` must have unique rows (``ValueError`` if not).
     """
-    pm, grid = ifun.pm, ifun.grid
+    add, result = _error_pass(f, ifun.pm, ifun.grid.shifts, alpha, q)
+    for rows, block in ifun.grid.row_blocks():
+        add(rows, block)
+    return result()
+
+
+def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: float,
+                q: float):
+    """:func:`interp_error` over a grid's row blocks: ``add(rows, block)`` for
+    each, then ``result()``."""
     check_unique_rows(f)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
     labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
     canon = ~(zf != 0).any(axis=1)
     # a shift past the grid's range, perhaps past int64, is off the grid
-    near = ((zf >= grid.shifts.min(axis=0)) & (zf <= grid.shifts.max(axis=0))).all(axis=1)
-    cols, key = row_keys(grid.shifts), row_keys(np.where(near[:, None], zf, 0))
+    near = ((zf >= shifts.min(axis=0)) & (zf <= shifts.max(axis=0))).all(axis=1)
+    cols, key = row_keys(shifts), row_keys(np.where(near[:, None], zf, 0))
     col = np.minimum(np.searchsorted(cols, key), len(cols) - 1)
     off = ~near | (cols[col] != key)
     hit = np.flatnonzero(~off)
-    at, lab = (labels[hit], col[hit]), labels[hit]
+    lab, col = labels[hit], col[hit]
     fvals, svals = (pm.m * dft_inverse(fold_classes(labels[keep], fc[keep], pm)).values
                     for keep in (slice(None), canon))
     gf, gs = (pm.m * discrete_coeffs(SampleVector(v, pm)).values for v in (fvals, svals))
     wf = weights_many(freqs, alpha, pm)
-    rows, on_f = np.empty(pm.m), np.empty(len(hit))
+    rows, on_f, on_c = np.empty(pm.m), np.empty(len(hit)), np.empty(len(hit), dtype=np.complex128)
     folded = np.empty(pm.m, dtype=np.complex128)
-    for block_rows, block in grid.row_blocks():
+
+    def add(block_rows, block):
         table = np.abs(block)
         if alpha:  # sigma_0 is exactly 1
-            table *= grid_weights(grid, alpha, block_rows)
+            table *= grid_weights(pm, shifts, alpha, block_rows)
         mine = np.flatnonzero((lab >= block_rows.start) & (lab < block_rows.stop))
-        here = (lab[mine] - block_rows.start, at[1][mine])
-        on_f[mine] = table[here]
+        here = (lab[mine] - block_rows.start, col[mine])
+        on_f[mine], on_c[mine] = table[here], block[here]
         table[here] = 0.0
         rows[block_rows] = lq_norm(table, q, axis=1)
         # L_M f folded in column order, as folding its flat series adds its modes
@@ -112,17 +123,19 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
         return lq_norm(np.concatenate(parts), q)
 
     def error_norm(c, g):  # ||g - L g||, g with coefficients c on f's modes
-        return norm(np.abs(g) * rows, wf[hit] * np.abs(c[hit] - g[lab] * grid.coeffs[at]),
+        return norm(np.abs(g) * rows, wf[hit] * np.abs(c[hit] - g[lab] * on_c),
                     wf[off] * np.abs(c[off]))
 
-    total, trig = error_norm(fc, gf), error_norm(np.where(canon, fc, 0), gs)
-    dg = np.abs(gf - gs)
-    aliasing = norm(dg * rows, dg[lab] * on_f)
-    partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), q)
-    residual = np.abs(pm.m * dft_inverse(CoeffVector(folded, pm)).values - fvals)
-    return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
-                          node_residual=float(residual.max(initial=0.0)),
-                          scale=float(np.abs(fc).max(initial=0.0)))
+    def result():
+        total, trig = error_norm(fc, gf), error_norm(np.where(canon, fc, 0), gs)
+        dg = np.abs(gf - gs)
+        aliasing = norm(dg * rows, dg[lab] * on_f)
+        partial = lq_norm(wf[~canon] * np.abs(fc[~canon]), q)
+        residual = np.abs(pm.m * dft_inverse(CoeffVector(folded, pm)).values - fvals)
+        return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
+                              node_residual=float(residual.max(initial=0.0)),
+                              scale=float(np.abs(fc).max(initial=0.0)))
+    return add, result
 
 
 def _safe_ratio(num: float, den: float, scale: float) -> float:
@@ -160,10 +173,16 @@ def part_bounds(f: FourierSeries, ifun: FundamentalInterpolant, report: SFReport
     needs a passing report; the others hold for any ``s`` and mode (``gamma_IP``
     depends on neither); the aliasing bound is ``inf`` if ``gamma_Sm`` diverges,
     ``mu <= d(1 - 1/q)``.  ``ValueError`` if ``mu < alpha``."""
-    pm, p = ifun.pm, report.params
+    p = report.params
     if mu < p.alpha:
         raise ValueError("mu must be >= alpha")
-    err = interp_error(f, ifun, p.alpha, p.q)
+    return _part_bounds(interp_error(f, ifun, p.alpha, p.q), f, ifun.pm, report, mu)
+
+
+def _part_bounds(err: ErrorBreakdown, f: FourierSeries, pm: PatternMatrix,
+                 report: SFReport, mu: float) -> PartBounds:
+    """:func:`part_bounds` of a measured ``err``."""
+    p = report.params
     norm2 = spectral_data(pm).norm2
     smf = fourier_partial_sum(f, pm)
     f_mu = a_norm(f, mu, pm, p.q)
@@ -287,6 +306,7 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
 
 
 def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
+    """One scale in one pass over its kernel's row blocks, holding no grid."""
     mat = [[Fraction(2) ** j * e for e in row] for row in spec.base_matrix.mat]
     if any(x.denominator != 1 for row in mat for x in row):
         raise ValueError(f"scale matrix 2^j M_0 at j={j} is not an integer matrix")
@@ -295,9 +315,28 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     if not is_expanding(sd):
         raise ValueError(f"scale matrix at j={j} is not expanding")
     s = kernel_order(spec.kernel, spec.s)
-    ifun = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
-    rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
-    parts = part_bounds(spec.test_function, ifun, rep, spec.mu)
+    if isinstance(spec.kernel, BoxSplineSpec):
+        shifts, blocks = _periodized_rows(spec.kernel, pm, spec.radius, spec.tail_eps)
+        window = spec.radius
+    else:
+        phi = dirichlet_kernel(pm)
+        shifts, blocks, window = phi.shifts, phi.row_blocks(), phi.window
+    check, report = _sf_pass(pm, shifts, window, SFParams(s=s, alpha=spec.alpha, q=spec.q))
+    measure, error = _error_pass(spec.test_function, pm, shifts, spec.alpha, spec.q)
+    folded = np.empty(pm.m)
+    for rows, block in blocks:
+        folded[rows] = block.sum(axis=1)
+        # a vanishing or non-finite fold, refused below, scales by a quiet NaN
+        with np.errstate(all="ignore"):
+            scale = 1.0 / (pm.m * folded[rows])
+            scale[~np.isfinite(scale * folded[rows])] = np.nan
+        block *= scale[:, None]
+        check(rows, block)
+        measure(rows, block)
+    # the kernel folded onto z = 0 exists as the kernel does
+    _interpolant(AliasGrid(pm, np.zeros((1, pm.d), np.int64), folded[:, None]), False)
+    rep = report()
+    parts = _part_bounds(error(), spec.test_function, pm, rep, spec.mu)
     err = parts.error
     rho, const = c_rho(rep.gamma_sf, rep.gamma_ip, parts.gsm, s, spec.mu, spec.alpha, pm.d)
     bound = const * sd.norm2 ** (-rho) * parts.f_mu

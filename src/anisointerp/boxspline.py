@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import AnisoError, TailTooLarge
 from .intlat import PatternMatrix
-from .ptransform import GRID_MAX, AliasGrid, check_reach, gset_freqs
+from .ptransform import GRID_MAX, AliasGrid, _row_slices, check_reach, gset_freqs
 from .spectral import inv_t_apply
 
 TAIL_BLOCK = 2**11  # points of the shells built and summed in one pass
@@ -193,32 +193,13 @@ def _box_view(table: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
                       (row, *(int(vk) * col for vk in v)), writeable=False)
 
 
-def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
-              tail_eps: float) -> AliasGrid:
-    """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
-    periodized spline, ``y_h = M^{-T} h``, on the real grid of every
-    canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
-    so shell coverage stays checkable); the grid ``window`` is the radius.
-
-    The transform is a product over the directions ``v`` of
-    ``sinc(pi (y_h^T v + z^T v))^{p_v}``, each an ``(m, 2 ||v||_1 radius + 1)``
-    table over the integers ``|n| <= ||v||_1 radius``.  Laid out on the box
-    ``(m, 2 radius + 1, ..., 2 radius + 1)``, C order over ``z + radius``,
-    the factor at ``n = z^T v`` is a strided view of that table
-    (:func:`_box_view`); the views are multiplied into one output array in
-    direction order, which is divided by ``m`` in place.
-
-    Raises
-    ------
-    ValueError
-        Unless ``radius >= 1`` and ``tail_eps > 0`` (``inf`` accepts any tail).
-    TailTooLarge
-        If :func:`periodization_tail`, the certified bound on the per-class
-        sum of dropped coefficient magnitudes, exceeds ``tail_eps``.
-    AnisoError
-        If the grid passes ``GRID_MAX`` entries or a mode could leave int64
-        (``max|h| + d radius max|M| >= 2^63``), checked before any work.
-    """
+def _periodized_rows(spec: BoxSplineSpec, pm: PatternMatrix, radius: int, tail_eps: float):
+    """After :func:`periodize`'s checks, its shifts and a generator of its row
+    blocks ``(rows, grid[rows])``.  Per block and direction ``v``,
+    ``sinc(pi (y_h^T v + n))^{p_v}`` is a table over the block's ``h`` and
+    ``|n| <= ||v||_1 radius``, read at ``n = z^T v`` on the box
+    ``(rows, 2 radius + 1, ...)`` by :func:`_box_view`; the views' product
+    is divided by ``m``."""
     if not radius >= 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if tail_eps is None or not tail_eps > 0:
@@ -232,17 +213,51 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     if not tail <= tail_eps:
         raise TailTooLarge(f"tail bound {tail:.3e} exceeds requested {tail_eps:.3e}")
     y = inv_t_apply(gset_freqs(pm), pm)
-    factors = []
-    for v, pj in zip(_constants(spec)[0], spec.p):
-        nmax = int(np.abs(v).sum()) * radius
-        table = np.sinc((y @ v)[:, None] + np.arange(-nmax, nmax + 1)) ** pj
-        factors.append(_box_view(table, v, radius))
-    hat = np.empty((pm.m,) + (2 * radius + 1,) * pm.d)
-    np.multiply(factors[0], factors[1] if len(factors) > 1 else 1.0, out=hat)
-    for factor in factors[2:]:
-        hat *= factor
-    hat /= pm.m
-    return AliasGrid(pm, _int_box(pm.d, radius), hat.reshape(pm.m, -1), radius)
+    # y^T v of every class at once, so a value does not depend on its block
+    dirs = [(v, y @ v, pj) for v, pj in zip(_constants(spec)[0], spec.p)]
+    shifts = _int_box(pm.d, radius)
+
+    def blocks():
+        for rows in _row_slices(pm.m, len(shifts)):
+            factors = []
+            for v, yv, pj in dirs:
+                nmax = int(np.abs(v).sum()) * radius
+                table = np.sinc(yv[rows, None] + np.arange(-nmax, nmax + 1)) ** pj
+                factors.append(_box_view(table, v, radius))
+            hat = np.empty(factors[0].shape)
+            np.multiply(factors[0], factors[1] if len(factors) > 1 else 1.0, out=hat)
+            for factor in factors[2:]:
+                hat *= factor
+            hat /= pm.m
+            yield rows, hat.reshape(len(hat), -1)
+    return shifts, blocks()
+
+
+def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
+              tail_eps: float) -> AliasGrid:
+    """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
+    periodized spline, ``y_h = M^{-T} h``, on the real grid of every
+    canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
+    so shell coverage stays checkable); the grid ``window`` is the radius.
+    Its row blocks are :func:`_periodized_rows`'s, which a study row reads
+    without holding the grid.
+
+    Raises
+    ------
+    ValueError
+        Unless ``radius >= 1`` and ``tail_eps > 0`` (``inf`` accepts any tail).
+    TailTooLarge
+        If :func:`periodization_tail`, the certified bound on the per-class
+        sum of dropped coefficient magnitudes, exceeds ``tail_eps``.
+    AnisoError
+        If the grid passes ``GRID_MAX`` entries or a mode could leave int64
+        (``max|h| + d radius max|M| >= 2^63``), checked before any work.
+    """
+    shifts, blocks = _periodized_rows(spec, pm, radius, tail_eps)
+    hat = np.empty((pm.m, len(shifts)))
+    for rows, block in blocks:
+        hat[rows] = block
+    return AliasGrid(pm, shifts, hat, radius)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

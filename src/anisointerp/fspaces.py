@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .intlat import PatternMatrix
-from .ptransform import AliasGrid, FourierSeries, check_unique_rows, gset_freqs
+from .ptransform import FourierSeries, check_unique_rows, gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
 
@@ -28,15 +28,22 @@ def weights_many(ks: np.ndarray, beta: float, pm: PatternMatrix) -> np.ndarray:
     return (1.0 + spectral_data(pm).norm2**2 * r2) ** (beta / 2.0)
 
 
-def grid_weights(grid: AliasGrid, beta: float, rows: slice = slice(None)) -> np.ndarray:
-    """:func:`weights_many` at every entry ``h + M^T z`` of the grid's
-    ``rows``, from ``M^{-T} (h + M^T z) = M^{-T} h + z``, as a
+def grid_weights(pm: PatternMatrix, shifts: np.ndarray, beta: float,
+                 rows: slice = slice(None)) -> np.ndarray:
+    """:func:`weights_many` at every entry ``h + M^T z`` of a grid's ``rows``
+    and ``shifts``, from ``M^{-T} (h + M^T z) = M^{-T} h + z``, as a
     ``(len(rows), nz)`` array; ``ValueError`` unless ``beta >= 0``."""
     if not beta >= 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    y = inv_t_apply(gset_freqs(grid.pm)[rows], grid.pm)
-    r2 = sum((y[:, a, None] + grid.shifts[:, a]) ** 2 for a in range(grid.pm.d))
-    return (1.0 + spectral_data(grid.pm).norm2**2 * r2) ** (beta / 2.0)
+    y = inv_t_apply(gset_freqs(pm)[rows], pm)
+    r2 = np.square(y[:, 0, None] + shifts[:, 0])
+    for a in range(1, pm.d):
+        t = y[:, a, None] + shifts[:, a]
+        r2 += np.square(t, out=t)
+    r2 *= spectral_data(pm).norm2**2
+    r2 += 1.0
+    r2 **= beta / 2.0  # not np.power: ** takes sqrt at beta = 1
+    return r2
 
 
 def lq_norm(values: np.ndarray, q: float, axis: int | None = None):

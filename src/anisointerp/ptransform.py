@@ -114,6 +114,13 @@ def check_reach(pm: PatternMatrix, radius: int) -> None:
                          f"reach {reach}, past int64")
 
 
+def _row_slices(m: int, nz: int):
+    """The row slices, of about ``GRID_BLOCK`` entries (at least one row), in
+    which an ``(m, nz)`` grid is streamed."""
+    step = max(1, GRID_BLOCK // nz)
+    return (slice(start, start + step) for start in range(0, m, step))
+
+
 @dataclass(frozen=True, eq=False)
 class AliasGrid:
     """A kernel on the pattern of ``pm``, the ``(m, nz)`` grid ``coeffs[h, z]
@@ -138,19 +145,13 @@ class AliasGrid:
         ks = gset_freqs(self.pm)[:, None, :] + (self.shifts @ self.pm.mat_np)[None]
         return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel())
 
-    def row_blocks(self, cols: np.ndarray | None = None):
-        """Yield ``(rows, coeffs[rows])`` over consecutive row slices of about
-        ``GRID_BLOCK`` entries (at least one row each), restricted to the
-        boolean column mask ``cols`` when given.  Each block is C-contiguous
-        (a view of a C-contiguous grid, else a copy of the block alone), so
-        a sum along its rows adds in the same order whatever the block's
-        size."""
-        step = max(1, GRID_BLOCK // self.coeffs.shape[1])
-        for start in range(0, len(self.coeffs), step):
-            rows = slice(start, start + step)
-            block = self.coeffs[rows]
-            yield rows, (np.ascontiguousarray(block) if cols is None
-                         else np.compress(cols, block, axis=1))
+    def row_blocks(self):
+        """Yield ``(rows, coeffs[rows])`` over :func:`_row_slices`.  Each block
+        is C-contiguous (a view of a C-contiguous grid, else a copy of the
+        block alone), so a sum along its rows adds in the same order
+        whatever the block's size."""
+        for rows in _row_slices(*self.coeffs.shape):
+            yield rows, np.ascontiguousarray(self.coeffs[rows])
 
     @classmethod
     def from_series(cls, f: FourierSeries, pm: PatternMatrix,

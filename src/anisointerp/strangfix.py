@@ -12,14 +12,13 @@ some sequence, so the minimal witness is the canonical one) on the shells
 ``||z||_inf <= window`` that the interpolant's grid declares complete, and
 reports the truncated ``gamma_SF``.  A periodized kernel's window is its
 radius; the Dirichlet kernel's is infinite, and its sums are exact.  The
-verifier reads the class x shift grid directly: the shells are a set of
-its columns, streamed in blocks of rows of about ``GRID_BLOCK`` entries.
-Each block's ``|c_{h + M^T z}|`` serves both constants, ``b_z`` as a
-running maximum down each column and the aliasing-theorem constant
-``gamma_IP`` as a norm along each row, so the working memory beyond the
-grid is ``O(block * nz)``, not ``O(m * nz)``.  That one pass is the only
-reader of the shells: ``gamma_IP`` is read from the report, never
-recomputed.
+verifier is one pass over the row blocks, of about ``GRID_BLOCK`` entries,
+of the class x shift grid, whose shells are a set of columns: the blocks of
+a held grid or, in a study row, of the kernel as it is made, so its working
+memory is ``O(block * nz)``, not ``O(m * nz)``.  Each block's
+``|c_{h + M^T z}|`` gives ``b_z`` as a running maximum down each column and
+the aliasing-theorem constant ``gamma_IP`` as a norm along each row.  That
+pass is the only reader of the shells: ``gamma_IP`` is read from its report.
 
 On a fixed finite index set any order is attainable with large enough
 constants, so finiteness alone cannot refute an overclaimed order.  The
@@ -41,7 +40,7 @@ from .boxspline import _shell_sums
 from .errors import AnisoError, DivergentSeries, InsufficientSupport
 from .fspaces import lq_norm, weights_many
 from .interp import FundamentalInterpolant
-from .intlat import IntVec
+from .intlat import IntVec, PatternMatrix
 from .ptransform import gset_freqs
 from .spectral import inv_t_apply, spectral_data
 
@@ -107,8 +106,6 @@ class SFReport:
         }
 
 
-# every overflow in it ends in an AnisoError that names the parameters at fault
-@np.errstate(over="ignore")
 def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     """Verify the Strang-Fix conditions, and compute ``gamma_IP``, on the
     shells ``||z||_inf <= window`` that the interpolant's grid declares
@@ -123,14 +120,23 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     ``kappa^{-s} ||M||^{-alpha} ||M^{-T} h||^s`` leaves the float range at
     some ``h != 0``, or when ``gamma_SF`` overflows.
     """
-    pm, grid = ifun.pm, ifun.grid
-    window = grid.window
+    add, result = _sf_pass(ifun.pm, ifun.grid.shifts, ifun.grid.window, params)
+    for rows, block in ifun.grid.row_blocks():
+        add(rows, block)
+    return result()
+
+
+# every overflow in it ends in an AnisoError that names the parameters at fault
+@np.errstate(over="ignore")
+def _sf_pass(pm: PatternMatrix, shifts: np.ndarray, window: float | None, params: SFParams):
+    """:func:`verify_sfc` over a grid's row blocks: ``add(rows, block)`` for
+    each, then ``result()``."""
     if window is None or not window >= 0:
         raise InsufficientSupport(f"the kernel declares no complete shells (window {window})")
     sd = spectral_data(pm)
     s, alpha, q = params.s, params.alpha, params.q
-    keep = np.abs(grid.shifts).max(axis=1) <= window
-    zs = grid.shifts[keep]
+    keep = np.abs(shifts).max(axis=1) <= window
+    zs = shifts[keep]
     sig = weights_many(zs, alpha, pm)
     if not np.isfinite(np.float64(sd.norm2) ** alpha * sig.max()):
         raise AnisoError(f"alpha = {alpha} overflows ||M||^alpha sigma_alpha(z)")
@@ -149,87 +155,82 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
         raise AnisoError(f"order s = {s} with alpha = {alpha} puts the bound "
                          "kappa^-s ||M||^-alpha ||M^-T h||^s out of float range")
     rhs_outer[origin] = math.inf  # the zero class is checked below
+    # |1 - m c_h| (a missing mode is 0), m |c| on the zero class
+    inner, zero_class = np.empty(pm.m), np.empty(len(zs))
+    best, worst, weight = np.zeros(len(zs)), np.zeros(()), sd.norm2**alpha
 
-    failures: list[str] = []
-    witness = None
-
-    # inner condition (z = 0); missing modes count as coefficient 0
-    inner = np.abs(1.0 - pm.m * grid.coeffs[:, np.flatnonzero(keep)[center]])
-    if inner[origin] > H0_TOL:
-        failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
-        witness = witness or (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
-    b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
-
-    # outer condition (z != 0)
-    outer = np.arange(len(zs)) != center
-    bad = outer & (pm.m * np.abs(grid.coeffs[origin, keep]) > H0_TOL)
-    if bad.any():
-        failures.append("nonzero coefficient on the zero class at z != 0")
-        witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs[np.argmax(bad)]))
-    # one pass over the shells' row blocks: each block's |c_{h + M^T z}| gives
-    # b_z as a running maximum down each column of m |c| / rhs_outer, and
-    # gamma_IP as the worst norm along its rows
-    weight = sd.norm2**alpha
-    best, worst = np.zeros(len(zs)), np.zeros(())
-    for rows, block in grid.row_blocks(None if keep.all() else keep):
+    # b_z: a running max down the columns of m |c| / rhs_outer; gamma_IP: of row norms
+    @np.errstate(over="ignore")
+    def add(rows, block):
+        if not keep.all():
+            block = np.compress(keep, block, axis=1)
+        inner[rows] = np.abs(1.0 - pm.m * block[:, center])
         mags = np.abs(block)
+        if rows.start <= origin < rows.stop:
+            zero_class[:] = pm.m * mags[origin - rows.start]
         ratio = np.multiply(pm.m, mags)
         ratio /= rhs_outer[rows, None]
         np.maximum(best, ratio.max(axis=0, initial=0.0), out=best)
         terms = mags
         if alpha:  # sigma_0 is exactly 1, and so is ||M||^0
-            terms = weight * (sig * mags)
+            terms = np.multiply(sig, mags, out=ratio)
+            terms *= weight
             terms[:, center] = mags[:, center]
-        worst = np.maximum(worst, lq_norm(terms, q, axis=1).max())
-    # b_z on the shells, kept where positive, and always at z = 0
-    best[center] = b0
-    hit = (best > 0.0) | ~outer
-    zkeys, bvals = zs[hit], best[hit]
+        np.maximum(worst, lq_norm(terms, q, axis=1).max(), out=worst)
 
-    # truncated gamma_SF and its shell-convergence diagnostic
-    weighted = sig[hit] * bvals
-    gamma_sf = lq_norm(weighted, q)
-    if not math.isfinite(gamma_sf):
-        raise AnisoError(f"order s = {s} with alpha = {alpha} and q = {q} overflows gamma_SF")
-    last = np.abs(zkeys).max(axis=1) == window
-    # the last shell's share of gamma_SF^q is at most TAIL_FRAC (its max at
-    # most sqrt(TAIL_FRAC) gamma_SF for q = inf)
-    frac = math.sqrt(TAIL_FRAC) if math.isinf(q) else TAIL_FRAC ** (1.0 / q)
-    if gamma_sf > 0.0 and window >= 1 and lq_norm(weighted[last], q) > frac * gamma_sf:
-        failures.append("no geometric tail: last shell dominates gamma_SF")
-        j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
-        witness = witness or (None, tuple(int(x) for x in zkeys[j]))
+    @np.errstate(over="ignore")
+    def result():
+        failures, witness = [], None
 
-    # decay-order fit of the inner condition; needs genuine dynamic range
-    # in ||M^{-T} h|| to say anything about asymptotic decay, so it is
-    # skipped for small patterns (where b_0 legitimately absorbs the order)
-    fitted_order = None
-    tvals = inner[hmask]
-    yv = ynorm[hmask]
-    usable = tvals > 1e-13
-    enough_range = (usable.sum() >= 8
-                    and yv[usable].max() / yv[usable].min() >= 4.0)
-    if enough_range:
-        slope, _ = np.polyfit(np.log(yv[usable]), np.log(tvals[usable]), 1)
-        fitted_order = float(slope)
-        if fitted_order < s - ORDER_SLACK:
-            failures.append(
-                f"claimed order {s} exceeds fitted decay {fitted_order:.2f}"
-            )
-            j = int(np.argmax(tvals / rhs_inner[hmask]))
-            witness = witness or (tuple(int(x) for x in hs[hmask][j]), (0,) * pm.d)
+        # inner condition (z = 0)
+        if inner[origin] > H0_TOL:
+            failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
+            witness = witness or (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
+        b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
 
-    return SFReport(
-        params=params,
-        shifts=zkeys,
-        bz=bvals,
-        gamma_sf=gamma_sf,
-        gamma_ip=pm.m * float(worst),
-        passed=not failures,
-        witness=witness,
-        fitted_order=fitted_order,
-        failures=failures,
-    )
+        # outer condition (z != 0)
+        outer = np.arange(len(zs)) != center
+        bad = outer & (zero_class > H0_TOL)
+        if bad.any():
+            failures.append("nonzero coefficient on the zero class at z != 0")
+            witness = witness or ((0,) * pm.d, tuple(int(x) for x in zs[np.argmax(bad)]))
+        # b_z on the shells, kept where positive, and always at z = 0
+        best[center] = b0
+        hit = (best > 0.0) | ~outer
+        zkeys, bvals = zs[hit], best[hit]
+
+        # truncated gamma_SF and its shell-convergence diagnostic
+        weighted = sig[hit] * bvals
+        gamma_sf = lq_norm(weighted, q)
+        if not math.isfinite(gamma_sf):
+            raise AnisoError(f"order s = {s} with alpha = {alpha} and q = {q} overflows gamma_SF")
+        last = np.abs(zkeys).max(axis=1) == window
+        # the last shell's share of gamma_SF^q is at most TAIL_FRAC (its max at
+        # most sqrt(TAIL_FRAC) gamma_SF for q = inf)
+        frac = math.sqrt(TAIL_FRAC) if math.isinf(q) else TAIL_FRAC ** (1.0 / q)
+        if gamma_sf > 0.0 and window >= 1 and lq_norm(weighted[last], q) > frac * gamma_sf:
+            failures.append("no geometric tail: last shell dominates gamma_SF")
+            j = int(np.flatnonzero(last)[np.argmax(weighted[last])])
+            witness = witness or (None, tuple(int(x) for x in zkeys[j]))
+
+        # decay-order fit of the inner condition; needs genuine dynamic range
+        # in ||M^{-T} h|| to say anything about asymptotic decay, so it is
+        # skipped for small patterns (where b_0 legitimately absorbs the order)
+        fitted_order = None
+        tvals, yv = inner[hmask], ynorm[hmask]
+        usable = tvals > 1e-13
+        if usable.sum() >= 8 and yv[usable].max() / yv[usable].min() >= 4.0:
+            slope, _ = np.polyfit(np.log(yv[usable]), np.log(tvals[usable]), 1)
+            fitted_order = float(slope)
+            if fitted_order < s - ORDER_SLACK:
+                failures.append(f"claimed order {s} exceeds fitted decay {fitted_order:.2f}")
+                j = int(np.argmax(tvals / rhs_inner[hmask]))
+                witness = witness or (tuple(int(x) for x in hs[hmask][j]), (0,) * pm.d)
+
+        return SFReport(params=params, shifts=zkeys, bz=bvals, gamma_sf=gamma_sf,
+                        gamma_ip=pm.m * float(worst), passed=not failures, witness=witness,
+                        fitted_order=fitted_order, failures=failures)
+    return add, result
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 """Measured interpolation errors against the proven bounds."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,10 +17,13 @@ from anisointerp import (
     BoxSplineSpec,
     ErrorBreakdown,
     ExperimentSpec,
+    AnisoError,
     FourierSeries,
+    NonExistent,
     SampleVector,
     SFParams,
     a_norm,
+    c_rho,
     convergence_study,
     decay_profile,
     dirichlet_kernel,
@@ -363,6 +367,92 @@ def test_row_blocks_leave_every_result_bit_for_bit_unchanged(monkeypatch, rows):
         monkeypatch.undo()
 
 
+def _held_row(spec, j):
+    """A study row from the held grid, the reference of the streamed row:
+    ``build_interpolant``, ``verify_sfc`` and ``part_bounds``, then the
+    combined bound as the study forms it."""
+    pm = validate_matrix([[2**j * e for e in row] for row in spec.base_matrix.mat])
+    s = bounds.kernel_order(spec.kernel, spec.s)
+    ifun = bounds.build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
+    rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
+    parts = part_bounds(spec.test_function, ifun, rep, spec.mu)
+    err, norm2 = parts.error, spectral_data(pm).norm2
+    rho, const = c_rho(rep.gamma_sf, rep.gamma_ip, parts.gsm, s, spec.mu, spec.alpha, pm.d)
+    bound = const * norm2 ** (-rho) * parts.f_mu
+    return bounds.ScaleRow(j=j, m=pm.m, norm2=norm2, error=err.total, bound=bound,
+                           ratio=bounds._safe_ratio(err.total, bound, err.scale),
+                           node_residual=err.node_residual, gamma_sf=rep.gamma_sf,
+                           sf_passed=rep.passed, parts=parts)
+
+
+def _stream_spec(kernel, alpha=0.0, q=2.0, s=None):
+    """The study at ``j = 0`` on ``[[8, 3], [0, 8]]`` (m = 64), radius 4, or
+    for a 3-D kernel on ``[[4, 1, 0], [0, 4, 1], [1, 0, 4]]`` (m = 65), radius 2."""
+    if kernel != "dirichlet" and kernel.d == 3:
+        pm, f, radius = (validate_matrix([[4, 1, 0], [0, 4, 1], [1, 0, 4]]),
+                         decay_profile(3, 9.0, 3), 2)
+    else:
+        pm = validate_matrix([[8, 3], [0, 8]])
+        f, radius = _oracle_function(pm, np.random.default_rng(29)), 4
+    return ExperimentSpec(base_matrix=pm, scales=(0,), test_function=f, alpha=alpha, mu=6.0,
+                          q=q, kernel=kernel, s=s, radius=radius, tail_eps=math.inf)
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_streamed_study_row_equals_the_held_grid_bit_for_bit(monkeypatch, rows):
+    """A study row streams its kernel in row blocks and never holds the grid;
+    in blocks of one row, of three rows (which divide neither m) and of the
+    whole grid, every field of its row, ``parts`` included, is bit for bit
+    that of the held grid's ``build_interpolant``, ``verify_sfc`` and
+    ``part_bounds``."""
+    specs = [_stream_spec(kernel, alpha, q, s) for kernel, s in ((B222, None), ("dirichlet", 4.0))
+             for alpha in (0.0, 1.5) for q in (1.0, 2.0, math.inf)]
+    specs.append(_stream_spec(BoxSplineSpec(3, (2,) * 6), alpha=1.5))
+    for spec in specs:
+        want = repr(dataclasses.astuple(_held_row(spec, 0)))
+        nz = 1 if spec.kernel == "dirichlet" else (2 * spec.radius + 1) ** spec.kernel.d
+        if rows is None:
+            assert len(list(ptransform._row_slices(spec.base_matrix.m, nz))) == 1
+        else:
+            monkeypatch.setattr(ptransform, "GRID_BLOCK", rows * nz)
+        assert repr(dataclasses.astuple(bounds._study_row(spec, 0))) == want
+        monkeypatch.undo()
+
+
+def test_streamed_study_row_refuses_as_the_held_grid(monkeypatch):
+    """A row whose kernel has a vanishing fold (the ``full`` family, whose
+    row sum is divided before it is refused) raises the held grid's
+    ``NonExistent``, listing the same classes, without a RuntimeWarning; an
+    order whose bound leaves the float range, or whose ``gamma_SF``
+    overflows, raises the held grid's ``AnisoError``; so does a fold that is
+    exactly 0 or not finite."""
+    full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
+    cases = [(dataclasses.replace(_stream_spec(full), base_matrix=E2, radius=12), NonExistent,
+              r"vanishes on classes .*\(-1, -1\)"),
+             (_stream_spec(B222, s=400.0), AnisoError, "out of float range"),
+             (_stream_spec(B222, s=300.0), AnisoError, "overflows gamma_SF")]
+    for spec, exc, match in cases:
+        with pytest.raises(exc, match=match) as held:
+            _held_row(spec, 0)
+        with pytest.raises(exc, match=match) as streamed:
+            bounds._study_row(spec, 0)
+        assert type(streamed.value) is type(held.value)
+        assert str(streamed.value) == str(held.value)
+    # a fold that is exactly 0, or not finite, on a kernel grid of one shift
+    spec = _stream_spec("dirichlet", s=4.0)
+    for value, exc, match in ((0.0, NonExistent, "vanishes"), (math.inf, AnisoError, "not finite"),
+                              (math.nan, AnisoError, "not finite")):
+        coeffs = np.ones((spec.base_matrix.m, 1))
+        coeffs[5] = value
+        monkeypatch.setattr(bounds, "dirichlet_kernel", lambda pm: AliasGrid(
+            pm, np.zeros((1, 2), dtype=np.int64), coeffs.copy(), math.inf))
+        with pytest.raises(exc, match=match) as held:
+            _held_row(spec, 0)
+        with pytest.raises(exc, match=match) as streamed:
+            bounds._study_row(spec, 0)
+        assert str(streamed.value) == str(held.value)
+
+
 def test_build_interpolant_peak_memory_is_near_its_grid():
     """At j = 4 of the study (m = 1024, radius 16) ``build_interpolant``
     scales the kernel grid it built in place: no second ``(m, nz)`` array."""
@@ -377,6 +467,26 @@ def test_build_interpolant_peak_memory_is_near_its_grid():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * ifun.grid.coeffs.nbytes
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_study_row_peak_memory_is_below_half_its_grid(alpha):
+    """At j = 4 of the study (m = 1 024, radius 16: an 8.9 MB grid) a study
+    row streams its kernel and holds no grid, so its traced peak stays below
+    half the grid (holding it, the row peaked at about 1.35 grids)."""
+    import tracemalloc
+
+    spec = ExperimentSpec(base_matrix=M21, scales=(4,), test_function=decay_profile(2, 9.0, 16),
+                          alpha=alpha, mu=6.0, q=2.0, kernel=B222, radius=16, tail_eps=1e-4)
+    row = bounds._study_row(spec, 4)  # fill the pattern's caches first
+    assert row.m == 1024
+    tracemalloc.start()
+    try:
+        bounds._study_row(spec, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 33**2 * 8 / 2
 
 
 def test_streaming_keeps_working_memory_below_half_the_grid():

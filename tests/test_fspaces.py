@@ -85,7 +85,7 @@ def test_weights_reject_invalid_beta(beta):
     with pytest.raises(ValueError, match="beta must be >= 0"):
         weights_many([(1, 0)], beta, E2)
     with pytest.raises(ValueError, match="beta must be >= 0"):
-        grid_weights(dirichlet_kernel(E2), beta)
+        grid_weights(E2, dirichlet_kernel(E2).shifts, beta)
 
 
 @pytest.mark.parametrize("q", [0.5, math.nan])

@@ -323,8 +323,10 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     """``verify_sfc`` is the only reader of the shells: it makes exactly one
     pass over the grid's row blocks and weights at most ``(2 R + 1)^d`` rows
     on a radius-``R`` grid; ``part_bounds`` makes no pass of its own (its
-    one pass is the error measurement of ``interp_error``), and each study
-    row and ``sfcheck`` read ``gamma_IP`` from that one pass."""
+    one pass is the error measurement of ``interp_error``), and ``sfcheck``
+    reads ``gamma_IP`` from that one pass.  A study row holds no grid: it
+    streams its kernel once into one Strang-Fix pass and one error pass,
+    and reads ``gamma_IP`` from the former."""
     import anisointerp
     from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
                              part_bounds, strangfix)
@@ -355,8 +357,18 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]), scales=(0, 1),
                           test_function=decay_profile(2, 9.0, 8),
                           alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
+    results = []
+
+    def counting_pass(make):
+        def made(*args):
+            add, result = make(*args)
+            return add, lambda: results.append(make.__name__) or result()
+        return made
+
+    for name in ("_sf_pass", "_error_pass"):
+        monkeypatch.setattr(bounds, name, counting_pass(getattr(bounds, name)))
     assert convergence_study(spec).verdict
-    assert passes == ["verify_sfc", "interp_error"] * 2
+    assert passes == [] and results == ["_sf_pass", "_error_pass"] * 2
 
     passes.clear()
     mat = tmp_path / "M.txt"
