@@ -29,12 +29,13 @@ from .errors import AnisoError, DivergentSeries
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
 from .interp import (
     FundamentalInterpolant,
+    _check_folds,
     _interpolant,
     dirichlet_kernel,
     fourier_partial_sum,
 )
 from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
-from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, check_unique_rows,
+from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
                          dft_inverse, discrete_coeffs, fold_classes, freq_class_indices,
                          row_keys)
 from .spectral import is_expanding, spectral_data
@@ -86,8 +87,7 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
 
 def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: float,
                 q: float):
-    """:func:`interp_error` over a grid's row blocks: ``add(rows, block)`` for
-    each, then ``result()``."""
+    """:func:`interp_error` as ``add(rows, block)`` per row block, then ``result()``."""
     check_unique_rows(f)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
     labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
@@ -305,6 +305,14 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
     return _interpolant(phi, allow_incorrect)
 
 
+def _kernel_rows(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: int, tail_eps: float):
+    """:func:`build_interpolant`'s kernel, unscaled: ``(shifts, row blocks, window)``."""
+    if isinstance(kernel, BoxSplineSpec):
+        return _periodized_rows(kernel, pm, radius, tail_eps)
+    phi = dirichlet_kernel(pm)
+    return phi.shifts, phi.row_blocks(), phi.window
+
+
 def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     """One scale in one pass over its kernel's row blocks, holding no grid."""
     mat = [[Fraction(2) ** j * e for e in row] for row in spec.base_matrix.mat]
@@ -315,12 +323,7 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     if not is_expanding(sd):
         raise ValueError(f"scale matrix at j={j} is not expanding")
     s = kernel_order(spec.kernel, spec.s)
-    if isinstance(spec.kernel, BoxSplineSpec):
-        shifts, blocks = _periodized_rows(spec.kernel, pm, spec.radius, spec.tail_eps)
-        window = spec.radius
-    else:
-        phi = dirichlet_kernel(pm)
-        shifts, blocks, window = phi.shifts, phi.row_blocks(), phi.window
+    shifts, blocks, window = _kernel_rows(spec.kernel, pm, spec.radius, spec.tail_eps)
     check, report = _sf_pass(pm, shifts, window, SFParams(s=s, alpha=spec.alpha, q=spec.q))
     measure, error = _error_pass(spec.test_function, pm, shifts, spec.alpha, spec.q)
     folded = np.empty(pm.m)
@@ -333,8 +336,7 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
         block *= scale[:, None]
         check(rows, block)
         measure(rows, block)
-    # the kernel folded onto z = 0 exists as the kernel does
-    _interpolant(AliasGrid(pm, np.zeros((1, pm.d), np.int64), folded[:, None]), False)
+    _check_folds(pm, folded, False)  # before either result is read
     rep = report()
     parts = _part_bounds(error(), spec.test_function, pm, rep, spec.mu)
     err = parts.error

@@ -194,12 +194,10 @@ def _box_view(table: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _periodized_rows(spec: BoxSplineSpec, pm: PatternMatrix, radius: int, tail_eps: float):
-    """After :func:`periodize`'s checks, its shifts and a generator of its row
-    blocks ``(rows, grid[rows])``.  Per block and direction ``v``,
-    ``sinc(pi (y_h^T v + n))^{p_v}`` is a table over the block's ``h`` and
-    ``|n| <= ||v||_1 radius``, read at ``n = z^T v`` on the box
-    ``(rows, 2 radius + 1, ...)`` by :func:`_box_view`; the views' product
-    is divided by ``m``."""
+    """:func:`periodize`'s checks, then its shifts, row blocks ``(rows,
+    grid[rows])`` and window.  A block's factor in direction ``v`` is a table
+    of ``sinc(pi (y_h^T v + n))^{p_v}`` over its ``h`` and ``|n| <= ||v||_1
+    radius``, read at ``n = z^T v`` by :func:`_box_view`."""
     if not radius >= 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if tail_eps is None or not tail_eps > 0:
@@ -230,7 +228,7 @@ def _periodized_rows(spec: BoxSplineSpec, pm: PatternMatrix, radius: int, tail_e
                 hat *= factor
             hat /= pm.m
             yield rows, hat.reshape(len(hat), -1)
-    return shifts, blocks()
+    return shifts, blocks(), radius
 
 
 def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
@@ -239,8 +237,8 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     periodized spline, ``y_h = M^{-T} h``, on the real grid of every
     canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
     so shell coverage stays checkable); the grid ``window`` is the radius.
-    Its row blocks are :func:`_periodized_rows`'s, which a study row reads
-    without holding the grid.
+    A study row reads its row blocks (:func:`_periodized_rows`) and holds
+    no grid.
 
     Raises
     ------
@@ -253,11 +251,11 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
         If the grid passes ``GRID_MAX`` entries or a mode could leave int64
         (``max|h| + d radius max|M| >= 2^63``), checked before any work.
     """
-    shifts, blocks = _periodized_rows(spec, pm, radius, tail_eps)
+    shifts, blocks, window = _periodized_rows(spec, pm, radius, tail_eps)
     hat = np.empty((pm.m, len(shifts)))
     for rows, block in blocks:
         hat[rows] = block
-    return AliasGrid(pm, shifts, hat, radius)
+    return AliasGrid(pm, shifts, hat, window)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

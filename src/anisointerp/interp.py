@@ -112,15 +112,7 @@ def _interpolant(grid: AliasGrid, allow_incorrect: bool) -> FundamentalInterpola
     """:func:`fundamental_interpolant`, scaling a fresh grid (no ``series`` yet) in place."""
     pm = grid.pm
     folded = grid.coeffs.sum(axis=1)
-    mags = np.abs(folded)
-    if not np.isfinite(mags).all():
-        h = tuple(gset_freqs(pm)[np.argmin(np.isfinite(mags))].tolist())
-        raise AnisoError(f"folded kernel coefficient of class {h} is not finite")
-    flag = mags <= EXISTENCE_EPS_REL * float(mags.max(initial=0.0))
-    flagged = [tuple(h) for h in gset_freqs(pm)[flag].tolist()]
-    if flagged and not allow_incorrect:
-        raise NonExistent(f"folded kernel coefficient vanishes on classes {flagged}")
-
+    flag, flagged = _check_folds(pm, folded, allow_incorrect)
     a_hat = np.zeros(pm.m, dtype=folded.dtype)
     a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
     np.multiply(grid.coeffs, a_hat[:, None], out=grid.coeffs)
@@ -130,6 +122,20 @@ def _interpolant(grid: AliasGrid, allow_incorrect: bool) -> FundamentalInterpola
         a_hat=CoeffVector(a_hat, pm),
         incorrect_modes=flagged,
     )
+
+
+def _check_folds(pm: PatternMatrix, folded: np.ndarray, allow_incorrect: bool):
+    """The mask and list of classes whose folded kernel coefficient vanishes;
+    raises as :func:`fundamental_interpolant` does."""
+    mags = np.abs(folded)
+    if not np.isfinite(mags).all():
+        h = tuple(gset_freqs(pm)[np.argmin(np.isfinite(mags))].tolist())
+        raise AnisoError(f"folded kernel coefficient of class {h} is not finite")
+    flag = mags <= EXISTENCE_EPS_REL * float(mags.max(initial=0.0))
+    flagged = [tuple(h) for h in gset_freqs(pm)[flag].tolist()]
+    if flagged and not allow_incorrect:
+        raise NonExistent(f"folded kernel coefficient vanishes on classes {flagged}")
+    return flag, flagged
 
 
 def interpolation_operator(samples: SampleVector,

@@ -12,13 +12,12 @@ some sequence, so the minimal witness is the canonical one) on the shells
 ``||z||_inf <= window`` that the interpolant's grid declares complete, and
 reports the truncated ``gamma_SF``.  A periodized kernel's window is its
 radius; the Dirichlet kernel's is infinite, and its sums are exact.  The
-verifier is one pass over the row blocks, of about ``GRID_BLOCK`` entries,
-of the class x shift grid, whose shells are a set of columns: the blocks of
-a held grid or, in a study row, of the kernel as it is made, so its working
-memory is ``O(block * nz)``, not ``O(m * nz)``.  Each block's
-``|c_{h + M^T z}|`` gives ``b_z`` as a running maximum down each column and
-the aliasing-theorem constant ``gamma_IP`` as a norm along each row.  That
-pass is the only reader of the shells: ``gamma_IP`` is read from its report.
+verifier is one pass over the row blocks of the class x shift grid, a held
+grid's or, in a study row, the kernel's as it is made, so its working memory
+is ``O(block * nz)``, not ``O(m * nz)``.  Each block's ``|c_{h + M^T z}|``
+gives ``b_z`` as a running maximum down each shell's column and the
+aliasing-theorem constant ``gamma_IP`` as a norm along each row, which is
+read from the report, never recomputed.
 
 On a fixed finite index set any order is attainable with large enough
 constants, so finiteness alone cannot refute an overclaimed order.  The
@@ -129,8 +128,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
 # every overflow in it ends in an AnisoError that names the parameters at fault
 @np.errstate(over="ignore")
 def _sf_pass(pm: PatternMatrix, shifts: np.ndarray, window: float | None, params: SFParams):
-    """:func:`verify_sfc` over a grid's row blocks: ``add(rows, block)`` for
-    each, then ``result()``."""
+    """:func:`verify_sfc` as ``add(rows, block)`` per row block, then ``result()``."""
     if window is None or not window >= 0:
         raise InsufficientSupport(f"the kernel declares no complete shells (window {window})")
     sd = spectral_data(pm)
@@ -185,7 +183,7 @@ def _sf_pass(pm: PatternMatrix, shifts: np.ndarray, window: float | None, params
         # inner condition (z = 0)
         if inner[origin] > H0_TOL:
             failures.append(f"|1 - m c_0| = {inner[origin]:.3e} exceeds {H0_TOL}")
-            witness = witness or (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
+            witness = (tuple(int(x) for x in hs[origin]), (0,) * pm.d)
         b0 = float((inner[hmask] / rhs_inner[hmask]).max()) if pm.m > 1 else 0.0
 
         # outer condition (z != 0)

@@ -326,10 +326,10 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     one pass is the error measurement of ``interp_error``), and ``sfcheck``
     reads ``gamma_IP`` from that one pass.  A study row holds no grid: it
     streams its kernel once into one Strang-Fix pass and one error pass,
-    and reads ``gamma_IP`` from the former."""
+    each fed every row block once, and reads ``gamma_IP`` from the former."""
     import anisointerp
     from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
-                             part_bounds, strangfix)
+                             part_bounds, ptransform, strangfix)
 
     assert not any(hasattr(mod, "gamma_ip") for mod in (anisointerp, bounds, cli, strangfix))
     passes, rows = [], []
@@ -357,18 +357,24 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]), scales=(0, 1),
                           test_function=decay_profile(2, 9.0, 8),
                           alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
-    results = []
+    seen = {"_sf_pass": [], "_error_pass": []}
 
     def counting_pass(make):
         def made(*args):
             add, result = make(*args)
-            return add, lambda: results.append(make.__name__) or result()
+            mine = seen[make.__name__]
+            return (lambda rows, block: mine.append(rows) or add(rows, block),
+                    lambda: mine.append("result") or result())
         return made
 
-    for name in ("_sf_pass", "_error_pass"):
+    for name in seen:
         monkeypatch.setattr(bounds, name, counting_pass(getattr(bounds, name)))
+    nz = (2 * spec.radius + 1) ** 2
+    monkeypatch.setattr(ptransform, "GRID_BLOCK", 3 * nz)  # 2 blocks at m = 4, 6 at m = 16
     assert convergence_study(spec).verdict
-    assert passes == [] and results == ["_sf_pass", "_error_pass"] * 2
+    # per row, each pass sees every row block once and in order, then gives its result
+    want = [rows for m in (4, 16) for rows in [*ptransform._row_slices(m, nz), "result"]]
+    assert passes == [] and seen == {name: want for name in seen}
 
     passes.clear()
     mat = tmp_path / "M.txt"
