@@ -85,8 +85,7 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     return result()
 
 
-def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: float,
-                q: float):
+def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: float, q: float):
     """:func:`interp_error` as ``add(rows, block)`` per row block, then ``result()``."""
     check_unique_rows(f)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs

@@ -125,7 +125,7 @@ def _interpolant(grid: AliasGrid, allow_incorrect: bool) -> FundamentalInterpola
 
 
 def _check_folds(pm: PatternMatrix, folded: np.ndarray, allow_incorrect: bool):
-    """The mask and list of classes whose folded kernel coefficient vanishes;
+    """Vanishing folded kernel coefficients, as a mask and a list of classes;
     raises as :func:`fundamental_interpolant` does."""
     mags = np.abs(folded)
     if not np.isfinite(mags).all():
