@@ -11,9 +11,8 @@ and the aliasing estimate ``gamma_IP gamma_Sm ||M||^{alpha-mu}``.  One call
 of :func:`part_bounds` measures the error and its three parts and evaluates
 the three right-hand sides, with ``gamma_SF`` and ``gamma_IP`` read from a
 Strang-Fix report of :mod:`anisointerp.strangfix`, never recomputed.  A
-dilation study ``M_j = 2^j M_0``, streaming each row's kernel in row blocks,
-keeps that result in every row, checks the combined one-sided bound and
-fits the observed log-log decay rate.
+dilation study ``M_j = 2^j M_0`` keeps that result in every row, checks
+the combined one-sided bound and fits the observed log-log decay rate.
 """
 
 from __future__ import annotations
@@ -24,16 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boxspline import BoxSplineSpec, _int_box, _periodized_rows, periodize, sf_order
+from .boxspline import BoxSplineSpec, _int_box, periodize, sf_order
 from .errors import AnisoError, DivergentSeries
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
-from .interp import (
-    FundamentalInterpolant,
-    _check_folds,
-    _interpolant,
-    dirichlet_kernel,
-    fourier_partial_sum,
-)
+from .interp import (FundamentalInterpolant, dirichlet_kernel, fourier_partial_sum,
+                     fundamental_interpolant)
 from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
 from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
                          dft_inverse, discrete_coeffs, fold_classes, freq_class_indices,
@@ -68,16 +62,14 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     """Measure ``||f - L_M f | A^alpha_q||`` with the component breakdown.
 
     ``L_M g`` is the interpolant's grid ``C`` with row ``h`` scaled by
-    ``g_h = m ghat_h``, and ``f - S_M f`` is ``f`` off the canonical set.
-    Only ``f``'s modes are labelled, and searched by their exact ``z`` among
-    the column keys, sorted as the lexicographic shifts are.  A difference
-    is ``L_M g`` off ``f``'s modes, with norm ``|g_h|`` times a row norm of
-    ``sigma_alpha |C|``, ``g - L_M g`` on them and ``g`` off the grid; its
-    ``l_q`` norm is that of the parts' norms.  The grid is streamed in row
-    blocks, each building its own ``sigma_alpha |C|`` (just ``|C|`` at
-    ``alpha = 0``), row norms and ``L_M f`` fold, so the working memory
-    beyond the grid is ``O(block * nz)``.  Every norm is an exact finite
-    sum; ``f`` must have unique rows (``ValueError`` if not).
+    ``g_h = m ghat_h``, and ``f - S_M f`` is ``f`` off the canonical set;
+    only ``f``'s modes are labelled, and found among the columns by their
+    exact ``z``.  A difference is ``L_M g`` off ``f``'s modes (norm ``|g_h|``
+    times a row norm of ``sigma_alpha |C|``), ``g - L_M g`` on them and
+    ``g`` off the grid.  One walk of the grid's row blocks, in
+    ``O(block * nz)`` memory, gives the row norms and the ``L_M f`` fold,
+    and raises the interpolant's ``NonExistent`` before any result.  Every
+    norm is an exact finite sum; ``f`` must have unique rows (``ValueError``).
     """
     add, result = _error_pass(f, ifun.pm, ifun.grid.shifts, alpha, q)
     for rows, block in ifun.grid.row_blocks():
@@ -245,7 +237,8 @@ def kernel_order(kernel: BoxSplineSpec | str, s: float | None) -> float:
 
 @dataclass
 class ScaleRow:
-    """One dilation level of a convergence study, with its :class:`PartBounds`."""
+    """One dilation level of a convergence study, with its :class:`PartBounds`
+    and the Strang-Fix report's failure messages (none when it passed)."""
 
     j: int
     m: int
@@ -255,8 +248,19 @@ class ScaleRow:
     ratio: float
     node_residual: float
     gamma_sf: float
-    sf_passed: bool
+    sf_failures: list[str]
     parts: PartBounds
+
+    @property
+    def failure(self) -> str | None:
+        """The first of the ratio, node residual and Strang-Fix check to fail."""
+        if not self.ratio <= 1.0 + RATIO_TOL:
+            return f"ratio {self.ratio:.6e} exceeds 1"
+        if not self.node_residual <= NODE_TOL:
+            return f"node residual {self.node_residual:.3e} exceeds {NODE_TOL:g}"
+        if self.sf_failures:
+            return f"Strang-Fix: {self.sf_failures[0]}"
+        return None
 
 
 @dataclass
@@ -270,11 +274,7 @@ class BoundReport:
 
     @property
     def verdict(self) -> bool:
-        return all(
-            r.ratio <= 1.0 + RATIO_TOL and r.node_residual <= NODE_TOL
-            and r.sf_passed
-            for r in self.rows
-        )
+        return all(r.failure is None for r in self.rows)
 
 
 def decay_profile(d: int, decay: float, kmax: int) -> FourierSeries:
@@ -297,23 +297,15 @@ def build_interpolant(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: in
                       tail_eps: float, allow_incorrect: bool = False
                       ) -> FundamentalInterpolant:
     """Fundamental interpolant of a box spline periodized with ``radius`` and
-    ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf);
-    the interpolant scales the fresh kernel grid in place, so no copy is made."""
+    ``tail_eps`` (window ``radius``), or of the Dirichlet kernel (window inf)."""
     phi = (periodize(kernel, pm, radius, tail_eps)
            if isinstance(kernel, BoxSplineSpec) else dirichlet_kernel(pm))
-    return _interpolant(phi, allow_incorrect)
-
-
-def _kernel_rows(kernel: BoxSplineSpec | str, pm: PatternMatrix, radius: int, tail_eps: float):
-    """:func:`build_interpolant`'s kernel, unscaled: ``(shifts, row blocks, window)``."""
-    if isinstance(kernel, BoxSplineSpec):
-        return _periodized_rows(kernel, pm, radius, tail_eps)
-    phi = dirichlet_kernel(pm)
-    return phi.shifts, phi.row_blocks(), phi.window
+    return fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
 
 
 def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
-    """One scale in one pass over its kernel's row blocks, holding no grid."""
+    """One scale in one walk of its interpolant's row blocks, which feeds both
+    the Strang-Fix pass and the error pass and holds no grid."""
     mat = [[Fraction(2) ** j * e for e in row] for row in spec.base_matrix.mat]
     if any(x.denominator != 1 for row in mat for x in row):
         raise ValueError(f"scale matrix 2^j M_0 at j={j} is not an integer matrix")
@@ -322,20 +314,13 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     if not is_expanding(sd):
         raise ValueError(f"scale matrix at j={j} is not expanding")
     s = kernel_order(spec.kernel, spec.s)
-    shifts, blocks, window = _kernel_rows(spec.kernel, pm, spec.radius, spec.tail_eps)
-    check, report = _sf_pass(pm, shifts, window, SFParams(s=s, alpha=spec.alpha, q=spec.q))
-    measure, error = _error_pass(spec.test_function, pm, shifts, spec.alpha, spec.q)
-    folded = np.empty(pm.m)
-    for rows, block in blocks:
-        folded[rows] = block.sum(axis=1)
-        # a vanishing or non-finite fold, refused below, scales by a quiet NaN
-        with np.errstate(all="ignore"):
-            scale = 1.0 / (pm.m * folded[rows])
-            scale[~np.isfinite(scale * folded[rows])] = np.nan
-        block *= scale[:, None]
+    grid = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps).grid
+    check, report = _sf_pass(pm, grid.shifts, grid.window,
+                             SFParams(s=s, alpha=spec.alpha, q=spec.q))
+    measure, error = _error_pass(spec.test_function, pm, grid.shifts, spec.alpha, spec.q)
+    for rows, block in grid.row_blocks():  # NonExistent, if due, comes before either result
         check(rows, block)
         measure(rows, block)
-    _check_folds(pm, folded, False)  # before either result is read
     rep = report()
     parts = _part_bounds(error(), spec.test_function, pm, rep, spec.mu)
     err = parts.error
@@ -344,7 +329,7 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     return ScaleRow(j=j, m=pm.m, norm2=sd.norm2, error=err.total, bound=bound,
                     ratio=_safe_ratio(err.total, bound, err.scale),
                     node_residual=err.node_residual, gamma_sf=rep.gamma_sf,
-                    sf_passed=rep.passed, parts=parts)
+                    sf_failures=rep.failures, parts=parts)
 
 
 def convergence_study(spec: ExperimentSpec) -> BoundReport:

@@ -193,11 +193,25 @@ def _box_view(table: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
                       (row, *(int(vk) * col for vk in v)), writeable=False)
 
 
-def _periodized_rows(spec: BoxSplineSpec, pm: PatternMatrix, radius: int, tail_eps: float):
-    """:func:`periodize`'s checks, then its shifts, row blocks ``(rows,
-    grid[rows])`` and window.  A block's factor in direction ``v`` is a table
-    of ``sinc(pi (y_h^T v + n))^{p_v}`` over its ``h`` and ``|n| <= ||v||_1
-    radius``, read at ``n = z^T v`` by :func:`_box_view`."""
+def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
+              tail_eps: float) -> AliasGrid:
+    """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
+    periodized spline, ``y_h = M^{-T} h``, on the real grid of every
+    canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
+    so shell coverage stays checkable); the grid ``window`` is the radius.
+    Only the checks and the tail bound run here: each walk of the grid makes
+    its row blocks afresh, each direction's factor a table of ``sinc(pi
+    (y_h^T v + n))^{p_v}`` over the block's ``h`` and ``|n| <= ||v||_1
+    radius`` read at ``n = z^T v`` (:func:`_box_view`), and nothing of size
+    ``m * nz`` exists until ``coeffs`` is read.
+
+    Raises ``ValueError`` unless ``radius >= 1`` and ``tail_eps > 0`` (``inf``
+    accepts any tail); ``TailTooLarge`` if :func:`periodization_tail`, the
+    certified bound on the per-class sum of dropped coefficient magnitudes,
+    exceeds ``tail_eps``; ``AnisoError``, before any work, if the grid passes
+    ``GRID_MAX`` entries or a mode could leave int64 (``max|h| + d radius
+    max|M| >= 2^63``).
+    """
     if not radius >= 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if tail_eps is None or not tail_eps > 0:
@@ -228,34 +242,7 @@ def _periodized_rows(spec: BoxSplineSpec, pm: PatternMatrix, radius: int, tail_e
                 hat *= factor
             hat /= pm.m
             yield rows, hat.reshape(len(hat), -1)
-    return shifts, blocks(), radius
-
-
-def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
-              tail_eps: float) -> AliasGrid:
-    """Coefficients ``c_{h + M^T z} = hat(2 pi (y_h + z)) / m`` of the
-    periodized spline, ``y_h = M^{-T} h``, on the real grid of every
-    canonical ``h`` and every ``||z||_inf <= radius`` (exact zeros included,
-    so shell coverage stays checkable); the grid ``window`` is the radius.
-    A study row reads its row blocks (:func:`_periodized_rows`) and holds
-    no grid.
-
-    Raises
-    ------
-    ValueError
-        Unless ``radius >= 1`` and ``tail_eps > 0`` (``inf`` accepts any tail).
-    TailTooLarge
-        If :func:`periodization_tail`, the certified bound on the per-class
-        sum of dropped coefficient magnitudes, exceeds ``tail_eps``.
-    AnisoError
-        If the grid passes ``GRID_MAX`` entries or a mode could leave int64
-        (``max|h| + d radius max|M| >= 2^63``), checked before any work.
-    """
-    shifts, blocks, window = _periodized_rows(spec, pm, radius, tail_eps)
-    hat = np.empty((pm.m, len(shifts)))
-    for rows, block in blocks:
-        hat[rows] = block
-    return AliasGrid(pm, shifts, hat, window)
+    return AliasGrid(pm, shifts, blocks, radius)
 
 
 def sf_order(spec: BoxSplineSpec) -> int:

@@ -182,9 +182,8 @@ def _cmd_sfcheck(args) -> int:
     ifun = build_interpolant(kernel, pm, args.radius, args.tail_eps)
     report = verify_sfc(ifun, params)
     print(json.dumps(report.to_json_dict(), indent=2))
-    if not report.passed:
-        for msg in report.failures:
-            print(f"FAIL: {msg}", file=sys.stderr)
+    for msg in report.failures:
+        print(f"FAIL: {msg}", file=sys.stderr)
     return 0 if report.passed else 2
 
 
@@ -243,6 +242,8 @@ def _cmd_converge(args) -> int:
     for r in report.rows:
         print(f"  j={r.j} m={r.m} norm2={r.norm2:.6g} error={r.error:.6e} "
               f"bound={r.bound:.6e} ratio={r.ratio:.6e}")
+        if r.failure:
+            print(f"FAIL: j={r.j}: {r.failure}", file=sys.stderr)
     return 0 if report.verdict else 2
 
 

@@ -13,7 +13,7 @@ translate, node-evaluation and partial-sum functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,25 +50,16 @@ def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
     return pm.m * dft_inverse(alias_fold(f, pm)).values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FundamentalInterpolant:
-    """The cardinal function of a translate space, in coefficient form.
-
-    Attributes
-    ----------
-    grid : AliasGrid
-        Coefficients ``c_{h + M^T z}``; the flat view is the property ``series``.
-    a_hat : CoeffVector
-        Translate coefficients in the frequency domain,
-        ``1 / (m * folded_h)``; zero on degenerate classes.
-    incorrect_modes : list of tuple
-        Canonical classes where the folded kernel coefficient vanished and
-        the fallback ``c_h = 1/m`` was applied.
-    """
+    """The cardinal function of a translate space: the ``grid`` of its
+    coefficients ``c_{h + M^T z}`` (flat view ``series``), and what the last
+    full walk of it ``found``: ``a_hat = 1 / (m * folded_h)`` (0 where the
+    fold vanished) and those classes, ``incorrect_modes``.  Reading either
+    walks the grid if no walk has ended, so it raises as a walk does."""
 
     grid: AliasGrid
-    a_hat: CoeffVector
-    incorrect_modes: list[IntVec] = field(default_factory=list)
+    found: dict = field(repr=False)
 
     @property
     def pm(self) -> PatternMatrix:
@@ -78,50 +69,64 @@ class FundamentalInterpolant:
     def series(self) -> FourierSeries:
         return self.grid.series
 
+    def _walked(self, key: str):
+        if not self.found:
+            for _ in self.grid.row_blocks():
+                pass
+        return self.found[key]
+
+    a_hat = property(lambda self: self._walked("a_hat"))
+    incorrect_modes = property(lambda self: self._walked("incorrect_modes"))
+
 
 def fundamental_interpolant(grid: AliasGrid, *,
                             allow_incorrect: bool = False) -> FundamentalInterpolant:
-    """Build the fundamental interpolant of the translate space of the kernel
-    ``grid``, on the grid's pattern and with its shifts and window; a series
-    kernel becomes a grid through :meth:`AliasGrid.from_series`.
+    """The fundamental interpolant of the translate space of the kernel
+    ``grid``, on its pattern, shifts and window (a series kernel becomes a
+    grid through :meth:`AliasGrid.from_series`): the kernel's row blocks,
+    each row scaled by ``1 / (m * folded)`` as it passes (in place if the
+    kernel made the block; a held kernel is never written to).
 
-    Coefficients are ``c_k / (m * folded)`` classwise.  On classes
-    where the folded coefficient vanishes the interpolant does not exist;
-    with ``allow_incorrect`` those classes fall back to the single
-    canonical coefficient ``1/m`` (all non-canonical modes of the class are
-    zeroed) and are recorded in ``incorrect_modes``.  A folded coefficient
-    vanishes when its magnitude is at most ``EXISTENCE_EPS_REL`` times the
-    largest one, since an exact "nonzero" test is meaningless in floats.
-
-    Raises
-    ------
-    NonExistent
-        If a folded class vanishes and ``allow_incorrect`` is not set; the
-        message lists the vanishing classes.
-    AnisoError
-        If a folded class coefficient is not finite.
+    A folded coefficient vanishes when its magnitude is at most
+    ``EXISTENCE_EPS_REL`` times the largest one.  Then the interpolant does
+    not exist: the first full walk of its grid raises ``NonExistent``,
+    listing those classes (``AnisoError`` if a fold is not finite), as its
+    last block is taken, so before any reader (``verify_sfc``,
+    ``interp_error``, ``coeffs``, ``series``, ``a_hat``) gives a result.
+    With ``allow_incorrect`` such classes fall back to the single canonical
+    coefficient ``1/m``, the class's other modes zeroed; that needs every
+    fold before any row is kept, so the grid is assembled, and a non-finite
+    fold refused, here.
     """
     if not isinstance(grid, AliasGrid):
         raise TypeError(f"fundamental_interpolant takes an AliasGrid, not "
                         f"{type(grid).__name__}; build a series kernel's grid with "
                         "AliasGrid.from_series(f, pm, window)")
-    return _interpolant(replace(grid, coeffs=grid.coeffs.copy()), allow_incorrect)
+    pm, found = grid.pm, {}
 
+    def scaled():
+        walked = []  # (fold, scale) of each block
+        for rows, block in grid.row_blocks():
+            fold = block.sum(axis=1)
+            # a vanishing or non-finite fold, refused below, scales by a quiet NaN
+            with np.errstate(all="ignore"):
+                scale = 1.0 / (pm.m * fold)
+                scale[~np.isfinite(scale * fold)] = np.nan
+            walked.append((fold, scale))
+            yield rows, np.multiply(block, scale[:, None],
+                                    out=block if callable(grid.source) else None)
+        folded, scale = map(np.concatenate, zip(*walked))
+        flag, flagged = _check_folds(pm, folded, allow_incorrect)
+        found.update(flag=flag, incorrect_modes=flagged,
+                     a_hat=CoeffVector(np.where(flag, 0.0, scale), pm))
 
-def _interpolant(grid: AliasGrid, allow_incorrect: bool) -> FundamentalInterpolant:
-    """:func:`fundamental_interpolant`, scaling a fresh grid (no ``series`` yet) in place."""
-    pm = grid.pm
-    folded = grid.coeffs.sum(axis=1)
-    flag, flagged = _check_folds(pm, folded, allow_incorrect)
-    a_hat = np.zeros(pm.m, dtype=folded.dtype)
-    a_hat[~flag] = 1.0 / (pm.m * folded[~flag])
-    np.multiply(grid.coeffs, a_hat[:, None], out=grid.coeffs)
-    grid.coeffs[np.ix_(flag, ~grid.shifts.any(axis=1))] = 1.0 / pm.m
-    return FundamentalInterpolant(
-        grid=grid,
-        a_hat=CoeffVector(a_hat, pm),
-        incorrect_modes=flagged,
-    )
+    ifun = FundamentalInterpolant(AliasGrid(pm, grid.shifts, scaled, grid.window), found)
+    if allow_incorrect:
+        coeffs = ifun.grid.coeffs
+        coeffs[found["flag"]] = 0.0
+        coeffs[np.ix_(found["flag"], ~grid.shifts.any(axis=1))] = 1.0 / pm.m
+        ifun = FundamentalInterpolant(AliasGrid(pm, grid.shifts, coeffs, grid.window), found)
+    return ifun
 
 
 def _check_folds(pm: PatternMatrix, folded: np.ndarray, allow_incorrect: bool):

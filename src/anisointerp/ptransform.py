@@ -12,6 +12,7 @@ large frequency indices suffer no phase drift.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,15 +129,29 @@ class AliasGrid:
     ``(nz, d)`` ``shifts`` in lexicographic order, ``z = 0`` among them, as
     float64 for a real kernel and complex128 otherwise.  Every nonzero
     coefficient with ``||z||_inf <= window`` is stored (``None``: no shell
-    is declared complete)."""
+    is declared complete).  ``source`` is the held grid, whose blocks are
+    views never written to, or a function that makes the row blocks of
+    :func:`_row_slices` afresh on each call, each its reader's to keep or
+    write; ``coeffs`` assembles them on first read."""
 
     pm: PatternMatrix
     shifts: np.ndarray
-    coeffs: np.ndarray
+    source: np.ndarray | Callable[[], Iterator[tuple[slice, np.ndarray]]]
     window: float | None = None
 
     def __len__(self) -> int:
-        return self.coeffs.size
+        return self.pm.m * len(self.shifts)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        if not callable(self.source):
+            return self.source
+        grid = None
+        for rows, block in self.row_blocks():
+            if grid is None:
+                grid = np.empty((self.pm.m, len(self.shifts)), dtype=block.dtype)
+            grid[rows] = block
+        return grid
 
     @cached_property
     def series(self) -> FourierSeries:
@@ -145,13 +160,14 @@ class AliasGrid:
         ks = gset_freqs(self.pm)[:, None, :] + (self.shifts @ self.pm.mat_np)[None]
         return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel())
 
-    def row_blocks(self):
-        """Yield ``(rows, coeffs[rows])`` over :func:`_row_slices`.  Each block
-        is C-contiguous (a view of a C-contiguous grid, else a copy of the
-        block alone), so a sum along its rows adds in the same order
+    def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield ``(rows, coeffs[rows])`` over :func:`_row_slices`, each block
+        C-contiguous, so a sum along its rows adds in the same order
         whatever the block's size."""
-        for rows in _row_slices(*self.coeffs.shape):
-            yield rows, np.ascontiguousarray(self.coeffs[rows])
+        if callable(self.source):
+            return self.source()
+        return ((rows, np.ascontiguousarray(self.source[rows]))
+                for rows in _row_slices(*self.source.shape))
 
     @classmethod
     def from_series(cls, f: FourierSeries, pm: PatternMatrix,

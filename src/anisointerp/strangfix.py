@@ -12,9 +12,8 @@ some sequence, so the minimal witness is the canonical one) on the shells
 ``||z||_inf <= window`` that the interpolant's grid declares complete, and
 reports the truncated ``gamma_SF``.  A periodized kernel's window is its
 radius; the Dirichlet kernel's is infinite, and its sums are exact.  The
-verifier is one pass over the row blocks of the class x shift grid, a held
-grid's or, in a study row, the kernel's as it is made, so its working memory
-is ``O(block * nz)``, not ``O(m * nz)``.  Each block's ``|c_{h + M^T z}|``
+verifier is one walk of the class x shift grid's row blocks, so its working
+memory is ``O(block * nz)``, not ``O(m * nz)``.  Each block's ``|c_{h + M^T z}|``
 gives ``b_z`` as a running maximum down each shell's column and the
 aliasing-theorem constant ``gamma_IP`` as a norm along each row, which is
 read from the report, never recomputed.
@@ -109,7 +108,7 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     """Verify the Strang-Fix conditions, and compute ``gamma_IP``, on the
     shells ``||z||_inf <= window`` that the interpolant's grid declares
     complete (the window :meth:`AliasGrid.from_series` was given, for a
-    series kernel), in one pass over the grid's row blocks.
+    series kernel), in one walk of the grid's row blocks.
 
     ``gamma_IP`` is ``m`` times the worst per-class ``l_q`` norm of ``|c_h|``
     and ``||M||^alpha sigma_alpha(z) |c_{h + M^T z}|``; it depends on
@@ -117,7 +116,8 @@ def verify_sfc(ifun: FundamentalInterpolant, params: SFParams) -> SFReport:
     grid's window is ``None`` or not ``>= 0``, and ``AnisoError`` when
     ``||M||^alpha sigma_alpha`` overflows on the shells, when the bound
     ``kappa^{-s} ||M||^{-alpha} ||M^{-T} h||^s`` leaves the float range at
-    some ``h != 0``, or when ``gamma_SF`` overflows.
+    some ``h != 0``, or when ``gamma_SF`` overflows; the walk itself ends in
+    the interpolant's ``NonExistent``, if due, before ``gamma_SF`` is formed.
     """
     add, result = _sf_pass(ifun.pm, ifun.grid.shifts, ifun.grid.window, params)
     for rows, block in ifun.grid.row_blocks():

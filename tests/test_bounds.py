@@ -43,7 +43,7 @@ from anisointerp import (
     verify_sfc,
     weights_many,
 )
-from anisointerp import bounds, ptransform
+from anisointerp import bounds, cli, ptransform
 from reference_api import sf_b
 
 E2 = validate_matrix([[2, 0], [0, 2]])
@@ -368,12 +368,16 @@ def test_row_blocks_leave_every_result_bit_for_bit_unchanged(monkeypatch, rows):
 
 
 def _held_row(spec, j):
-    """A study row from the held grid, the reference of the streamed row:
-    ``build_interpolant``, ``verify_sfc`` and ``part_bounds``, then the
+    """A study row from a held kernel, the reference of the streamed row: the
+    kernel's row blocks concatenated into one array, then
+    ``fundamental_interpolant``, ``verify_sfc`` and ``part_bounds``, then the
     combined bound as the study forms it."""
     pm = validate_matrix([[2**j * e for e in row] for row in spec.base_matrix.mat])
     s = bounds.kernel_order(spec.kernel, spec.s)
-    ifun = bounds.build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps)
+    kernel = (periodize(spec.kernel, pm, spec.radius, spec.tail_eps)
+              if isinstance(spec.kernel, BoxSplineSpec) else bounds.dirichlet_kernel(pm))
+    held = np.concatenate([block for _, block in kernel.row_blocks()])
+    ifun = fundamental_interpolant(AliasGrid(pm, kernel.shifts, held, kernel.window))
     rep = verify_sfc(ifun, SFParams(s=s, alpha=spec.alpha, q=spec.q))
     parts = part_bounds(spec.test_function, ifun, rep, spec.mu)
     err, norm2 = parts.error, spectral_data(pm).norm2
@@ -382,7 +386,7 @@ def _held_row(spec, j):
     return bounds.ScaleRow(j=j, m=pm.m, norm2=norm2, error=err.total, bound=bound,
                            ratio=bounds._safe_ratio(err.total, bound, err.scale),
                            node_residual=err.node_residual, gamma_sf=rep.gamma_sf,
-                           sf_passed=rep.passed, parts=parts)
+                           sf_failures=rep.failures, parts=parts)
 
 
 def _stream_spec(kernel, alpha=0.0, q=2.0, s=None):
@@ -453,20 +457,50 @@ def test_streamed_study_row_refuses_as_the_held_grid(monkeypatch):
         assert str(streamed.value) == str(held.value)
 
 
-def test_build_interpolant_peak_memory_is_near_its_grid():
-    """At j = 4 of the study (m = 1024, radius 16) ``build_interpolant``
-    scales the kernel grid it built in place: no second ``(m, nz)`` array."""
+def test_verify_sfc_of_a_fresh_interpolant_peaks_below_half_its_grid():
+    """At j = 4 of the study (m = 1024, radius 16: an 8.9 MB grid) building
+    the interpolant holds no grid, and ``verify_sfc`` walks its kernel's row
+    blocks, scaled as they pass, so the two together peak below half the
+    grid (when building held the grid, they peaked at about 1.2 grids)."""
     import tracemalloc
 
     pm = validate_matrix([[32, 16], [0, 32]])
-    bounds.build_interpolant(B222, pm, 16, 1e-4)  # fill the class tables' cache first
+    params = SFParams(s=4.0, alpha=0.0, q=2.0)
+    verify_sfc(bounds.build_interpolant(B222, pm, 16, 1e-4), params)  # fill the caches first
     tracemalloc.start()
     try:
-        ifun = bounds.build_interpolant(B222, pm, 16, 1e-4)
+        verify_sfc(bounds.build_interpolant(B222, pm, 16, 1e-4), params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * ifun.grid.coeffs.nbytes
+    assert peak < 1024 * 33**2 * 8 / 2
+
+
+def test_no_consumer_assembles_a_made_grid(monkeypatch, tmp_path, capsys):
+    """The study row, ``verify_sfc`` and ``part_bounds`` of a fresh
+    interpolant, and ``sfcheck`` walk row blocks only: with the assembly of
+    a made grid's ``coeffs`` made to raise, each still runs (a held grid,
+    such as the Dirichlet kernel, keeps its array)."""
+    def held_only(grid):
+        if callable(grid.source):
+            raise AssertionError("a made grid was assembled")
+        return grid.source
+
+    monkeypatch.setattr(AliasGrid, "coeffs", property(held_only))
+    spec = ExperimentSpec(base_matrix=M21, scales=(0, 1), test_function=decay_profile(2, 9.0, 8),
+                          alpha=1.5, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
+    assert bounds._study_row(spec, 1).failure is None
+    assert bounds._study_row(dataclasses.replace(spec, kernel="dirichlet", s=4.0), 1).m == 16
+    pm = validate_matrix([[8, 3], [0, 8]])
+    for kernel in (B222, "dirichlet"):
+        ifun = bounds.build_interpolant(kernel, pm, 8, 1e-3)
+        rep = verify_sfc(ifun, SFParams(s=4.0, alpha=0.0, q=2.0))
+        assert part_bounds(decay_profile(2, 8.0, 12), ifun, rep, 6.0).error.total > 0.0
+    mat = tmp_path / "M.txt"
+    mat.write_text("2\n8 3\n0 8\n")
+    assert cli.run(["sfcheck", str(mat), "--kernel", "2; 2,2,2", "--radius", "8",
+                    "--tail-eps", "1e-3"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
@@ -683,8 +717,29 @@ def test_verdict_requires_strang_fix_pass():
     rep = convergence_study(spec)
     assert all(r.ratio <= RATIO_TOL for r in rep.rows)
     assert all(r.node_residual <= 1e-6 for r in rep.rows)
-    assert not all(r.sf_passed for r in rep.rows)
+    assert all(r.sf_failures for r in rep.rows)
+    assert all(r.failure == f"Strang-Fix: {r.sf_failures[0]}" for r in rep.rows)
     assert not rep.verdict
+
+
+def test_scale_row_failure_names_the_first_failing_condition():
+    """A row fails on its ratio, then on its node residual, then on its
+    first Strang-Fix message; a NaN ratio or residual fails too."""
+    spec = ExperimentSpec(base_matrix=M21, scales=(0,), test_function=decay_profile(2, 9.0, 8),
+                          alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
+    row = convergence_study(spec).rows[0]
+    assert row.failure is None and row.sf_failures == []
+    cases = [(dict(ratio=2.0, node_residual=1.0, sf_failures=["a"]),
+              "ratio 2.000000e+00 exceeds 1"),
+             (dict(ratio=math.nan), "ratio nan exceeds 1"),
+             (dict(node_residual=1e-3, sf_failures=["a", "b"]),
+              "node residual 1.000e-03 exceeds 1e-06"),
+             (dict(node_residual=math.nan), "node residual nan exceeds 1e-06"),
+             (dict(sf_failures=["a", "b"]), "Strang-Fix: a")]
+    for fields, why in cases:
+        failed = dataclasses.replace(row, **fields)
+        assert failed.failure == why
+        assert not bounds.BoundReport(spec=spec, rho=4.0, rows=[row, failed]).verdict
 
 
 def report_is_deterministic(rep, path):

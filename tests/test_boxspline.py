@@ -167,17 +167,36 @@ def test_strided_factors_match_gather_oracle(spec, mat, radius):
 
 
 def test_periodize_peak_memory_is_near_its_output():
-    """At j = 4 of the study (m = 1024, radius 16) ``periodize`` allocates
-    little beyond the grid it returns: no ``(m, nz)`` gathered factors."""
+    """At j = 4 of the study (m = 1024, radius 16) assembling the grid that
+    ``periodize`` returns allocates little beyond the grid itself: no
+    ``(m, nz)`` gathered factors."""
+    pm = validate_matrix([[32, 16], [0, 32]])
+    periodize(B222, pm, 16, 1e-4).coeffs  # fill the class tables' cache first
+    grid = periodize(B222, pm, 16, 1e-4)
+    tracemalloc.start()
+    try:
+        coeffs = grid.coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.shape == (1024, 1089)
+    assert peak < 1.5 * coeffs.nbytes
+
+
+def test_len_of_a_kernel_never_builds_it():
+    """``len()`` of a periodized kernel is ``m * nz``, read from the pattern
+    and the shifts: at j = 4 of the study (m = 1024, radius 16) ``periodize``
+    and ``len()`` together trace less than a tenth of the 8.9 MB grid."""
     pm = validate_matrix([[32, 16], [0, 32]])
     periodize(B222, pm, 16, 1e-4)  # fill the class tables' cache first
     tracemalloc.start()
     try:
-        grid = periodize(B222, pm, 16, 1e-4)
+        n = len(periodize(B222, pm, 16, 1e-4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * grid.coeffs.nbytes
+    assert n == 1024 * 1089
+    assert peak < 1024 * 1089 * 8 / 10
 
 
 def test_periodization_tail_frozen_values():
@@ -379,8 +398,9 @@ def test_full_family_has_degenerate_class():
     triggering the incorrect-interpolation fallback."""
     full = BoxSplineSpec(2, (1, 1, 1, 1), family="full")
     phi = periodize(full, E2, 12, math.inf)
+    ifun = fundamental_interpolant(phi)  # the first full walk decides existence
     with pytest.raises(NonExistent, match=r"\(-1, -1\)"):
-        fundamental_interpolant(phi)
+        ifun.incorrect_modes
     ifun = fundamental_interpolant(phi, allow_incorrect=True)
     assert (-1, -1) in ifun.incorrect_modes
 

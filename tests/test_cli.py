@@ -252,6 +252,25 @@ def test_converge_runs_and_writes(tmp_path, capsys):
     assert len(err) == 3 and all(line.startswith("error: ") for line in err), err
 
 
+def test_converge_says_why_a_scale_fails(tmp_path, capsys):
+    """A study that fails prints, on stderr only, one line per failing scale
+    naming the condition; here both scales fail Strang-Fix (the last shell
+    of ``gamma_SF`` at ``q = 1`` dominates), although every ratio is near
+    1e-6, and stdout is the table alone."""
+    mat = tmp_path / "M21.txt"
+    mat.write_text("2\n2 1\n0 2\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nkernel = 2; 2,2,2\nscales = 0,1\nradius = 8\n"
+                   "q = 1\nalpha = 1\nmu = 3\n")
+    assert run(["converge", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "rho=2 fitted_rate=n/a verdict=fail"
+    assert [line.split()[-1].startswith("ratio=") for line in out.splitlines()[1:]] == [True] * 2
+    assert "FAIL" not in out
+    assert err.splitlines() == [f"FAIL: j={j}: Strang-Fix: no geometric tail: last shell "
+                                "dominates gamma_SF" for j in (0, 1)]
+
+
 @pytest.mark.parametrize("override,name", [("scales = 1,1", "scales"),
                                            ("kmax = -1", "kmax"),
                                            ("radus = 8", "'radus'"),

@@ -321,39 +321,52 @@ def test_complex_kernel_matches_dict_loop_oracle():
 
 def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, capsys, box_ifun):
     """``verify_sfc`` is the only reader of the shells: it makes exactly one
-    pass over the grid's row blocks and weights at most ``(2 R + 1)^d`` rows
-    on a radius-``R`` grid; ``part_bounds`` makes no pass of its own (its
-    one pass is the error measurement of ``interp_error``), and ``sfcheck``
+    pass over the interpolant's row blocks, which makes each block of its
+    kernel once and scales it, and weights at most ``(2 R + 1)^d`` rows on a
+    radius-``R`` grid; ``part_bounds`` makes no pass of its own (its one
+    pass is the error measurement of ``interp_error``), and ``sfcheck``
     reads ``gamma_IP`` from that one pass.  A study row holds no grid: it
-    streams its kernel once into one Strang-Fix pass and one error pass,
-    each fed every row block once, and reads ``gamma_IP`` from the former."""
+    walks its interpolant once, making each kernel block once, into one
+    Strang-Fix pass and one error pass, each fed every row block once, and
+    reads ``gamma_IP`` from the former."""
     import anisointerp
-    from anisointerp import (ExperimentSpec, bounds, cli, convergence_study, decay_profile,
-                             part_bounds, ptransform, strangfix)
+    from anisointerp import (ExperimentSpec, boxspline, bounds, cli, convergence_study,
+                             decay_profile, part_bounds, ptransform, strangfix)
 
     assert not any(hasattr(mod, "gamma_ip") for mod in (anisointerp, bounds, cli, strangfix))
-    passes, rows = [], []
+    passes, rows, made = [], [], []
     row_blocks, weights = AliasGrid.row_blocks, strangfix.weights_many
+    row_slices = boxspline._row_slices
 
     def counting(grid, *args):
         passes.append(sys._getframe(1).f_code.co_name)
         return row_blocks(grid, *args)
 
+    def making(m, nz):  # the rows of each kernel block periodize makes
+        for block_rows in row_slices(m, nz):
+            made.append(block_rows)
+            yield block_rows
+
     monkeypatch.setattr(AliasGrid, "row_blocks", counting)
+    monkeypatch.setattr(boxspline, "_row_slices", making)
     monkeypatch.setattr(strangfix, "weights_many",
                         lambda ks, *args: rows.append(len(ks)) or weights(ks, *args))
     radius = 16
     assert box_ifun.grid.window == radius
+    every_block = list(row_slices(FIG1.m, (2 * radius + 1) ** 2))
     rep = verify_sfc(box_ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
-    assert passes == ["verify_sfc"]
+    # the interpolant's walk is its kernel's walk, block for block
+    assert passes == ["verify_sfc", "scaled"] and made == every_block
     assert sum(rows) <= (2 * radius + 1) ** 2
 
     passes.clear()
+    made.clear()
     parts = part_bounds(decay_profile(2, 8.0, 12), box_ifun, rep, 6.0)
     assert 0.0 < parts.ratios["aliasing"] <= 1.0
-    assert passes == ["interp_error"]
+    assert passes == ["interp_error", "scaled"] and made == every_block
 
     passes.clear()
+    made.clear()
     spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1], [0, 2]]), scales=(0, 1),
                           test_function=decay_profile(2, 9.0, 8),
                           alpha=0.0, mu=6.0, q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
@@ -372,17 +385,20 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     nz = (2 * spec.radius + 1) ** 2
     monkeypatch.setattr(ptransform, "GRID_BLOCK", 3 * nz)  # 2 blocks at m = 4, 6 at m = 16
     assert convergence_study(spec).verdict
-    # per row, each pass sees every row block once and in order, then gives its result
+    # per row, each kernel block is made once, and each pass sees every row
+    # block once and in order, then gives its result
     want = [rows for m in (4, 16) for rows in [*ptransform._row_slices(m, nz), "result"]]
-    assert passes == [] and seen == {name: want for name in seen}
+    assert passes == ["_study_row", "scaled"] * 2 and seen == {name: want for name in seen}
+    assert made == [rows for rows in want if rows != "result"]
 
     passes.clear()
+    made.clear()
     mat = tmp_path / "M.txt"
     mat.write_text("2\n8 3\n0 8\n")
     assert cli.run(["sfcheck", str(mat), "--kernel", "2; 2,2,2", "--radius", "8",
                     "--tail-eps", "1e-3"]) == 0
     assert json.loads(capsys.readouterr().out)["gamma_ip"] > 0.0
-    assert passes == ["verify_sfc"]
+    assert passes == ["verify_sfc", "scaled"] and made == list(row_slices(FIG1.m, 17**2))
 
 
 def test_huge_alpha_raises():
