@@ -178,9 +178,11 @@ def dirichlet_kernel(pm: PatternMatrix) -> AliasGrid:
 
 
 def cardinal_residual(ifun: FundamentalInterpolant) -> float:
-    """Max deviation of the interpolant from the cardinal values at nodes."""
+    """Max deviation of the interpolant from the cardinal values at nodes, from
+    one walk of its row blocks."""
     pm = ifun.pm
-    vals = pm.m * dft_inverse(CoeffVector(ifun.grid.coeffs.sum(axis=1), pm)).values
+    folded = np.concatenate([block.sum(axis=1) for _, block in ifun.grid.row_blocks()])
+    vals = pm.m * dft_inverse(CoeffVector(folded, pm)).values
     target = np.zeros(pm.m, dtype=np.complex128)
     target[canonical_classes(pm, False)[2][0]] = 1.0  # label 0 is the origin
     return float(np.abs(vals - target).max())

@@ -24,6 +24,7 @@ from anisointerp import (
     SFParams,
     a_norm,
     c_rho,
+    cardinal_residual,
     convergence_study,
     decay_profile,
     dirichlet_kernel,
@@ -477,10 +478,10 @@ def test_verify_sfc_of_a_fresh_interpolant_peaks_below_half_its_grid():
 
 
 def test_no_consumer_assembles_a_made_grid(monkeypatch, tmp_path, capsys):
-    """The study row, ``verify_sfc`` and ``part_bounds`` of a fresh
-    interpolant, and ``sfcheck`` walk row blocks only: with the assembly of
-    a made grid's ``coeffs`` made to raise, each still runs (a held grid,
-    such as the Dirichlet kernel, keeps its array)."""
+    """The study row, ``verify_sfc``, ``part_bounds`` and ``cardinal_residual``
+    of a fresh interpolant, and ``sfcheck`` walk row blocks only: with the
+    assembly of a made grid's ``coeffs`` made to raise, each still runs (a
+    held grid, such as the Dirichlet kernel, keeps its array)."""
     def held_only(grid):
         if callable(grid.source):
             raise AssertionError("a made grid was assembled")
@@ -496,6 +497,7 @@ def test_no_consumer_assembles_a_made_grid(monkeypatch, tmp_path, capsys):
         ifun = bounds.build_interpolant(kernel, pm, 8, 1e-3)
         rep = verify_sfc(ifun, SFParams(s=4.0, alpha=0.0, q=2.0))
         assert part_bounds(decay_profile(2, 8.0, 12), ifun, rep, 6.0).error.total > 0.0
+        assert cardinal_residual(ifun) < 1e-12
     mat = tmp_path / "M.txt"
     mat.write_text("2\n8 3\n0 8\n")
     assert cli.run(["sfcheck", str(mat), "--kernel", "2; 2,2,2", "--radius", "8",
