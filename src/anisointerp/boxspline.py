@@ -208,9 +208,9 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
     Raises ``ValueError`` unless ``radius >= 1`` and ``tail_eps > 0`` (``inf``
     accepts any tail); ``TailTooLarge`` if :func:`periodization_tail`, the
     certified bound on the per-class sum of dropped coefficient magnitudes,
-    exceeds ``tail_eps``; ``AnisoError``, before any work, if the grid passes
-    ``GRID_MAX`` entries or a mode could leave int64 (``max|h| + d radius
-    max|M| >= 2^63``).
+    exceeds ``tail_eps``; ``AnisoError``, before any work, if the box holds
+    more than ``GRID_MAX`` shifts or a mode could leave int64 (``max|h| + d
+    radius max|M| >= 2^63``); ``coeffs`` refuses past ``GRID_MAX`` entries.
     """
     if not radius >= 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -218,8 +218,8 @@ def periodize(spec: BoxSplineSpec, pm: PatternMatrix, radius: int,
         raise ValueError(f"tail_eps must be > 0, got {tail_eps}")
     if spec.d != pm.d:
         raise ValueError("spline dimension and matrix dimension differ")
-    if pm.m * (2 * radius + 1) ** pm.d > GRID_MAX:
-        raise AnisoError(f"radius {radius} needs a grid of over {GRID_MAX} entries")
+    if (2 * radius + 1) ** pm.d > GRID_MAX:
+        raise AnisoError(f"radius {radius} needs over {GRID_MAX} shifts")
     check_reach(pm, radius)
     tail = periodization_tail(spec, pm, radius, tail_eps)
     if not tail <= tail_eps:

@@ -5,13 +5,14 @@ congruence classes mod ``M``, and likewise the rational lattice
 ``M^{-1} Z^d`` into ``m`` classes mod ``Z^d``.  One exact diagonal form
 ``U M V = diag(eps)`` labels both: a pattern generator ``g`` by the digits
 ``U g mod eps``, a frequency ``h`` by ``V^T h mod eps``, and the phase is
-``h^T M^{-1} g = sum_i (V^T h)_i (U g)_i / eps_i (mod 1)``.  This module
-enumerates the canonical representatives inside the half-open cube
-``[-1/2, 1/2)^d``, and labels and reduces arbitrary integers.  Everything
-here is exact: membership in the half-open parallelotope is decided by
-integer comparisons on the adjugate, never by floating point.  One exact
-reduction serves every function here: int64 or Python ints, chosen from
-the input size, so no input is refused.
+``h^T M^{-1} g = sum_i (V^T h)_i (U g)_i / eps_i (mod 1)``.  The same form,
+computed once per matrix, gives the determinant, the adjugate and the
+inverses of the digit maps.  This module enumerates the canonical
+representatives inside the half-open cube ``[-1/2, 1/2)^d``, and labels and
+reduces arbitrary integers.  Everything here is exact: membership in the
+half-open parallelotope is decided by integer comparisons on the adjugate,
+never by floating point.  One exact reduction serves every function here:
+int64 or Python ints, chosen from the input size, so no input is refused.
 
 Frequency indices and generating-set elements are plain ``tuple[int, ...]``;
 pattern points are stored through their integer generator ``g`` with
@@ -36,41 +37,11 @@ GRID_MAX = 2**25  # entries of a class table or grid (512 MiB of float64)
 GRID_BLOCK = 2**16  # entries of one row block when a grid is streamed (512 KiB of float64)
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _int64_rows(rows: IntMat, name: str) -> np.ndarray:
     try:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
         raise AnisoError(f"{name} has an entry past int64") from None
-
-
-def _minor(rows: IntMat, i: int, j: int) -> list[list[int]]:
-    return [
-        [rows[r][c] for c in range(len(rows)) if c != j]
-        for r in range(len(rows))
-        if r != i
-    ]
 
 
 @dataclass(frozen=True)
@@ -87,6 +58,9 @@ class PatternMatrix:
         Exact determinant, nonzero.
     adj : tuple of tuple of int
         Adjugate, satisfying ``mat @ adj == det * I`` exactly.
+    form : tuple
+        ``(eps, U, V, U^{-1}, V^{-1})``: ``U M V = diag(eps)``, ``eps > 0``.  In
+        ``eq``, as cached class tables depend on it; not in the per-lookup ``hash``.
     m : int
         Pattern cardinality ``|det|``.
     """
@@ -95,6 +69,7 @@ class PatternMatrix:
     mat: IntMat
     det: int
     adj: IntMat
+    form: tuple[IntVec, IntMat, IntMat, IntMat, IntMat] = field(hash=False)
     m: int = field(init=False)
     sign: int = field(init=False)
 
@@ -113,11 +88,11 @@ class PatternMatrix:
         return _int64_rows(self.adj, f"the adjugate of {self.mat}")
 
     def transposed(self) -> "PatternMatrix":
-        """Pattern matrix of ``M^T`` (same determinant, transposed adjugate)."""
-        mt = tuple(zip(*self.mat))
-        adjt = tuple(zip(*self.adj))
-        return PatternMatrix(self.d, tuple(map(tuple, mt)), self.det,
-                             tuple(map(tuple, adjt)))
+        """Pattern matrix of ``M^T``: same determinant, transposed adjugate,
+        and the diagonal form ``V^T M^T U^T = diag(eps)``."""
+        eps, u, v, u_inv, v_inv = self.form
+        return PatternMatrix(self.d, _t(self.mat), self.det, _t(self.adj),
+                             (eps, _t(v), _t(u), _t(v_inv), _t(u_inv)))
 
     def inv_apply(self, k: IntVec) -> tuple[Fraction, ...]:
         """``M^{-1} k`` as exact fractions."""
@@ -126,43 +101,44 @@ class PatternMatrix:
 
     @cached_property
     def diagonal_form(self) -> tuple[IntVec, IntMat, IntMat]:
-        """``(eps, U, V)``: ``eps > 0`` and unimodular ``U``, ``V`` with
-        ``U M V = diag(eps)``, checked exactly.
-
-        Raises ``AnisoError`` if the check fails, or if ``d * max(eps)^2`` or
-        ``d * m`` reaches ``2^63``: below that, reducing map and input mod
-        ``eps_i`` keeps every class digit and phase term exact in int64.
-        """
-        eps, u, v = _diagonalize(self.mat)
-        umv = [_mat_vec(tuple(zip(*v)), _mat_vec(tuple(zip(*self.mat)), row)) for row in u]
-        diag = [[e * (i == j) for j in range(self.d)] for i, e in enumerate(eps)]
-        # with prod(eps) = m, det U * det V = +-1, so both are unimodular
-        if min(eps) < 1 or prod(eps) != self.m or umv != diag:
-            raise AnisoError(f"{(eps, u, v)} is not a diagonal form of {self.mat}")
+        """``(eps, U, V)`` of ``form``; ``AnisoError`` if ``d * max(eps)^2``
+        or ``d * m`` reaches ``2^63``: below that, reducing map and input mod
+        ``eps_i`` keeps every class digit and phase term exact in int64."""
+        eps = self.form[0]
         if self.d * max(max(eps) ** 2, self.m) >= 2**63:
             raise AnisoError(f"diagonal form {eps} of {self.mat} is too large "
                              "for exact int64 class labels")
-        return eps, u, v
+        return self.form[:3]
+
+
+def _t(rows: IntMat) -> IntMat:
+    return tuple(zip(*rows))
+
+
+def _mul(a: IntMat, b: IntMat) -> IntMat:
+    return tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in zip(*b)) for r in a)
 
 
 def _mat_vec(rows: IntMat, v: IntVec) -> list[int]:
     return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
 
 
-def _diagonalize(mat: IntMat) -> tuple[IntVec, IntMat, IntMat]:
-    """``(eps, U, V)`` with ``U M V = diag(eps)``, by row and column
-    elimination around the smallest nonzero pivot, in Python ints.  The
-    ``eps_i`` need not divide each other: any diagonal form will do."""
+def _diagonalize(mat: IntMat) -> tuple[IntVec, IntMat, IntMat, int]:
+    """``(eps, U, V, det U * det V)`` with ``U M V = diag(eps)``, by row and
+    column elimination around the smallest nonzero pivot, in Python ints.
+    The ``eps_i`` need not divide each other: any diagonal form will do."""
     d = len(mat)
     a = [list(row) for row in mat]
     u = [[int(i == j) for j in range(d)] for i in range(d)]
     v = [[int(i == j) for j in range(d)] for i in range(d)]
+    sign = 1
     for k in range(d):
         # remainders are smaller than the pivot, so this ends; once row and
-        # column k are clear, a[k][k] != 0 because M is regular
+        # column k are clear, a[k][k] == 0 only if row k is, so M is singular
         while any(a[i][k] or a[k][i] for i in range(k + 1, d)):
             _, i, j = min((abs(a[i][j]), i, j) for i in range(k, d)
                           for j in range(k, d) if a[i][j])
+            sign *= (-1) ** ((i != k) + (j != k))  # each real swap flips it
             a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
             for r in a + v:
                 r[k], r[j] = r[j], r[k]
@@ -174,12 +150,15 @@ def _diagonalize(mat: IntMat) -> tuple[IntVec, IntMat, IntMat]:
                 for r in a + v:
                     r[j] -= q * r[k]
         if a[k][k] < 0:
-            a[k], u[k] = [-x for x in a[k]], [-x for x in u[k]]
-    return tuple(a[k][k] for k in range(d)), tuple(map(tuple, u)), tuple(map(tuple, v))
+            a[k], u[k], sign = [-x for x in a[k]], [-x for x in u[k]], -sign
+    return tuple(a[k][k] for k in range(d)), tuple(map(tuple, u)), tuple(map(tuple, v)), sign
 
 
 def validate_matrix(raw) -> PatternMatrix:
-    """Validate a square integer matrix and compute det/adjugate exactly.
+    """Validate a square integer matrix and read it all off one exact diagonal
+    form ``U M V = diag(eps)``: ``U^{-1} = M V diag(eps)^{-1}`` and ``V^{-1} =
+    diag(eps)^{-1} U M``, integral only if ``U``, ``V`` are unimodular, ``det =
+    det U det V prod(eps)`` and ``adj = det V diag(eps)^{-1} U``.
 
     Raises
     ------
@@ -192,29 +171,24 @@ def validate_matrix(raw) -> PatternMatrix:
         raise ValueError("matrix is empty")
     if any(len(r) != d for r in rows):
         raise ValueError("matrix must be square")
-    for row, raw_row in zip(rows, raw):
-        for x, rx in zip(row, raw_row):
-            if x != rx:
-                raise ValueError("matrix entries must be integers")
-    det = _det_bareiss(rows)
-    if det == 0:
+    if any(x != rx for row, raw_row in zip(rows, raw) for x, rx in zip(row, raw_row)):
+        raise ValueError("matrix entries must be integers")
+    mat = tuple(map(tuple, rows))
+    eps, u, v, sign = _diagonalize(mat)
+    if 0 in eps:
         raise SingularMatrix(f"matrix {rows} is singular")
-    if d == 1:
-        adj = ((1,),)
-    else:
-        # adj = cofactor matrix transposed: adj[j][i] = (-1)^{i+j} minor(i,j)
-        adj_rows = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                cof = (-1) ** (i + j) * _det_bareiss(_minor(tuple(map(tuple, rows)), i, j))
-                adj_rows[j][i] = cof
-        adj = tuple(tuple(r) for r in adj_rows)
-    pm = PatternMatrix(d, tuple(tuple(r) for r in rows), det, adj)
-    for i in range(d):
-        col = _mat_vec(pm.mat, tuple(adj[j][i] for j in range(d)))
-        if any(col[j] != (det if i == j else 0) for j in range(d)):
-            raise AnisoError(f"adjugate of {rows} violates M adj = det I")
-    return pm
+    mv, um = _mul(mat, v), _mul(u, mat)
+    u_inv = tuple(tuple(x // e for x, e in zip(r, eps)) for r in mv)
+    v_inv = tuple(tuple(x // e for x in r) for r, e in zip(um, eps))
+    if (any(x % e for r in mv for x, e in zip(r, eps))
+            or any(x % e for r, e in zip(um, eps) for x in r)):
+        raise AnisoError(f"{(eps, u, v)} is not a diagonal form of {mat}")
+    det = sign * prod(eps)
+    adj = _mul(v, tuple(tuple(det // e * x for x in r) for r, e in zip(u, eps)))
+    # M adj = det I also proves U M V = diag(eps)
+    if _mul(mat, adj) != tuple(tuple(det * (i == j) for j in range(d)) for i in range(d)):
+        raise AnisoError(f"adjugate of {rows} violates M adj = det I")
+    return PatternMatrix(d, mat, det, adj, (eps, u, v, u_inv, v_inv))
 
 
 def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
@@ -224,7 +198,7 @@ def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
     eps, u, v = pm.diagonal_form
     x = np.asarray(x, dtype=np.int64).reshape(-1, pm.d)
     digits = [(x % e) @ np.array([c % e for c in row], dtype=np.int64) % e
-              for row, e in zip(tuple(zip(*v)) if transposed else u, eps)]
+              for row, e in zip(_t(v) if transposed else u, eps)]
     return np.ravel_multi_index(digits, eps)
 
 
@@ -238,12 +212,11 @@ def canonical_classes(pm: PatternMatrix,
     first, or if a representative leaves the half-open cube or its class."""
     if pm.m > GRID_MAX:
         raise AnisoError(f"m = {pm.m} classes of {pm.mat} pass GRID_MAX = {GRID_MAX}")
-    eps, u, v = pm.diagonal_form
-    # the map to digits, U or V^T, is unimodular: its inverse is det * adj
-    inv = validate_matrix(tuple(zip(*v)) if transposed else u)
+    eps = pm.diagonal_form[0]
     grid = np.indices(eps).reshape(pm.d, -1).T  # row l: the digits of label l
-    p = pm.transposed() if transposed else pm
-    rows = np.asarray(_reduce_rows(grid @ (inv.det * inv.adj_np).T, p), dtype=np.int64)
+    p = pm.transposed() if transposed else pm  # U of p maps to the digits
+    inv = _int64_rows(p.form[3], f"the digit map inverse of {pm.mat}")
+    rows = np.asarray(_reduce_rows(grid @ inv.T, p), dtype=np.int64)
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     labels = class_labels(rows, pm, transposed)
@@ -285,14 +258,11 @@ def _reduce_rows(ks: np.ndarray, p: PatternMatrix) -> np.ndarray:
     return _shift_rows(ks, p)[1]
 
 
-def _object_rows(*ks: IntVec) -> np.ndarray:
-    return np.array([[int(x) for x in k] for k in ks], dtype=object)
-
-
 def reduce_freq(k: IntVec, pm: PatternMatrix) -> IntVec:
     """Unique ``h`` in the canonical generating set of ``M^T`` with
     ``k = h + M^T z``; exact for integers of any size."""
-    return tuple(int(x) for x in _reduce_rows(_object_rows(k), pm.transposed())[0])
+    ks = np.array([[int(x) for x in k]], dtype=object)
+    return tuple(int(x) for x in _reduce_rows(ks, pm.transposed())[0])
 
 
 def reduce_freq_many(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:

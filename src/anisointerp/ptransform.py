@@ -132,7 +132,8 @@ class AliasGrid:
     is declared complete).  ``source`` is the held grid, whose blocks are
     views never written to, or a function that makes the row blocks of
     :func:`_row_slices` afresh on each call, each its reader's to keep or
-    write; ``coeffs`` assembles them on first read."""
+    write; ``coeffs`` assembles them on first read, refusing first (with
+    ``AnisoError``) a grid past ``GRID_MAX`` entries."""
 
     pm: PatternMatrix
     shifts: np.ndarray
@@ -146,6 +147,8 @@ class AliasGrid:
     def coeffs(self) -> np.ndarray:
         if not callable(self.source):
             return self.source
+        if len(self) > GRID_MAX:
+            raise AnisoError(f"{self.pm.m} x {len(self.shifts)} grid past GRID_MAX = {GRID_MAX}")
         grid = None
         for rows, block in self.row_blocks():
             if grid is None:
@@ -155,10 +158,12 @@ class AliasGrid:
 
     @cached_property
     def series(self) -> FourierSeries:
-        """The flat view, ``h + M^T z`` ``h``-major; ``AnisoError`` past int64."""
+        """The flat view, ``h + M^T z`` ``h``-major; ``AnisoError`` past int64
+        or, before ``ks`` is built, past ``GRID_MAX`` entries."""
         check_reach(self.pm, int(np.abs(self.shifts).max()))
+        coeffs = self.coeffs.ravel()
         ks = gset_freqs(self.pm)[:, None, :] + (self.shifts @ self.pm.mat_np)[None]
-        return FourierSeries(ks.reshape(-1, self.pm.d), self.coeffs.ravel())
+        return FourierSeries(ks.reshape(-1, self.pm.d), coeffs)
 
     def row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield ``(rows, coeffs[rows])`` over :func:`_row_slices`, each block

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisointerp import (
+    AliasGrid,
     AnisoError,
     BoxSplineSpec,
     NonExistent,
@@ -23,7 +24,7 @@ from anisointerp import (
     sf_order,
     validate_matrix,
 )
-from anisointerp import boxspline
+from anisointerp import boxspline, ptransform
 from anisointerp.boxspline import _alias_bound, _constants, _int_box, _shell_sums
 
 E2 = validate_matrix([[2, 0], [0, 2]])
@@ -246,10 +247,14 @@ def test_periodize_radius_must_be_positive():
 
 
 def test_periodize_caps_the_grid_before_any_work(monkeypatch):
-    """A grid of more than ``GRID_MAX`` entries raises ``AnisoError`` naming
-    the radius, before the tail bound runs and before anything is built."""
-    monkeypatch.setattr(boxspline, "GRID_MAX", E2.m * 9**2)
-    assert periodize(B222, E2, 4, math.inf).coeffs.size == 324
+    """A box of more than ``GRID_MAX`` shifts raises ``AnisoError`` naming
+    the radius, before the tail bound runs and before anything is built.
+    The grid's ``m * nz`` entries are not capped here: a grid is walked in
+    row blocks and never held."""
+    monkeypatch.setattr(boxspline, "GRID_MAX", 9**2)
+    grid = periodize(B222, E2, 4, math.inf)
+    assert len(grid) == E2.m * 9**2 > boxspline.GRID_MAX
+    assert sum(block.size for _, block in grid.row_blocks()) == len(grid)
 
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the cap")
@@ -258,6 +263,24 @@ def test_periodize_caps_the_grid_before_any_work(monkeypatch):
         monkeypatch.setattr(boxspline, name, refuse)
     with pytest.raises(AnisoError, match="radius 5"):
         periodize(B222, E2, 5, 1e-4)
+
+
+def test_assembling_a_made_grid_past_grid_max_raises_first(monkeypatch):
+    """``coeffs`` and ``series`` of a made grid past ``GRID_MAX`` entries
+    raise ``AnisoError`` before any block is made or the grid allocated;
+    the same grid still walks, and one at the cap assembles."""
+    grid = periodize(B222, E2, 4, math.inf)
+    monkeypatch.setattr(ptransform, "GRID_MAX", len(grid))
+    assert periodize(B222, E2, 4, math.inf).coeffs.shape == (4, 81)
+    monkeypatch.setattr(ptransform, "GRID_MAX", len(grid) - 1)
+    assert sum(block.size for _, block in grid.row_blocks()) == len(grid)
+
+    def refuse():
+        raise AssertionError("a block was made past the cap")
+
+    for view in ("coeffs", "series"):
+        with pytest.raises(AnisoError, match="4 x 81 grid past GRID_MAX = 323"):
+            getattr(AliasGrid(E2, grid.shifts, refuse, grid.window), view)
 
 
 def test_periodize_rejects_large_tail():

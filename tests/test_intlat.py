@@ -1,5 +1,6 @@
 """Exact pattern / generating-set arithmetic against brute-force oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -38,23 +39,19 @@ def _oracle_det(mat):
     return total
 
 
-def _oracle_inv_t(mat):
-    """Exact ``M^{-T}`` via cofactors: ``(M^{-T})_{ij} = C_{ij} / det``."""
+def _oracle_adj(mat):
+    """Exact adjugate via cofactors: ``adj_{ji} = (-1)^{i+j} det M_{ij}``,
+    ``M_{ij}`` being ``M`` without row ``i`` and column ``j``."""
     d = len(mat)
+    return [[(-1) ** (i + j) * _oracle_det([row[:j] + row[j + 1:]
+                                            for r, row in enumerate(mat) if r != i])
+             if d > 1 else 1 for i in range(d)] for j in range(d)]
+
+
+def _oracle_inv_t(mat):
+    """Exact ``M^{-T}``: ``(M^{-T})_{ij} = adj_{ji} / det``."""
     det = _oracle_det(mat)
-    return [
-        [
-            Fraction(
-                (-1) ** (i + j) * _oracle_det(
-                    [row[:j] + row[j + 1:]
-                     for r, row in enumerate(mat) if r != i]
-                ) if d > 1 else 1,
-                det,
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    return [[Fraction(a, det) for a in col] for col in zip(*_oracle_adj(mat))]
 
 
 def oracle_reduce(k, mat):
@@ -199,7 +196,7 @@ def test_reduce_many_at_int64_min():
 
 def test_reduction_checks_the_half_open_cube():
     # a wrong adjugate rounds to the wrong shift; the cube check catches it
-    bad = intlat.PatternMatrix(2, ((8, 3), (0, 8)), 64, ((1, 0), (0, 1)))
+    bad = dataclasses.replace(validate_matrix(FIG1), adj=((1, 0), (0, 1)))
     with pytest.raises(AnisoError):
         reduce_freq((40, 0), bad)
     with pytest.raises(AnisoError):
@@ -215,6 +212,23 @@ def regular_matrices(draw, max_d=3):
     det = _oracle_det(mat)
     assume(det != 0 and abs(det) <= 200)
     return mat
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_matrices())
+@example([[1]])
+@example([[-5]])
+@example([[2**40 * x for x in row] for row in FIG1])
+@example([[2**40 * x for x in row] for row in [[5, -3], [2, 4]]])
+@example([[2**40 * x for x in row] for row in [[0, 1, 0], [1, 0, 0], [0, 0, 3]]])
+@example([[2**63, 0], [0, 1]])
+def test_det_and_adjugate_match_cofactor_oracle(mat):
+    """The determinant, sign included, and the adjugate read off the
+    diagonal form equal the cofactor expansion.  ``M adj = det I`` holds
+    for either sign of ``det``, so only an oracle sees a wrong sign."""
+    pm = validate_matrix(mat)
+    assert pm.det == _oracle_det(mat)
+    assert [list(r) for r in pm.adj] == _oracle_adj(mat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,21 +361,37 @@ def test_dft_matches_dense_matrix_of_exact_phases(mat, seed):
     assert np.abs(back - dense.conj().T @ a / pm.m).max() < 1e-12
 
 
-def _wrong_eps(eps, u, v):
-    return eps[:-1] + (eps[-1] + 1,), u, v
+def _wrong_eps(eps, u, v, sign):
+    return eps[:-1] + (eps[-1] + 1,), u, v, sign
 
 
-def _not_unimodular(eps, u, v):
-    # U M V = diag(eps) still holds, but det U = 2
-    return (2 * eps[0],) + eps[1:], (tuple(2 * x for x in u[0]),) + u[1:], v
+def _not_unimodular(eps, u, v, sign):
+    # U M V = diag(eps) still holds, but det U = 2: U^{-1} is not integral
+    return (2 * eps[0],) + eps[1:], (tuple(2 * x for x in u[0]),) + u[1:], v, sign
 
 
-@pytest.mark.parametrize("corrupt", [_wrong_eps, _not_unimodular])
+def _v_not_unimodular(eps, u, v, sign):
+    # U M V = diag(eps) and U^{-1} = M V diag(eps)^{-1} still hold, but
+    # det V = 2: only V^{-1} = diag(eps)^{-1} U M is not integral
+    v2 = tuple((2 * row[0],) + row[1:] for row in v)
+    return (2 * eps[0],) + eps[1:], u, v2, sign
+
+
+def _not_diagonal(eps, u, v, sign):
+    # eps_0 = 1, so both inverses stay integral, but U M V gains an
+    # off-diagonal entry: only M adj = det I sees it
+    assert eps[0] == 1
+    return eps, (tuple(x + y for x, y in zip(u[0], u[1])),) + u[1:], v, sign
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_eps, _not_unimodular, _v_not_unimodular,
+                                     _not_diagonal])
 def test_corrupted_diagonal_form_raises(monkeypatch, corrupt):
     real = intlat._diagonalize
     monkeypatch.setattr(intlat, "_diagonalize", lambda mat: corrupt(*real(mat)))
-    with pytest.raises(AnisoError):
-        validate_matrix(FIG1).diagonal_form
+    message = "M adj = det I" if corrupt is _not_diagonal else "is not a diagonal form"
+    with pytest.raises(AnisoError, match=message):
+        validate_matrix(FIG1)
 
 
 @pytest.mark.parametrize("corrupt", [
