@@ -394,6 +394,19 @@ def test_corrupted_diagonal_form_raises(monkeypatch, corrupt):
         validate_matrix(FIG1)
 
 
+def test_one_elimination_per_matrix(monkeypatch):
+    """``validate_matrix`` runs the elimination once; the diagonal form and
+    both class tables only read what it stored."""
+    calls = []
+    real = intlat._diagonalize
+    monkeypatch.setattr(intlat, "_diagonalize", lambda mat: calls.append(mat) or real(mat))
+    pm = validate_matrix(CYCLIC_3D)
+    monkeypatch.setattr(intlat, "validate_matrix", lambda raw: pytest.fail("validated again"))
+    intlat.canonical_classes.cache_clear()
+    pm.diagonal_form, pattern_generators(pm), gset_freqs(pm)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda ks, pm: ks + 100,  # leaves the half-open cube
     lambda ks, pm: np.zeros_like(ks),  # canonical, but in the wrong class
