@@ -43,7 +43,6 @@ from .interp import (
     cardinal_residual,
     dirichlet_kernel,
     evaluate_at_nodes,
-    fourier_partial_sum,
     fundamental_interpolant,
     interpolation_operator,
     translate,

@@ -26,8 +26,7 @@ import numpy as np
 from .boxspline import BoxSplineSpec, _int_box, periodize, sf_order
 from .errors import AnisoError, DivergentSeries
 from .fspaces import a_norm, grid_weights, lq_norm, weights_many
-from .interp import (FundamentalInterpolant, dirichlet_kernel, fourier_partial_sum,
-                     fundamental_interpolant)
+from .interp import FundamentalInterpolant, dirichlet_kernel, fundamental_interpolant
 from .intlat import GRID_MAX, PatternMatrix, freq_shifts, validate_matrix
 from .ptransform import (CoeffVector, FourierSeries, SampleVector, check_unique_rows,
                          dft_inverse, discrete_coeffs, fold_classes, freq_class_indices,
@@ -71,14 +70,15 @@ def interp_error(f: FourierSeries, ifun: FundamentalInterpolant,
     and raises the interpolant's ``NonExistent`` before any result.  Every
     norm is an exact finite sum; ``f`` must have unique rows (``ValueError``).
     """
-    add, result = _error_pass(f, ifun.pm, ifun.grid.shifts, alpha, q)
+    add, result, _ = _error_pass(f, ifun.pm, ifun.grid.shifts, alpha, q)
     for rows, block in ifun.grid.row_blocks():
         add(rows, block)
     return result()
 
 
 def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: float, q: float):
-    """:func:`interp_error` as ``add(rows, block)`` per row block, then ``result()``."""
+    """:func:`interp_error` as ``add(rows, block)`` per row block, then ``result()``,
+    and the partial sum ``S_M f``: ``f`` on its modes with aliasing shift ``z = 0``."""
     check_unique_rows(f)
     freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
     labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
@@ -126,7 +126,7 @@ def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: 
         return ErrorBreakdown(total=total, trig=trig, partial=partial, aliasing=aliasing,
                               node_residual=float(residual.max(initial=0.0)),
                               scale=float(np.abs(fc).max(initial=0.0)))
-    return add, result
+    return add, result, FourierSeries(freqs[canon], fc[canon])
 
 
 def _safe_ratio(num: float, den: float, scale: float) -> float:
@@ -167,15 +167,17 @@ def part_bounds(f: FourierSeries, ifun: FundamentalInterpolant, report: SFReport
     p = report.params
     if mu < p.alpha:
         raise ValueError("mu must be >= alpha")
-    return _part_bounds(interp_error(f, ifun, p.alpha, p.q), f, ifun.pm, report, mu)
+    add, result, smf = _error_pass(f, ifun.pm, ifun.grid.shifts, p.alpha, p.q)
+    for rows, block in ifun.grid.row_blocks():
+        add(rows, block)
+    return _part_bounds(result(), f, smf, ifun.pm, report, mu)
 
 
-def _part_bounds(err: ErrorBreakdown, f: FourierSeries, pm: PatternMatrix,
-                 report: SFReport, mu: float) -> PartBounds:
-    """:func:`part_bounds` of a measured ``err``."""
+def _part_bounds(err: ErrorBreakdown, f: FourierSeries, smf: FourierSeries,
+                 pm: PatternMatrix, report: SFReport, mu: float) -> PartBounds:
+    """:func:`part_bounds` of a measured ``err`` and the error pass's ``smf = S_M f``."""
     p = report.params
     norm2 = spectral_data(pm).norm2
-    smf = fourier_partial_sum(f, pm)
     f_mu = a_norm(f, mu, pm, p.q)
     try:
         gsm = gamma_sm(mu, p.alpha, p.q, pm.d)
@@ -208,7 +210,7 @@ class ExperimentSpec:
     kernel: BoxSplineSpec | str = "dirichlet"
     s: float | None = None
     radius: int = 16
-    tail_eps: float = 1e-5
+    tail_eps: float = 1e-4
 
     def __post_init__(self):
         if not self.scales:
@@ -317,12 +319,12 @@ def _study_row(spec: ExperimentSpec, j: int) -> ScaleRow:
     grid = build_interpolant(spec.kernel, pm, spec.radius, spec.tail_eps).grid
     check, report = _sf_pass(pm, grid.shifts, grid.window,
                              SFParams(s=s, alpha=spec.alpha, q=spec.q))
-    measure, error = _error_pass(spec.test_function, pm, grid.shifts, spec.alpha, spec.q)
+    measure, error, smf = _error_pass(spec.test_function, pm, grid.shifts, spec.alpha, spec.q)
     for rows, block in grid.row_blocks():  # NonExistent, if due, comes before either result
         check(rows, block)
         measure(rows, block)
     rep = report()
-    parts = _part_bounds(error(), spec.test_function, pm, rep, spec.mu)
+    parts = _part_bounds(error(), spec.test_function, smf, pm, rep, spec.mu)
     err = parts.error
     rho, const = c_rho(rep.gamma_sf, rep.gamma_ip, parts.gsm, s, spec.mu, spec.alpha, pm.d)
     bound = const * sd.norm2 ** (-rho) * parts.f_mu

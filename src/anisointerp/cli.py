@@ -171,6 +171,8 @@ def _cmd_interpolate(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(series_to_csv(series))
     print(f"wrote {args.out} ({len(series)} modes)")
+    if ifun.incorrect_modes:
+        print(f"fallback on classes {ifun.incorrect_modes}", file=sys.stderr)
     return 0
 
 
@@ -213,7 +215,6 @@ def _cmd_converge(args) -> int:
         raise ValueError("config has no 'matrix' key")
 
     pm = read_matrix(cfg["matrix"])
-    kernel = parse_kernel(cfg.get("kernel", "dirichlet"))
     scales = tuple(int(t) for t in cfg.get("scales", "0,1,2,3")
                    .replace(",", " ").split())
     q = float(cfg.get("q", "2"))
@@ -225,10 +226,10 @@ def _cmd_converge(args) -> int:
         alpha=float(cfg.get("alpha", "0")),
         mu=float(cfg.get("mu", "6")),
         q=q,
-        kernel=kernel,
-        s=float(cfg["s"]) if "s" in cfg else None,
-        radius=int(cfg.get("radius", "16")),
-        tail_eps=float(cfg["tail_eps"]) if "tail_eps" in cfg else 1e-4,
+        # a key left out takes ExperimentSpec's default
+        **{key: parse(cfg[key]) for key, parse in (("kernel", parse_kernel), ("s", float),
+                                                   ("radius", int), ("tail_eps", float))
+           if key in cfg},
     )
     report = convergence_study(spec)
     if cfg.get("csv"):

@@ -7,7 +7,7 @@ whenever no folded class coefficient vanishes.  This module constructs
 that cardinal function as a class x shift :class:`AliasGrid`, where the fold
 is a row sum and the scaling a row product, applies the induced
 interpolation operator to node samples, and provides the supporting
-translate, node-evaluation and partial-sum functions.
+translate and node-evaluation functions.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AnisoError, NonExistent
-from .intlat import (GRID_MAX, IntVec, PatternMatrix, canonical_classes, freq_phase_residues,
-                     reduce_freq_many)
+from .intlat import GRID_MAX, IntVec, PatternMatrix, canonical_classes, freq_phase_residues
 from .ptransform import (AliasGrid, CoeffVector, FourierSeries, SampleVector, alias_fold,
                          dft_inverse, discrete_coeffs, gset_freqs)
 
@@ -152,19 +151,6 @@ def interpolation_operator(samples: SampleVector,
     """
     coeffs = ifun.pm.m * discrete_coeffs(samples).values[:, None] * ifun.grid.coeffs
     return FourierSeries(ifun.series.freqs, coeffs.ravel())
-
-
-def canonical_mask(freqs: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """Which rows of an ``(n, d)`` index array lie in the canonical
-    generating set of ``M^T`` (the fixed points of the reduction)."""
-    freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, pm.d)
-    return np.all(reduce_freq_many(freqs, pm) == freqs, axis=1)
-
-
-def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
-    """Restriction of the support to the canonical generating set of ``M^T``."""
-    keep = canonical_mask(f.freqs, pm)
-    return FourierSeries(f.freqs[keep], f.coeffs[keep])
 
 
 def dirichlet_kernel(pm: PatternMatrix) -> AliasGrid:

@@ -3,7 +3,8 @@
 Each one is a small oracle or a convenience built on the package's public
 API: a randomized audit of the weight-splitting inequality, pointwise
 Fourier synthesis, translate-space membership, the pattern group law, the
-coefficient-CSV reader and the ``{z: b_z}`` view of a Strang-Fix report.
+partial sum ``S_M f``, the coefficient-CSV reader and the ``{z: b_z}`` view
+of a Strang-Fix report.
 The exceptions they raise are defined here, below the package's
 :class:`AnisoError`, so each ``pytest.raises`` still checks a refusal.
 """
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from anisointerp import (AnisoError, CoeffVector, FourierSeries, PatternMatrix, SFReport,
-                         is_expanding, reduce_freq, spectral_data, weights_many)
+                         is_expanding, reduce_freq, reduce_freq_many, spectral_data,
+                         weights_many)
 from anisointerp.intlat import IntVec
 from anisointerp.ptransform import freq_class_indices, merge_rows
 
@@ -134,6 +136,13 @@ def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:
         if reduce_freq(g, pmt) != tuple(int(x) for x in g):
             raise NotAMember(f"{g} is not a canonical generator of the pattern")
     return reduce_freq([x + y for x, y in zip(a, b)], pmt)
+
+
+def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
+    """``S_M f``: ``f`` restricted to the canonical generating set of ``M^T``,
+    the modes that the exact reduction leaves fixed."""
+    keep = np.all(reduce_freq_many(f.freqs, pm) == f.freqs, axis=1)
+    return FourierSeries(f.freqs[keep], f.coeffs[keep])
 
 
 def series_from_csv(text: str) -> FourierSeries:

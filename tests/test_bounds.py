@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from anisointerp import (
     decay_profile,
     dirichlet_kernel,
     evaluate_at_nodes,
-    fourier_partial_sum,
     fundamental_interpolant,
     gset_freqs,
     interp_error,
@@ -44,8 +44,9 @@ from anisointerp import (
     verify_sfc,
     weights_many,
 )
-from anisointerp import bounds, cli, ptransform
-from reference_api import sf_b
+from anisointerp import bounds, cli, intlat, ptransform
+from reference_api import fourier_partial_sum, sf_b
+from test_intlat import regular_matrices
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 M21 = validate_matrix([[2, 1], [0, 2]])
@@ -296,6 +297,63 @@ def test_study_never_imports_numpy_ma():
     assert proc.stdout == "False\n"
 
 
+_NEAR_2_62 = st.integers(2**62 - 40, 2**62 + 40) | st.integers(-(2**62) - 40, -(2**62) + 40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_matrices(), st.data())
+def test_error_pass_partial_sum_is_the_reduction_oracle(mat, data):
+    """The ``S_M f`` that the error pass splits off, ``f`` on its modes with
+    aliasing shift ``z = 0``, is ``f`` on the modes that the exact reduction
+    leaves fixed, row for row, also for modes near ``+-2^62``."""
+    pm = validate_matrix(mat)
+    entry = st.integers(-12, 12) | _NEAR_2_62
+    rows = data.draw(st.lists(st.tuples(*[entry] * pm.d), unique=True, max_size=25))
+    freqs = np.array(rows, dtype=np.int64).reshape(-1, pm.d)
+    f = FourierSeries(freqs, np.arange(1, len(rows) + 1) * (1.0 - 0.5j))
+    smf = bounds._error_pass(f, pm, np.zeros((1, pm.d), dtype=np.int64), 0.0, 2.0)[2]
+    want = fourier_partial_sum(f, pm)
+    assert smf.freqs.tolist() == want.freqs.tolist()
+    assert smf.coeffs.tolist() == want.coeffs.tolist()
+
+
+def test_study_row_and_part_bounds_reduce_f_once(monkeypatch, box_e2):
+    """A study row and a ``part_bounds`` call each reduce ``f``'s modes
+    exactly once: one ``freq_shifts`` call gives the error pass both the
+    aliasing shifts and ``S_M f``, and no ``reduce_freq_many`` call
+    relabels ``f`` for the part bounds."""
+    f = decay_profile(2, 9.0, 8)
+    calls = []
+
+    def on_f(ks):
+        ks = np.asarray(ks)
+        return ks.shape == f.freqs.shape and np.array_equal(ks, f.freqs)
+
+    def counting(name, fn):
+        def counted(ks, *args):
+            if on_f(ks):
+                calls.append(name)
+            return fn(ks, *args)
+        return counted
+
+    shift_rows = intlat._shift_rows  # every exact reduction of a frequency array
+    monkeypatch.setattr(intlat, "_shift_rows", counting("_shift_rows", shift_rows))
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "anisointerp":
+            for fn in ("freq_shifts", "reduce_freq_many"):
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, counting(fn, getattr(mod, fn)))
+    spec = ExperimentSpec(base_matrix=M21, scales=(1,), test_function=f, alpha=0.0, mu=6.0,
+                          q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
+    assert bounds._study_row(spec, 1).failure is None
+    assert calls == ["freq_shifts", "_shift_rows"]
+
+    rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
+    calls.clear()
+    assert part_bounds(f, box_e2, rep, 6.0).error.total > 0.0
+    assert calls == ["freq_shifts", "_shift_rows"]
+
+
 def test_interp_error_rejects_repeated_rows():
     ifun = _oracle_kernel("dirichlet")
     f = FourierSeries(np.array([[1, 0], [1, 0]]), np.array([1.0, 2.0]))
@@ -456,6 +514,21 @@ def test_streamed_study_row_refuses_as_the_held_grid(monkeypatch):
         with pytest.raises(exc, match=match) as streamed:
             bounds._study_row(spec, 0)
         assert str(streamed.value) == str(held.value)
+
+
+def test_3d_dilation_by_two_has_no_interpolant_past_j0():
+    """For B(2,...,2) in ``d = 3`` the fold vanishes at ``y* = (1/2, 1/2, 1/2)``,
+    and ``M_j^T y*`` is an integer vector for every ``j >= 1``, so the
+    ``2^j M_0`` study has a row at ``j = 0`` only; each later row names the
+    class ``M_j^T y*`` reduced."""
+    spec = ExperimentSpec(base_matrix=validate_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]]),
+                          scales=(0,), test_function=decay_profile(3, 9.0, 6), alpha=0.0,
+                          mu=6.0, q=2.0, kernel=BoxSplineSpec(3, (2,) * 6), radius=4,
+                          tail_eps=1e-3)
+    assert bounds._study_row(spec, 0).failure is None
+    for j, h in ((1, "(-3, -3, -3)"), (2, "(-6, -6, -6)")):
+        with pytest.raises(NonExistent, match=re.escape(f"vanishes on classes [{h}]")):
+            bounds._study_row(spec, j)
 
 
 def test_verify_sfc_of_a_fresh_interpolant_peaks_below_half_its_grid():

@@ -11,7 +11,8 @@ import pytest
 
 import anisointerp
 from anisointerp.cli import node_fractions, parse_kernel, read_matrix, run
-from anisointerp import BoxSplineSpec, validate_matrix
+from anisointerp import (BoxSplineSpec, ExperimentSpec, convergence_study, decay_profile,
+                         report_to_csv, validate_matrix)
 
 FIG1_TEXT = "2\n8 3\n0 8\n"
 E2_TEXT = "2\n2 0\n0 2\n"
@@ -94,6 +95,28 @@ def test_interpolate_writes_series(e2, tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "k1,k2,re,im"
     assert len(lines) > 4
+
+
+def test_interpolate_reports_the_fallback(tmp_path, capsys):
+    """On ``2 I_3`` the 3-D simplex box spline's fold vanishes on one class.
+    Without ``--allow-incorrect`` that is an error naming the class; with
+    it the series is written, stdout is unchanged, and stderr names the
+    classes that fell back."""
+    mat = tmp_path / "E3.txt"
+    mat.write_text("3\n2 0 0\n0 2 0\n0 0 2\n")
+    samples, out_csv = tmp_path / "s.csv", tmp_path / "series.csv"
+    make_samples(samples, mat, np.ones(8, dtype=complex))
+    args = ["interpolate", str(mat), str(samples), "--kernel", "3; 2,2,2,2,2,2",
+            "--radius", "4", "--tail-eps", "1e-4", "--out", str(out_csv)]
+    assert run(args) == 1
+    assert capsys.readouterr().err == ("error: folded kernel coefficient vanishes on "
+                                       "classes [(-1, -1, -1)]\n")
+    assert not out_csv.exists()
+    assert run(args + ["--allow-incorrect"]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"wrote {out_csv} (729 modes)\n"
+    assert err == "fallback on classes [(-1, -1, -1)]\n"
+    assert len(out_csv.read_text().splitlines()) == 730
 
 
 def test_sfcheck_pass_and_fail(fig1, capsys):
@@ -291,6 +314,28 @@ def test_converge_rejects_repeated_scales_and_negative_kmax(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err, err
+
+
+@pytest.mark.parametrize("kernel,spec_kernel", [("kernel = 1; 3\n", BoxSplineSpec(1, (3,))),
+                                                ("s = 2\n", None)], ids=["box", "dirichlet"])
+def test_converge_defaults_are_the_specs(tmp_path, capsys, kernel, spec_kernel):
+    """A config without ``kernel``, ``radius`` or ``tail_eps`` gives the rows
+    of a study on an :class:`ExperimentSpec` that leaves them at their
+    defaults.  The 1-D kernel's tail at radius 16 (6.3e-5 at ``j = 0``)
+    passes ``tail_eps = 1e-4`` but not 1e-5, so the two default
+    ``tail_eps`` must agree."""
+    mat = tmp_path / "M.txt"
+    mat.write_text("1\n2\n")
+    csv = tmp_path / "out.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"matrix = {mat}\nscales = 0,1\n{kernel}csv = {csv}\n")
+    assert run(["converge", str(cfg)]) == 0
+    extra = {"kernel": spec_kernel} if spec_kernel else {"s": 2.0}
+    spec = ExperimentSpec(base_matrix=validate_matrix([[2]]), scales=(0, 1),
+                          test_function=decay_profile(1, 9.0, 16), alpha=0.0, mu=6.0, q=2.0,
+                          **extra)
+    report_to_csv(convergence_study(spec), tmp_path / "want.csv")
+    assert csv.read_text() == (tmp_path / "want.csv").read_text()
 
 
 def test_converge_names_a_missing_matrix_key(tmp_path, capsys):

@@ -323,9 +323,9 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     """``verify_sfc`` is the only reader of the shells: it makes exactly one
     pass over the interpolant's row blocks, which makes each block of its
     kernel once and scales it, and weights at most ``(2 R + 1)^d`` rows on a
-    radius-``R`` grid; ``part_bounds`` makes no pass of its own (its one
-    pass is the error measurement of ``interp_error``), and ``sfcheck``
-    reads ``gamma_IP`` from that one pass.  A study row holds no grid: it
+    radius-``R`` grid; ``part_bounds`` makes one pass, its error pass, and no
+    Strang-Fix pass of its own, and ``sfcheck`` reads ``gamma_IP`` from that
+    one pass.  A study row holds no grid: it
     walks its interpolant once, making each kernel block once, into one
     Strang-Fix pass and one error pass, each fed every row block once, and
     reads ``gamma_IP`` from the former."""
@@ -363,7 +363,7 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
     made.clear()
     parts = part_bounds(decay_profile(2, 8.0, 12), box_ifun, rep, 6.0)
     assert 0.0 < parts.ratios["aliasing"] <= 1.0
-    assert passes == ["interp_error", "scaled"] and made == every_block
+    assert passes == ["part_bounds", "scaled"] and made == every_block
 
     passes.clear()
     made.clear()
@@ -374,10 +374,10 @@ def test_study_and_sfcheck_take_gamma_ip_from_verify_sfc(monkeypatch, tmp_path, 
 
     def counting_pass(make):
         def made(*args):
-            add, result = make(*args)
+            add, result, *rest = make(*args)
             mine = seen[make.__name__]
             return (lambda rows, block: mine.append(rows) or add(rows, block),
-                    lambda: mine.append("result") or result())
+                    lambda: mine.append("result") or result(), *rest)
         return made
 
     for name in seen:
