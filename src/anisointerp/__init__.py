@@ -50,7 +50,6 @@ from .interp import (
 from .intlat import (
     PatternMatrix,
     reduce_freq,
-    reduce_freq_many,
     validate_matrix,
 )
 from .ptransform import (

@@ -80,7 +80,7 @@ def _error_pass(f: FourierSeries, pm: PatternMatrix, shifts: np.ndarray, alpha: 
     """:func:`interp_error` as ``add(rows, block)`` per row block, then ``result()``,
     and the partial sum ``S_M f``: ``f`` on its modes with aliasing shift ``z = 0``."""
     check_unique_rows(f)
-    freqs, fc = f.freqs.reshape(-1, pm.d), f.coeffs
+    freqs, fc = f.freqs, f.coeffs
     labels, zf = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
     canon = ~(zf != 0).any(axis=1)
     # a shift past the grid's range, perhaps past int64, is off the grid
@@ -226,6 +226,9 @@ class ExperimentSpec:
         qinv = 0.0 if math.isinf(self.q) else 1.0 / self.q
         if self.mu <= self.base_matrix.d * (1.0 - qinv):
             raise ValueError("need mu > d(1 - 1/q)")
+        dims = (self.base_matrix.d, self.test_function.dim, getattr(self.kernel, "d", None))
+        if dims[1] != dims[0] or dims[2] not in (None, dims[0]):
+            raise ValueError(f"matrix, test function and kernel dimensions {dims} differ")
 
 
 def kernel_order(kernel: BoxSplineSpec | str, s: float | None) -> float:
@@ -255,11 +258,13 @@ class ScaleRow:
 
     @property
     def failure(self) -> str | None:
-        """The first of the ratio, node residual and Strang-Fix check to fail."""
+        """The first of the ratio, node residual (over ``max|f_hat|``) and
+        Strang-Fix check to fail."""
+        tol = NODE_TOL * self.parts.error.scale
         if not self.ratio <= 1.0 + RATIO_TOL:
             return f"ratio {self.ratio:.6e} exceeds 1"
-        if not self.node_residual <= NODE_TOL:
-            return f"node residual {self.node_residual:.3e} exceeds {NODE_TOL:g}"
+        if not self.node_residual <= tol:
+            return f"node residual {self.node_residual:.3e} exceeds {tol:g}"
         if self.sf_failures:
             return f"Strang-Fix: {self.sf_failures[0]}"
         return None

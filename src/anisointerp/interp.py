@@ -52,13 +52,12 @@ def evaluate_at_nodes(f: FourierSeries, pm: PatternMatrix) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FundamentalInterpolant:
     """The cardinal function of a translate space: the ``grid`` of its
-    coefficients ``c_{h + M^T z}`` (flat view ``series``), and what the last
-    full walk of it ``found``: ``a_hat = 1 / (m * folded_h)`` (0 where the
-    fold vanished) and those classes, ``incorrect_modes``.  Reading either
-    walks the grid if no walk has ended, so it raises as a walk does."""
+    coefficients ``c_{h + M^T z}`` (flat view ``series``), and the classes
+    ``incorrect_modes`` whose fold vanished, set at build and only by the
+    ``allow_incorrect`` fallback (``[]`` otherwise)."""
 
     grid: AliasGrid
-    found: dict = field(repr=False)
+    incorrect_modes: list = field(default_factory=list)
 
     @property
     def pm(self) -> PatternMatrix:
@@ -67,15 +66,6 @@ class FundamentalInterpolant:
     @property
     def series(self) -> FourierSeries:
         return self.grid.series
-
-    def _walked(self, key: str):
-        if not self.found:
-            for _ in self.grid.row_blocks():
-                pass
-        return self.found[key]
-
-    a_hat = property(lambda self: self._walked("a_hat"))
-    incorrect_modes = property(lambda self: self._walked("incorrect_modes"))
 
 
 def fundamental_interpolant(grid: AliasGrid, *,
@@ -91,41 +81,40 @@ def fundamental_interpolant(grid: AliasGrid, *,
     not exist: the first full walk of its grid raises ``NonExistent``,
     listing those classes (``AnisoError`` if a fold is not finite), as its
     last block is taken, so before any reader (``verify_sfc``,
-    ``interp_error``, ``coeffs``, ``series``, ``a_hat``) gives a result.
+    ``interp_error``, ``coeffs``, ``series``) gives a result.
     With ``allow_incorrect`` such classes fall back to the single canonical
-    coefficient ``1/m``, the class's other modes zeroed; that needs every
-    fold before any row is kept, so the grid is assembled, and a non-finite
-    fold refused, here.
+    coefficient ``1/m``, the class's other modes zeroed, and are recorded as
+    ``incorrect_modes``; that needs every fold before any row is kept, so
+    the grid is assembled, and a non-finite fold refused, here.
     """
     if not isinstance(grid, AliasGrid):
         raise TypeError(f"fundamental_interpolant takes an AliasGrid, not "
                         f"{type(grid).__name__}; build a series kernel's grid with "
                         "AliasGrid.from_series(f, pm, window)")
-    pm, found = grid.pm, {}
+    pm, checked = grid.pm, None  # the fallback's (flag, classes), from its assembly
 
     def scaled():
-        walked = []  # (fold, scale) of each block
+        nonlocal checked
+        folds = []  # this walk's own, so walks may interleave
         for rows, block in grid.row_blocks():
             fold = block.sum(axis=1)
             # a vanishing or non-finite fold, refused below, scales by a quiet NaN
             with np.errstate(all="ignore"):
                 scale = 1.0 / (pm.m * fold)
                 scale[~np.isfinite(scale * fold)] = np.nan
-            walked.append((fold, scale))
+            folds.append(fold)
             yield rows, np.multiply(block, scale[:, None],
                                     out=block if callable(grid.source) else None)
-        folded, scale = map(np.concatenate, zip(*walked))
-        flag, flagged = _check_folds(pm, folded, allow_incorrect)
-        found.update(flag=flag, incorrect_modes=flagged,
-                     a_hat=CoeffVector(np.where(flag, 0.0, scale), pm))
+        checked = _check_folds(pm, np.concatenate(folds), allow_incorrect)
 
-    ifun = FundamentalInterpolant(AliasGrid(pm, grid.shifts, scaled, grid.window), found)
-    if allow_incorrect:
-        coeffs = ifun.grid.coeffs
-        coeffs[found["flag"]] = 0.0
-        coeffs[np.ix_(found["flag"], ~grid.shifts.any(axis=1))] = 1.0 / pm.m
-        ifun = FundamentalInterpolant(AliasGrid(pm, grid.shifts, coeffs, grid.window), found)
-    return ifun
+    ifun = FundamentalInterpolant(AliasGrid(pm, grid.shifts, scaled, grid.window))
+    if not allow_incorrect:
+        return ifun
+    coeffs = ifun.grid.coeffs
+    flag, flagged = checked
+    coeffs[flag] = 0.0
+    coeffs[np.ix_(flag, ~grid.shifts.any(axis=1))] = 1.0 / pm.m
+    return FundamentalInterpolant(AliasGrid(pm, grid.shifts, coeffs, grid.window), flagged)
 
 
 def _check_folds(pm: PatternMatrix, folded: np.ndarray, allow_incorrect: bool):

@@ -82,14 +82,14 @@ class PatternMatrix:
         """``M`` as int64; ``AnisoError`` if an entry does not fit."""
         return _int64_rows(self.mat, f"matrix {self.mat}")
 
-    @property
-    def adj_np(self) -> np.ndarray:
-        """The adjugate as int64; ``AnisoError`` if an entry does not fit."""
-        return _int64_rows(self.adj, f"the adjugate of {self.mat}")
-
     def transposed(self) -> "PatternMatrix":
         """Pattern matrix of ``M^T``: same determinant, transposed adjugate,
-        and the diagonal form ``V^T M^T U^T = diag(eps)``."""
+        and the diagonal form ``V^T M^T U^T = diag(eps)``; built once per
+        matrix, outside ``eq`` and ``hash``."""
+        return self._transposed
+
+    @cached_property
+    def _transposed(self) -> "PatternMatrix":
         eps, u, v, u_inv, v_inv = self.form
         return PatternMatrix(self.d, _t(self.mat), self.det, _t(self.adj),
                              (eps, _t(v), _t(u), _t(v_inv), _t(u_inv)))
@@ -192,11 +192,13 @@ def validate_matrix(raw) -> PatternMatrix:
 
 
 def class_labels(x, pm: PatternMatrix, transposed: bool = False) -> np.ndarray:
-    """Class labels in ``range(m)`` of the rows of an ``(n, d)`` integer
-    array: the digits ``U g mod eps`` (``V^T h mod eps`` for frequencies,
-    with ``transposed``) as one mixed-radix number, last digit fastest."""
+    """Class labels in ``range(m)`` of the rows of an ``(n, d)`` integer array
+    (``ValueError`` if not): the digits ``U g mod eps`` (``V^T h mod eps`` for
+    frequencies, with ``transposed``) as one mixed-radix number, last digit fastest."""
     eps, u, v = pm.diagonal_form
-    x = np.asarray(x, dtype=np.int64).reshape(-1, pm.d)
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] != pm.d:
+        raise ValueError(f"rows of shape {x.shape}, not (n, {pm.d}), for the pattern of {pm.mat}")
     digits = [(x % e) @ np.array([c % e for c in row], dtype=np.int64) % e
               for row, e in zip(_t(v) if transposed else u, eps)]
     return np.ravel_multi_index(digits, eps)
@@ -216,7 +218,7 @@ def canonical_classes(pm: PatternMatrix,
     grid = np.indices(eps).reshape(pm.d, -1).T  # row l: the digits of label l
     p = pm.transposed() if transposed else pm  # U of p maps to the digits
     inv = _int64_rows(p.form[3], f"the digit map inverse of {pm.mat}")
-    rows = np.asarray(_reduce_rows(grid @ inv.T, p), dtype=np.int64)
+    rows = np.asarray(_shift_rows(grid @ inv.T, p)[1], dtype=np.int64)
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     labels = class_labels(rows, pm, transposed)
@@ -253,22 +255,11 @@ def _shift_rows(ks: np.ndarray, p: PatternMatrix) -> tuple[np.ndarray, np.ndarra
     return z, hs
 
 
-def _reduce_rows(ks: np.ndarray, p: PatternMatrix) -> np.ndarray:
-    """The reduced rows ``h`` of :func:`_shift_rows`."""
-    return _shift_rows(ks, p)[1]
-
-
 def reduce_freq(k: IntVec, pm: PatternMatrix) -> IntVec:
     """Unique ``h`` in the canonical generating set of ``M^T`` with
     ``k = h + M^T z``; exact for integers of any size."""
     ks = np.array([[int(x) for x in k]], dtype=object)
-    return tuple(int(x) for x in _reduce_rows(ks, pm.transposed())[0])
-
-
-def reduce_freq_many(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """:func:`reduce_freq` for the rows of an ``(n, d)`` int64 array."""
-    return np.asarray(_reduce_rows(np.asarray(ks, dtype=np.int64), pm.transposed()),
-                      dtype=np.int64)
+    return tuple(int(x) for x in _shift_rows(ks, pm.transposed())[1][0])
 
 
 def freq_shifts(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:

@@ -27,11 +27,11 @@ class FourierSeries:
     """A finite map from frequency indices to complex Fourier coefficients,
     tied to no pattern: parallel arrays ``freqs`` (``(n, d)`` int64) and
     ``coeffs`` (``(n,)`` complex128), unstored indices zero.  Its rows are
-    unique when built with ``dedup=True`` or by an :class:`AliasGrid`."""
+    unique when built by ``+`` or by an :class:`AliasGrid`."""
 
     __slots__ = ("freqs", "coeffs")
 
-    def __init__(self, freqs, coeffs, dedup: bool = False):
+    def __init__(self, freqs, coeffs):
         freqs = np.asarray(freqs)
         if freqs.dtype.kind not in "iu":  # a float or object index must be whole
             with np.errstate(invalid="ignore"):
@@ -43,16 +43,8 @@ class FourierSeries:
         coeffs = np.asarray(coeffs, dtype=np.complex128).ravel()
         if len(freqs) != len(coeffs):
             raise ValueError("freqs and coeffs length mismatch")
-        if dedup:
-            freqs, coeffs = merge_rows(freqs, coeffs)
         self.freqs = freqs
         self.coeffs = coeffs
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "FourierSeries":
-        return cls(np.zeros((0, dim), dtype=np.int64), np.zeros(0))
 
     # -- basic protocol -------------------------------------------------------
 
@@ -68,15 +60,9 @@ class FourierSeries:
         keep = np.abs(self.coeffs) > 0
         return FourierSeries(self.freqs[keep], self.coeffs[keep])
 
-    def scaled(self, c: complex) -> "FourierSeries":
-        return FourierSeries(self.freqs, self.coeffs * c)
-
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        return FourierSeries(
-            np.vstack([self.freqs, other.freqs]),
-            np.concatenate([self.coeffs, other.coeffs]),
-            dedup=True,
-        )
+        return FourierSeries(*merge_rows(np.vstack([self.freqs, other.freqs]),
+                                         np.concatenate([self.coeffs, other.coeffs])))
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -181,10 +167,9 @@ class AliasGrid:
         each mode labelled, shifted and added into its entry once, a real grid
         when ``f`` has no imaginary part; ``AnisoError`` if a shift leaves
         int64 or the grid passes ``GRID_MAX``."""
-        freqs = f.freqs.reshape(-1, pm.d)
-        labels, z = freq_class_indices(freqs, pm), freq_shifts(freqs, pm)
+        labels, z = freq_class_indices(f.freqs, pm), freq_shifts(f.freqs, pm)
         if z.dtype == object:
-            k = freqs[np.argmax(np.abs(z).max(axis=1))]
+            k = f.freqs[np.argmax(np.abs(z).max(axis=1))]
             raise AnisoError(f"aliasing shift of mode {tuple(k.tolist())} "
                              "does not fit in int64")
         z = np.vstack([np.zeros((1, pm.d), dtype=np.int64), z])
@@ -195,7 +180,7 @@ class AliasGrid:
         cols[order] = np.cumsum(new) - 1
         nz = int(new.sum())
         if pm.m * nz > GRID_MAX:
-            raise AnisoError(f"{len(freqs)} modes need an {pm.m} x {nz} grid, past {GRID_MAX}")
+            raise AnisoError(f"{len(f)} modes need an {pm.m} x {nz} grid, past {GRID_MAX}")
         values = f.coeffs if f.coeffs.imag.any() else f.coeffs.real
         coeffs = np.zeros((pm.m, nz), dtype=values.dtype)
         np.add.at(coeffs, (labels, cols[1:]), values)

@@ -74,7 +74,10 @@ def is_expanding(sd: SpectralData) -> bool:
 
 
 def inv_t_apply(ks: np.ndarray, pm: PatternMatrix) -> np.ndarray:
-    """``M^{-T} k`` for an ``(n, d)`` integer array, via adjugate over det, in
-    floats (which cannot wrap around; exact while ``d |k| max|adj M| < 2^53``)."""
-    ks = np.asarray(ks, dtype=np.int64).astype(float)
-    return ks @ np.array(pm.adj, dtype=float) / pm.det
+    """``M^{-T} k`` for an ``(n, d)`` integer array (``ValueError`` if not), via
+    adjugate over det, in floats (which cannot wrap around; exact while ``d |k|
+    max|adj M| < 2^53``)."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if ks.ndim != 2 or ks.shape[1] != pm.d:
+        raise ValueError(f"rows of shape {ks.shape}, not (n, {pm.d}), for the pattern of {pm.mat}")
+    return ks.astype(float) @ np.array(pm.adj, dtype=float) / pm.det

@@ -3,8 +3,9 @@
 Each one is a small oracle or a convenience built on the package's public
 API: a randomized audit of the weight-splitting inequality, pointwise
 Fourier synthesis, translate-space membership, the pattern group law, the
-partial sum ``S_M f``, the coefficient-CSV reader and the ``{z: b_z}`` view
-of a Strang-Fix report.
+exact reduction of int64 rows, the partial sum ``S_M f``, the interpolant's
+translate coefficients, series with summed rows, scaled or empty, the
+coefficient-CSV reader and the ``{z: b_z}`` view of a Strang-Fix report.
 The exceptions they raise are defined here, below the package's
 :class:`AnisoError`, so each ``pytest.raises`` still checks a refusal.
 """
@@ -15,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisointerp import (AnisoError, CoeffVector, FourierSeries, PatternMatrix, SFReport,
-                         is_expanding, reduce_freq, reduce_freq_many, spectral_data,
-                         weights_many)
-from anisointerp.intlat import IntVec
+from anisointerp import (AnisoError, AliasGrid, CoeffVector, FourierSeries, PatternMatrix,
+                         SFReport, is_expanding, reduce_freq, spectral_data, weights_many)
+from anisointerp.intlat import IntVec, freq_shifts
 from anisointerp.ptransform import freq_class_indices, merge_rows
 
 SUBMULT_RANGE = 50
@@ -138,6 +138,38 @@ def pattern_add(a: IntVec, b: IntVec, pm: PatternMatrix) -> IntVec:
     return reduce_freq([x + y for x, y in zip(a, b)], pmt)
 
 
+def reduce_freq_many(ks, pm: PatternMatrix) -> np.ndarray:
+    """:func:`reduce_freq` for the rows of an ``(n, d)`` int64 array: ``h = k -
+    M^T z`` in Python ints, with ``z`` from the package's ``freq_shifts``."""
+    ks = np.asarray(ks, dtype=np.int64)
+    z = freq_shifts(ks, pm).astype(object)
+    return np.array(ks.astype(object) - z @ np.array(pm.mat, dtype=object), dtype=np.int64)
+
+
+def translate_coeffs(kernel: AliasGrid) -> CoeffVector:
+    """``a_hat = 1 / (m * folded)``, the kernel's coefficients in its
+    fundamental interpolant: ``c_k(interpolant) = a_hat_h c_k(kernel)``."""
+    pm = kernel.pm
+    return CoeffVector(1.0 / (pm.m * kernel.coeffs.sum(axis=1)), pm)
+
+
+def merged(freqs, coeffs) -> FourierSeries:
+    """The series with the coefficients of repeated rows summed, its rows in
+    lexicographic order."""
+    f = FourierSeries(freqs, coeffs)
+    return FourierSeries(*merge_rows(f.freqs, f.coeffs))
+
+
+def scaled(f: FourierSeries, c: complex) -> FourierSeries:
+    """``c f``."""
+    return FourierSeries(f.freqs, f.coeffs * c)
+
+
+def zero_series(dim: int) -> FourierSeries:
+    """The series with no modes, in ``dim`` dimensions."""
+    return FourierSeries(np.zeros((0, dim), dtype=np.int64), np.zeros(0))
+
+
 def fourier_partial_sum(f: FourierSeries, pm: PatternMatrix) -> FourierSeries:
     """``S_M f``: ``f`` restricted to the canonical generating set of ``M^T``,
     the modes that the exact reduction leaves fixed."""
@@ -150,8 +182,7 @@ def series_from_csv(text: str) -> FourierSeries:
     header, *rows = [ln.split(",") for ln in text.strip().splitlines() if ln.strip()]
     d = len(header) - 2
     freqs = np.array([[int(x) for x in r[:d]] for r in rows], dtype=np.int64).reshape(-1, d)
-    return FourierSeries(freqs, [complex(float(r[d]), float(r[d + 1])) for r in rows],
-                         dedup=True)
+    return merged(freqs, [complex(float(r[d]), float(r[d + 1])) for r in rows])
 
 
 def sf_b(rep: SFReport) -> dict[IntVec, float]:

@@ -32,7 +32,7 @@ from anisointerp import (
     pattern_generators,
     verify_sfc,
 )
-from reference_api import check_submultiplicativity
+from reference_api import check_submultiplicativity, merged
 
 FIG1 = [[8, 3], [0, 8]]
 B222 = BoxSplineSpec(2, (2, 2, 2))
@@ -95,9 +95,8 @@ def test_acceptance_3_aliasing_lemma():
         pm = validate_matrix(mats[trial % len(mats)])
         assert pm.m <= 64
         n = int(rng.integers(1, 51))
-        f = FourierSeries(rng.integers(-25, 26, size=(n, pm.d)),
-                          rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                          dedup=True)
+        f = merged(rng.integers(-25, 26, size=(n, pm.d)),
+                   rng.standard_normal(n) + 1j * rng.standard_normal(n))
         vals = np.zeros(pm.m, dtype=np.complex128)
         for j, g in enumerate(pattern_generators(pm).tolist()):
             y = np.array([float(c) for c in pm.inv_apply(g)])
@@ -193,9 +192,8 @@ def test_acceptance_7_theorem_audits():
     mode53 = FourierSeries(np.array([[5, 3]]), np.array([1.0 + 0j]))
     psum_ratios = [part_bounds(mode53, ifd, rep_d1, 6.0).ratios["partial"]]
     for _ in range(20):
-        f = FourierSeries(rng.integers(-20, 21, size=(30, 2)),
-                          rng.standard_normal(30) + 1j * rng.standard_normal(30),
-                          dedup=True)
+        f = merged(rng.integers(-20, 21, size=(30, 2)),
+                   rng.standard_normal(30) + 1j * rng.standard_normal(30))
         psum_ratios.append(part_bounds(f, ifd, rep_d0, 6.0).ratios["partial"])
 
     alias_ratios = [

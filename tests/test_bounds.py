@@ -24,6 +24,7 @@ from anisointerp import (
     SampleVector,
     SFParams,
     a_norm,
+    alias_fold,
     c_rho,
     cardinal_residual,
     convergence_study,
@@ -45,7 +46,7 @@ from anisointerp import (
     weights_many,
 )
 from anisointerp import bounds, cli, intlat, ptransform
-from reference_api import fourier_partial_sum, sf_b
+from reference_api import fourier_partial_sum, merged, scaled, sf_b, zero_series
 from test_intlat import regular_matrices
 
 E2 = validate_matrix([[2, 0], [0, 2]])
@@ -95,7 +96,7 @@ def test_single_outside_mode_closed_form():
 def test_triangle_decomposition(box_e2):
     rng = np.random.default_rng(21)
     f = decay_profile(2, 7.0, 10)
-    f = f + random_trig_poly(E2, rng).scaled(0.1)
+    f = f + scaled(random_trig_poly(E2, rng), 0.1)
     err = interp_error(f, box_e2, 1.0, 2.0)
     assert err.total <= err.trig + err.partial + err.aliasing + 1e-10
 
@@ -113,10 +114,10 @@ def interp_error_by_series_arithmetic(f, ifun, alpha, q):
     lmf, lm_smf = interpolate(f), interpolate(smf)
     residual = np.abs(evaluate_at_nodes(lmf, pm) - evaluate_at_nodes(f, pm))
     return ErrorBreakdown(
-        total=a_norm(f + lmf.scaled(-1.0), alpha, pm, q),
-        trig=a_norm(smf + lm_smf.scaled(-1.0), alpha, pm, q),
-        partial=a_norm(f + smf.scaled(-1.0), alpha, pm, q),
-        aliasing=a_norm(lmf + lm_smf.scaled(-1.0), alpha, pm, q),
+        total=a_norm(f + scaled(lmf, -1.0), alpha, pm, q),
+        trig=a_norm(smf + scaled(lm_smf, -1.0), alpha, pm, q),
+        partial=a_norm(f + scaled(smf, -1.0), alpha, pm, q),
+        aliasing=a_norm(lmf + scaled(lm_smf, -1.0), alpha, pm, q),
         node_residual=float(residual.max(initial=0.0)),
         scale=float(np.abs(f.coeffs).max(initial=0.0)),
     )
@@ -142,7 +143,7 @@ def _oracle_function(pm, rng):
     far = rng.integers(-40, 41, size=(25, 2))
     freqs = np.vstack([decay_profile(2, 4.0, 14).freqs, far, gset_freqs(pm)])
     coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
-    return FourierSeries(freqs, coeffs, dedup=True)
+    return merged(freqs, coeffs)
 
 
 @pytest.mark.parametrize("alpha,q", [(0.0, 2.0), (1.5, 2.0), (0.5, math.inf), (0.0, 1.0)])
@@ -164,7 +165,7 @@ def test_partial_sum_theorem_matches_series_arithmetic(alpha, q):
     mu = 6.0
     for pm in (E2, M21, validate_matrix([[3, 1], [-1, 2]])):
         f = _oracle_function(pm, np.random.default_rng(13))
-        num = a_norm(f + fourier_partial_sum(f, pm).scaled(-1.0), alpha, pm, q)
+        num = a_norm(f + scaled(fourier_partial_sum(f, pm), -1.0), alpha, pm, q)
         rhs = (2.0 / spectral_data(pm).norm2) ** (mu - alpha) * a_norm(f, mu, pm, q)
         assert num > 0.0
         assert _partial_ratio(f, pm, alpha, mu, q) == pytest.approx(
@@ -194,7 +195,7 @@ def _edge_function(case, ifun, rng):
     with ``||z||_inf = 9``, past the radius-6 shells of the oracle kernels."""
     pm = ifun.pm
     if case == "empty":
-        return FourierSeries.zero(2)
+        return zero_series(2)
     if case == "outside":
         k = gset_freqs(pm)[-1] + np.array([9, -4]) @ pm.mat_np
         assert len(_off_support(ifun, k[None])) == 1
@@ -208,7 +209,7 @@ def _edge_function(case, ifun, rng):
     else:
         freqs = _off_support(ifun, rng.integers(-60, 61, size=(60, 2)))
     coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
-    return FourierSeries(freqs, coeffs, dedup=True)
+    return merged(freqs, coeffs)
 
 
 @pytest.mark.parametrize("case", ["wrap", "disjoint", "empty", "outside"])
@@ -244,7 +245,7 @@ def test_interp_error_matches_series_arithmetic_property(d, box, data):
                        np.array(drawn, dtype=np.int64).reshape(-1, d)])
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.standard_normal(len(freqs)) + 1j * rng.standard_normal(len(freqs))
-    f = FourierSeries(freqs, coeffs, dedup=True)
+    f = merged(freqs, coeffs)
     alpha, q = data.draw(st.sampled_from(ORACLE_NORMS))
     assert_matches_oracle(f, ifun, alpha, q)
     # the triangle inequality, and the partial-sum estimate, which holds for
@@ -320,8 +321,8 @@ def test_error_pass_partial_sum_is_the_reduction_oracle(mat, data):
 def test_study_row_and_part_bounds_reduce_f_once(monkeypatch, box_e2):
     """A study row and a ``part_bounds`` call each reduce ``f``'s modes
     exactly once: one ``freq_shifts`` call gives the error pass both the
-    aliasing shifts and ``S_M f``, and no ``reduce_freq_many`` call
-    relabels ``f`` for the part bounds."""
+    aliasing shifts and ``S_M f``, and no other reduction relabels ``f``
+    for the part bounds."""
     f = decay_profile(2, 9.0, 8)
     calls = []
 
@@ -339,10 +340,8 @@ def test_study_row_and_part_bounds_reduce_f_once(monkeypatch, box_e2):
     shift_rows = intlat._shift_rows  # every exact reduction of a frequency array
     monkeypatch.setattr(intlat, "_shift_rows", counting("_shift_rows", shift_rows))
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "anisointerp":
-            for fn in ("freq_shifts", "reduce_freq_many"):
-                if hasattr(mod, fn):
-                    monkeypatch.setattr(mod, fn, counting(fn, getattr(mod, fn)))
+        if name.split(".")[0] == "anisointerp" and hasattr(mod, "freq_shifts"):
+            monkeypatch.setattr(mod, "freq_shifts", counting("freq_shifts", mod.freq_shifts))
     spec = ExperimentSpec(base_matrix=M21, scales=(1,), test_function=f, alpha=0.0, mu=6.0,
                           q=2.0, kernel=B222, radius=8, tail_eps=1e-3)
     assert bounds._study_row(spec, 1).failure is None
@@ -643,7 +642,7 @@ def test_trig_theorem_box_spline(box_e2):
 
 def test_trig_theorem_zero_function(box_e2):
     rep = verify_sfc(box_e2, SFParams(s=4.0, alpha=0.0, q=2.0))
-    zero = FourierSeries.zero(2)
+    zero = zero_series(2)
     assert _trig_ratio(zero, box_e2, rep) == 0.0
 
 
@@ -677,7 +676,7 @@ def test_partial_sum_random_and_trig(box_e2):
     for _ in range(20):
         freqs = rng.integers(-20, 21, size=(30, 2))
         coeffs = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        f = FourierSeries(freqs, coeffs, dedup=True)
+        f = merged(freqs, coeffs)
         assert _partial_ratio(f, E2, 0.0, 6.0, 2.0) <= RATIO_TOL
     # trig polynomial: numerator vanishes
     assert _partial_ratio(random_trig_poly(E2, rng), E2, 0.0, 6.0, 2.0) == 0.0
@@ -815,6 +814,55 @@ def test_scale_row_failure_names_the_first_failing_condition():
         failed = dataclasses.replace(row, **fields)
         assert failed.failure == why
         assert not bounds.BoundReport(spec=spec, rho=4.0, rows=[row, failed]).verdict
+
+
+def test_node_residual_is_judged_relative_to_f():
+    """The node residual is compared with ``NODE_TOL max|f_hat|``: a growing
+    profile (``max|f_hat|`` = 5.4e13) has round-off residuals near 1 and
+    passes, and a row of ``f`` scaled by 1e14 fails exactly when the
+    unscaled row does."""
+    spec = ExperimentSpec(base_matrix=validate_matrix([[4, 1], [0, 4]]), scales=(0, 1, 2),
+                          test_function=decay_profile(2, -10.0, 16), alpha=0.0, mu=6.0,
+                          q=2.0, kernel=B222)
+    rep = convergence_study(spec)
+    assert rep.verdict and max(r.node_residual for r in rep.rows) > 1e-6
+    f = decay_profile(2, 9.0, 8)
+    rows = []
+    for c in (1.0, 1e14):
+        spec = ExperimentSpec(base_matrix=M21, scales=(0,), alpha=0.0, mu=6.0, q=2.0,
+                              test_function=FourierSeries(f.freqs, c * f.coeffs),
+                              kernel=B222, radius=8, tail_eps=1e-3)
+        rows.append(convergence_study(spec).rows[0])
+    plain, big = rows
+    assert big.failure is None and big.node_residual > 1e-6
+    for residual in (0.0, 5e-7, 2e-6, 1.0, math.nan):
+        a = dataclasses.replace(plain, node_residual=residual)
+        b = dataclasses.replace(big, node_residual=residual * 1e14)
+        assert (a.failure is None) == (b.failure is None), residual
+        if a.failure:
+            assert a.failure.startswith("node residual")
+            assert b.failure.startswith("node residual")
+
+
+def test_a_series_of_another_dimension_is_refused_by_name():
+    """A 3-D series on a 2-D pattern is a ``ValueError`` that names both
+    dimensions, not rows regrouped by a reshape."""
+    pm = validate_matrix([[4, 1], [0, 4]])
+    f = FourierSeries(np.array([[1, 2, 3], [0, 0, 1]]), np.array([1.0, 0.5]))
+    ifun = fundamental_interpolant(dirichlet_kernel(pm))
+    shape = re.escape("rows of shape (2, 3), not (n, 2)")
+    for call in (lambda: interp_error(f, ifun, 0.0, 2.0), lambda: alias_fold(f, pm),
+                 lambda: AliasGrid.from_series(f, pm), lambda: a_norm(f, 1.0, pm, 2.0)):
+        with pytest.raises(ValueError, match=shape):
+            call()
+    for kernel, dims in (("dirichlet", "(2, 3, None)"),
+                         (BoxSplineSpec(3, (2,) * 6), "(2, 3, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"kernel dimensions {dims} differ")):
+            ExperimentSpec(base_matrix=pm, scales=(0,), test_function=f, alpha=0.0, mu=6.0,
+                           q=2.0, kernel=kernel, s=4.0)
+    with pytest.raises(ValueError, match=re.escape("kernel dimensions (2, 2, 3) differ")):
+        ExperimentSpec(base_matrix=pm, scales=(0,), test_function=decay_profile(2, 9.0, 2),
+                       alpha=0.0, mu=6.0, q=2.0, kernel=BoxSplineSpec(3, (2,) * 6))
 
 
 def report_is_deterministic(rep, path):

@@ -423,7 +423,7 @@ def test_full_family_has_degenerate_class():
     phi = periodize(full, E2, 12, math.inf)
     ifun = fundamental_interpolant(phi)  # the first full walk decides existence
     with pytest.raises(NonExistent, match=r"\(-1, -1\)"):
-        ifun.incorrect_modes
+        ifun.grid.coeffs
     ifun = fundamental_interpolant(phi, allow_incorrect=True)
     assert (-1, -1) in ifun.incorrect_modes
 

@@ -31,7 +31,8 @@ from anisointerp import (
     verify_sfc,
 )
 from anisointerp import ptransform
-from reference_api import NotInSpace, evaluate, fourier_partial_sum, membership_coeffs
+from reference_api import (NotInSpace, evaluate, fourier_partial_sum, membership_coeffs, merged,
+                           scaled, translate_coeffs)
 
 E2 = validate_matrix([[2, 0], [0, 2]])
 M21 = validate_matrix([[2, 1], [0, 2]])
@@ -51,9 +52,8 @@ def test_evaluate_single_mode():
 
 def test_evaluate_at_nodes_matches_direct_evaluation():
     rng = np.random.default_rng(2)
-    f = FourierSeries(rng.integers(-12, 13, size=(30, 2)),
-                      rng.standard_normal(30) + 1j * rng.standard_normal(30),
-                      dedup=True)
+    f = merged(rng.integers(-12, 13, size=(30, 2)),
+               rng.standard_normal(30) + 1j * rng.standard_normal(30))
     for pm in (E2, M21):
         vals = evaluate_at_nodes(f, pm)
         for j, g in enumerate(pattern_generators(pm).tolist()):
@@ -74,8 +74,8 @@ def test_translate_is_exact_character_shift():
 
 def test_translate_shifts_node_values():
     rng = np.random.default_rng(4)
-    f = FourierSeries(rng.integers(-8, 9, size=(20, 2)),
-                      rng.standard_normal(20) + 0j, dedup=True)
+    f = merged(rng.integers(-8, 9, size=(20, 2)),
+               rng.standard_normal(20) + 0j)
     g = (1, 1)
     t = translate(f, g, M21)
     y = np.array([float(c) for c in M21.inv_apply(g)])
@@ -149,8 +149,9 @@ def degenerate_kernel(pm):
 def test_check_existence_flags_degenerate_class():
     phi = degenerate_kernel(E2)
     ifun = fundamental_interpolant(phi)  # the first full walk decides existence
+    assert ifun.incorrect_modes == []
     with pytest.raises(NonExistent, match=re.escape("classes [(-1, -1)]")):
-        ifun.incorrect_modes
+        ifun.grid.coeffs
     ifun = fundamental_interpolant(phi, allow_incorrect=True)
     assert ifun.incorrect_modes == [(-1, -1)]
 
@@ -181,7 +182,7 @@ def test_non_finite_kernel_coefficient_raises(bad):
     phi = AliasGrid.from_series(FourierSeries(phi.freqs, coeffs), M21, math.inf)
     ifun = fundamental_interpolant(phi)  # the first full walk decides existence
     with pytest.raises(AnisoError, match="not finite"):
-        ifun.a_hat
+        ifun.grid.coeffs
     with pytest.raises(AnisoError, match="not finite"):  # the fallback walks at once
         fundamental_interpolant(phi, allow_incorrect=True)
 
@@ -197,9 +198,9 @@ def test_incorrect_interpolation_fallback():
     assert cardinal_residual(ifun) < 1e-12
     folded = alias_fold(ifun.series, E2).values
     assert np.abs(folded - 1.0 / E2.m).max() < 1e-14
-    # a_hat is zeroed on the degenerate class
-    hs = [tuple(int(x) for x in h) for h in gset_freqs(E2)]
-    assert ifun.a_hat.values[hs.index((-1, -1))] == 0.0
+    # the degenerate class keeps its canonical mode alone
+    row = ifun.grid.coeffs[gset_freqs(E2).tolist().index([-1, -1])]
+    assert row.tolist() == [0.0 if any(z) else 1.0 / E2.m for z in ifun.grid.shifts.tolist()]
 
 
 def test_membership_coeffs_accepts_translates():
@@ -226,7 +227,7 @@ def test_membership_coeffs_accepts_scaled_kernel():
     a kernel coefficient near the threshold stays zero after scaling."""
     phi = periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 16, 1e-4).series
     for c in (0.5, 1.0, 2.0):
-        a = membership_coeffs(phi.scaled(c), phi, FIG1)
+        a = membership_coeffs(scaled(phi, c), phi, FIG1)
         assert np.allclose(a.values, c, rtol=1e-12, atol=0)
 
 
@@ -274,15 +275,14 @@ def test_series_path_matches_grid_path():
         for allow_incorrect in (False, True):
             try:
                 want = fundamental_interpolant(phi, allow_incorrect=allow_incorrect)
-                want.a_hat  # the first full walk decides existence
+                want.grid.coeffs  # the first full walk decides existence
             except NonExistent:
                 with pytest.raises(NonExistent):
-                    fundamental_interpolant(rebuilt, allow_incorrect=allow_incorrect).a_hat
+                    fundamental_interpolant(rebuilt, allow_incorrect=allow_incorrect).grid.coeffs
                 continue
             got = fundamental_interpolant(rebuilt, allow_incorrect=allow_incorrect)
             assert np.array_equal(got.grid.shifts, want.grid.shifts)
             assert np.array_equal(got.grid.coeffs, want.grid.coeffs)
-            assert np.array_equal(got.a_hat.values, want.a_hat.values)
             assert got.grid.window == want.grid.window
             assert got.incorrect_modes == want.incorrect_modes
 
@@ -346,8 +346,8 @@ def test_interpolant_support_labelled_once(monkeypatch):
     assert not calls
     rng = np.random.default_rng(5)
     samples = SampleVector(rng.standard_normal(FIG1.m), FIG1)
-    f = FourierSeries(rng.integers(-20, 21, size=(40, 2)),
-                      rng.standard_normal(40) + 0j, dedup=True)
+    f = merged(rng.integers(-20, 21, size=(40, 2)),
+               rng.standard_normal(40) + 0j)
     interpolation_operator(samples, ifun)
     verify_sfc(ifun, SFParams(s=4.0))
     verify_sfc(ifun, SFParams(s=4.0, alpha=1.0, q=2.0))
@@ -356,3 +356,61 @@ def test_interpolant_support_labelled_once(monkeypatch):
     support = ifun.series.freqs
     assert not any(len(x) == len(support) or np.array_equal(x, support) for x in calls)
     assert sum(map(len, calls)) <= 2 * len(f)  # f and its partial sum, once each
+
+
+def test_interpolant_is_the_kernel_over_its_folds():
+    """``c_k(interpolant) = c_k(kernel) / (m * folded_h)``, the translate
+    coefficients of the reference, on a Dirichlet and a box-spline kernel."""
+    for phi in (dirichlet_kernel(FIG1), periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf)):
+        a_hat = translate_coeffs(phi).values
+        assert np.array_equal(fundamental_interpolant(phi).grid.coeffs,
+                              phi.coeffs * a_hat.real[:, None])
+
+
+def counted_blocks(phi, made):
+    """``phi`` with a source that appends each row block it makes to ``made``."""
+    def blocks():
+        for rows, block in phi.row_blocks():
+            made.append(rows)
+            yield rows, block.copy()
+    return AliasGrid(phi.pm, phi.shifts, blocks, phi.window)
+
+
+def test_incorrect_modes_is_read_without_a_walk():
+    """``incorrect_modes`` is a plain field: read after ``verify_sfc``, it
+    makes no kernel block; the fallback's is set at build, from the one
+    walk that assembles its grid."""
+    made = []
+    ifun = fundamental_interpolant(counted_blocks(
+        periodize(BoxSplineSpec(2, (2, 2, 2)), FIG1, 4, math.inf), made))
+    verify_sfc(ifun, SFParams(s=4.0))
+    walked = len(made)
+    assert walked > 0
+    assert ifun.incorrect_modes == [] and len(made) == walked
+    made.clear()
+    ifun = fundamental_interpolant(counted_blocks(degenerate_kernel(E2), made),
+                                   allow_incorrect=True)
+    walked = len(made)
+    assert ifun.incorrect_modes == [(-1, -1)] and len(made) == walked == 1
+
+
+def test_interleaved_walks_are_independent(monkeypatch):
+    """Two walks of one interpolant, taken block by block in turn, each give
+    the blocks of a single walk bit for bit; on a kernel with a vanishing
+    fold, each raises ``NonExistent`` as it ends."""
+    monkeypatch.setattr(ptransform, "GRID_BLOCK", 1)  # one row a block
+    ifun = fundamental_interpolant(periodize(BoxSplineSpec(2, (2, 2, 2)), M21, 4, math.inf))
+    single = [(rows, block.tobytes()) for rows, block in ifun.grid.row_blocks()]
+    assert len(single) == M21.m
+    for (ra, a), (rb, b), (rows, bits) in zip(ifun.grid.row_blocks(), ifun.grid.row_blocks(),
+                                              single):
+        assert ra == rb == rows and a.tobytes() == b.tobytes() == bits
+    ifun = fundamental_interpolant(periodize(BoxSplineSpec(2, (1, 1, 1, 1), family="full"),
+                                             E2, 6, math.inf))
+    walks = [ifun.grid.row_blocks(), ifun.grid.row_blocks()]
+    for _ in range(E2.m):
+        for walk in walks:
+            next(walk)
+    for walk in walks:
+        with pytest.raises(NonExistent, match=re.escape("classes [(-1, -1)]")):
+            next(walk)

@@ -16,11 +16,10 @@ from anisointerp import (
     gset_freqs,
     pattern_generators,
     reduce_freq,
-    reduce_freq_many,
     validate_matrix,
 )
 from anisointerp import intlat, ptransform
-from reference_api import NotAMember, pattern_add
+from reference_api import NotAMember, pattern_add, reduce_freq_many
 
 FIG1 = [[8, 3], [0, 8]]
 # rank-1 lattices, eps = (1, ..., 1, m): a Fibonacci lattice and a 3-D cyclic one
@@ -117,7 +116,7 @@ def test_malformed_matrix_rejected():
 
 def test_adjugate_identity():
     pm = validate_matrix([[5, -3], [2, 4]])
-    prod = pm.mat_np @ pm.adj_np
+    prod = pm.mat_np @ np.array(pm.adj, dtype=np.int64)
     assert np.array_equal(prod, pm.det * np.eye(2, dtype=np.int64))
 
 
@@ -413,7 +412,7 @@ def test_one_elimination_per_matrix(monkeypatch):
 ])
 def test_corrupted_reduction_in_enumeration_raises(monkeypatch, corrupt):
     intlat.canonical_classes.cache_clear()
-    monkeypatch.setattr(intlat, "_reduce_rows", corrupt)
+    monkeypatch.setattr(intlat, "_shift_rows", lambda ks, pm: (None, corrupt(ks, pm)))
     with pytest.raises(AnisoError):
         gset_freqs(validate_matrix(FIG1))
 
@@ -443,12 +442,22 @@ def test_phase_residues_exact_for_any_int64_input():
 
 
 def test_int64_views_name_the_matrix_past_int64():
-    """``mat_np`` and ``adj_np`` raise ``AnisoError`` naming the matrix when
-    an entry does not fit in int64, not numpy's ``OverflowError``."""
+    """``mat_np`` raises ``AnisoError`` naming the matrix when an entry does
+    not fit in int64, not numpy's ``OverflowError``."""
     big = validate_matrix([[2**63, 0], [0, 1]])
     with pytest.raises(AnisoError, match=r"^matrix \(\(9223372036854775808, 0\).*past int64"):
         big.mat_np
     pm = validate_matrix(np.diag([2**32] * 3))  # entries fit, the adjugate's 2^64 does not
     assert pm.mat_np.tolist() == np.diag([2**32] * 3).tolist()
-    with pytest.raises(AnisoError, match=r"^the adjugate of \(\(4294967296, 0, 0\).*past int64"):
-        pm.adj_np
+
+
+def test_transposed_is_built_once_outside_eq_and_hash():
+    """``transposed()`` returns one cached ``M^T`` per matrix, which changes
+    neither the matrix's hash nor its equality with a fresh validation."""
+    pm = validate_matrix(FIG1)
+    before = hash(pm)
+    pmt = pm.transposed()
+    assert pm.transposed() is pmt
+    assert pmt.mat == ((8, 0), (3, 8)) and pmt.det == pm.det
+    assert hash(pm) == before
+    assert pm == validate_matrix(pm.mat)

@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import anisointerp
@@ -109,3 +111,27 @@ def test_no_orphan_private_names_or_constants():
     orphans = [f"{name[:-3]}.{ident}" for name, ident in defined
                if ident not in used and ident != "__version__"]
     assert not orphans
+
+
+PLANTED = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_planted(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    """Under the repository's pytest settings a failing Hypothesis property
+    ends in its falsifying example, not in an ``INTERNALERROR`` from a
+    warning raised while Hypothesis explains the failure."""
+    (tmp_path / "test_planted.py").write_text(PLANTED)
+    config = Path(anisointerp.__file__).parents[2] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+                          "-c", str(config), "test_planted.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out

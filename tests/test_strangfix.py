@@ -35,7 +35,7 @@ from anisointerp import (
     weights_many,
 )
 from anisointerp.boxspline import _int_box
-from reference_api import sf_b
+from reference_api import sf_b, translate_coeffs
 
 FIG1 = validate_matrix([[8, 3], [0, 8]])
 B222 = BoxSplineSpec(2, (2, 2, 2))
@@ -86,11 +86,12 @@ def test_shifts_past_int64_raise():
     params = SFParams(s=2.0)
     for k in ((2**63 - 1, 2**62 - 1), (2**61 - 2, -(2**61 - 2))):
         kernel = with_mode(k, pm)
-        ifun = fundamental_interpolant(AliasGrid.from_series(kernel, pm, math.inf))
+        grid = AliasGrid.from_series(kernel, pm, math.inf)
+        ifun, a_hat = fundamental_interpolant(grid), translate_coeffs(grid).values
         h = reduce_freq(k, pm)
         z = tuple(int(x) for x in mt.inv_apply(tuple(a - b for a, b in zip(k, h))))
         assert ifun.grid.shifts.tolist() == [[0, 0], list(z)]
-        assert ifun.grid.coeffs[position[h], 1] == 0.5 * ifun.a_hat.values[position[h]]
+        assert ifun.grid.coeffs[position[h], 1] == 0.5 * a_hat[position[h]]
         # the kernel grid declares itself complete (window inf), so the far shell
         # is checked: it enters b, gamma_SF and gamma_IP
         rep = verify_sfc(ifun, params)
@@ -102,7 +103,7 @@ def test_shifts_past_int64_raise():
             hh = reduce_freq(kk, pm)
             zz = mt.inv_apply(tuple(a - b for a, b in zip(kk, hh)))
             modes.append((position[hh], tuple(int(x) for x in zz),
-                          complex(c * ifun.a_hat.values[position[hh]])))
+                          complex(c * a_hat[position[hh]])))
         expect_b, expect_ip = _table_oracle(ifun, params, math.inf, modes)
         expect_b[(0, 0)] = sf_b(rep)[(0, 0)]
         assert sf_b(rep) == expect_b
@@ -538,3 +539,21 @@ def test_report_json_keys(box_ifun):
                              "fitted_order", "pass", "witness", "gamma_ip"]
     assert payload["pass"] is True
     assert payload["gamma_ip"] == rep.gamma_ip
+
+
+@pytest.mark.parametrize("base", [[[2, 1], [0, 2]], [[3, 1], [1, 2]], [[4, 1], [0, 2]],
+                                  [[2, 0], [0, 3]]])
+def test_gamma_sf_is_nondecreasing_along_a_dilation_family(base):
+    """Each ``b_z`` is a maximum over ``Y_M = M^{-T} Z^d`` in ``[-1/2, 1/2)^d``
+    of a function that does not depend on ``M``; dilation nests ``Y_{M_j}``
+    in ``Y_{M_{j+1}}``, and ``kappa`` is constant along ``2^j M_0``.  So
+    ``gamma_SF(M_j)`` cannot decrease in ``j``, in either mode.  The slack is
+    a relative 1e-12, as ``M^{-T} h`` rounds differently at each scale."""
+    for mode in ("strict", "relaxed"):
+        gammas = []
+        for j in range(5):
+            pm = validate_matrix([[2**j * x for x in row] for row in base])
+            ifun = fundamental_interpolant(periodize(B222, pm, 8, 1e-3))
+            gammas.append(verify_sfc(ifun, SFParams(s=4.0, mode=mode)).gamma_sf)
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(gammas, gammas[1:])), (mode, gammas)
+        assert gammas[-1] > gammas[0]  # the family really grows its set Y_M
