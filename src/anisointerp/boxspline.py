@@ -26,6 +26,7 @@ from .ptransform import GRID_MAX, AliasGrid, _row_slices, check_reach, gset_freq
 from .spectral import inv_t_apply
 
 TAIL_BLOCK = 2**11  # points of the shells built and summed in one pass
+SUBSETS_MAX = 10**5  # direction subsets that _constants may enumerate (d = 6 simplex: 74 613)
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,17 @@ def _constants(spec: BoxSplineSpec) -> tuple[np.ndarray, np.ndarray, int, float]
     """Computed once per spec: the directions and their ``||v||_1 / 2``
     (read-only), :func:`sf_order`, and ``eps = min 1 / ||B^{-1}||_inf`` over
     the bases ``B`` (as rows) among the directions: if ``||z||_inf = r``, the
-    directions with ``|z^T v| < eps r`` hold no basis, so lie in a hyperplane."""
+    directions with ``|z^T v| < eps r`` hold no basis, so lie in a hyperplane.
+    ``AnisoError``, before enumerating, past ``SUBSETS_MAX`` subsets of
+    ``d - 1`` and of ``d`` directions."""
     dirs = spec.directions()
+    (n, d), fdirs, p, most = dirs.shape, dirs.astype(float), np.array(spec.p), 0
+    count = math.comb(n, d - 1) + math.comb(n, d)
+    if count > SUBSETS_MAX:
+        raise AnisoError(f"{n} directions in d = {d} have {count} subsets of d - 1 and d "
+                         f"directions to enumerate, past SUBSETS_MAX = {SUBSETS_MAX}")
     half = np.abs(dirs).sum(axis=1) / 2.0
     dirs.flags.writeable = half.flags.writeable = False
-    (n, d), fdirs, p, most = dirs.shape, dirs.astype(float), np.array(spec.p), 0
     for sub in combinations(range(n), d - 1):
         # det[sub; v] = 0 exactly when v lies in the span of sub
         stack = np.concatenate([np.broadcast_to(fdirs[list(sub)], (n, d - 1, d)),

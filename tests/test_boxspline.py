@@ -416,6 +416,20 @@ def test_sf_order_values():
     assert sf_order(BoxSplineSpec(1, (3,))) == 3
 
 
+def test_constants_refuse_past_the_subset_cap():
+    """The simplex spline with unit multiplicities has order ``d`` (the
+    hyperplane ``x_1 = 0`` holds all but the ``d`` directions with a nonzero
+    first entry), and its constants enumerate every subset of ``d - 1`` and
+    ``d`` directions: through ``d = 6`` (74 613 subsets) they run; in ``d = 7``
+    (1 560 780) and for the full family in ``d = 6`` (2 324 784) ``AnisoError``
+    comes before any enumeration."""
+    for d in range(1, 7):
+        assert sf_order(BoxSplineSpec(d, (1,) * (d * (d + 1) // 2))) == d
+    for spec in (BoxSplineSpec(7, (1,) * 28), BoxSplineSpec(6, (1,) * 36, family="full")):
+        with pytest.raises(AnisoError, match="past SUBSETS_MAX"):
+            sf_order(spec)
+
+
 def test_full_family_has_degenerate_class():
     """The 4-direction spline's periodization vanishes on a folded class,
     triggering the incorrect-interpolation fallback."""

@@ -489,6 +489,23 @@ def test_oversized_kmax_is_refused_before_allocating(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_high_dimensional_kernel_is_refused_before_enumerating(tmp_path):
+    """The simplex box spline in ``d = 8`` has 36 directions, and its order
+    and tail constants would enumerate C(36, 7) + C(36, 8) = 38 M direction
+    subsets (8.3 M hyperplane candidates, then 30 M bases): ``sfcheck``
+    exits 1 with one line naming ``SUBSETS_MAX``, in 2 GiB of address
+    space, when the order is read off the kernel and when ``--order`` is
+    given (then the tail bound asks first)."""
+    mat = tmp_path / "E8.txt"
+    mat.write_text("8\n" + "".join(" ".join("2" if i == j else "0" for j in range(8)) + "\n"
+                                   for i in range(8)))
+    kernel = "8; " + ",".join(["1"] * 36)
+    for argv in (["sfcheck", str(mat), "--kernel", kernel],
+                 ["sfcheck", str(mat), "--kernel", kernel, "--order", "2", "--radius", "1"]):
+        err = _one_error_line(argv)
+        assert "36 directions in d = 8" in err and "SUBSETS_MAX" in err, err
+
+
 def test_sfcheck_refuses_an_order_past_the_float_range(fig1):
     """An infinite order, or one whose bound ``kappa^-s ||M^-T h||^s``
     underflows to 0, exits 1 with one line naming the order, not numpy

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisointerp import (
@@ -23,6 +23,7 @@ from anisointerp import (
 )
 from anisointerp.ptransform import row_keys
 from reference_api import merged, scaled, series_from_csv, zero_series
+from test_intlat import regular_matrices
 
 FIG1 = [[8, 3], [0, 8]]
 
@@ -77,20 +78,21 @@ def sample_series(f, pm):
     return SampleVector(vals, pm)
 
 
-def test_aliasing_lemma_oracle_equivalence():
-    """alias_fold must equal discrete coefficients of node samples."""
-    rng = np.random.default_rng(11)
-    mats = [[[2, 0], [0, 2]], [[2, 1], [0, 2]], [[5, -3], [2, 4]],
-            [[6, 1], [1, 6]], [[-3, 1], [2, 2]]]
-    for trial in range(100):
-        pm = validate_matrix(mats[trial % len(mats)])
-        n = rng.integers(1, 51)
-        freqs = rng.integers(-30, 31, size=(n, pm.d))
-        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f = merged(freqs, coeffs)
-        folded = alias_fold(f, pm).values
-        oracle = discrete_coeffs(sample_series(f, pm)).values
-        assert np.abs(folded - oracle).max() < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(regular_matrices(), st.data())
+def test_aliasing_lemma_oracle_equivalence(mat, data):
+    """The aliasing lemma: ``alias_fold`` equals the discrete coefficients of
+    the node samples, each sample a direct sum over the modes, for random
+    regular matrices in ``d <= 3`` and random series."""
+    pm = validate_matrix(mat)
+    entry = st.integers(-30, 30)
+    rows = data.draw(st.lists(st.tuples(*[entry] * pm.d), min_size=1, max_size=50))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    f = merged(np.array(rows, dtype=np.int64), coeffs)
+    folded = alias_fold(f, pm).values
+    oracle = discrete_coeffs(sample_series(f, pm)).values
+    assert np.abs(folded - oracle).max() < 1e-12
 
 
 def test_alias_fold_exact_on_shifted_classes():
